@@ -10,7 +10,18 @@ Layout: `logmod` (the truncated log modulus, seminorms, exponent fits),
 (domains and grids), `nonlocal_eval` (pointwise quadrature of the operators),
 `solver` (dense collocation solves and Fredholm probes), `barriers` (barrier
 fields and verifiers), `cli` (batch front end, installed as `logop`).
+
+LOGOP_THREADS, when set, caps the BLAS thread pools: it is copied into the
+OpenBLAS/OpenMP/MKL thread variables (unless those are set already) before
+numpy is imported, because the pools are sized when numpy loads.  It has no
+effect if numpy was imported before logop.
 """
+
+import os as _os
+
+if _os.environ.get("LOGOP_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, _os.environ["LOGOP_THREADS"])
 
 from .geometry import Domain, Grid, GridFunction, build_grid
 from .kernels import (

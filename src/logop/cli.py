@@ -540,10 +540,6 @@ def _build_parser():
 
 
 def main(argv=None):
-    threads = os.environ.get("LOGOP_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -9,6 +9,7 @@ node and every point outside the domain is implicitly zero.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -341,3 +342,32 @@ def scatter_weights(grid, Y):
         [(1 - f1) * (1 - f2), f1 * (1 - f2), (1 - f1) * f2, f1 * f2], axis=1
     )
     return idx, wts
+
+
+def difference_stencil(grid, offsets, weights):
+    """Scatter weighted offsets onto the lattice differences of a grid.
+
+    Every node sees the same offsets on the same lattice (nodes are
+    anchor + h*Z^N), so scattering them once around the lattice origin gives
+    the row of every node at once: entry d + (dims - 1) of the returned table
+    (shape 2*dims - 1) is what scatter_weights would deposit from
+    `node_i + offsets` onto node j whenever lattice[j] - lattice[i] = d.
+    Corners beyond +-(dims - 1) cannot fall on a node of this grid and are
+    dropped.
+    """
+    dims = np.asarray(grid.dims)
+    span = tuple((2 * dims - 1).tolist())
+    t = np.asarray(offsets, dtype=float) / grid.h
+    floor = np.floor(t)
+    frac = t - floor
+    base = floor.astype(np.int64) + (dims - 1)
+    size = math.prod(span)
+    table = np.zeros(size)
+    for shift in itertools.product((0, 1), repeat=grid.domain.N):
+        k = base + shift
+        w = weights * np.prod(np.where(shift, frac, 1 - frac), axis=1)
+        ok = np.all((k >= 0) & (k < span), axis=1)
+        table += np.bincount(
+            np.ravel_multi_index(k[ok].T, span), w[ok], minlength=size
+        )
+    return table.reshape(span)

@@ -238,7 +238,6 @@ class KernelSpec:
     lam: float
     Lam: float
     translation_invariant: bool = True
-    differentiable_tag: bool = False
     name: str = ""
     radial_breakpoints: tuple = ()
 
@@ -252,7 +251,6 @@ def unit_kernel():
         evaluate=lambda x, Y: np.ones(len(Y)),
         lam=1.0,
         Lam=1.0,
-        differentiable_tag=True,
         name="unit",
     )
 
@@ -264,9 +262,7 @@ def sinlog_kernel():
         rho = np.linalg.norm(Y, axis=1)
         return 1.0 + 0.5 * np.sin(np.log(rho))
 
-    return KernelSpec(
-        evaluate=evaluate, lam=0.5, Lam=1.5, differentiable_tag=True, name="sinlog"
-    )
+    return KernelSpec(evaluate=evaluate, lam=0.5, Lam=1.5, name="sinlog")
 
 
 def loglap_kernel(N):
@@ -276,7 +272,6 @@ def loglap_kernel(N):
         evaluate=lambda x, Y: np.full(len(Y), c),
         lam=c,
         Lam=c,
-        differentiable_tag=True,
         name="loglap",
     )
 
@@ -290,9 +285,7 @@ def schrodinger_kernel(N):
         rho = np.linalg.norm(Y, axis=1)
         return schrodinger_weight(np.maximum(rho, 1e-300), N)
 
-    return KernelSpec(
-        evaluate=evaluate, lam=w1, Lam=c, differentiable_tag=True, name="schrodinger"
-    )
+    return KernelSpec(evaluate=evaluate, lam=w1, Lam=c, name="schrodinger")
 
 
 def table_kernel(path):

@@ -2,16 +2,24 @@
 
 The unknown is the vector of nodal values on a Grid; the operator applied to
 the multilinear interpolant (extended by zero outside the domain) is collocated
-at the nodes.  Because the radial quadrature weights are positive and the
-interpolation weights are a convex partition, the assembled matrix of the
-difference operator has nonpositive off-diagonal entries and nonnegative row
-sums, i.e. it is an M-matrix: the discrete comparison principle is exact up to
-the linear-algebra residual.
+at the nodes.  Nodes lie on the lattice center + h*Z^N, so for a
+translation-invariant kernel (every catalog kernel, and the far field of the
+log-Laplacian) entry (i, j) depends only on the lattice difference of the two
+nodes: the quadrature is scattered once into a stencil over lattice
+differences and the matrix is gathered from it (a block-Toeplitz matrix).
+Kernels that depend on x are scattered node by node.
+
+Because the radial quadrature weights are positive and the interpolation
+weights are a convex partition, the assembled matrix of the difference
+operator has nonpositive off-diagonal entries and nonnegative row sums, i.e.
+it is an M-matrix: the discrete comparison principle is exact up to the
+linear-algebra residual.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -36,6 +44,7 @@ __all__ = [
 ]
 
 NEAR_SINGULAR_FACTOR = 1e-10
+DENSE_BYTES_PER_ENTRY = 16  # float64 matrix plus the LU factorization's copy
 _OPERATORS = ("generic", "loglap", "schrodinger")
 
 
@@ -103,21 +112,45 @@ def _quad_offsets(N, cfg, lo, hi, breakpoints):
     return np.concatenate(offs), np.concatenate(wts)
 
 
+def _stencil_matrix(grid, offs, w):
+    """Dense matrix with A[i, j] = S[lattice[j] - lattice[i]] for the stencil
+    S of the weighted offsets, gathered one row at a time."""
+    S = geometry.difference_stencil(grid, offs, w)
+    if not np.all(np.isfinite(S)):
+        raise ArithmeticError("quadrature failure assembling the stencil")
+    flat = S.reshape(-1)
+    q = np.ravel_multi_index((grid.lattice - grid.kmin).T, S.shape)
+    origin = np.ravel_multi_index(tuple(d - 1 for d in grid.dims), S.shape)
+    A = np.empty((grid.n, grid.n))
+    for i in range(grid.n):
+        np.take(flat, q + (origin - q[i]), out=A[i])
+    return A
+
+
 def _difference_block(K, grid, cfg, hi):
     """Matrix of u -> quadrature of (u(x_i) - interp u(y)) K(x_i, y - x_i)
-    over radii [r_min, hi] around each node."""
+    over radii [r_min, hi] around each node.
+
+    A translation-invariant kernel gives the same row around every node up to
+    the lattice shift, so its matrix is gathered from one scattered stencil;
+    an x-dependent kernel is scattered node by node."""
     nodes = grid.nodes
     n = grid.n
     offs, w = _quad_offsets(
         grid.domain.N, cfg, cfg.r_min, hi, list(K.radial_breakpoints)
     )
-    wk_shared = None
     if K.translation_invariant:
-        wk_shared = w * K.evaluate(np.zeros(grid.domain.N), offs)
+        wk = w * K.evaluate(np.zeros(grid.domain.N), offs)
+        mass = wk.sum()
+        if not np.isfinite(mass):
+            raise ArithmeticError(f"quadrature failure: kernel mass {mass}")
+        A = _stencil_matrix(grid, offs, -wk)
+        A[np.diag_indices(n)] += mass
+        return A
     A = np.zeros((n, n))
     for i in range(n):
         x = nodes[i]
-        wk = wk_shared if wk_shared is not None else w * K.evaluate(x, offs)
+        wk = w * K.evaluate(x, offs)
         idx, sw = geometry.scatter_weights(grid, x + offs)
         contrib = wk[:, None] * sw
         valid = idx >= 0
@@ -131,29 +164,36 @@ def _difference_block(K, grid, cfg, hi):
 
 def _farfield_block(grid, cfg):
     """Matrix of u -> integral over 1 <= |y - x_i| of interp u(y)/|y-x_i|^N."""
-    nodes = grid.nodes
-    n = grid.n
-    r_out = max(grid.domain.max_reach(x) for x in nodes)
-    A = np.zeros((n, n))
+    r_out = max(grid.domain.max_reach(x) for x in grid.nodes)
     if r_out <= 1.0:
-        return A
+        return np.zeros((grid.n, grid.n))
     offs, w = _quad_offsets(grid.domain.N, cfg, 1.0, r_out, [])
-    for i in range(n):
-        idx, sw = geometry.scatter_weights(grid, nodes[i] + offs)
-        contrib = w[:, None] * sw
-        valid = idx >= 0
-        np.add.at(A[i], idx[valid], contrib[valid])
-        if not np.all(np.isfinite(A[i])):
-            raise ArithmeticError(
-                f"quadrature failure assembling node {i} at {nodes[i]}"
-            )
-    return A
+    return _stencil_matrix(grid, offs, w)
+
+
+def _check_dense_size(grid):
+    """Refuse a dense system that cannot fit in physical memory: the matrix
+    and the copy LU factorization makes take 16*n^2 bytes."""
+    need = DENSE_BYTES_PER_ENTRY * grid.n ** 2
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        n_fit = math.sqrt(have / DENSE_BYTES_PER_ENTRY)
+        h_fit = grid.h * (grid.n / n_fit) ** (1.0 / grid.domain.N)
+        raise ValueError(
+            f"dense system with n={grid.n} nodes needs {need / 1e9:.1f} GB "
+            f"(matrix plus LU copy) but physical memory is {have / 1e9:.1f} GB; "
+            f"use a coarser grid, h >= {h_fit:.3g}"
+        )
 
 
 def assemble(problem, grid, cfg):
-    """Assemble the dense collocation matrix for the problem's operator."""
+    """Assemble the dense collocation matrix for the problem's operator.
+
+    Raises ValueError before allocating anything when the dense system would
+    not fit in physical memory."""
     if grid.n == 0:
         raise ValueError("grid has no nodes")
+    _check_dense_size(grid)
     if problem.operator == "generic":
         A = _difference_block(problem.kernel, grid, cfg, 1.0)
     elif problem.operator == "loglap":

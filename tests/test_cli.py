@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -356,6 +358,37 @@ def test_converge_needs_three_levels(capsys, tmp_path):
     )
     assert code == 2
     assert "3 levels" in err
+
+
+# ---------------------------------------------------------------------------
+# environment
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task"
+)
+def test_logop_threads_caps_blas_pool():
+    env = {
+        k: v
+        for k, v in os.environ.items()
+        if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    }
+    env["LOGOP_THREADS"] = "1"
+    script = (
+        "import os, logop, numpy as np\n"
+        "a = np.ones((400, 400)); a @ a\n"
+        "print(len(os.listdir('/proc/self/task')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,19 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from logop.geometry import Domain, GridFunction, build_grid, dist_to_boundary
-from logop.kernels import KernelSpec, sinlog_kernel, unit_kernel
+from logop import kernels, solver
+from logop.geometry import (
+    Domain,
+    GridFunction,
+    build_grid,
+    dist_to_boundary,
+    scatter_weights,
+)
+from logop.kernels import KernelSpec, sinlog_kernel, table_kernel, unit_kernel
 from logop.logmod import ell
 from logop.nonlocal_eval import (
     QuadratureConfig,
@@ -109,6 +118,98 @@ def test_assembly_rejects_nonfinite_kernel():
     grid = build_grid(problem.domain, 0.1)
     with pytest.raises(ArithmeticError):
         assemble(problem, grid, CFG)
+
+
+def _per_row(K):
+    # the same kernel flagged x-dependent, so assembly scatters node by node
+    return dataclasses.replace(K, translation_invariant=False)
+
+
+def _farfield_per_node(grid, cfg):
+    # the per-node scatter loop that the far-field stencil replaced
+    r_out = max(grid.domain.max_reach(x) for x in grid.nodes)
+    offs, w = solver._quad_offsets(grid.domain.N, cfg, 1.0, r_out, [])
+    A = np.zeros((grid.n, grid.n))
+    for i, x in enumerate(grid.nodes):
+        idx, sw = scatter_weights(grid, x + offs)
+        valid = idx >= 0
+        np.add.at(A[i], idx[valid], (w[:, None] * sw)[valid])
+    return A
+
+
+def _table_kernel_file(tmp_path):
+    path = tmp_path / "profile.csv"
+    r = np.linspace(0.0, 1.0, 11)
+    np.savetxt(path, np.column_stack([r, 1.0 + 0.5 * r * (1 - r)]), delimiter=",")
+    return table_kernel(str(path))
+
+
+_STENCIL_CASES = {
+    "1d-unit": ("generic", Domain.interval(-0.5, 0.5), 0.05, lambda tmp: unit_kernel()),
+    "1d-sinlog": (
+        "generic", Domain.interval(-0.5, 0.5), 0.05, lambda tmp: sinlog_kernel()
+    ),
+    "1d-table": ("generic", Domain.interval(-0.5, 0.5), 0.05, _table_kernel_file),
+    "2d-offcentre-unit": (
+        "generic", Domain.ball([0.3, -0.2], 0.1), 0.02, lambda tmp: unit_kernel()
+    ),
+    "2d-offcentre-sinlog": (
+        "generic", Domain.ball([0.3, -0.2], 0.1), 0.02, lambda tmp: sinlog_kernel()
+    ),
+    "2d-loglap-box-farfield": (
+        "loglap", Domain.box([-0.6, -0.4], [0.4, 0.5]), 0.1, None
+    ),
+    "1d-schrodinger": ("schrodinger", Domain.interval(-0.5, 0.5), 0.05, None),
+    "2d-schrodinger": ("schrodinger", Domain.ball([0.0, 0.0], 0.1), 0.025, None),
+}
+
+
+@pytest.mark.parametrize("case", list(_STENCIL_CASES))
+def test_stencil_assembly_matches_per_row_path(case, tmp_path, monkeypatch):
+    operator, domain, h, make_kernel = _STENCIL_CASES[case]
+    grid = build_grid(domain, h)
+    problem = ProblemSpec(
+        operator=operator,
+        domain=domain,
+        rhs=const_field(1.0),
+        kernel=make_kernel(tmp_path) if make_kernel else None,
+    )
+    A = assemble(problem, grid, CFG).matrix
+
+    if operator == "generic":
+        problem = dataclasses.replace(problem, kernel=_per_row(problem.kernel))
+    for name in ("unit_kernel", "schrodinger_kernel"):
+        factory = getattr(kernels, name)
+        monkeypatch.setattr(kernels, name, lambda *a, f=factory: _per_row(f(*a)))
+    monkeypatch.setattr(solver, "_farfield_block", _farfield_per_node)
+    if operator == "loglap":
+        assert np.max(np.abs(_farfield_per_node(grid, CFG))) > 0
+    ref = assemble(problem, grid, CFG).matrix
+
+    assert np.max(np.abs(A - ref)) <= 1e-12 * np.max(np.abs(ref))
+    off = A - np.diag(np.diag(A))
+    assert np.all(off <= 0)
+    assert np.all(np.diag(A) > 0)
+    assert np.all(A.sum(axis=1) >= -1e-12 * np.max(np.abs(A)))
+
+
+def test_assembly_refuses_dense_system_beyond_physical_memory():
+    problem = ProblemSpec(
+        operator="generic",
+        domain=Domain.ball([0.0, 0.0], 0.25),
+        rhs=const_field(1.0),
+        kernel=unit_kernel(),
+    )
+    grid = build_grid(problem.domain, 0.001)
+    assert grid.n > 190_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"n={grid.n}.*GB.*coarser grid, h >="):
+            assemble(problem, grid, CFG)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_zero_rhs_gives_zero_solution():
