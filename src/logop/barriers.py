@@ -13,9 +13,15 @@ import math
 
 import numpy as np
 
-from ._quadrules import closest_approach, sphere_crossings
 from .logmod import RHO0, ell
-from .nonlocal_eval import FieldFunction, eval_LK, field_sum, sector_integral, shell_field
+from .nonlocal_eval import (
+    FieldFunction,
+    _radial_breaks,
+    eval_LK,
+    field_sum,
+    sector_integral,
+    shell_field,
+)
 
 __all__ = [
     "SAMPLES_PER_SCALE",
@@ -42,18 +48,6 @@ _SILVER = math.sqrt(2.0) - 1.0
 _OMEGA = {1: 2.0, 2: 2.0 * math.pi}  # boundary measure of the unit sphere
 
 
-def _radial_break_fn(radii):
-    radii = tuple(float(R) for R in radii)
-
-    def breaks(x, theta):
-        out = closest_approach(x, theta)
-        for R in radii:
-            out += sphere_crossings(x, theta, R)
-        return out
-
-    return breaks
-
-
 def boundary_barrier_field(r, alpha):
     """phi(x) = ell^alpha((|x| - r)_+): zero on the closed ball B_r, growing
     with the log modulus of the distance to it."""
@@ -66,7 +60,7 @@ def boundary_barrier_field(r, alpha):
 
     return FieldFunction(
         evaluate=evaluate,
-        breakpoints=_radial_break_fn([r, r + RHO0]),
+        breakpoints=_radial_breaks([r, r + RHO0]),
         label=f"boundary_barrier({r},{alpha})",
     )
 
@@ -88,7 +82,7 @@ def bump_field(r):
     return FieldFunction(
         evaluate=evaluate,
         support_radius=r,
-        breakpoints=_radial_break_fn([r / 2, r]),
+        breakpoints=_radial_breaks([r / 2, r]),
         label=f"bump({r})",
     )
 
@@ -105,7 +99,7 @@ def tail_field(rho, alpha):
 
     return FieldFunction(
         evaluate=evaluate,
-        breakpoints=_radial_break_fn([rho, RHO0]),
+        breakpoints=_radial_breaks([rho, RHO0]),
         label=f"tail({rho},{alpha})",
     )
 

@@ -132,8 +132,7 @@ def _parse_quadrature(spec):
 
 def _parse_problem(cfg, where="config"):
     _check_keys(cfg, where,
-                {"domain", "operator", "perturbation", "rhs", "h", "quadrature",
-                 "seed"},
+                {"domain", "operator", "perturbation", "rhs", "h", "quadrature"},
                 {"domain", "operator", "rhs"})
     domain = _parse_domain(cfg["domain"])
     op = cfg["operator"]
@@ -154,11 +153,6 @@ def _parse_problem(cfg, where="config"):
         _check_keys(pert, "perturbation", {"name", "c"}, {"name"})
         if pert["name"] == "identity":
             shift = float(pert.get("c", 0.0))
-        elif pert["name"] == "loglap_tail":
-            if name != "loglap":
-                raise ConfigError(
-                    "the loglap_tail perturbation is built into the loglap operator"
-                )
         else:
             raise ConfigError(f"unknown perturbation {pert['name']!r}")
     rhs = _parse_field(cfg["rhs"])
@@ -296,7 +290,7 @@ _VERIFY_LEMMAS = ("boundary", "bump", "gain", "tail", "exponential", "sector",
 def _cmd_verify(args):
     doc = _load_config(args.config)
     lemma = args.lemma
-    base_keys = {"kernel", "N", "quadrature", "seed"}
+    base_keys = {"kernel", "N", "quadrature"}
     N = int(doc.get("N", 1))
     quad = _parse_quadrature(doc.get("quadrature"))
 
@@ -343,7 +337,7 @@ def _cmd_verify(args):
             passed = result["c0_hat"] > 0
         elif lemma == "sector":
             _check_keys(doc, "sector config",
-                        {"r", "d", "N", "c_min", "quadrature", "seed"}, {"r", "d"})
+                        {"r", "d", "N", "c_min", "quadrature"}, {"r", "d"})
             result = barriers.verify_sector(
                 float(doc["r"]), float(doc["d"]), N, quad,
                 c_min=float(doc.get("c_min", 0.1)),
@@ -382,8 +376,7 @@ def _cmd_verify(args):
 def _cmd_torsion(args):
     doc = _load_config(args.config)
     _check_keys(doc, "torsion config",
-                {"R_list", "kernel", "N", "rhs", "nodes_across", "quadrature",
-                 "seed"},
+                {"R_list", "kernel", "N", "rhs", "nodes_across", "quadrature"},
                 {"R_list"})
     N = int(doc.get("N", 1))
     quad = _parse_quadrature(doc.get("quadrature"))
@@ -408,7 +401,7 @@ def _cmd_torsion(args):
 
 def _cmd_fit(args):
     doc = _load_config(args.config)
-    _check_keys(doc, "fit config", {"solve", "synthetic", "seed"})
+    _check_keys(doc, "fit config", {"solve", "synthetic"})
     if ("solve" in doc) == ("synthetic" in doc):
         raise ConfigError("fit config requires exactly one of 'solve'/'synthetic'")
     if "solve" in doc:
@@ -449,7 +442,7 @@ def _cmd_converge(args):
     doc = _load_config(args.config)
     _check_keys(doc, "converge config",
                 {"domain", "operator", "perturbation", "rhs", "h_list",
-                 "quadrature", "seed"},
+                 "quadrature"},
                 {"domain", "operator", "rhs", "h_list"})
     h_list = sorted((float(h) for h in doc["h_list"]), reverse=True)
     if len(h_list) < 3:

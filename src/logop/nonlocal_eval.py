@@ -95,11 +95,13 @@ class FieldFunction:
         return list(self.breakpoints(x, theta))
 
 
-def _radial_breaks(radii, include_closest=True):
+def _radial_breaks(radii):
+    """Ray breakpoints: the closest approach to the origin and the crossings
+    of the spheres of the given radii."""
     radii = tuple(radii)
 
     def breaks(x, theta):
-        out = _quadrules.closest_approach(x, theta) if include_closest else []
+        out = _quadrules.closest_approach(x, theta)
         for R in radii:
             out += _quadrules.sphere_crossings(x, theta, R)
         return out

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 NEAR_SINGULAR_FACTOR = 1e-10
+Z_MATRIX_TOL = 1e-14  # off-diagonal rounding allowed, relative to max|A|
+SWEEP_MAX_SOLVES = 500
 DENSE_BYTES_PER_ENTRY = 16  # float64 matrix plus the LU factorization's copy
 _OPERATORS = ("generic", "loglap", "schrodinger")
 
@@ -297,46 +299,64 @@ def fredholm_probe(problem, grid, cfg):
 
 
 def fredholm_sweep(problem, grid, cfg, mu_lo, mu_hi, tol=1e-12):
-    """Locate a crossing of det(A - mu*I) = 0 for mu in [mu_lo, mu_hi].
+    """Enclose the first eigenvalue lambda_1 of the base operator (the
+    problem's own shift is ignored) and check that it lies in [mu_lo, mu_hi].
 
-    The determinant sign comes from the LU decomposition; bisection brackets
-    the first discrete eigenvalue of the base operator (the problem's own
-    shift is ignored).  Raises if the determinant does not change sign.
+    The collocation matrix A is a Z-matrix (off-diagonal entries <= 0), so
+    lambda_1, its eigenvalue of smallest real part, is real and simple with a
+    positive eigenvector, and (A - sigma*I)^-1 >= 0 for sigma below the
+    smallest row sum (Perron-Frobenius).  One LU factorization of A - sigma*I
+    drives inverse iteration from x = 1; each solve y = (A - sigma*I)^-1 x
+    gives the Collatz-Wielandt enclosure
+    sigma + 1/max(y/x) <= lambda_1 <= sigma + 1/min(y/x), and the iteration
+    stops once its width is at most tol*max(1, |lambda_1|).
+
+    Returns {"mu_star": midpoint of the enclosure, "evaluations": number of
+    triangular solves, "bounds": [lo, hi]}.  Raises ValueError when A is not
+    a Z-matrix or lambda_1 lies outside [mu_lo, mu_hi], and ArithmeticError
+    when the enclosure has not converged after SWEEP_MAX_SOLVES solves.
     """
-    base = ProblemSpec(
-        operator=problem.operator,
-        domain=problem.domain,
-        rhs=problem.rhs,
-        kernel=problem.kernel,
-        shift=0.0,
-    )
-    A = assemble(base, grid, cfg).matrix
-
-    def det_sign(mu):
-        sign, _ = np.linalg.slogdet(A - mu * np.eye(grid.n))
-        return sign
-
-    s_lo, s_hi = det_sign(mu_lo), det_sign(mu_hi)
-    if s_lo == 0.0:
-        return {"mu_star": mu_lo, "evaluations": 2}
-    if s_hi == 0.0:
-        return {"mu_star": mu_hi, "evaluations": 2}
-    if s_lo == s_hi:
-        raise ValueError("determinant does not change sign on [mu_lo, mu_hi]")
-    lo, hi = float(mu_lo), float(mu_hi)
-    evals = 2
-    while hi - lo > tol * max(1.0, abs(hi)):
-        mid = 0.5 * (lo + hi)
-        s_mid = det_sign(mid)
-        evals += 1
-        if s_mid == 0.0:
-            lo = hi = mid
+    A = assemble(replace(problem, shift=0.0), grid, cfg).matrix
+    n = len(A)
+    off_max = np.max(A, where=~np.eye(n, dtype=bool), initial=-math.inf)
+    if off_max > Z_MATRIX_TOL * np.max(np.abs(A)):
+        raise ValueError(
+            f"matrix is not a Z-matrix (off-diagonal entry {off_max:.3g} > 0); "
+            "the eigenvalue enclosure needs a nonpositive off-diagonal"
+        )
+    sigma = min(float(mu_lo), float(np.min(A.sum(axis=1))))
+    for _ in range(2):
+        M = A.copy()
+        M[np.diag_indices(n)] -= sigma
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            lu_piv = sla.lu_factor(M, overwrite_a=True)
+        if np.all(np.diagonal(lu_piv[0])):
             break
-        if s_mid == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    return {"mu_star": 0.5 * (lo + hi), "evaluations": evals}
+        sigma -= max(1.0, abs(sigma))  # exactly singular: sigma hit lambda_1
+    else:
+        raise ArithmeticError(f"A - sigma*I is singular at sigma={sigma!r}")
+    x = np.ones(n)
+    for solves in range(1, SWEEP_MAX_SOLVES + 1):
+        y = sla.lu_solve(lu_piv, x, check_finite=False)
+        r = y / x
+        if not np.min(r) > 0.0:
+            raise ArithmeticError("inverse iterate lost positivity")
+        lo, hi = sigma + 1.0 / float(np.max(r)), sigma + 1.0 / float(np.min(r))
+        lam1 = 0.5 * (lo + hi)
+        if hi - lo <= tol * max(1.0, abs(lam1)):
+            break
+        x = y / np.max(y)
+    else:
+        raise ArithmeticError(
+            f"lambda_1 enclosure [{lo!r}, {hi!r}] did not reach tol={tol} "
+            f"in {SWEEP_MAX_SOLVES} solves"
+        )
+    if not mu_lo <= lam1 <= mu_hi:
+        raise ValueError(
+            f"first eigenvalue lambda_1={lam1!r} lies outside [{mu_lo}, {mu_hi}]"
+        )
+    return {"mu_star": lam1, "evaluations": solves, "bounds": [lo, hi]}
 
 
 def torsion_scan(R_list, template, cfg, nodes_across=80):

@@ -272,6 +272,29 @@ def test_verify_unknown_config_key(capsys, tmp_path):
     assert "verbose" in err
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"seed": 3}, "unknown keys ['seed'] in config"),
+        (
+            {"operator": {"name": "loglap"}, "perturbation": {"name": "loglap_tail"}},
+            "unknown perturbation 'loglap_tail'",
+        ),
+    ],
+    ids=["seed", "loglap_tail"],
+)
+def test_solve_rejects_knobs_nothing_reads(capsys, tmp_path, extra, message):
+    config = json.loads((CONFIGS / "solve_interval.json").read_text()) | extra
+    cfg_path = tmp_path / "knob.json"
+    cfg_path.write_text(json.dumps(config))
+    code, _, err = _run(
+        capsys, "solve", "--config", str(cfg_path),
+        "--out", str(tmp_path / "u.csv"), "--report", str(tmp_path / "r.json"),
+    )
+    assert code == 2
+    assert message in err
+
+
 # ---------------------------------------------------------------------------
 # torsion / fit / converge
 # ---------------------------------------------------------------------------

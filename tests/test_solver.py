@@ -321,6 +321,81 @@ def test_fredholm_sweep_locates_first_eigenvalue():
         fredholm_sweep(problem, grid, CFG, 0.1 * lam1, 0.5 * lam1)
 
 
+@pytest.mark.parametrize(
+    "problem, h, bracket",
+    [
+        # a bracket holding lambda_1..lambda_5: sign bisection of det(A - mu I)
+        # returned lambda_5 = 6.4853 here
+        (_interval_problem(), 0.01, (0.0, 10.0)),
+        # holds lambda_1 and lambda_2, so det(A - mu I) has one sign at both ends
+        (_interval_problem(), 0.01, (1.0, 5.0)),
+        # the log-Laplacian on a wide interval has a negative lambda_1
+        (
+            ProblemSpec(
+                operator="loglap",
+                domain=Domain.interval(-3.0, 3.0),
+                rhs=const_field(1.0),
+            ),
+            0.05,
+            (-5.0, 0.0),
+        ),
+        (
+            ProblemSpec(
+                operator="generic",
+                domain=Domain.ball([0.0, 0.0], 0.25),
+                rhs=const_field(1.0),
+                kernel=sinlog_kernel(),
+            ),
+            0.03,
+            (0.0, 20.0),
+        ),
+    ],
+    ids=["wide-bracket", "two-eigenvalues", "loglap-negative", "sinlog-2d"],
+)
+def test_fredholm_sweep_encloses_first_eigenvalue(problem, h, bracket):
+    grid = build_grid(problem.domain, h)
+    A = assemble(problem, grid, CFG).matrix
+    lam1 = float(np.min(np.linalg.eigvals(A).real))
+    out = fredholm_sweep(problem, grid, CFG, *bracket)
+    assert out["mu_star"] == pytest.approx(lam1, rel=1e-10)
+    lo, hi = out["bounds"]
+    assert lo <= lam1 <= hi
+    assert hi - lo <= 1e-12 * max(1.0, abs(lam1))
+
+
+def test_fredholm_sweep_rejects_bracket_without_first_eigenvalue():
+    problem = _interval_problem()
+    grid = build_grid(problem.domain, 0.01)
+    # [2, 5] holds lambda_2 = 4.297 but not lambda_1 = 1.874
+    with pytest.raises(ValueError, match="lambda_1"):
+        fredholm_sweep(problem, grid, CFG, 2.0, 5.0)
+
+
+def test_fredholm_sweep_guards_its_enclosure(monkeypatch):
+    problem = _interval_problem(half=0.25)
+    grid = build_grid(problem.domain, 0.025)
+    monkeypatch.setattr(solver, "SWEEP_MAX_SOLVES", 2)
+    with pytest.raises(ArithmeticError, match="2 solves"):
+        fredholm_sweep(problem, grid, CFG, 0.0, 10.0)
+
+    def use_matrix(rows):
+        A = np.array(rows, dtype=float)
+        monkeypatch.setattr(
+            solver, "assemble",
+            lambda *args: solver.StiffnessMatrix(A, grid, "generic"),
+        )
+
+    # a positive off-diagonal entry voids the Perron-Frobenius enclosure
+    use_matrix([[2.0, 0.5, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+    with pytest.raises(ValueError, match="Z-matrix"):
+        fredholm_sweep(problem, grid, CFG, 0.0, 10.0)
+    # equal row sums equal lambda_1 = 0, so the first shift is singular
+    use_matrix([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
+    out = fredholm_sweep(problem, grid, CFG, 0.0, 1.0)
+    assert out["mu_star"] == pytest.approx(0.0, abs=1e-14)
+    assert out["bounds"][0] <= 0.0 <= out["bounds"][1]
+
+
 def test_loglap_solve_on_small_ball():
     problem = ProblemSpec(
         operator="loglap",
