@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 _NUDGE = 1e-12
+_LN10 = math.log(10.0)
 
 
 def panel_edges(lo, hi, breakpoints=()):
@@ -43,6 +44,40 @@ def panel_edges(lo, hi, breakpoints=()):
     return merged
 
 
+def _simpson_panels(edge_lists, n_per_decade):
+    """Composite-Simpson nodes and weights on the panels of every edge list,
+    built in one pass.
+
+    Each panel [a, b] gets m = max(2, 2*ceil(n_per_decade*ln(b/a)/(2 ln 10)))
+    subintervals of width ds in s = ln(rho), nodes s_a + j*ds with the two end
+    nodes nudged into the panel, and weights (1, 4, 2, ..., 4, 1)*ds/3.
+    Returns (rho, w, counts) where counts[k] is the node count of list k.
+    """
+    a, b, sa, sb, panels = [], [], [], [], []
+    for edges in edge_lists:
+        s = [math.log(e) for e in edges]
+        a += edges[:-1]
+        b += edges[1:]
+        sa += s[:-1]
+        sb += s[1:]
+        panels.append(len(edges) - 1)
+    a, b, sa, sb = (np.array(v) for v in (a, b, sa, sb))
+    m = np.maximum(2, 2 * np.ceil(n_per_decade * (sb - sa) / (2 * _LN10)))
+    ds = (sb - sa) / m
+    size = m.astype(np.intp) + 1
+    last = np.cumsum(size) - 1
+    first = last - (size - 1)
+    j = np.arange(last[-1] + 1) - np.repeat(first, size)
+    rho = np.exp(j * np.repeat(ds, size) + np.repeat(sa, size))
+    rho[first] = a * (1 + _NUDGE)
+    rho[last] = b * (1 - _NUDGE)
+    w = np.where(j & 1, 4.0, 2.0)
+    w[first] = w[last] = 1.0
+    w *= np.repeat(ds / 3.0, size)
+    counts = np.add.reduceat(size, np.cumsum(panels) - panels)
+    return rho, w, counts
+
+
 def radial_rule(lo, hi, n_per_decade, breakpoints=()):
     """Composite-Simpson nodes/weights for integral f(rho) d(rho)/rho.
 
@@ -50,25 +85,25 @@ def radial_rule(lo, hi, n_per_decade, breakpoints=()):
     [lo, hi].  Node density is n_per_decade subintervals per factor of 10,
     with at least two subintervals per panel.
     """
-    edges = panel_edges(lo, hi, breakpoints)
-    rhos = []
-    wts = []
-    ln10 = math.log(10.0)
-    for a, b in zip(edges[:-1], edges[1:]):
-        sa, sb = math.log(a), math.log(b)
-        m = max(2, 2 * math.ceil(n_per_decade * (sb - sa) / (2 * ln10)))
-        s = np.linspace(sa, sb, m + 1)
-        rho = np.exp(s)
-        rho[0] = a * (1 + _NUDGE)
-        rho[-1] = b * (1 - _NUDGE)
-        ds = (sb - sa) / m
-        w = np.full(m + 1, 2.0)
-        w[1::2] = 4.0
-        w[0] = w[-1] = 1.0
-        w *= ds / 3.0
-        rhos.append(rho)
-        wts.append(w)
-    return np.concatenate(rhos), np.concatenate(wts)
+    rho, w, _ = _simpson_panels([panel_edges(lo, hi, breakpoints)], n_per_decade)
+    return rho, w
+
+
+def polar_rule(N, n_angular, lo, hi, n_per_decade, breaks_for_ray):
+    """Polar rule for integral over lo <= |z| <= hi of f(z) |z|^(-N) dz.
+
+    Every ray theta of unit_directions(N, n_angular) carries the radial rule
+    of radial_rule on panel_edges(lo, hi, breaks_for_ray(theta)); all rays
+    are built in one pass.  Returns (Z, rho, w): the offsets Z = rho*theta of
+    shape (Q, N), their radii rho, and the combined weights (Simpson weight
+    times angular weight), so that dot(w, f(Z)) approximates the integral.
+    Z is column-major: integrands work column by column over the Q nodes.
+    """
+    thetas, ang_w = unit_directions(N, n_angular)
+    edges = [panel_edges(lo, hi, breaks_for_ray(th)) for th in thetas]
+    rho, w, counts = _simpson_panels(edges, n_per_decade)
+    Z = (rho * np.repeat(thetas.T, counts, axis=1)).T
+    return Z, rho, np.repeat(ang_w, counts) * w
 
 
 def sphere_crossings(x, theta, radius):

@@ -22,6 +22,7 @@ from . import _quadrules
 from .logmod import RHO0, ell
 
 EULER_GAMMA = 0.5772156649015328606065
+_BESSEL_BLOCK = 256  # arguments per block of the K_nu trapezoid table
 
 __all__ = [
     "EULER_GAMMA",
@@ -128,11 +129,14 @@ def bessel_k_generic(nu, r, step=None):
     n = int(math.ceil(t_max / step))
     t = np.linspace(0.0, n * step, n + 1)
     ch = np.cosh(t)
+    w = step * np.cosh(nu * t)
+    w[0] *= 0.5
+    # a bounded block of r at a time keeps the (r, t) table small
+    out = np.empty(len(r))
     with np.errstate(under="ignore"):
-        vals = np.exp(-np.outer(r, ch)) * np.cosh(nu * t)
-    w = np.full(n + 1, step)
-    w[0] = 0.5 * step
-    out = vals @ w
+        for k in range(0, len(r), _BESSEL_BLOCK):
+            block = slice(k, k + _BESSEL_BLOCK)
+            out[block] = np.exp(-np.outer(r[block], ch)) @ w
     return out if out.shape != (1,) else float(out[0])
 
 
@@ -378,28 +382,26 @@ def _regularity_integral(K, z, w, n_radial, n_angular):
     lo, hi = 2 * wn, 1 + wn / 2
     if lo >= hi:
         return 0.0
-    thetas, ang_w = _quadrules.unit_directions(N, n_angular)
-    total = 0.0
     half = w / 2
-    for th, aw in zip(thetas, ang_w):
-        breaks = _quadrules.sphere_crossings(half, th, 1.0)
-        breaks += _quadrules.sphere_crossings(-half, th, 1.0)
-        breaks += _quadrules.closest_approach(half, th)
-        breaks += _quadrules.closest_approach(-half, th)
-        breaks.append(RHO0)
-        rho, wt = _quadrules.radial_rule(lo, hi, n_radial, breaks)
-        xi = rho[:, None] * th
-        xp = xi + half
-        xm = xi - half
-        np_r = np.linalg.norm(xp, axis=1)
-        nm_r = np.linalg.norm(xm, axis=1)
-        kp = np.where(np_r < 1, K.evaluate(z + half, xp), 0.0)
-        km = np.where(nm_r < 1, K.evaluate(z - half, xm), 0.0)
-        with np.errstate(divide="ignore"):
-            fp = np.where(np_r < 1, kp / np_r ** N, 0.0)
-            fm = np.where(nm_r < 1, km / nm_r ** N, 0.0)
-        total += aw * float(np.sum(wt * np.abs(fp - fm) * ell(rho) * rho ** N))
-    return total
+
+    def breaks(th):
+        out = _quadrules.sphere_crossings(half, th, 1.0)
+        out += _quadrules.sphere_crossings(-half, th, 1.0)
+        out += _quadrules.closest_approach(half, th)
+        out += _quadrules.closest_approach(-half, th)
+        return out + [RHO0]
+
+    xi, rho, wt = _quadrules.polar_rule(N, n_angular, lo, hi, n_radial, breaks)
+    xp = xi + half
+    xm = xi - half
+    np_r = np.linalg.norm(xp, axis=1)
+    nm_r = np.linalg.norm(xm, axis=1)
+    kp = np.where(np_r < 1, K.evaluate(z + half, xp), 0.0)
+    km = np.where(nm_r < 1, K.evaluate(z - half, xm), 0.0)
+    with np.errstate(divide="ignore"):
+        fp = np.where(np_r < 1, kp / np_r ** N, 0.0)
+        fm = np.where(nm_r < 1, km / nm_r ** N, 0.0)
+    return float(np.dot(wt, np.abs(fp - fm) * ell(rho) * rho ** N))
 
 
 def check_one_regularity(K, pairs, quad):

@@ -87,7 +87,6 @@ class FieldFunction:
     support_radius: float | None = None
     breakpoints: callable | None = None
     label: str = ""
-    grid_backed: bool = False
 
     def ray_breaks(self, x, theta):
         if self.breakpoints is None:
@@ -266,7 +265,6 @@ def grid_field(u):
         evaluate=lambda Y: geometry.interpolate_many(u, np.atleast_2d(Y)),
         support_radius=reach,
         label="grid",
-        grid_backed=True,
     )
 
 
@@ -308,16 +306,17 @@ def make_field(name):
 
 
 def _polar_sum(x, N, cfg, level, lo, hi, integrand, breaks_for_ray):
-    """sum over rays of ang_w * sum_j w_j * integrand(theta, rho_j, Y_j)."""
+    """Polar quadrature around x over radii [lo, hi]: dot(w, integrand(Z,
+    rho, Y)) with the offsets Z, radii rho and weights w of
+    _quadrules.polar_rule for every ray at once and the points Y = x + Z.
+
+    The integrand is called once per evaluation with all Q nodes; it returns
+    the Q values of f(Y) whose integral against |Y - x|^(-N) dY is wanted.
+    level scales the radial and angular node counts of cfg."""
     n_ang = max(4, int(round(cfg.n_angular * level)))
     n_rad = max(2, int(round(cfg.n_radial * level)))
-    thetas, ang_w = _quadrules.unit_directions(N, n_ang)
-    total = 0.0
-    for th, aw in zip(thetas, ang_w):
-        rho, w = _quadrules.radial_rule(lo, hi, n_rad, breaks_for_ray(th))
-        Y = x + rho[:, None] * th
-        total += aw * float(np.sum(w * integrand(th, rho, Y)))
-    return total
+    Z, rho, w = _quadrules.polar_rule(N, n_ang, lo, hi, n_rad, breaks_for_ray)
+    return float(np.dot(w, integrand(Z, rho, x + Z)))
 
 
 def _with_estimate(fn, cfg, return_estimate):
@@ -345,9 +344,8 @@ def eval_LK(K, u, x, cfg, return_estimate=False):
     ux = float(u.evaluate(x[None, :])[0])
     kernel_breaks = list(K.radial_breakpoints)
 
-    def integrand(th, rho, Y):
-        kv = K.evaluate(x, rho[:, None] * th)
-        return (ux - u.evaluate(Y)) * kv
+    def integrand(Z, rho, Y):
+        return (ux - u.evaluate(Y)) * K.evaluate(x, Z)
 
     def breaks(th):
         return u.ray_breaks(x, th) + kernel_breaks
@@ -369,7 +367,7 @@ def eval_J_conv(u, x, cfg, return_estimate=False):
     if r_out <= 1.0:
         return (0.0, 0.0) if return_estimate else 0.0
 
-    def integrand(th, rho, Y):
+    def integrand(Z, rho, Y):
         return u.evaluate(Y)
 
     def breaks(th):
@@ -407,7 +405,7 @@ def eval_loglap(u, x, cfg, N, path="decomposition", return_estimate=False):
         raise ValueError("path must be 'decomposition' or 'direct'")
     r_out = max(1.0 + 1e-6, float(np.linalg.norm(x)) + u.support_radius)
 
-    def integrand(th, rho, Y):
+    def integrand(Z, rho, Y):
         vals = u.evaluate(Y)
         return np.where(rho < 1.0, ux - vals, -vals)
 
@@ -433,7 +431,7 @@ def eval_schrodinger(u, x, cfg, N, return_estimate=False):
     else:
         r_out = max(40.0, float(np.linalg.norm(x)) + u.support_radius)
 
-    def integrand(th, rho, Y):
+    def integrand(Z, rho, Y):
         return (ux - u.evaluate(Y)) * kernels.schrodinger_weight(rho, N)
 
     def breaks(th):
@@ -454,9 +452,8 @@ def eval_remainder(Ki, u, x, cfg, return_estimate=False):
     ux = float(u.evaluate(x[None, :])[0])
     hi = Ki.support_radius
 
-    def integrand(th, rho, Y):
-        kv = Ki.evaluate(rho[:, None] * th)
-        return (ux - u.evaluate(Y)) * kv
+    def integrand(Z, rho, Y):
+        return (ux - u.evaluate(Y)) * Ki.evaluate(Z)
 
     def breaks(th):
         return u.ray_breaks(x, th)

@@ -101,19 +101,6 @@ class SolveReport:
     sigma_min: float
 
 
-def _quad_offsets(N, cfg, lo, hi, breakpoints):
-    """Concatenated polar quadrature: offsets (Q, N) and combined weights
-    (radial Simpson weight times angular weight)."""
-    f = cfg.node_factor()
-    thetas, ang_w = _quadrules.unit_directions(N, cfg.n_angular * f)
-    offs, wts = [], []
-    for th, aw in zip(thetas, ang_w):
-        rho, w = _quadrules.radial_rule(lo, hi, cfg.n_radial * f, breakpoints)
-        offs.append(rho[:, None] * th)
-        wts.append(aw * w)
-    return np.concatenate(offs), np.concatenate(wts)
-
-
 def _stencil_matrix(grid, offs, w):
     """Dense matrix with A[i, j] = S[lattice[j] - lattice[i]] for the stencil
     S of the weighted offsets, gathered one row at a time."""
@@ -138,8 +125,10 @@ def _difference_block(K, grid, cfg, hi):
     an x-dependent kernel is scattered node by node."""
     nodes = grid.nodes
     n = grid.n
-    offs, w = _quad_offsets(
-        grid.domain.N, cfg, cfg.r_min, hi, list(K.radial_breakpoints)
+    f = cfg.node_factor()
+    offs, _, w = _quadrules.polar_rule(
+        grid.domain.N, cfg.n_angular * f, cfg.r_min, hi, cfg.n_radial * f,
+        lambda th: K.radial_breakpoints,
     )
     if K.translation_invariant:
         wk = w * K.evaluate(np.zeros(grid.domain.N), offs)
@@ -169,7 +158,10 @@ def _farfield_block(grid, cfg):
     r_out = max(grid.domain.max_reach(x) for x in grid.nodes)
     if r_out <= 1.0:
         return np.zeros((grid.n, grid.n))
-    offs, w = _quad_offsets(grid.domain.N, cfg, 1.0, r_out, [])
+    f = cfg.node_factor()
+    offs, _, w = _quadrules.polar_rule(
+        grid.domain.N, cfg.n_angular * f, 1.0, r_out, cfg.n_radial * f, lambda th: ()
+    )
     return _stencil_matrix(grid, offs, w)
 
 
@@ -212,9 +204,10 @@ def assemble(problem, grid, cfg):
     return StiffnessMatrix(matrix=A, grid=grid, operator=problem.operator)
 
 
-def _sigma_min_estimate(lu_piv, n, iters=40, seed=7):
+def _sigma_min_estimate(lu_piv, n, iters=40, rtol=1e-13, seed=7):
     """Smallest singular value by inverse power iteration on A^T A, using the
-    existing factorization; also returns the approximate singular vector."""
+    existing factorization; also returns the approximate singular vector.
+    Stops once sigma changes by at most rtol relative, or after iters steps."""
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
@@ -226,8 +219,10 @@ def _sigma_min_estimate(lu_piv, n, iters=40, seed=7):
             nz = np.linalg.norm(z)
             if not np.isfinite(nz) or nz == 0.0:
                 return 0.0, v
-            sigma = 1.0 / math.sqrt(nz)
+            previous, sigma = sigma, 1.0 / math.sqrt(nz)
             v = z / nz
+            if abs(sigma - previous) <= rtol * sigma:
+                break
     return sigma, v
 
 

@@ -4,6 +4,14 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
+from logop import _quadrules, nonlocal_eval
+from logop.barriers import (
+    boundary_barrier_field,
+    bump_field,
+    composite_barrier_field,
+    gain_shell,
+    sample_annulus,
+)
 from logop.geometry import Domain, GridFunction, build_grid
 from logop.kernels import mollify_kernel, sinlog_kernel, unit_kernel
 from logop.nonlocal_eval import (
@@ -26,6 +34,7 @@ from logop.nonlocal_eval import (
     shell_field,
     shift_field,
 )
+from logop.solver import ProblemSpec, assemble
 
 FAST = QuadratureConfig()
 ORACLE = QuadratureConfig(mode="oracle")
@@ -362,7 +371,131 @@ def test_grid_field_wraps_interpolant():
     grid = build_grid(Domain.interval(-1.0, 1.0), 0.25)
     u = GridFunction(grid, np.ones(grid.n))
     f = grid_field(u)
-    assert f.grid_backed
     assert f.support_radius == pytest.approx(1.0)
     assert f.evaluate(np.array([[0.0]]))[0] == pytest.approx(1.0)
     assert f.evaluate(np.array([[1.5]]))[0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the vectorized polar rule against one radial rule per ray
+# ---------------------------------------------------------------------------
+
+
+def _linspace_radial_rule(lo, hi, n_per_decade, breakpoints=()):
+    # the per-panel construction polar_rule replaced: one linspace per panel
+    edges = _quadrules.panel_edges(lo, hi, breakpoints)
+    rhos, wts = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        sa, sb = math.log(a), math.log(b)
+        m = max(2, 2 * math.ceil(n_per_decade * (sb - sa) / (2 * math.log(10.0))))
+        rho = np.exp(np.linspace(sa, sb, m + 1))
+        rho[0], rho[-1] = a * (1 + 1e-12), b * (1 - 1e-12)
+        w = np.full(m + 1, 2.0)
+        w[1::2] = 4.0
+        w[0] = w[-1] = 1.0
+        rhos.append(rho)
+        wts.append(w * ((sb - sa) / m / 3.0))
+    return np.concatenate(rhos), np.concatenate(wts)
+
+
+def _per_ray_polar_rule(N, n_angular, lo, hi, n_per_decade, breaks_for_ray):
+    thetas, ang_w = _quadrules.unit_directions(N, n_angular)
+    Z, rho, w = [], [], []
+    for th, aw in zip(thetas, ang_w):
+        r, wr = _linspace_radial_rule(lo, hi, n_per_decade, breaks_for_ray(th))
+        Z.append(r[:, None] * th)
+        rho.append(r)
+        w.append(aw * wr)
+    return np.concatenate(Z), np.concatenate(rho), np.concatenate(w)
+
+
+def _per_ray_polar_sum(x, N, cfg, level, lo, hi, integrand, breaks_for_ray):
+    # one radial rule and one integrand call per ray, summed ray by ray
+    n_ang = max(4, int(round(cfg.n_angular * level)))
+    n_rad = max(2, int(round(cfg.n_radial * level)))
+    thetas, ang_w = _quadrules.unit_directions(N, n_ang)
+    total = 0.0
+    for th, aw in zip(thetas, ang_w):
+        rho, w = _linspace_radial_rule(lo, hi, n_rad, breaks_for_ray(th))
+        Z = rho[:, None] * th
+        total += aw * float(np.sum(w * integrand(Z, rho, x + Z)))
+    return total
+
+
+# breaks on decade edges, just off them, and within 1e-10 of each other
+_COLLIDING = [1e-2, 1e-2 * (1 + 1e-11), 0.1 * (1 - 1e-11), 0.3, 0.3 * (1 + 5e-11), 1e-6]
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_polar_rule_matches_per_ray_radial_rules(N):
+    def breaks(th):
+        # a break that moves with the ray, on half the rays only
+        return _COLLIDING + ([0.05 / (th[0] + 0.1)] if th[0] > 0 else [])
+
+    lo, hi, n_ang, n_rad = 1e-12, 1.0, 16, 128
+    Z, rho, w = _quadrules.polar_rule(N, n_ang, lo, hi, n_rad, breaks)
+    thetas, ang_w = _quadrules.unit_directions(N, n_ang)
+    rules = [_quadrules.radial_rule(lo, hi, n_rad, breaks(th)) for th in thetas]
+    concatenated = (
+        np.concatenate([r[:, None] * th for (r, _), th in zip(rules, thetas)]),
+        np.concatenate([r for r, _ in rules]),
+        np.concatenate([aw * wr for (_, wr), aw in zip(rules, ang_w)]),
+    )
+    assert len({len(r) for r, _ in rules}) > 1
+    for ref in (concatenated, _per_ray_polar_rule(N, n_ang, lo, hi, n_rad, breaks)):
+        for got, want in zip((Z, rho, w), ref):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+    # Simpson in ln(rho) integrates d(rho)/rho exactly
+    assert np.sum(w) == pytest.approx(np.sum(ang_w) * math.log(hi / lo), rel=1e-13)
+
+
+_BARRIER_CASES = {
+    "bump": (lambda N: bump_field(0.3), 0.0, 0.3),
+    "boundary": (lambda N: boundary_barrier_field(0.2, 0.5), 0.2, 0.3),
+    "composite": (
+        lambda N: composite_barrier_field(0.05, 0.5, gain_shell(0.05, 1.0, N)[0]),
+        0.0,
+        0.005,
+    ),
+}
+
+
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("case", list(_BARRIER_CASES))
+def test_eval_LK_matches_per_ray_polar_sum(case, N, monkeypatch):
+    make_field, r_lo, r_hi = _BARRIER_CASES[case]
+    u = make_field(N)
+    pts = sample_annulus(4, N, r_lo, r_hi)
+    kernels = (unit_kernel(), sinlog_kernel())
+    vals = [eval_LK(K, u, x, FAST) for K in kernels for x in pts]
+    monkeypatch.setattr(nonlocal_eval, "_polar_sum", _per_ray_polar_sum)
+    ref = [eval_LK(K, u, x, FAST) for K in kernels for x in pts]
+    np.testing.assert_allclose(vals, ref, rtol=1e-12, atol=0)
+
+
+_ASSEMBLY_CASES = {
+    "1d-unit": ("generic", Domain.interval(-0.5, 0.5), 0.05, unit_kernel),
+    "1d-sinlog": ("generic", Domain.interval(-0.5, 0.5), 0.05, sinlog_kernel),
+    "2d-unit": ("generic", Domain.ball([0.3, -0.2], 0.1), 0.02, unit_kernel),
+    "2d-sinlog": ("generic", Domain.ball([0.3, -0.2], 0.1), 0.02, sinlog_kernel),
+    "2d-loglap-box-farfield": (
+        "loglap", Domain.box([-0.6, -0.4], [0.4, 0.5]), 0.1, None
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_ASSEMBLY_CASES))
+def test_assembly_matches_per_ray_offsets(case, monkeypatch):
+    operator, domain, h, make_kernel = _ASSEMBLY_CASES[case]
+    grid = build_grid(domain, h)
+    problem = ProblemSpec(
+        operator=operator,
+        domain=domain,
+        rhs=const_field(1.0),
+        kernel=make_kernel() if make_kernel else None,
+    )
+    A = assemble(problem, grid, FAST).matrix
+    monkeypatch.setattr(_quadrules, "polar_rule", _per_ray_polar_rule)
+    ref = assemble(problem, grid, FAST).matrix
+    assert np.max(np.abs(A - ref)) <= 1e-12 * np.max(np.abs(ref))

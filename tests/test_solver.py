@@ -4,8 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from logop import kernels, solver
+from logop._quadrules import polar_rule
 from logop.geometry import (
     Domain,
     GridFunction,
@@ -128,7 +130,10 @@ def _per_row(K):
 def _farfield_per_node(grid, cfg):
     # the per-node scatter loop that the far-field stencil replaced
     r_out = max(grid.domain.max_reach(x) for x in grid.nodes)
-    offs, w = solver._quad_offsets(grid.domain.N, cfg, 1.0, r_out, [])
+    f = cfg.node_factor()
+    offs, _, w = polar_rule(
+        grid.domain.N, cfg.n_angular * f, 1.0, r_out, cfg.n_radial * f, lambda th: ()
+    )
     A = np.zeros((grid.n, grid.n))
     for i, x in enumerate(grid.nodes):
         idx, sw = scatter_weights(grid, x + offs)
@@ -210,6 +215,43 @@ def test_assembly_refuses_dense_system_beyond_physical_memory():
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+
+
+class _CountingLinalg:
+    """scipy.linalg with its lu_solve calls counted."""
+
+    def __init__(self):
+        self.solves = 0
+
+    def __getattr__(self, name):
+        return getattr(sla, name)
+
+    def lu_solve(self, *args, **kwargs):
+        self.solves += 1
+        return sla.lu_solve(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "domain, h, kernel, max_steps",
+    [
+        (Domain.interval(-0.5, 0.5), 0.001, unit_kernel, 39),
+        (Domain.ball([0.0, 0.0], 0.25), 0.02, sinlog_kernel, 40),
+    ],
+)
+def test_sigma_min_estimate_stops_once_converged(
+    domain, h, kernel, max_steps, monkeypatch
+):
+    grid = build_grid(domain, h)
+    problem = ProblemSpec(
+        operator="generic", domain=domain, rhs=const_field(1.0), kernel=kernel()
+    )
+    A = assemble(problem, grid, CFG).matrix
+    counter = _CountingLinalg()
+    monkeypatch.setattr(solver, "sla", counter)
+    sigma, v = solver._sigma_min_estimate(sla.lu_factor(A), grid.n)
+    assert sigma == pytest.approx(np.linalg.svd(A, compute_uv=False)[-1], rel=1e-10)
+    assert np.linalg.norm(A.T @ v) == pytest.approx(sigma, rel=1e-6)
+    assert counter.solves // 2 <= max_steps
 
 
 def test_zero_rhs_gives_zero_solution():
