@@ -418,7 +418,7 @@ def check_one_regularity(K, pairs, quad):
     Radial jumps in y shift the disagreement window by |w| and contribute
     only O(|w|), which ell(|w|) absorbs; a kernel rough in x does blow up.
     """
-    n_rad = quad.n_radial * quad.node_factor()
+    n_rad = quad.node_counts()[1]
     per_pair = []
     drifts = []
     wns = []

@@ -72,6 +72,11 @@ class QuadratureConfig:
     def node_factor(self):
         return 4 if self.mode == "oracle" else 1
 
+    def node_counts(self):
+        """(angles, radial subintervals per decade) scaled by the mode."""
+        f = self.node_factor()
+        return self.n_angular * f, self.n_radial * f
+
 
 @dataclass(frozen=True)
 class FieldFunction:
@@ -476,7 +481,7 @@ def sector_integral(r, d, N, cfg):
     if not 0 < d < r * r:
         raise ValueError("d must lie in (0, r^2)")
     if N == 1:
-        rho, w = _quadrules.radial_rule(d, d + 2 * r, cfg.n_radial * cfg.node_factor())
+        rho, w = _quadrules.radial_rule(d, d + 2 * r, cfg.node_counts()[1])
         return float(np.sum(w))
     if N != 2:
         raise ValueError("only dimensions 1 and 2 are supported")
@@ -484,7 +489,7 @@ def sector_integral(r, d, N, cfg):
     # of the chord integral becomes smooth up to phi = pi/2.
     c = r + d
     q = r / c
-    m = 8 * cfg.n_angular * cfg.node_factor()
+    m = 8 * cfg.node_counts()[0]
     phi = np.linspace(0.0, math.pi / 2, 2 * m + 1)
     sphi, cphi = np.sin(phi), np.cos(phi)
     ctheta = np.sqrt(1.0 - (q * sphi) ** 2)

@@ -46,6 +46,7 @@ __all__ = [
 NEAR_SINGULAR_FACTOR = 1e-10
 Z_MATRIX_TOL = 1e-14  # off-diagonal rounding allowed, relative to max|A|
 SWEEP_MAX_SOLVES = 500
+SIGMA_MIN_RTOL = 1e-13  # relative change of sigma that ends the inverse iteration
 DENSE_BYTES_PER_ENTRY = 16  # float64 matrix plus the LU factorization's copy
 _OPERATORS = ("generic", "loglap", "schrodinger")
 
@@ -125,10 +126,9 @@ def _difference_block(K, grid, cfg, hi):
     an x-dependent kernel is scattered node by node."""
     nodes = grid.nodes
     n = grid.n
-    f = cfg.node_factor()
+    n_ang, n_rad = cfg.node_counts()
     offs, _, w = _quadrules.polar_rule(
-        grid.domain.N, cfg.n_angular * f, cfg.r_min, hi, cfg.n_radial * f,
-        lambda th: K.radial_breakpoints,
+        grid.domain.N, n_ang, cfg.r_min, hi, n_rad, lambda th: K.radial_breakpoints
     )
     if K.translation_invariant:
         wk = w * K.evaluate(np.zeros(grid.domain.N), offs)
@@ -158,10 +158,8 @@ def _farfield_block(grid, cfg):
     r_out = max(grid.domain.max_reach(x) for x in grid.nodes)
     if r_out <= 1.0:
         return np.zeros((grid.n, grid.n))
-    f = cfg.node_factor()
-    offs, _, w = _quadrules.polar_rule(
-        grid.domain.N, cfg.n_angular * f, 1.0, r_out, cfg.n_radial * f, lambda th: ()
-    )
+    n_ang, n_rad = cfg.node_counts()
+    offs, _, w = _quadrules.polar_rule(grid.domain.N, n_ang, 1.0, r_out, n_rad, lambda th: ())
     return _stencil_matrix(grid, offs, w)
 
 
@@ -204,10 +202,11 @@ def assemble(problem, grid, cfg):
     return StiffnessMatrix(matrix=A, grid=grid, operator=problem.operator)
 
 
-def _sigma_min_estimate(lu_piv, n, iters=40, rtol=1e-13, seed=7):
+def _sigma_min_estimate(lu_piv, n, iters=40, seed=7):
     """Smallest singular value by inverse power iteration on A^T A, using the
     existing factorization; also returns the approximate singular vector.
-    Stops once sigma changes by at most rtol relative, or after iters steps."""
+    Stops once sigma changes by at most SIGMA_MIN_RTOL relative, or after
+    iters steps."""
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
@@ -221,7 +220,7 @@ def _sigma_min_estimate(lu_piv, n, iters=40, rtol=1e-13, seed=7):
                 return 0.0, v
             previous, sigma = sigma, 1.0 / math.sqrt(nz)
             v = z / nz
-            if abs(sigma - previous) <= rtol * sigma:
+            if abs(sigma - previous) <= SIGMA_MIN_RTOL * sigma:
                 break
     return sigma, v
 

@@ -55,6 +55,7 @@ def test_quadrature_config_validation():
         QuadratureConfig(mode="turbo")
     assert FAST.node_factor() == 1
     assert ORACLE.node_factor() == 4
+    assert ORACLE.node_counts() == (64, 512)
 
 
 # ---------------------------------------------------------------------------

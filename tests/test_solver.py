@@ -130,10 +130,8 @@ def _per_row(K):
 def _farfield_per_node(grid, cfg):
     # the per-node scatter loop that the far-field stencil replaced
     r_out = max(grid.domain.max_reach(x) for x in grid.nodes)
-    f = cfg.node_factor()
-    offs, _, w = polar_rule(
-        grid.domain.N, cfg.n_angular * f, 1.0, r_out, cfg.n_radial * f, lambda th: ()
-    )
+    n_ang, n_rad = cfg.node_counts()
+    offs, _, w = polar_rule(grid.domain.N, n_ang, 1.0, r_out, n_rad, lambda th: ())
     A = np.zeros((grid.n, grid.n))
     for i, x in enumerate(grid.nodes):
         idx, sw = scatter_weights(grid, x + offs)
@@ -232,14 +230,15 @@ class _CountingLinalg:
 
 
 @pytest.mark.parametrize(
-    "domain, h, kernel, max_steps",
+    "domain, h, kernel, step_bound",
     [
-        (Domain.interval(-0.5, 0.5), 0.001, unit_kernel, 39),
-        (Domain.ball([0.0, 0.0], 0.25), 0.02, sinlog_kernel, 40),
+        # about 11 and 25 steps are needed; 40 is the cap
+        (Domain.interval(-0.5, 0.5), 0.001, unit_kernel, 40),
+        (Domain.ball([0.0, 0.0], 0.25), 0.02, sinlog_kernel, 35),
     ],
 )
 def test_sigma_min_estimate_stops_once_converged(
-    domain, h, kernel, max_steps, monkeypatch
+    domain, h, kernel, step_bound, monkeypatch
 ):
     grid = build_grid(domain, h)
     problem = ProblemSpec(
@@ -251,7 +250,7 @@ def test_sigma_min_estimate_stops_once_converged(
     sigma, v = solver._sigma_min_estimate(sla.lu_factor(A), grid.n)
     assert sigma == pytest.approx(np.linalg.svd(A, compute_uv=False)[-1], rel=1e-10)
     assert np.linalg.norm(A.T @ v) == pytest.approx(sigma, rel=1e-6)
-    assert counter.solves // 2 <= max_steps
+    assert counter.solves // 2 < step_bound
 
 
 def test_zero_rhs_gives_zero_solution():
