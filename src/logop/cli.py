@@ -206,6 +206,7 @@ def _report_dict(report):
         "mp_audit": report.mp_audit,
         "h": report.h,
         "sigma_min": report.sigma_min,
+        "timings": report.timings,
     }
 
 

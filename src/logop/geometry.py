@@ -95,12 +95,18 @@ class Domain:
         return bool(inside[0]) if single else inside
 
     def max_reach(self, x):
-        """Largest |y - x| over y in the closure of the domain."""
+        """Largest |y - x| over y in the closure of the domain; works on a
+        single point or an (m,N) batch."""
         x = np.asarray(x, dtype=float)
+        single = x.ndim == 1
+        pts = x[None, :] if single else x
         if self.shape == "ball":
-            return float(np.linalg.norm(x - self.center_pt) + self.radius)
-        corners = _corners(self.lo, self.hi)
-        return float(np.max(np.linalg.norm(corners - x, axis=1)))
+            reach = np.linalg.norm(pts - self.center_pt, axis=1) + self.radius
+        else:
+            # the farthest corner takes the farther of lo and hi on every axis
+            far = np.maximum(np.abs(pts - self.lo), np.abs(pts - self.hi))
+            reach = np.linalg.norm(far, axis=1)
+        return float(reach[0]) if single else reach
 
     def boundary_point(self):
         """A canonical boundary point (used by regularity fits)."""
@@ -125,14 +131,6 @@ class Domain:
         if self.shape == "ball":
             return f"Domain.ball({self.center_pt.tolist()}, {self.radius})"
         return f"Domain.box({self.lo.tolist()}, {self.hi.tolist()})"
-
-
-def _corners(lo, hi):
-    if len(lo) == 1:
-        return np.array([[lo[0]], [hi[0]]])
-    return np.array(
-        [[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]], [hi[0], hi[1]]]
-    )
 
 
 def dist_to_boundary(domain, x):
@@ -307,7 +305,10 @@ def scatter_weights(grid, Y):
 
     Returns (idx, wts) with shape (m, 2^N); idx is -1 wherever the stencil
     corner is outside the grid (those weights multiply the implicit zero).
-    Used by the collocation assembler to distribute quadrature mass.
+    Assembly no longer calls it: it projects once through
+    difference_projection.  It stays as the per-node reference the tests
+    check that projection against (and the benchmark tracer wraps it by
+    name).
     """
     Y = np.asarray(Y, dtype=float)
     t = (Y - grid.anchor) / grid.h
@@ -344,30 +345,41 @@ def scatter_weights(grid, Y):
     return idx, wts
 
 
-def difference_stencil(grid, offsets, weights):
-    """Scatter weighted offsets onto the lattice differences of a grid.
+def difference_projection(grid, offsets):
+    """Sparse projection of quadrature offsets onto the lattice differences
+    of a grid.
 
-    Every node sees the same offsets on the same lattice (nodes are
-    anchor + h*Z^N), so scattering them once around the lattice origin gives
-    the row of every node at once: entry d + (dims - 1) of the returned table
-    (shape 2*dims - 1) is what scatter_weights would deposit from
+    Every node sees the same offsets fall into the same lattice cells with
+    the same multilinear weights (nodes are anchor + h*Z^N); only the values
+    weighting the offsets change from node to node.  So for one weight per
+    offset, `P @ w` is the flattened table (shape 2*dims - 1) whose entry
+    d + (dims - 1) is what scatter_weights would deposit from
     `node_i + offsets` onto node j whenever lattice[j] - lattice[i] = d.
-    Corners beyond +-(dims - 1) cannot fall on a node of this grid and are
+    Column k of P holds the weights of offset k at its 2^N cell corners;
+    corners beyond +-(dims - 1) cannot fall on a node of this grid and are
     dropped.
     """
+    # imported here: only assembly projects, and the pointwise evaluators
+    # should not pay for loading scipy.sparse
+    from scipy import sparse
+
     dims = np.asarray(grid.dims)
     span = tuple((2 * dims - 1).tolist())
     t = np.asarray(offsets, dtype=float) / grid.h
     floor = np.floor(t)
     frac = t - floor
     base = floor.astype(np.int64) + (dims - 1)
-    size = math.prod(span)
-    table = np.zeros(size)
-    for shift in itertools.product((0, 1), repeat=grid.domain.N):
+    shifts = list(itertools.product((0, 1), repeat=grid.domain.N))
+    rows = np.empty((len(t), len(shifts)), dtype=np.int64)
+    vals = np.empty((len(t), len(shifts)))
+    keep = np.empty((len(t), len(shifts)), dtype=bool)
+    for c, shift in enumerate(shifts):
         k = base + shift
-        w = weights * np.prod(np.where(shift, frac, 1 - frac), axis=1)
-        ok = np.all((k >= 0) & (k < span), axis=1)
-        table += np.bincount(
-            np.ravel_multi_index(k[ok].T, span), w[ok], minlength=size
-        )
-    return table.reshape(span)
+        keep[:, c] = np.all((k >= 0) & (k < span), axis=1)
+        rows[:, c] = np.ravel_multi_index(k.T, span, mode="clip")
+        vals[:, c] = np.prod(np.where(shift, frac, 1 - frac), axis=1)
+    indptr = np.zeros(len(t) + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    return sparse.csc_array(
+        (vals[keep], rows[keep], indptr), shape=(math.prod(span), len(t))
+    )

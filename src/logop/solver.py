@@ -5,9 +5,11 @@ the multilinear interpolant (extended by zero outside the domain) is collocated
 at the nodes.  Nodes lie on the lattice center + h*Z^N, so for a
 translation-invariant kernel (every catalog kernel, and the far field of the
 log-Laplacian) entry (i, j) depends only on the lattice difference of the two
-nodes: the quadrature is scattered once into a stencil over lattice
-differences and the matrix is gathered from it (a block-Toeplitz matrix).
-Kernels that depend on x are scattered node by node.
+nodes: the quadrature is projected once onto the lattice differences and the
+matrix is gathered from the resulting stencil (a block-Toeplitz matrix).
+Kernels that depend on x reuse the same projection, which depends only on the
+offsets: each node projects its own kernel-weighted quadrature with one
+sparse matrix-vector product.
 
 Because the radial quadrature weights are positive and the interpolation
 weights are a convex partition, the assembled matrix of the difference
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import math
 import os
+import time
 import warnings
 from dataclasses import dataclass, replace
 
@@ -100,20 +103,30 @@ class SolveReport:
     mp_audit: dict
     h: float
     sigma_min: float
+    # seconds per phase (assemble_s is 0.0 for a prebuilt matrix) and the
+    # node count n: {assemble_s, factor_s, sigma_s, solve_s, n}
+    timings: dict
 
 
-def _stencil_matrix(grid, offs, w):
-    """Dense matrix with A[i, j] = S[lattice[j] - lattice[i]] for the stencil
-    S of the weighted offsets, gathered one row at a time."""
-    S = geometry.difference_stencil(grid, offs, w)
+def _stencil_index(grid):
+    """Flat index q of every node in a lattice-difference table (as
+    geometry.difference_projection lays it out) and the index of difference
+    0: the entry of node j in the row of node i is S[q[j] + origin - q[i]]."""
+    span = tuple(2 * d - 1 for d in grid.dims)
+    q = np.ravel_multi_index((grid.lattice - grid.kmin).T, span)
+    origin = np.ravel_multi_index(tuple(d - 1 for d in grid.dims), span)
+    return q, origin
+
+
+def _stencil_matrix(grid, S):
+    """Dense matrix with A[i, j] = S[lattice[j] - lattice[i]] for a stencil S
+    over lattice differences, gathered one row at a time."""
     if not np.all(np.isfinite(S)):
         raise ArithmeticError("quadrature failure assembling the stencil")
-    flat = S.reshape(-1)
-    q = np.ravel_multi_index((grid.lattice - grid.kmin).T, S.shape)
-    origin = np.ravel_multi_index(tuple(d - 1 for d in grid.dims), S.shape)
+    q, origin = _stencil_index(grid)
     A = np.empty((grid.n, grid.n))
     for i in range(grid.n):
-        np.take(flat, q + (origin - q[i]), out=A[i])
+        np.take(S, q + (origin - q[i]), out=A[i])
     return A
 
 
@@ -121,32 +134,31 @@ def _difference_block(K, grid, cfg, hi):
     """Matrix of u -> quadrature of (u(x_i) - interp u(y)) K(x_i, y - x_i)
     over radii [r_min, hi] around each node.
 
+    The quadrature offsets are projected onto the lattice differences once.
     A translation-invariant kernel gives the same row around every node up to
-    the lattice shift, so its matrix is gathered from one scattered stencil;
-    an x-dependent kernel is scattered node by node."""
-    nodes = grid.nodes
-    n = grid.n
+    the lattice shift, so its matrix is gathered from one stencil; an
+    x-dependent kernel projects its own weights at each node, one sparse
+    matrix-vector product per row."""
     n_ang, n_rad = cfg.node_counts()
     offs, _, w = _quadrules.polar_rule(
         grid.domain.N, n_ang, cfg.r_min, hi, n_rad, lambda th: K.radial_breakpoints
     )
+    P = geometry.difference_projection(grid, offs)
     if K.translation_invariant:
         wk = w * K.evaluate(np.zeros(grid.domain.N), offs)
         mass = wk.sum()
         if not np.isfinite(mass):
             raise ArithmeticError(f"quadrature failure: kernel mass {mass}")
-        A = _stencil_matrix(grid, offs, -wk)
-        A[np.diag_indices(n)] += mass
+        A = _stencil_matrix(grid, P @ -wk)
+        A[np.diag_indices(grid.n)] += mass
         return A
-    A = np.zeros((n, n))
-    for i in range(n):
-        x = nodes[i]
+    q, origin = _stencil_index(grid)
+    A = np.empty((grid.n, grid.n))
+    for i, x in enumerate(grid.nodes):
         wk = w * K.evaluate(x, offs)
-        idx, sw = geometry.scatter_weights(grid, x + offs)
-        contrib = wk[:, None] * sw
-        valid = idx >= 0
         row = A[i]
-        np.add.at(row, idx[valid], -contrib[valid])
+        np.take(P @ wk, q + (origin - q[i]), out=row)
+        np.negative(row, out=row)
         row[i] += wk.sum()
         if not np.all(np.isfinite(row)):
             raise ArithmeticError(f"quadrature failure assembling node {i} at {x}")
@@ -155,12 +167,12 @@ def _difference_block(K, grid, cfg, hi):
 
 def _farfield_block(grid, cfg):
     """Matrix of u -> integral over 1 <= |y - x_i| of interp u(y)/|y-x_i|^N."""
-    r_out = max(grid.domain.max_reach(x) for x in grid.nodes)
+    r_out = float(np.max(grid.domain.max_reach(grid.nodes)))
     if r_out <= 1.0:
         return np.zeros((grid.n, grid.n))
     n_ang, n_rad = cfg.node_counts()
     offs, _, w = _quadrules.polar_rule(grid.domain.N, n_ang, 1.0, r_out, n_rad, lambda th: ())
-    return _stencil_matrix(grid, offs, w)
+    return _stencil_matrix(grid, geometry.difference_projection(grid, offs) @ w)
 
 
 def _check_dense_size(grid):
@@ -195,7 +207,7 @@ def assemble(problem, grid, cfg):
         A[np.diag_indices_from(A)] += consts.rho_N
     else:  # schrodinger
         K = kernels.schrodinger_kernel(grid.domain.N)
-        r_out = max(40.0, max(grid.domain.max_reach(x) for x in grid.nodes))
+        r_out = max(40.0, float(np.max(grid.domain.max_reach(grid.nodes))))
         A = _difference_block(K, grid, cfg, r_out)
     if problem.shift:
         A[np.diag_indices_from(A)] += problem.shift
@@ -247,18 +259,35 @@ def solve_dirichlet(problem, grid, cfg, stiffness=None):
     When the smallest-singular-value estimate falls under 1e-10 times the
     matrix 1-norm the report flags the second Fredholm alternative and the
     returned grid function is a unit-norm approximate null vector instead of
-    a solution.  Passing a prebuilt StiffnessMatrix skips assembly.
+    a solution.  Passing a prebuilt StiffnessMatrix skips assembly.  The
+    report's timings split the wall time into assembly, LU factorization
+    (with the condition estimate), the sigma_min iteration and the solve
+    with its residual.
     """
-    sm = stiffness if stiffness is not None else assemble(problem, grid, cfg)
-    A = sm.matrix
     f = problem.rhs.evaluate(grid.nodes)
+    t0 = time.perf_counter()
+    sm = stiffness if stiffness is not None else assemble(problem, grid, cfg)
+    t1 = time.perf_counter()
+    A = sm.matrix
     anorm = float(np.linalg.norm(A, 1))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         lu_piv = sla.lu_factor(A)
     rcond, info = lapack.dgecon(lu_piv[0], anorm, norm="1")
     condition = math.inf if rcond == 0 else 1.0 / rcond
+    t2 = time.perf_counter()
     sigma, null_vec = _sigma_min_estimate(lu_piv, grid.n)
+    t3 = time.perf_counter()
+
+    def timings():
+        return {
+            "assemble_s": t1 - t0 if stiffness is None else 0.0,
+            "factor_s": t2 - t1,
+            "sigma_s": t3 - t2,
+            "solve_s": time.perf_counter() - t3,
+            "n": grid.n,
+        }
+
     if sigma < NEAR_SINGULAR_FACTOR * anorm:
         resid = float(np.max(np.abs(A @ null_vec)))
         report = SolveReport(
@@ -268,6 +297,7 @@ def solve_dirichlet(problem, grid, cfg, stiffness=None):
             mp_audit={"pass": True, "max_violation": 0.0, "sup_ratio": 0.0},
             h=grid.h,
             sigma_min=sigma,
+            timings=timings(),
         )
         return GridFunction(grid, null_vec), report
     with np.errstate(all="ignore"):
@@ -282,6 +312,7 @@ def solve_dirichlet(problem, grid, cfg, stiffness=None):
         mp_audit=_mp_audit(u, f, residual),
         h=grid.h,
         sigma_min=sigma,
+        timings=timings(),
     )
     return GridFunction(grid, u), report
 

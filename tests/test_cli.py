@@ -126,6 +126,9 @@ def test_solve_writes_solution_and_report(capsys, tmp_path):
     assert report["mp_audit"]["pass"] is True
     assert report["h"] == 0.05
     assert report["residual_inf"] < 1e-9
+    timings = report["timings"]
+    assert timings["n"] == 19
+    assert all(timings[k] >= 0 for k in ("assemble_s", "factor_s", "sigma_s", "solve_s"))
 
 
 def test_solve_deterministic_output(capsys, tmp_path):
@@ -138,7 +141,11 @@ def test_solve_deterministic_output(capsys, tmp_path):
             "--out", str(out_csv), "--report", str(report_json),
         )
         assert code == 0
-        files.append((out_csv.read_bytes(), report_json.read_bytes()))
+        report = json.loads(report_json.read_text())
+        # wall-clock phase timings are the one part that may differ
+        timings = report.pop("timings")
+        assert set(timings) == {"assemble_s", "factor_s", "sigma_s", "solve_s", "n"}
+        files.append((out_csv.read_bytes(), report))
     assert files[0] == files[1]
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from logop.geometry import (
     Domain,
     GridFunction,
     build_grid,
+    difference_projection,
     dist_to_boundary,
     exterior_ball_radius,
     interpolate,
@@ -88,6 +90,28 @@ def test_max_reach():
     assert Domain.ball([0.0], 1.0).max_reach(np.array([0.5])) == pytest.approx(1.5)
     box = Domain.box([0.0, 0.0], [1.0, 1.0])
     assert box.max_reach(np.array([0.0, 0.0])) == pytest.approx(math.sqrt(2.0))
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [
+        Domain.interval(-1.0, 2.0),
+        Domain.ball([0.5, -0.25], 0.75),
+        Domain.box([-1.0, 0.0], [1.0, 3.0]),
+    ],
+    ids=["interval", "ball", "box"],
+)
+def test_max_reach_batch_matches_per_point(dom):
+    pts = np.random.default_rng(5).uniform(-2.0, 4.0, size=(40, dom.N))
+    batch = dom.max_reach(pts)
+    assert batch.shape == (40,)
+    assert np.array_equal(batch, [dom.max_reach(p) for p in pts])
+    if dom.shape == "ball":
+        brute = np.linalg.norm(pts - dom.center_pt, axis=1) + dom.radius
+    else:  # the farthest of all corners
+        corners = np.array(list(itertools.product(*zip(dom.lo, dom.hi))))
+        brute = np.max(np.linalg.norm(corners[None] - pts[:, None], axis=2), axis=1)
+    assert np.allclose(batch, brute, rtol=1e-15, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +208,36 @@ def test_scatter_weights_partition_of_unity():
     u = GridFunction(grid, rng.normal(size=grid.n))
     vals = np.where(idx >= 0, u.values[np.maximum(idx, 0)], 0.0)
     assert np.allclose((vals * wts).sum(axis=1), interpolate_many(u, pts), atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "domain, h",
+    [(Domain.interval(-0.5, 0.5), 0.05), (Domain.ball([0.3, -0.2], 0.1), 0.02)],
+    ids=["1d", "2d"],
+)
+def test_difference_projection_matches_scatter_weights(domain, h):
+    grid = build_grid(domain, h)
+    rng = np.random.default_rng(13)
+    N = domain.N
+    # offsets well inside, beyond the grid's span, and on lattice points
+    offs = np.concatenate([
+        rng.uniform(-1.5 * domain.diameter, 1.5 * domain.diameter, size=(400, N)),
+        h * rng.integers(-5, 6, size=(40, N)),
+    ])
+    w = rng.uniform(0.1, 1.0, size=len(offs))
+    P = difference_projection(grid, offs)
+    span = tuple(2 * d - 1 for d in grid.dims)
+    assert P.shape == (math.prod(span), len(offs))
+    assert np.all(np.diff(P.indptr) <= 2 ** N)
+    S = P @ w
+    q = np.ravel_multi_index((grid.lattice - grid.kmin).T, span)
+    origin = np.ravel_multi_index(tuple(d - 1 for d in grid.dims), span)
+    for i, x in enumerate(grid.nodes):
+        idx, sw = scatter_weights(grid, x + offs)
+        valid = idx >= 0
+        row = np.zeros(grid.n)
+        np.add.at(row, idx[valid], (w[:, None] * sw)[valid])
+        assert np.max(np.abs(S[q + (origin - q[i])] - row)) <= 1e-14 * np.max(row)
 
 
 def test_interpolation_reproduces_linear_functions():

@@ -1,12 +1,12 @@
-import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from logop import kernels, solver
+from logop import solver
 from logop._quadrules import polar_rule
 from logop.geometry import (
     Domain,
@@ -48,7 +48,7 @@ def _interval_problem(rhs=None, kernel=None, half=0.5):
 
 
 def _wobble_kernel():
-    # x-dependent but uniformly elliptic: exercises the per-row assembly path
+    # x-dependent but uniformly elliptic: assembly projects its weights node by node
     def evaluate(x, Y):
         rho = np.linalg.norm(np.atleast_2d(Y), axis=1)
         return 1.0 + 0.4 * math.sin(3.0 * float(np.asarray(x).ravel()[0])) * np.cos(rho)
@@ -122,13 +122,39 @@ def test_assembly_rejects_nonfinite_kernel():
         assemble(problem, grid, CFG)
 
 
-def _per_row(K):
-    # the same kernel flagged x-dependent, so assembly scatters node by node
-    return dataclasses.replace(K, translation_invariant=False)
+def test_assembly_rejects_nonfinite_xdependent_kernel():
+    def evaluate(x, Y):
+        return np.full(len(Y), np.nan if x[0] > 0.3 else 1.0)
+
+    bad = KernelSpec(
+        evaluate=evaluate, lam=1.0, Lam=1.0, translation_invariant=False, name="nan-right"
+    )
+    problem = _interval_problem(kernel=bad)
+    grid = build_grid(problem.domain, 0.1)
+    i = int(np.argmax(grid.nodes[:, 0] > 0.3))
+    assert i > 0
+    with pytest.raises(ArithmeticError, match=re.escape(f"node {i} at {grid.nodes[i]}")):
+        assemble(problem, grid, CFG)
+
+
+def _difference_per_node(K, grid, cfg, hi):
+    # the per-node scatter loop that the lattice projection replaced
+    n_ang, n_rad = cfg.node_counts()
+    offs, _, w = polar_rule(
+        grid.domain.N, n_ang, cfg.r_min, hi, n_rad, lambda th: K.radial_breakpoints
+    )
+    A = np.zeros((grid.n, grid.n))
+    for i, x in enumerate(grid.nodes):
+        wk = w * K.evaluate(x, offs)
+        idx, sw = scatter_weights(grid, x + offs)
+        valid = idx >= 0
+        np.add.at(A[i], idx[valid], -(wk[:, None] * sw)[valid])
+        A[i, i] += wk.sum()
+    return A
 
 
 def _farfield_per_node(grid, cfg):
-    # the per-node scatter loop that the far-field stencil replaced
+    # the per-node scatter loop that the far-field projection replaced
     r_out = max(grid.domain.max_reach(x) for x in grid.nodes)
     n_ang, n_rad = cfg.node_counts()
     offs, _, w = polar_rule(grid.domain.N, n_ang, 1.0, r_out, n_rad, lambda th: ())
@@ -164,6 +190,12 @@ _STENCIL_CASES = {
     ),
     "1d-schrodinger": ("schrodinger", Domain.interval(-0.5, 0.5), 0.05, None),
     "2d-schrodinger": ("schrodinger", Domain.ball([0.0, 0.0], 0.1), 0.025, None),
+    "1d-wobble": (
+        "generic", Domain.interval(-0.5, 0.5), 0.05, lambda tmp: _wobble_kernel()
+    ),
+    "2d-offcentre-wobble": (
+        "generic", Domain.ball([0.3, -0.2], 0.1), 0.02, lambda tmp: _wobble_kernel()
+    ),
 }
 
 
@@ -179,11 +211,7 @@ def test_stencil_assembly_matches_per_row_path(case, tmp_path, monkeypatch):
     )
     A = assemble(problem, grid, CFG).matrix
 
-    if operator == "generic":
-        problem = dataclasses.replace(problem, kernel=_per_row(problem.kernel))
-    for name in ("unit_kernel", "schrodinger_kernel"):
-        factory = getattr(kernels, name)
-        monkeypatch.setattr(kernels, name, lambda *a, f=factory: _per_row(f(*a)))
+    monkeypatch.setattr(solver, "_difference_block", _difference_per_node)
     monkeypatch.setattr(solver, "_farfield_block", _farfield_per_node)
     if operator == "loglap":
         assert np.max(np.abs(_farfield_per_node(grid, CFG))) > 0
@@ -339,6 +367,22 @@ def test_near_singular_shift_reports_second_alternative():
     assert np.linalg.norm(v.values) == pytest.approx(1.0, abs=1e-8)
     assert report.residual_inf < 1e-6  # v is an approximate null vector
     assert report.sigma_min < 1e-10 * np.linalg.norm(A, 1)
+    assert report.timings["n"] == grid.n
+
+
+def test_solve_report_times_each_phase():
+    problem = _interval_problem()
+    grid = build_grid(problem.domain, 0.05)
+    phases = ("assemble_s", "factor_s", "sigma_s", "solve_s")
+    _, report = solve_dirichlet(problem, grid, CFG)
+    assert set(report.timings) == {*phases, "n"}
+    assert report.timings["n"] == grid.n
+    assert all(report.timings[k] >= 0 for k in phases)
+    assert report.timings["assemble_s"] > 0
+    sm = assemble(problem, grid, CFG)
+    _, report = solve_dirichlet(problem, grid, CFG, stiffness=sm)
+    assert report.timings["assemble_s"] == 0.0
+    assert report.timings["n"] == grid.n
 
 
 def test_fredholm_probe_unshifted_is_unique():
