@@ -39,8 +39,9 @@ def panel_edges(lo, hi, breakpoints=()):
     for e in out[1:]:
         if e > merged[-1] * (1 + 1e-10):
             merged.append(e)
-    if merged[-1] != hi:
-        merged[-1] = hi
+    if len(merged) == 1:  # hi itself collides with lo: keep one panel
+        return [lo, hi]
+    merged[-1] = hi
     return merged
 
 

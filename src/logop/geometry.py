@@ -120,11 +120,6 @@ class Domain:
         p[0] = self.hi[0]
         return p
 
-    def inradius(self):
-        if self.shape == "ball":
-            return self.radius
-        return float(np.min(0.5 * (self.hi - self.lo)))
-
     def __repr__(self):
         if self.shape == "interval":
             return f"Domain.interval({self.a}, {self.b})"

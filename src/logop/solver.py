@@ -2,14 +2,16 @@
 
 The unknown is the vector of nodal values on a Grid; the operator applied to
 the multilinear interpolant (extended by zero outside the domain) is collocated
-at the nodes.  Nodes lie on the lattice center + h*Z^N, so for a
-translation-invariant kernel (every catalog kernel, and the far field of the
-log-Laplacian) entry (i, j) depends only on the lattice difference of the two
-nodes: the quadrature is projected once onto the lattice differences and the
-matrix is gathered from the resulting stencil (a block-Toeplitz matrix).
-Kernels that depend on x reuse the same projection, which depends only on the
-offsets: each node projects its own kernel-weighted quadrature with one
-sparse matrix-vector product.
+at the nodes.  Every operator is one stencil plus one diagonal: a polar rule
+of offsets z with weights w (the kernel folded in) and the diagonal entry
+they feed.  Nodes lie on the lattice center + h*Z^N, so every node sees the
+offsets fall into the same lattice cells: the rule is projected once onto the
+lattice differences, and for a translation-invariant operator (every catalog
+kernel, the log-Laplacian and the Schrodinger operator) the matrix is gathered
+from one stencil (a block-Toeplitz matrix).  The log-Laplacian's far field
+|z| >= 1 shares that projection and stencil; only its |z| < 1 part feeds the
+diagonal.  Kernels that depend on x project their own kernel-weighted
+weights at each node, one sparse matrix-vector product per row.
 
 Because the radial quadrature weights are positive and the interpolation
 weights are a convex partition, the assembled matrix of the difference
@@ -88,7 +90,6 @@ class StiffnessMatrix:
 
     matrix: np.ndarray
     grid: Grid
-    operator: str
 
     @property
     def n(self):
@@ -108,71 +109,41 @@ class SolveReport:
     timings: dict
 
 
-def _stencil_index(grid):
-    """Flat index q of every node in a lattice-difference table (as
-    geometry.difference_projection lays it out) and the index of difference
-    0: the entry of node j in the row of node i is S[q[j] + origin - q[i]]."""
+def _lattice_matrix(grid, offs, weights, diag):
+    """Dense matrix of u -> diag(w) u(x_i) - sum_k w[k] interp u(x_i + offs[k])
+    collocated at every node x_i, where w holds the offset weights at x_i.
+
+    weights is that array itself when it is the same at every node (a
+    translation-invariant operator) or a function of the node giving it (an
+    x-dependent kernel); diag maps a node's weights to its diagonal entry.
+    The offsets are projected onto the lattice differences once, and row i
+    is gathered from the stencil S = -(P @ w): entry j is S[q[j] + origin - q[i]],
+    with q the flat index of each node in the difference table.  The stencil
+    is computed once, or once per node (one sparse matrix-vector product)
+    for an x-dependent kernel."""
+    P = geometry.difference_projection(grid, offs)
     span = tuple(2 * d - 1 for d in grid.dims)
     q = np.ravel_multi_index((grid.lattice - grid.kmin).T, span)
     origin = np.ravel_multi_index(tuple(d - 1 for d in grid.dims), span)
-    return q, origin
 
+    def stencil(w):
+        S, d = -(P @ w), diag(w)
+        return S, d, bool(np.all(np.isfinite(S))) and math.isfinite(d)
 
-def _stencil_matrix(grid, S):
-    """Dense matrix with A[i, j] = S[lattice[j] - lattice[i]] for a stencil S
-    over lattice differences, gathered one row at a time."""
-    if not np.all(np.isfinite(S)):
-        raise ArithmeticError("quadrature failure assembling the stencil")
-    q, origin = _stencil_index(grid)
+    if callable(weights):
+        rows = map(stencil, map(weights, grid.nodes))
+    else:
+        rows = [stencil(weights)] * grid.n
     A = np.empty((grid.n, grid.n))
-    for i in range(grid.n):
-        np.take(S, q + (origin - q[i]), out=A[i])
-    return A
-
-
-def _difference_block(K, grid, cfg, hi):
-    """Matrix of u -> quadrature of (u(x_i) - interp u(y)) K(x_i, y - x_i)
-    over radii [r_min, hi] around each node.
-
-    The quadrature offsets are projected onto the lattice differences once.
-    A translation-invariant kernel gives the same row around every node up to
-    the lattice shift, so its matrix is gathered from one stencil; an
-    x-dependent kernel projects its own weights at each node, one sparse
-    matrix-vector product per row."""
-    n_ang, n_rad = cfg.node_counts()
-    offs, _, w = _quadrules.polar_rule(
-        grid.domain.N, n_ang, cfg.r_min, hi, n_rad, lambda th: K.radial_breakpoints
-    )
-    P = geometry.difference_projection(grid, offs)
-    if K.translation_invariant:
-        wk = w * K.evaluate(np.zeros(grid.domain.N), offs)
-        mass = wk.sum()
-        if not np.isfinite(mass):
-            raise ArithmeticError(f"quadrature failure: kernel mass {mass}")
-        A = _stencil_matrix(grid, P @ -wk)
-        A[np.diag_indices(grid.n)] += mass
-        return A
-    q, origin = _stencil_index(grid)
-    A = np.empty((grid.n, grid.n))
-    for i, x in enumerate(grid.nodes):
-        wk = w * K.evaluate(x, offs)
+    for i, (S, d, finite) in enumerate(rows):
+        if not finite:
+            raise ArithmeticError(
+                f"quadrature failure assembling node {i} at {grid.nodes[i]}"
+            )
         row = A[i]
-        np.take(P @ wk, q + (origin - q[i]), out=row)
-        np.negative(row, out=row)
-        row[i] += wk.sum()
-        if not np.all(np.isfinite(row)):
-            raise ArithmeticError(f"quadrature failure assembling node {i} at {x}")
+        np.take(S, q + (origin - q[i]), out=row)
+        row[i] += d
     return A
-
-
-def _farfield_block(grid, cfg):
-    """Matrix of u -> integral over 1 <= |y - x_i| of interp u(y)/|y-x_i|^N."""
-    r_out = float(np.max(grid.domain.max_reach(grid.nodes)))
-    if r_out <= 1.0:
-        return np.zeros((grid.n, grid.n))
-    n_ang, n_rad = cfg.node_counts()
-    offs, _, w = _quadrules.polar_rule(grid.domain.N, n_ang, 1.0, r_out, n_rad, lambda th: ())
-    return _stencil_matrix(grid, geometry.difference_projection(grid, offs) @ w)
 
 
 def _check_dense_size(grid):
@@ -191,27 +162,51 @@ def _check_dense_size(grid):
 
 
 def assemble(problem, grid, cfg):
-    """Assemble the dense collocation matrix for the problem's operator.
+    """Assemble the dense collocation matrix for the problem's operator: one
+    polar rule, its weights and the diagonal they feed, gathered through
+    _lattice_matrix.
 
     Raises ValueError before allocating anything when the dense system would
     not fit in physical memory."""
     if grid.n == 0:
         raise ValueError("grid has no nodes")
     _check_dense_size(grid)
-    if problem.operator == "generic":
-        A = _difference_block(problem.kernel, grid, cfg, 1.0)
-    elif problem.operator == "loglap":
-        consts = kernels.loglap_constants(grid.domain.N)
-        A = consts.c_N * _difference_block(kernels.unit_kernel(), grid, cfg, 1.0)
-        A -= consts.c_N * _farfield_block(grid, cfg)
-        A[np.diag_indices_from(A)] += consts.rho_N
-    else:  # schrodinger
-        K = kernels.schrodinger_kernel(grid.domain.N)
-        r_out = max(40.0, float(np.max(grid.domain.max_reach(grid.nodes))))
-        A = _difference_block(K, grid, cfg, r_out)
-    if problem.shift:
-        A[np.diag_indices_from(A)] += problem.shift
-    return StiffnessMatrix(matrix=A, grid=grid, operator=problem.operator)
+    N = grid.domain.N
+    n_ang, n_rad = cfg.node_counts()
+    reach = float(np.max(grid.domain.max_reach(grid.nodes)))
+
+    def rule(lo, hi, breaks=()):
+        return _quadrules.polar_rule(N, n_ang, lo, hi, n_rad, lambda th: breaks)
+
+    near, rho_N = None, 0.0  # by default every offset feeds the diagonal
+    if problem.operator == "loglap":
+        # c_N times the difference quotient over B_1 minus c_N times the far
+        # field over |z| >= 1, plus rho_N: one stencil, whose |z| < 1 part
+        # alone feeds the diagonal
+        consts = kernels.loglap_constants(N)
+        offs, _, w = rule(cfg.r_min, 1.0)
+        near, rho_N = len(w), consts.rho_N
+        if reach > 1.0:
+            far_offs, _, far_w = rule(1.0, reach)
+            offs = np.concatenate([offs, far_offs])
+            w = np.concatenate([w, far_w])
+        weights = consts.c_N * w
+    elif problem.operator == "schrodinger":
+        offs, rho, w = rule(cfg.r_min, max(40.0, reach))
+        weights = w * kernels.schrodinger_weight(rho, N)
+    else:
+        K = problem.kernel
+        offs, _, w = rule(cfg.r_min, 1.0, K.radial_breakpoints)
+        if K.translation_invariant:
+            weights = w * K.evaluate(np.zeros(N), offs)
+        else:
+            def weights(x):
+                return w * K.evaluate(x, offs)
+
+    def diag(wk):
+        return wk[:near].sum() + rho_N + problem.shift
+
+    return StiffnessMatrix(matrix=_lattice_matrix(grid, offs, weights, diag), grid=grid)
 
 
 def _sigma_min_estimate(lu_piv, n, iters=40, seed=7):
@@ -395,14 +390,7 @@ def torsion_scan(R_list, template, cfg, nodes_across=80):
         domain = geometry.Domain.ball(np.zeros(template.domain.N), R)
         h = 2.0 * R / nodes_across
         grid = geometry.build_grid(domain, h)
-        problem = ProblemSpec(
-            operator=template.operator,
-            domain=domain,
-            rhs=template.rhs,
-            kernel=template.kernel,
-            shift=template.shift,
-        )
-        u, report = solve_dirichlet(problem, grid, cfg)
+        u, report = solve_dirichlet(replace(template, domain=domain), grid, cfg)
         max_u = float(np.max(u.values))
         rows.append(
             {

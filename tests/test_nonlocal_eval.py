@@ -451,6 +451,14 @@ def test_polar_rule_matches_per_ray_radial_rules(N):
     assert np.sum(w) == pytest.approx(np.sum(ang_w) * math.log(hi / lo), rel=1e-13)
 
 
+def test_panel_edges_keep_one_panel_when_hi_collides_with_lo():
+    # hi within the 1e-10 merge tolerance of lo still spans one panel
+    assert _quadrules.panel_edges(1.0, 1.0 + 1e-11) == [1.0, 1.0 + 1e-11]
+    rho, w = _quadrules.radial_rule(1.0, 1.0 + 1e-11, 128)
+    assert np.all((rho > 1.0) & (rho < 1.0 + 1e-11))
+    assert np.sum(w) == pytest.approx(math.log1p(1e-11), rel=1e-4)
+
+
 _BARRIER_CASES = {
     "bump": (lambda N: bump_field(0.3), 0.0, 0.3),
     "boundary": (lambda N: boundary_barrier_field(0.2, 0.5), 0.2, 0.3),

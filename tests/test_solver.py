@@ -6,16 +6,24 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from logop import solver
+from logop import geometry, solver
 from logop._quadrules import polar_rule
 from logop.geometry import (
     Domain,
     GridFunction,
     build_grid,
+    difference_projection,
     dist_to_boundary,
     scatter_weights,
 )
-from logop.kernels import KernelSpec, sinlog_kernel, table_kernel, unit_kernel
+from logop.kernels import (
+    KernelSpec,
+    loglap_constants,
+    schrodinger_kernel,
+    sinlog_kernel,
+    table_kernel,
+    unit_kernel,
+)
 from logop.logmod import ell
 from logop.nonlocal_eval import (
     QuadratureConfig,
@@ -199,8 +207,25 @@ _STENCIL_CASES = {
 }
 
 
+def _per_node_reference(problem, grid):
+    # the matrix built node by node through scatter_weights, with the
+    # log-Laplacian split into its difference part and its far field
+    if problem.operator == "generic":
+        return _difference_per_node(problem.kernel, grid, CFG, 1.0)
+    N = grid.domain.N
+    if problem.operator == "schrodinger":
+        r_out = max(40.0, max(grid.domain.max_reach(x) for x in grid.nodes))
+        return _difference_per_node(schrodinger_kernel(N), grid, CFG, r_out)
+    consts = loglap_constants(N)
+    far = _farfield_per_node(grid, CFG)
+    assert np.max(np.abs(far)) > 0
+    ref = consts.c_N * (_difference_per_node(unit_kernel(), grid, CFG, 1.0) - far)
+    ref[np.diag_indices(grid.n)] += consts.rho_N
+    return ref
+
+
 @pytest.mark.parametrize("case", list(_STENCIL_CASES))
-def test_stencil_assembly_matches_per_row_path(case, tmp_path, monkeypatch):
+def test_stencil_assembly_matches_per_row_path(case, tmp_path):
     operator, domain, h, make_kernel = _STENCIL_CASES[case]
     grid = build_grid(domain, h)
     problem = ProblemSpec(
@@ -210,18 +235,52 @@ def test_stencil_assembly_matches_per_row_path(case, tmp_path, monkeypatch):
         kernel=make_kernel(tmp_path) if make_kernel else None,
     )
     A = assemble(problem, grid, CFG).matrix
-
-    monkeypatch.setattr(solver, "_difference_block", _difference_per_node)
-    monkeypatch.setattr(solver, "_farfield_block", _farfield_per_node)
-    if operator == "loglap":
-        assert np.max(np.abs(_farfield_per_node(grid, CFG))) > 0
-    ref = assemble(problem, grid, CFG).matrix
+    ref = _per_node_reference(problem, grid)
 
     assert np.max(np.abs(A - ref)) <= 1e-12 * np.max(np.abs(ref))
     off = A - np.diag(np.diag(A))
     assert np.all(off <= 0)
     assert np.all(np.diag(A) > 0)
     assert np.all(A.sum(axis=1) >= -1e-12 * np.max(np.abs(A)))
+
+
+def test_loglap_assembly_projects_once(monkeypatch):
+    # the difference part and the far field share one projection
+    domain = Domain.box([-0.6, -0.4], [0.4, 0.5])
+    grid = build_grid(domain, 0.1)
+    assert np.max(domain.max_reach(grid.nodes)) > 1.0
+    calls = []
+
+    def counting(grid, offsets):
+        calls.append(len(offsets))
+        return difference_projection(grid, offsets)
+
+    monkeypatch.setattr(geometry, "difference_projection", counting)
+    problem = ProblemSpec(operator="loglap", domain=domain, rhs=const_field(1.0))
+    assemble(problem, grid, CFG)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("operator", ["generic", "loglap", "schrodinger"])
+def test_assembly_peak_memory_is_the_matrix(operator):
+    # the matrix is the only n x n array assembly allocates, so the
+    # documented 16*n^2 bytes (matrix plus LU copy) hold for every operator
+    domain = Domain.interval(-0.5, 0.5)
+    grid = build_grid(domain, 0.001)
+    problem = ProblemSpec(
+        operator=operator,
+        domain=domain,
+        rhs=const_field(1.0),
+        kernel=unit_kernel() if operator == "generic" else None,
+    )
+    tracemalloc.start()
+    try:
+        A = assemble(problem, grid, CFG).matrix
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert A.shape == (grid.n, grid.n)
+    assert peak <= 1.25 * A.nbytes
 
 
 def test_assembly_refuses_dense_system_beyond_physical_memory():
@@ -467,7 +526,7 @@ def test_fredholm_sweep_guards_its_enclosure(monkeypatch):
         A = np.array(rows, dtype=float)
         monkeypatch.setattr(
             solver, "assemble",
-            lambda *args: solver.StiffnessMatrix(A, grid, "generic"),
+            lambda *args: solver.StiffnessMatrix(A, grid),
         )
 
     # a positive off-diagonal entry voids the Perron-Frobenius enclosure
@@ -492,6 +551,22 @@ def test_loglap_solve_on_small_ball():
     assert report.alternative == "unique_solution"
     assert report.mp_audit["pass"]
     assert np.max(u.values) > 0
+
+
+def test_loglap_assembly_with_reach_just_past_one():
+    # the far field spans [1, 1 + 1e-11], inside the panel merge tolerance;
+    # it must match the same 11 nodes with the far field over [1, 1 + 1e-6]
+    grids = [
+        build_grid(Domain.interval(-0.5, 0.5 + 2 * eps), 0.1) for eps in (1e-11, 1e-6)
+    ]
+    reach = [float(np.max(g.domain.max_reach(g.nodes))) for g in grids]
+    assert reach == pytest.approx([1.0 + 1e-11, 1.0 + 1e-6], rel=1e-12, abs=0)
+    A, ref = (
+        assemble(ProblemSpec("loglap", g.domain, const_field(1.0)), g, CFG).matrix
+        for g in grids
+    )
+    assert A.shape == ref.shape == (11, 11)
+    assert np.max(np.abs(A - ref)) <= 1e-5 * np.max(np.abs(ref))
 
 
 def test_schrodinger_solve_on_interval():
