@@ -61,7 +61,6 @@ def boundary_barrier_field(r, alpha):
     return FieldFunction(
         evaluate=evaluate,
         breakpoints=_radial_breaks([r, r + RHO0]),
-        label=f"boundary_barrier({r},{alpha})",
     )
 
 
@@ -83,7 +82,6 @@ def bump_field(r):
         evaluate=evaluate,
         support_radius=r,
         breakpoints=_radial_breaks([r / 2, r]),
-        label=f"bump({r})",
     )
 
 
@@ -100,17 +98,13 @@ def tail_field(rho, alpha):
     return FieldFunction(
         evaluate=evaluate,
         breakpoints=_radial_breaks([rho, RHO0]),
-        label=f"tail({rho},{alpha})",
     )
 
 
 def exponential_field(alpha):
     """phi(x) = exp(-alpha * x_N) (last coordinate)."""
     alpha = float(alpha)
-    return FieldFunction(
-        evaluate=lambda Y: np.exp(-alpha * np.atleast_2d(Y)[:, -1]),
-        label=f"exponential({alpha})",
-    )
+    return FieldFunction(evaluate=lambda Y: np.exp(-alpha * np.atleast_2d(Y)[:, -1]))
 
 
 def composite_barrier_field(rho, alpha, gain_set):

@@ -10,6 +10,7 @@ or numerical failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -30,6 +31,16 @@ class ConfigError(Exception):
 
 class VerificationFailure(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _config_errors(where):
+    """Report a bad value met while reading flags or a config as a config
+    error (exit 2), not as a numerical failure (exit 1)."""
+    try:
+        yield
+    except (OSError, TypeError, ValueError) as e:
+        raise ConfigError(f"{where}: {e}") from e
 
 
 # --------------------------------------------------------------------------
@@ -115,52 +126,44 @@ def _parse_quadrature(spec):
     if spec is None:
         return nonlocal_eval.QuadratureConfig()
     _check_keys(spec, "quadrature", {"n_radial", "n_angular", "r_min", "mode"})
-    kwargs = {}
-    if "n_radial" in spec:
-        kwargs["n_radial"] = int(spec["n_radial"])
-    if "n_angular" in spec:
-        kwargs["n_angular"] = int(spec["n_angular"])
-    if "r_min" in spec:
-        kwargs["r_min"] = float(spec["r_min"])
-    if "mode" in spec:
-        kwargs["mode"] = str(spec["mode"])
-    try:
+    with _config_errors("quadrature"):
+        kwargs = {}
+        if "n_radial" in spec:
+            kwargs["n_radial"] = int(spec["n_radial"])
+        if "n_angular" in spec:
+            kwargs["n_angular"] = int(spec["n_angular"])
+        if "r_min" in spec:
+            kwargs["r_min"] = float(spec["r_min"])
+        if "mode" in spec:
+            kwargs["mode"] = str(spec["mode"])
         return nonlocal_eval.QuadratureConfig(**kwargs)
-    except ValueError as e:
-        raise ConfigError(f"quadrature: {e}") from e
 
 
 def _parse_problem(cfg, where="config"):
     _check_keys(cfg, where,
                 {"domain", "operator", "perturbation", "rhs", "h", "quadrature"},
                 {"domain", "operator", "rhs"})
-    domain = _parse_domain(cfg["domain"])
-    op = cfg["operator"]
-    _check_keys(op, "operator", {"name", "kernel"}, {"name"})
-    name = op["name"]
-    if name not in ("generic", "loglap", "schrodinger"):
-        raise ConfigError(f"unknown operator {name!r}")
-    kernel = None
-    if name == "generic":
-        if "kernel" not in op:
-            raise ConfigError("generic operator requires a kernel name")
-        kernel = kernels.kernel_from_name(op["kernel"], N=domain.N)
-    elif "kernel" in op:
-        raise ConfigError(f"operator {name!r} does not take a kernel")
-    shift = 0.0
-    pert = cfg.get("perturbation")
-    if pert is not None:
-        _check_keys(pert, "perturbation", {"name", "c"}, {"name"})
-        if pert["name"] == "identity":
-            shift = float(pert.get("c", 0.0))
-        else:
-            raise ConfigError(f"unknown perturbation {pert['name']!r}")
-    rhs = _parse_field(cfg["rhs"])
-    problem = solver.ProblemSpec(
-        operator=name, domain=domain, rhs=rhs, kernel=kernel, shift=shift
-    )
-    quad = _parse_quadrature(cfg.get("quadrature"))
-    return problem, quad
+    with _config_errors(where):
+        domain = _parse_domain(cfg["domain"])
+        op = cfg["operator"]
+        _check_keys(op, "operator", {"name", "kernel"}, {"name"})
+        kernel = None
+        if "kernel" in op:
+            kernel = kernels.kernel_from_name(op["kernel"], N=domain.N)
+        shift = 0.0
+        pert = cfg.get("perturbation")
+        if pert is not None:
+            _check_keys(pert, "perturbation", {"name", "c"}, {"name"})
+            if pert["name"] == "identity":
+                shift = float(pert.get("c", 0.0))
+            else:
+                raise ConfigError(f"unknown perturbation {pert['name']!r}")
+        rhs = _parse_field(cfg["rhs"])
+        problem = solver.ProblemSpec(
+            operator=op["name"], domain=domain, rhs=rhs, kernel=kernel, shift=shift
+        )
+        quad = _parse_quadrature(cfg.get("quadrature"))
+        return problem, quad
 
 
 # --------------------------------------------------------------------------
@@ -216,10 +219,8 @@ def _report_dict(report):
 
 
 def _cmd_constants(args):
-    try:
+    with _config_errors("--N"):
         consts = kernels.loglap_constants(args.N)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
     print(json.dumps(
         {"c_N": round(consts.c_N, 7), "rho_N": round(consts.rho_N, 7)},
         sort_keys=True,
@@ -228,25 +229,25 @@ def _cmd_constants(args):
 
 
 def _cmd_eval(args):
-    try:
+    with _config_errors("eval flags"):
         cfg = nonlocal_eval.QuadratureConfig(
             n_radial=args.n_radial, n_angular=args.n_angular,
             r_min=args.r_min, mode=args.mode,
         )
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+        if args.op != "sector":
+            x = np.array([float(t) for t in args.x.split(",")], dtype=float)
+            field = nonlocal_eval.make_field(args.field)
+        if args.op == "LK":
+            K = kernels.kernel_from_name(args.kernel, N=args.N)
     if args.op == "sector":
         if args.r is None or args.d is None:
             raise ConfigError("--op sector requires --r and --d")
         value = nonlocal_eval.sector_integral(args.r, args.d, args.N, cfg)
         out = {"value": value}
     else:
-        x = np.array([float(t) for t in args.x.split(",")], dtype=float)
         if len(x) != args.N:
             raise ConfigError("--x length must match --N")
-        field = nonlocal_eval.make_field(args.field)
         if args.op == "LK":
-            K = kernels.kernel_from_name(args.kernel, N=args.N)
             value, err = nonlocal_eval.eval_LK(K, field, x, cfg, return_estimate=True)
         elif args.op == "loglap":
             value, err = nonlocal_eval.eval_loglap(
@@ -254,12 +255,10 @@ def _cmd_eval(args):
             )
         elif args.op == "J":
             value, err = nonlocal_eval.eval_J_conv(field, x, cfg, return_estimate=True)
-        elif args.op == "schrodinger":
+        else:
             value, err = nonlocal_eval.eval_schrodinger(
                 field, x, cfg, args.N, return_estimate=True
             )
-        else:
-            raise ConfigError(f"unknown operator {args.op!r}")
         out = {"err_est": err, "value": value}
     text = json.dumps(out, sort_keys=True)
     print(text)
@@ -273,7 +272,8 @@ def _cmd_solve(args):
     problem, quad = _parse_problem(cfg_doc)
     if "h" not in cfg_doc:
         raise ConfigError("solve config requires 'h'")
-    grid = geometry.build_grid(problem.domain, float(cfg_doc["h"]))
+    with _config_errors("h"):
+        grid = geometry.build_grid(problem.domain, float(cfg_doc["h"]))
     u, report = solver.solve_dirichlet(problem, grid, quad)
     _write_atomic(args.out, _solution_csv(u))
     _write_atomic(args.report, _json_text(_report_dict(report)))
@@ -292,32 +292,31 @@ def _cmd_verify(args):
     doc = _load_config(args.config)
     lemma = args.lemma
     base_keys = {"kernel", "N", "quadrature"}
-    N = int(doc.get("N", 1))
+    with _config_errors("verify config"):
+        N = int(doc.get("N", 1))
+        K = kernels.kernel_from_name(doc.get("kernel", "unit"), N=N)
     quad = _parse_quadrature(doc.get("quadrature"))
-
-    def kernel():
-        return kernels.kernel_from_name(doc.get("kernel", "unit"), N=N)
 
     try:
         if lemma == "boundary":
             _check_keys(doc, "boundary config", base_keys | {"r", "alpha_list"},
                         {"r", "alpha_list"})
             result = barriers.verify_boundary_barrier(
-                kernel(), float(doc["r"]), [float(a) for a in doc["alpha_list"]],
+                K, float(doc["r"]), [float(a) for a in doc["alpha_list"]],
                 quad, N=N,
             )
             passed = result["delta_hat"] > 0
         elif lemma == "bump":
             _check_keys(doc, "bump config", base_keys | {"r_list"}, {"r_list"})
             result = barriers.verify_bump(
-                kernel(), [float(r) for r in doc["r_list"]], quad, N=N
+                K, [float(r) for r in doc["r_list"]], quad, N=N
             )
             passed = bool(result["stable"]) and math.isfinite(result["C_hat"])
         elif lemma == "gain":
             _check_keys(doc, "gain config", base_keys | {"rho", "A_fraction"},
                         {"rho"})
             result = barriers.verify_gain(
-                kernel(), float(doc["rho"]), float(doc.get("A_fraction", 1.0)),
+                K, float(doc["rho"]), float(doc.get("A_fraction", 1.0)),
                 quad, N=N,
             )
             passed = bool(result["pass"])
@@ -325,14 +324,14 @@ def _cmd_verify(args):
             _check_keys(doc, "tail config", base_keys | {"rho", "alpha"},
                         {"rho", "alpha"})
             result = barriers.verify_tail(
-                kernel(), float(doc["rho"]), float(doc["alpha"]), quad, N=N
+                K, float(doc["rho"]), float(doc["alpha"]), quad, N=N
             )
             passed = math.isfinite(result["C_hat"])
         elif lemma == "exponential":
             _check_keys(doc, "exponential config",
                         base_keys | {"alpha_list", "half_width"}, {"alpha_list"})
             result = barriers.verify_exponential(
-                kernel(), [float(a) for a in doc["alpha_list"]], quad, N=N,
+                K, [float(a) for a in doc["alpha_list"]], quad, N=N,
                 half_width=float(doc.get("half_width", 1.0)),
             )
             passed = result["c0_hat"] > 0
@@ -349,7 +348,7 @@ def _cmd_verify(args):
                         base_keys | {"rho", "alpha_list", "A_fraction"},
                         {"rho", "alpha_list"})
             result = barriers.verify_composite(
-                kernel(), float(doc["rho"]),
+                K, float(doc["rho"]),
                 [float(a) for a in doc["alpha_list"]], quad, N=N,
                 A_fraction=float(doc.get("A_fraction", 1.0)),
             )
@@ -379,19 +378,18 @@ def _cmd_torsion(args):
     _check_keys(doc, "torsion config",
                 {"R_list", "kernel", "N", "rhs", "nodes_across", "quadrature"},
                 {"R_list"})
-    N = int(doc.get("N", 1))
     quad = _parse_quadrature(doc.get("quadrature"))
-    rhs = _parse_field(doc.get("rhs", {"name": "const", "value": 1.0}))
-    template = solver.ProblemSpec(
-        operator="generic",
-        domain=geometry.Domain.ball(np.zeros(N), 0.05),
-        rhs=rhs,
-        kernel=kernels.kernel_from_name(doc.get("kernel", "unit"), N=N),
-    )
-    rows = solver.torsion_scan(
-        [float(R) for R in doc["R_list"]], template, quad,
-        nodes_across=int(doc.get("nodes_across", 80)),
-    )
+    with _config_errors("torsion config"):
+        N = int(doc.get("N", 1))
+        template = solver.ProblemSpec(
+            operator="generic",
+            domain=geometry.Domain.ball(np.zeros(N), 0.05),
+            rhs=_parse_field(doc.get("rhs", {"name": "const", "value": 1.0})),
+            kernel=kernels.kernel_from_name(doc.get("kernel", "unit"), N=N),
+        )
+        radii = [float(R) for R in doc["R_list"]]
+        nodes_across = int(doc.get("nodes_across", 80))
+    rows = solver.torsion_scan(radii, template, quad, nodes_across=nodes_across)
     cols = ["R", "h", "max_u", "ell_R", "ratio", "residual_inf"]
     lines = [",".join(cols)]
     for row in rows:
@@ -410,7 +408,8 @@ def _cmd_fit(args):
         problem, quad = _parse_problem(sub, where="fit.solve")
         if "h" not in sub:
             raise ConfigError("fit.solve config requires 'h'")
-        grid = geometry.build_grid(problem.domain, float(sub["h"]))
+        with _config_errors("fit.solve.h"):
+            grid = geometry.build_grid(problem.domain, float(sub["h"]))
         u, report = solver.solve_dirichlet(problem, grid, quad)
         if report.alternative != "unique_solution":
             raise VerificationFailure("fit: solve hit the near-singular alternative")
@@ -419,9 +418,10 @@ def _cmd_fit(args):
         syn = doc["synthetic"]
         _check_keys(doc["synthetic"], "synthetic", {"domain", "h", "alpha"},
                     {"domain", "h", "alpha"})
-        domain = _parse_domain(syn["domain"])
-        grid = geometry.build_grid(domain, float(syn["h"]))
-        alpha = float(syn["alpha"])
+        with _config_errors("synthetic"):
+            domain = _parse_domain(syn["domain"])
+            grid = geometry.build_grid(domain, float(syn["h"]))
+            alpha = float(syn["alpha"])
         d = geometry.dist_to_boundary(domain, grid.nodes)
         u = geometry.GridFunction(grid, ell(np.maximum(d, 1e-300), alpha))
         quad = nonlocal_eval.QuadratureConfig()
@@ -445,14 +445,15 @@ def _cmd_converge(args):
                 {"domain", "operator", "perturbation", "rhs", "h_list",
                  "quadrature"},
                 {"domain", "operator", "rhs", "h_list"})
-    h_list = sorted((float(h) for h in doc["h_list"]), reverse=True)
-    if len(h_list) < 3:
-        raise ConfigError("converge requires at least 3 levels in h_list")
     problem_doc = {k: v for k, v in doc.items() if k not in ("h_list",)}
     problem, quad = _parse_problem(problem_doc, where="converge config")
+    with _config_errors("h_list"):
+        h_list = sorted((float(h) for h in doc["h_list"]), reverse=True)
+        grids = [geometry.build_grid(problem.domain, h) for h in h_list]
+    if len(h_list) < 3:
+        raise ConfigError("converge requires at least 3 levels in h_list")
     solutions = []
-    for h in h_list:
-        grid = geometry.build_grid(problem.domain, h)
+    for h, grid in zip(h_list, grids):
         u, report = solver.solve_dirichlet(problem, grid, quad)
         if report.alternative != "unique_solution":
             print(f"converge: near-singular system at h={h:g}", file=sys.stderr)

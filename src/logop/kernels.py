@@ -183,7 +183,6 @@ def bessel_k1(r):
 
 @dataclass(frozen=True)
 class LogLapConstants:
-    N: int
     c_N: float
     rho_N: float
 
@@ -195,7 +194,7 @@ def loglap_constants(N):
     N = int(N)
     c = math.pi ** (-N / 2.0) * gamma_fn(N / 2.0)
     rho = 2 * math.log(2.0) + digamma(N / 2.0) - EULER_GAMMA
-    return LogLapConstants(N=N, c_N=c, rho_N=rho)
+    return LogLapConstants(c_N=c, rho_N=rho)
 
 
 def schrodinger_weight(r, N):

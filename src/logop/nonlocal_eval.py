@@ -6,6 +6,11 @@ around x the volume factor rho^(N-1) cancels all but drho/rho, so the
 canonical quadrature is composite Simpson in ln(rho) on panels aligned with
 decade boundaries and with the integrand's breakpoints (see _quadrules).
 
+Each operator is defined once, as an _Operator record: _operator builds
+those of L_K, the logarithmic Laplacian and the logarithmic Schrodinger
+operator, which solver.assemble shares; J*u and the mollification remainder
+build theirs in place.  Every eval_* applies its record through _apply.
+
 Evaluation is organized around FieldFunction objects: the evaluate callable
 must be total on R^N and vectorized over (m, N) batches, and fields that know
 where their kinks and jumps live declare them through a breakpoints callback,
@@ -91,7 +96,6 @@ class FieldFunction:
     evaluate: callable
     support_radius: float | None = None
     breakpoints: callable | None = None
-    label: str = ""
 
     def ray_breaks(self, x, theta):
         if self.breakpoints is None:
@@ -115,9 +119,7 @@ def _radial_breaks(radii):
 
 def const_field(c=1.0):
     c = float(c)
-    return FieldFunction(
-        evaluate=lambda Y: np.full(len(Y), c), label=f"const({c})"
-    )
+    return FieldFunction(evaluate=lambda Y: np.full(len(Y), c))
 
 
 def linear_field(coef=None):
@@ -129,14 +131,12 @@ def linear_field(coef=None):
             return Y[:, 0].astype(float)
         return Y @ np.asarray(coef, dtype=float)
 
-    return FieldFunction(evaluate=evaluate, label="linear")
+    return FieldFunction(evaluate=evaluate)
 
 
 def quadratic_field():
     """u(y) = |y|^2."""
-    return FieldFunction(
-        evaluate=lambda Y: np.sum(np.atleast_2d(Y) ** 2, axis=1), label="quadratic"
-    )
+    return FieldFunction(evaluate=lambda Y: np.sum(np.atleast_2d(Y) ** 2, axis=1))
 
 
 def gaussian_field(sigma=math.sqrt(0.5)):
@@ -145,7 +145,6 @@ def gaussian_field(sigma=math.sqrt(0.5)):
     return FieldFunction(
         evaluate=lambda Y: np.exp(-np.sum(np.atleast_2d(Y) ** 2, axis=1) / s2),
         support_radius=40.0 * float(sigma),
-        label=f"gaussian({sigma})",
     )
 
 
@@ -160,7 +159,6 @@ def ell_profile_field(alpha):
     return FieldFunction(
         evaluate=evaluate,
         breakpoints=_radial_breaks([RHO0]),
-        label=f"ell_profile({alpha})",
     )
 
 
@@ -178,7 +176,6 @@ def shell_field(a, b):
         evaluate=evaluate,
         support_radius=b,
         breakpoints=_radial_breaks([a, b] if a > 0 else [b]),
-        label=f"shell({a},{b})",
     )
 
 
@@ -213,7 +210,6 @@ def box_field(lo, hi):
         evaluate=evaluate,
         support_radius=float(np.max(np.linalg.norm(corners, axis=1))),
         breakpoints=breaks,
-        label="box",
     )
 
 
@@ -236,9 +232,7 @@ def field_sum(terms):
 
     supports = [f.support_radius for _, f in terms]
     support = None if any(s is None for s in supports) else max(supports)
-    return FieldFunction(
-        evaluate=evaluate, support_radius=support, breakpoints=breaks, label="sum"
-    )
+    return FieldFunction(evaluate=evaluate, support_radius=support, breakpoints=breaks)
 
 
 def shift_field(f, x0):
@@ -258,7 +252,6 @@ def shift_field(f, x0):
         evaluate=evaluate,
         support_radius=support,
         breakpoints=breaks,
-        label=f"shift({f.label})",
     )
 
 
@@ -269,7 +262,6 @@ def grid_field(u):
     return FieldFunction(
         evaluate=lambda Y: geometry.interpolate_many(u, np.atleast_2d(Y)),
         support_radius=reach,
-        label="grid",
     )
 
 
@@ -306,8 +298,58 @@ def make_field(name):
 
 
 # --------------------------------------------------------------------------
-# quadrature engine
+# the operators and the quadrature engine
 # --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Operator:
+    """One operator, as both the pointwise evaluators and solver.assemble
+    read it:
+
+        scale * integral over lo <= |z| <= hi of
+            (c(z) u(x) - u(x+z)) * weight(x, z, |z|) / |z|^N dz  +  const * u(x)
+
+    with c = 1 on [lo, near] and c = 0 on [near, hi]; weight None means 1, and
+    breaks lists the radii where the weight has kinks or jumps."""
+
+    lo: float
+    near: float
+    hi: float
+    weight: callable | None = None
+    breaks: tuple = ()
+    scale: float = 1.0
+    const: float = 0.0
+    translation_invariant: bool = True
+
+    def ranges(self):
+        """The non-empty radial ranges (a, b, carries u(x)), [lo, near] first."""
+        pairs = ((self.lo, self.near, True), (self.near, self.hi, False))
+        return [(a, b, carry) for a, b, carry in pairs if a < b]
+
+
+def _operator(name, N, r_min, reach, K=None):
+    """The record of operator 'generic' (kernel K over B_1), 'loglap' or
+    'schrodinger' in dimension N, integrated from r_min out to the radius
+    reach beyond which u(x+z) vanishes."""
+    if name == "generic":
+        return _Operator(
+            r_min, 1.0, 1.0,
+            weight=lambda x, Z, rho: K.evaluate(x, Z),
+            breaks=K.radial_breakpoints,
+            translation_invariant=K.translation_invariant,
+        )
+    if name == "loglap":
+        # Chen-Weth splitting: c_N times (the difference quotient over B_1
+        # minus J*u over |z| >= 1), plus rho_N u(x)
+        c = kernels.loglap_constants(N)
+        return _Operator(r_min, 1.0, max(1.0, reach), scale=c.c_N, const=c.rho_N)
+    if name == "schrodinger":
+        hi = max(40.0, reach)  # omega(40) / omega(0+) < 2e-16 for N <= 3
+        return _Operator(
+            r_min, hi, hi, weight=lambda x, Z, rho: kernels.schrodinger_weight(rho, N)
+        )
+    raise ValueError(f"unknown operator {name!r}")
 
 
 def _polar_sum(x, N, cfg, level, lo, hi, integrand, breaks_for_ray):
@@ -324,15 +366,35 @@ def _polar_sum(x, N, cfg, level, lo, hi, integrand, breaks_for_ray):
     return float(np.dot(w, integrand(Z, rho, x + Z)))
 
 
-def _with_estimate(fn, cfg, return_estimate):
+def _apply(op, u, x, cfg, return_estimate):
+    """The operator op applied to u at x: one _polar_sum per range.  With
+    return_estimate, also |value - value at half the node counts|."""
+    N = len(x)
+    ux = float(u.evaluate(x[None, :])[0])
+
+    def breaks(th):
+        return u.ray_breaks(x, th) + list(op.breaks)
+
+    def integrand(carry):
+        def f(Z, rho, Y):
+            diff = carry - u.evaluate(Y)
+            return diff if op.weight is None else diff * op.weight(x, Z, rho)
+        return f
+
+    def run(level):
+        total = 0.0
+        for lo, hi, carries in op.ranges():
+            f = integrand(ux if carries else 0.0)
+            total += _polar_sum(x, N, cfg, level, lo, hi, f, breaks)
+        return op.scale * total + op.const * ux
+
     level = float(cfg.node_factor())
-    value = fn(level)
+    value = run(level)
     if not np.isfinite(value):
         raise ValueError("quadrature produced a non-finite value")
     if not return_estimate:
         return value
-    half = fn(level / 2)
-    return value, abs(value - half)
+    return value, abs(value - run(level / 2))
 
 
 def eval_LK(K, u, x, cfg, return_estimate=False):
@@ -345,107 +407,63 @@ def eval_LK(K, u, x, cfg, return_estimate=False):
     logarithmic grading.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    N = len(x)
-    ux = float(u.evaluate(x[None, :])[0])
-    kernel_breaks = list(K.radial_breakpoints)
-
-    def integrand(Z, rho, Y):
-        return (ux - u.evaluate(Y)) * K.evaluate(x, Z)
-
-    def breaks(th):
-        return u.ray_breaks(x, th) + kernel_breaks
-
-    def run(level):
-        return _polar_sum(x, N, cfg, level, cfg.r_min, 1.0, integrand, breaks)
-
-    return _with_estimate(run, cfg, return_estimate)
+    op = _operator("generic", len(x), cfg.r_min, None, K)
+    return _apply(op, u, x, cfg, return_estimate)
 
 
 def eval_J_conv(u, x, cfg, return_estimate=False):
     """Far-field convolution (J * u)(x) = integral over |y-x| >= 1 of
     u(y)/|y-x|^N; requires a declared bounded support."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    N = len(x)
     if u.support_radius is None:
         raise ValueError("J convolution requires a field with bounded support")
     r_out = float(np.linalg.norm(x)) + u.support_radius
     if r_out <= 1.0:
         return (0.0, 0.0) if return_estimate else 0.0
-
-    def integrand(Z, rho, Y):
-        return u.evaluate(Y)
-
-    def breaks(th):
-        return u.ray_breaks(x, th)
-
-    def run(level):
-        return _polar_sum(x, N, cfg, level, 1.0, r_out, integrand, breaks)
-
-    return _with_estimate(run, cfg, return_estimate)
+    # minus the far range, which integrates -u(y)
+    return _apply(_Operator(1.0, 1.0, r_out, scale=-1.0), u, x, cfg, return_estimate)
 
 
 def eval_loglap(u, x, cfg, N, path="decomposition", return_estimate=False):
     """Logarithmic Laplacian at x.
 
-    path='decomposition' composes c_N * L(K=1) - c_N * (J*u) + rho_N * u(x);
-    path='direct' integrates (u(x) chi_{B_1(x)}(y) - u(y)) / |x-y|^N in one
-    polar pass.  The two must agree up to quadrature error.
+    path='direct' applies the log-Laplacian's operator record: c_N times the
+    difference quotient over B_1(x) minus c_N times the far field, each range
+    with its own polar rule, plus rho_N * u(x).  path='decomposition'
+    composes the same constants with eval_LK(K=1) and eval_J_conv as an
+    independent cross-check.  The two must agree up to quadrature error.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if len(x) != N:
         raise ValueError("point dimension does not match N")
-    consts = kernels.loglap_constants(N)
-    ux = float(u.evaluate(x[None, :])[0])
     if u.support_radius is None:
         raise ValueError("the logarithmic Laplacian requires a declared support")
-    if path == "decomposition":
-        unit = kernels.unit_kernel()
-        lk = eval_LK(unit, u, x, cfg, return_estimate=return_estimate)
-        jc = eval_J_conv(u, x, cfg, return_estimate=return_estimate)
-        if return_estimate:
-            (v1, e1), (v2, e2) = lk, jc
-            return consts.c_N * (v1 - v2) + consts.rho_N * ux, consts.c_N * (e1 + e2)
-        return consts.c_N * (lk - jc) + consts.rho_N * ux
-    if path != "direct":
+    op = _operator("loglap", N, cfg.r_min, float(np.linalg.norm(x)) + u.support_radius)
+    if path == "direct":
+        return _apply(op, u, x, cfg, return_estimate)
+    if path != "decomposition":
         raise ValueError("path must be 'decomposition' or 'direct'")
-    r_out = max(1.0 + 1e-6, float(np.linalg.norm(x)) + u.support_radius)
-
-    def integrand(Z, rho, Y):
-        vals = u.evaluate(Y)
-        return np.where(rho < 1.0, ux - vals, -vals)
-
-    def breaks(th):
-        return u.ray_breaks(x, th) + [1.0]
-
-    def run(level):
-        core = _polar_sum(x, N, cfg, level, cfg.r_min, r_out, integrand, breaks)
-        return consts.c_N * core + consts.rho_N * ux
-
-    return _with_estimate(run, cfg, return_estimate)
+    ux = float(u.evaluate(x[None, :])[0])
+    lk = eval_LK(kernels.unit_kernel(), u, x, cfg, return_estimate=return_estimate)
+    jc = eval_J_conv(u, x, cfg, return_estimate=return_estimate)
+    if return_estimate:
+        (v1, e1), (v2, e2) = lk, jc
+        return op.scale * (v1 - v2) + op.const * ux, op.scale * (e1 + e2)
+    return op.scale * (lk - jc) + op.const * ux
 
 
 def eval_schrodinger(u, x, cfg, N, return_estimate=False):
     """Logarithmic Schrodinger operator: the difference quotient integrated
-    against the exponentially decaying Bessel weight over all of R^N."""
+    against the exponentially decaying Bessel weight over all of R^N (a field
+    without declared support is integrated out to radius 60)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if len(x) != N:
         raise ValueError("point dimension does not match N")
-    ux = float(u.evaluate(x[None, :])[0])
-    if u.support_radius is None:
-        r_out = 60.0
-    else:
-        r_out = max(40.0, float(np.linalg.norm(x)) + u.support_radius)
-
-    def integrand(Z, rho, Y):
-        return (ux - u.evaluate(Y)) * kernels.schrodinger_weight(rho, N)
-
-    def breaks(th):
-        return u.ray_breaks(x, th)
-
-    def run(level):
-        return _polar_sum(x, N, cfg, level, cfg.r_min, r_out, integrand, breaks)
-
-    return _with_estimate(run, cfg, return_estimate)
+    reach = 60.0
+    if u.support_radius is not None:
+        reach = float(np.linalg.norm(x)) + u.support_radius
+    op = _operator("schrodinger", N, cfg.r_min, reach)
+    return _apply(op, u, x, cfg, return_estimate)
 
 
 def eval_remainder(Ki, u, x, cfg, return_estimate=False):
@@ -453,20 +471,13 @@ def eval_remainder(Ki, u, x, cfg, return_estimate=False):
     annulus B_{1+1/i} minus B_1 (where the mollified kernel leaks outside the
     unit ball)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    N = len(x)
-    ux = float(u.evaluate(x[None, :])[0])
     hi = Ki.support_radius
-
-    def integrand(Z, rho, Y):
-        return (ux - u.evaluate(Y)) * Ki.evaluate(Z)
-
-    def breaks(th):
-        return u.ray_breaks(x, th)
-
-    def run(level):
-        return _polar_sum(x, N, cfg, level, 1.0, hi, integrand, breaks)
-
-    return _with_estimate(run, cfg, return_estimate)
+    op = _Operator(
+        1.0, hi, hi,
+        weight=lambda x, Z, rho: Ki.evaluate(Z),
+        breaks=Ki.radial_breakpoints,
+    )
+    return _apply(op, u, x, cfg, return_estimate)
 
 
 def sector_integral(r, d, N, cfg):

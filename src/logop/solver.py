@@ -2,16 +2,18 @@
 
 The unknown is the vector of nodal values on a Grid; the operator applied to
 the multilinear interpolant (extended by zero outside the domain) is collocated
-at the nodes.  Every operator is one stencil plus one diagonal: a polar rule
-of offsets z with weights w (the kernel folded in) and the diagonal entry
-they feed.  Nodes lie on the lattice center + h*Z^N, so every node sees the
-offsets fall into the same lattice cells: the rule is projected once onto the
-lattice differences, and for a translation-invariant operator (every catalog
-kernel, the log-Laplacian and the Schrodinger operator) the matrix is gathered
-from one stencil (a block-Toeplitz matrix).  The log-Laplacian's far field
-|z| >= 1 shares that projection and stencil; only its |z| < 1 part feeds the
-diagonal.  Kernels that depend on x project their own kernel-weighted
-weights at each node, one sparse matrix-vector product per row.
+at the nodes.  The operator is the same record the pointwise evaluators
+apply (nonlocal_eval._operator): its radial ranges give one polar rule of
+offsets z with weights w (scale and kernel folded in), and the range that
+carries u(x) plus the record's constant give the diagonal.  Every operator
+is thus one stencil plus one diagonal.  Nodes lie on the lattice
+center + h*Z^N, so every node sees the offsets fall into the same lattice
+cells: the rule is projected once onto the lattice differences, and for a
+translation-invariant operator (every catalog kernel, the log-Laplacian and
+the Schrodinger operator) the matrix is gathered from one stencil (a
+block-Toeplitz matrix).  Kernels that depend on x project their own
+kernel-weighted weights at each node, one sparse matrix-vector product per
+row.
 
 Because the radial quadrature weights are positive and the interpolation
 weights are a convex partition, the assembled matrix of the difference
@@ -61,11 +63,12 @@ class ProblemSpec:
     """Dirichlet problem (L + shift*id) u = rhs with zero exterior data.
 
     operator 'generic' uses the supplied kernel over B_1(x); 'loglap' is the
-    logarithmic Laplacian, assembled through its splitting into c_N times the
-    unit-kernel difference part minus the far-field convolution plus rho_N
-    times the identity (the tail perturbation is built in); 'schrodinger' uses
-    the Bessel-weighted difference quotient over the whole space.  shift is an
-    optional extra multiple-of-identity perturbation.
+    logarithmic Laplacian, c_N times the unit-kernel difference part minus
+    the far-field convolution plus rho_N times the identity (the tail
+    perturbation is built in); 'schrodinger' uses the Bessel-weighted
+    difference quotient over the whole space.  Each is defined once, by
+    nonlocal_eval._operator, which assembly and the pointwise evaluators
+    share.  shift is an optional extra multiple-of-identity perturbation.
     """
 
     operator: str
@@ -162,9 +165,9 @@ def _check_dense_size(grid):
 
 
 def assemble(problem, grid, cfg):
-    """Assemble the dense collocation matrix for the problem's operator: one
-    polar rule, its weights and the diagonal they feed, gathered through
-    _lattice_matrix.
+    """Assemble the dense collocation matrix for the problem's operator: the
+    polar rule, weights and diagonal of its nonlocal_eval._operator record,
+    gathered through _lattice_matrix.
 
     Raises ValueError before allocating anything when the dense system would
     not fit in physical memory."""
@@ -174,37 +177,26 @@ def assemble(problem, grid, cfg):
     N = grid.domain.N
     n_ang, n_rad = cfg.node_counts()
     reach = float(np.max(grid.domain.max_reach(grid.nodes)))
-
-    def rule(lo, hi, breaks=()):
-        return _quadrules.polar_rule(N, n_ang, lo, hi, n_rad, lambda th: breaks)
-
-    near, rho_N = None, 0.0  # by default every offset feeds the diagonal
-    if problem.operator == "loglap":
-        # c_N times the difference quotient over B_1 minus c_N times the far
-        # field over |z| >= 1, plus rho_N: one stencil, whose |z| < 1 part
-        # alone feeds the diagonal
-        consts = kernels.loglap_constants(N)
-        offs, _, w = rule(cfg.r_min, 1.0)
-        near, rho_N = len(w), consts.rho_N
-        if reach > 1.0:
-            far_offs, _, far_w = rule(1.0, reach)
-            offs = np.concatenate([offs, far_offs])
-            w = np.concatenate([w, far_w])
-        weights = consts.c_N * w
-    elif problem.operator == "schrodinger":
-        offs, rho, w = rule(cfg.r_min, max(40.0, reach))
-        weights = w * kernels.schrodinger_weight(rho, N)
+    op = nonlocal_eval._operator(problem.operator, N, cfg.r_min, reach, problem.kernel)
+    ranges = op.ranges()
+    rules = [
+        _quadrules.polar_rule(N, n_ang, lo, hi, n_rad, lambda th: op.breaks)
+        for lo, hi, _ in ranges
+    ]
+    offs, rho, w = (np.concatenate(part) for part in zip(*rules))
+    # only the range that carries u(x), which comes first, feeds the diagonal
+    near = len(rules[0][2]) if ranges[0][2] else 0
+    w = op.scale * w
+    if op.weight is None:
+        weights = w
+    elif op.translation_invariant:
+        weights = w * op.weight(np.zeros(N), offs, rho)
     else:
-        K = problem.kernel
-        offs, _, w = rule(cfg.r_min, 1.0, K.radial_breakpoints)
-        if K.translation_invariant:
-            weights = w * K.evaluate(np.zeros(N), offs)
-        else:
-            def weights(x):
-                return w * K.evaluate(x, offs)
+        def weights(x):
+            return w * op.weight(x, offs, rho)
 
     def diag(wk):
-        return wk[:near].sum() + rho_N + problem.shift
+        return wk[:near].sum() + op.const + problem.shift
 
     return StiffnessMatrix(matrix=_lattice_matrix(grid, offs, weights, diag), grid=grid)
 

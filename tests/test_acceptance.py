@@ -170,7 +170,7 @@ def _random_nonneg_fields(N, count, seed):
             Y = np.atleast_2d(Y)
             return np.abs(a + Y @ w + c * np.sum(Y * Y, axis=1))
 
-        fields.append(FieldFunction(evaluate=evaluate, label="nonneg sample"))
+        fields.append(FieldFunction(evaluate=evaluate))
     return fields
 
 
@@ -330,9 +330,7 @@ def test_criterion_9_fredholm_alternative():
 
 
 def test_criterion_10_mollification_remainder():
-    u = FieldFunction(
-        evaluate=lambda Y: np.cos(5.0 * np.atleast_2d(Y)[:, 0]), label="cos(5y)"
-    )
+    u = FieldFunction(evaluate=lambda Y: np.cos(5.0 * np.atleast_2d(Y)[:, 0]))
     ok = True
     bounds = {}
     for i in (10, 100):

@@ -103,6 +103,37 @@ def test_eval_domain_error_is_numerical_failure(capsys):
     assert "error" in err
 
 
+_BAD_SOLVE_CONFIGS = {
+    "kernel": {"operator": {"name": "generic", "kernel": "nope"}},
+    "h": {"h": "abc"},
+    "radius": {"domain": {"type": "ball", "center": [0.0, 0.0], "radius": -1}},
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--op", "LK", "--field", "nope"],
+        ["eval", "--op", "LK", "--kernel", "nope"],
+        ["eval", "--op", "LK", "--kernel", "table:missing.csv"],
+        ["eval", "--op", "LK", "--x", "abc"],
+        ["eval", "--op", "LK", "--field", "gaussian(x)"],
+        *(["solve", bad] for bad in _BAD_SOLVE_CONFIGS),
+    ],
+    ids=" ".join,
+)
+def test_bad_flag_or_config_value_is_usage_error(capsys, tmp_path, argv):
+    if argv[0] == "solve":
+        config = json.loads((CONFIGS / "solve_interval.json").read_text())
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(config | _BAD_SOLVE_CONFIGS[argv[1]]))
+        argv = ["solve", "--config", str(cfg_path), "--out", str(tmp_path / "u.csv"),
+                "--report", str(tmp_path / "r.json")]
+    code, _, err = _run(capsys, *argv)
+    assert code == 2
+    assert "config error" in err
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------

@@ -191,7 +191,6 @@ def test_loglap_zero_field():
     zero = FieldFunction(
         evaluate=lambda Y: np.zeros(len(np.atleast_2d(Y))),
         support_radius=2.0,
-        label="zero",
     )
     val = eval_loglap(zero, np.array([0.4]), FAST, N=1)
     assert val == 0.0
@@ -201,7 +200,6 @@ def test_loglap_paths_agree():
     u = FieldFunction(
         evaluate=lambda Y: np.exp(-np.sum(np.atleast_2d(Y) ** 2, axis=1)),
         support_radius=8.0,
-        label="tight gaussian",
     )
     for x in (np.array([0.0]), np.array([0.6])):
         a = eval_loglap(u, x, FAST, N=1, path="decomposition")
@@ -261,9 +259,7 @@ def test_remainder_vanishes_on_constants():
 
 
 def test_remainder_shrinks_with_mollification_index():
-    u = FieldFunction(
-        evaluate=lambda Y: np.cos(5.0 * np.atleast_2d(Y)[:, 0]), label="cos(5y)"
-    )
+    u = FieldFunction(evaluate=lambda Y: np.cos(5.0 * np.atleast_2d(Y)[:, 0]))
     x = np.array([0.0])
     vals = {}
     for i in (10, 100):
@@ -467,19 +463,40 @@ _BARRIER_CASES = {
         0.0,
         0.005,
     ),
+    # supported past |x| + 1, so J and the log-Laplacian's far range are not empty
+    "shell": (lambda N: shell_field(0.1, 1.2), 0.0, 0.3),
 }
+
+
+def _evaluators(u, N):
+    """Every pointwise evaluator as a function of x; J and the logarithmic
+    Laplacian need a field with declared support."""
+    Ki = mollify_kernel(sinlog_kernel(), 2)
+    evals = [
+        lambda x: eval_LK(unit_kernel(), u, x, FAST),
+        lambda x: eval_LK(sinlog_kernel(), u, x, FAST),
+        lambda x: eval_schrodinger(u, x, FAST, N),
+        lambda x: eval_remainder(Ki, u, x, FAST),
+    ]
+    if u.support_radius is not None:
+        evals += [
+            lambda x: eval_J_conv(u, x, FAST),
+            lambda x: eval_loglap(u, x, FAST, N, path="direct"),
+        ]
+    return evals
 
 
 @pytest.mark.parametrize("N", [1, 2])
 @pytest.mark.parametrize("case", list(_BARRIER_CASES))
 def test_eval_LK_matches_per_ray_polar_sum(case, N, monkeypatch):
+    # every evaluator, not only eval_LK, against ray-by-ray radial rules
     make_field, r_lo, r_hi = _BARRIER_CASES[case]
     u = make_field(N)
     pts = sample_annulus(4, N, r_lo, r_hi)
-    kernels = (unit_kernel(), sinlog_kernel())
-    vals = [eval_LK(K, u, x, FAST) for K in kernels for x in pts]
+    evals = _evaluators(u, N)
+    vals = [f(x) for f in evals for x in pts]
     monkeypatch.setattr(nonlocal_eval, "_polar_sum", _per_ray_polar_sum)
-    ref = [eval_LK(K, u, x, FAST) for K in kernels for x in pts]
+    ref = [f(x) for f in evals for x in pts]
     np.testing.assert_allclose(vals, ref, rtol=1e-12, atol=0)
 
 

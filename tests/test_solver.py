@@ -29,6 +29,8 @@ from logop.nonlocal_eval import (
     QuadratureConfig,
     const_field,
     eval_LK,
+    eval_loglap,
+    eval_schrodinger,
     field_sum,
     grid_field,
     quadratic_field,
@@ -82,20 +84,39 @@ def test_problem_spec_validation():
         )
 
 
-@pytest.mark.parametrize(
-    "kernel", [unit_kernel(), sinlog_kernel(), _wobble_kernel()], ids=lambda k: k.name
-)
-def test_matrix_rows_collocate_the_operator(kernel):
-    # applying the matrix to nodal ones equals evaluating the operator on the
-    # interpolated-ones field: same quadrature, assembled vs pointwise
-    problem = _interval_problem(kernel=kernel)
-    grid = build_grid(problem.domain, 0.05)
-    A = assemble(problem, grid, CFG).matrix
-    row_action = A @ np.ones(grid.n)
-    u = grid_field(GridFunction(grid, np.ones(grid.n)))
-    for i in (0, grid.n // 2, grid.n - 1):
-        direct = eval_LK(kernel, u, grid.nodes[i], CFG)
-        assert row_action[i] == pytest.approx(direct, abs=1e-8)
+_COLLOCATION_CASES = {
+    "unit": ("generic", Domain.interval(-0.5, 0.5), 0.05, unit_kernel()),
+    "sinlog": ("generic", Domain.interval(-0.5, 0.5), 0.05, sinlog_kernel()),
+    "wobble": ("generic", Domain.interval(-0.5, 0.5), 0.05, _wobble_kernel()),
+    "loglap-1d": ("loglap", Domain.interval(-0.3, 0.3), 0.03, None),
+    "loglap-2d": ("loglap", Domain.ball([0.1, 0.0], 0.2), 0.05, None),
+    "schrodinger-1d": ("schrodinger", Domain.interval(-0.3, 0.3), 0.03, None),
+    "schrodinger-2d": ("schrodinger", Domain.ball([0.1, 0.0], 0.2), 0.05, None),
+}
+
+
+@pytest.mark.parametrize("case", list(_COLLOCATION_CASES))
+def test_matrix_rows_collocate_the_operator(case):
+    # A @ v equals the operator applied pointwise to the interpolant of v at
+    # every node: the same quadrature, assembled vs pointwise.  The domains
+    # reach less than 1, so the log-Laplacian has no far field (where the
+    # support of grid_field and the reach of assembly differ by a cell).
+    operator, domain, h, kernel = _COLLOCATION_CASES[case]
+    problem = ProblemSpec(
+        operator=operator, domain=domain, rhs=const_field(1.0), kernel=kernel
+    )
+    grid = build_grid(domain, h)
+    v = np.cos(3.0 * grid.nodes[:, 0])
+    Av = assemble(problem, grid, CFG).matrix @ v
+    u = grid_field(GridFunction(grid, v))
+    N = domain.N
+    pointwise = {
+        "generic": lambda x: eval_LK(kernel, u, x, CFG),
+        "loglap": lambda x: eval_loglap(u, x, CFG, N, path="direct"),
+        "schrodinger": lambda x: eval_schrodinger(u, x, CFG, N),
+    }[operator]
+    direct = np.array([pointwise(x) for x in grid.nodes])
+    assert np.max(np.abs(Av - direct)) <= 1e-12 * np.max(np.abs(Av))
 
 
 def test_matrix_reflection_symmetry():
