@@ -284,77 +284,70 @@ def _cmd_solve(args):
     return 0
 
 
-_VERIFY_LEMMAS = ("boundary", "bump", "gain", "tail", "exponential", "sector",
-                  "composite")
+def _floats(values):
+    return [float(v) for v in values]
+
+
+# each lemma's config keys besides N, kernel and quadrature:
+# key -> (parse, default), where a default of None marks a required key
+_LEMMA_PARAMS = {
+    "boundary": {"r": (float, None), "alpha_list": (_floats, None)},
+    "bump": {"r_list": (_floats, None)},
+    "gain": {"rho": (float, None), "A_fraction": (float, 1.0)},
+    "tail": {"rho": (float, None), "alpha": (float, None)},
+    "exponential": {"alpha_list": (_floats, None), "half_width": (float, 1.0)},
+    "sector": {"r": (float, None), "d": (float, None), "c_min": (float, 0.1)},
+    "composite": {"rho": (float, None), "alpha_list": (_floats, None),
+                  "A_fraction": (float, 1.0)},
+}
+
+
+def _run_lemma(lemma, K, N, quad, p):
+    """Run one lemma's verifier on its parsed parameters p; returns the
+    verifier's result and whether it passed."""
+    if lemma == "boundary":
+        result = barriers.verify_boundary_barrier(K, p["r"], p["alpha_list"], quad, N=N)
+        return result, result["delta_hat"] > 0
+    if lemma == "bump":
+        result = barriers.verify_bump(K, p["r_list"], quad, N=N)
+        return result, bool(result["stable"]) and math.isfinite(result["C_hat"])
+    if lemma == "gain":
+        result = barriers.verify_gain(K, p["rho"], p["A_fraction"], quad, N=N)
+        return result, bool(result["pass"])
+    if lemma == "tail":
+        result = barriers.verify_tail(K, p["rho"], p["alpha"], quad, N=N)
+        return result, math.isfinite(result["C_hat"])
+    if lemma == "exponential":
+        result = barriers.verify_exponential(
+            K, p["alpha_list"], quad, N=N, half_width=p["half_width"]
+        )
+        return result, result["c0_hat"] > 0
+    if lemma == "sector":
+        result = barriers.verify_sector(p["r"], p["d"], N, quad, c_min=p["c_min"])
+        return result, bool(result["pass"])
+    result = barriers.verify_composite(
+        K, p["rho"], p["alpha_list"], quad, N=N, A_fraction=p["A_fraction"]
+    )
+    return result, result["delta_hat"] > 0
 
 
 def _cmd_verify(args):
     doc = _load_config(args.config)
     lemma = args.lemma
-    base_keys = {"kernel", "N", "quadrature"}
-    with _config_errors("verify config"):
+    params = _LEMMA_PARAMS[lemma]
+    base_keys = {"N", "quadrature"} | ({"kernel"} if lemma != "sector" else set())
+    where = f"{lemma} config"
+    _check_keys(doc, where, base_keys | set(params),
+                {key for key, (_, default) in params.items() if default is None})
+    with _config_errors(where):
         N = int(doc.get("N", 1))
         K = kernels.kernel_from_name(doc.get("kernel", "unit"), N=N)
+        p = {key: parse(doc[key]) if key in doc else default
+             for key, (parse, default) in params.items()}
     quad = _parse_quadrature(doc.get("quadrature"))
 
     try:
-        if lemma == "boundary":
-            _check_keys(doc, "boundary config", base_keys | {"r", "alpha_list"},
-                        {"r", "alpha_list"})
-            result = barriers.verify_boundary_barrier(
-                K, float(doc["r"]), [float(a) for a in doc["alpha_list"]],
-                quad, N=N,
-            )
-            passed = result["delta_hat"] > 0
-        elif lemma == "bump":
-            _check_keys(doc, "bump config", base_keys | {"r_list"}, {"r_list"})
-            result = barriers.verify_bump(
-                K, [float(r) for r in doc["r_list"]], quad, N=N
-            )
-            passed = bool(result["stable"]) and math.isfinite(result["C_hat"])
-        elif lemma == "gain":
-            _check_keys(doc, "gain config", base_keys | {"rho", "A_fraction"},
-                        {"rho"})
-            result = barriers.verify_gain(
-                K, float(doc["rho"]), float(doc.get("A_fraction", 1.0)),
-                quad, N=N,
-            )
-            passed = bool(result["pass"])
-        elif lemma == "tail":
-            _check_keys(doc, "tail config", base_keys | {"rho", "alpha"},
-                        {"rho", "alpha"})
-            result = barriers.verify_tail(
-                K, float(doc["rho"]), float(doc["alpha"]), quad, N=N
-            )
-            passed = math.isfinite(result["C_hat"])
-        elif lemma == "exponential":
-            _check_keys(doc, "exponential config",
-                        base_keys | {"alpha_list", "half_width"}, {"alpha_list"})
-            result = barriers.verify_exponential(
-                K, [float(a) for a in doc["alpha_list"]], quad, N=N,
-                half_width=float(doc.get("half_width", 1.0)),
-            )
-            passed = result["c0_hat"] > 0
-        elif lemma == "sector":
-            _check_keys(doc, "sector config",
-                        {"r", "d", "N", "c_min", "quadrature"}, {"r", "d"})
-            result = barriers.verify_sector(
-                float(doc["r"]), float(doc["d"]), N, quad,
-                c_min=float(doc.get("c_min", 0.1)),
-            )
-            passed = bool(result["pass"])
-        elif lemma == "composite":
-            _check_keys(doc, "composite config",
-                        base_keys | {"rho", "alpha_list", "A_fraction"},
-                        {"rho", "alpha_list"})
-            result = barriers.verify_composite(
-                K, float(doc["rho"]),
-                [float(a) for a in doc["alpha_list"]], quad, N=N,
-                A_fraction=float(doc.get("A_fraction", 1.0)),
-            )
-            passed = result["delta_hat"] > 0
-        else:  # pragma: no cover - argparse restricts choices
-            raise ConfigError(f"unknown lemma {lemma!r}")
+        result, passed = _run_lemma(lemma, K, N, quad, p)
     except RuntimeError as e:
         verdict = {"lemma": lemma, "pass": False, "constants": {},
                    "samples": barriers.SAMPLES_PER_SCALE, "detail": str(e)}
@@ -511,7 +504,7 @@ def _build_parser():
     s.set_defaults(fn=_cmd_solve)
 
     v = sub.add_parser("verify", help="run a barrier verifier")
-    v.add_argument("--lemma", required=True, choices=list(_VERIFY_LEMMAS))
+    v.add_argument("--lemma", required=True, choices=list(_LEMMA_PARAMS))
     v.add_argument("--config", required=True)
     v.add_argument("--out", default=None)
     v.set_defaults(fn=_cmd_verify)

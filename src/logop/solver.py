@@ -20,6 +20,11 @@ weights are a convex partition, the assembled matrix of the difference
 operator has nonpositive off-diagonal entries and nonnegative row sums, i.e.
 it is an M-matrix: the discrete comparison principle is exact up to the
 linear-algebra residual.
+
+A StiffnessMatrix is factored once: its LU factorization, condition estimate
+and smallest singular value are computed on the first solve and kept, so
+every later right-hand side costs one pair of triangular solves, the
+residual and the maximum-principle audit.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import os
 import time
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -87,16 +93,64 @@ class ProblemSpec:
 
 
 @dataclass(frozen=True)
+class _Factors:
+    """What a solve needs from its matrix besides the matrix itself."""
+
+    lu_piv: tuple
+    anorm: float  # 1-norm of the matrix
+    condition: float  # 1-norm condition estimate from dgecon
+    sigma_min: float
+    null_vec: np.ndarray  # approximate singular vector of sigma_min
+    factor_s: float
+    sigma_s: float
+
+
+@dataclass(frozen=True)
 class StiffnessMatrix:
     """Dense collocation matrix; row i applies the operator to the nodal hat
-    interpolants at node i."""
+    interpolants at node i.
+
+    The matrix is factored once: the first solve computes its LU
+    factorization, 1-norm, condition estimate and smallest singular value
+    (`_factors`), and every later solve with this matrix reuses them.  The
+    LU copy lives as long as the matrix.  `matrix` is a read-only view, so
+    writing into it raises instead of solving against a stale
+    factorization; do not write into the array the matrix was built from
+    either."""
 
     matrix: np.ndarray
     grid: Grid
 
+    def __post_init__(self):
+        view = np.asarray(self.matrix).view()
+        view.flags.writeable = False
+        object.__setattr__(self, "matrix", view)
+
     @property
     def n(self):
         return self.matrix.shape[0]
+
+    @cached_property
+    def _factors(self):
+        """LU, 1-norm, condition estimate and sigma_min, computed once."""
+        A = self.matrix
+        t0 = time.perf_counter()
+        anorm = float(np.linalg.norm(A, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            lu_piv = sla.lu_factor(A)
+        rcond, info = lapack.dgecon(lu_piv[0], anorm, norm="1")
+        t1 = time.perf_counter()
+        sigma, null_vec = _sigma_min_estimate(lu_piv, self.n)
+        return _Factors(
+            lu_piv=lu_piv,
+            anorm=anorm,
+            condition=math.inf if rcond == 0 else 1.0 / rcond,
+            sigma_min=sigma,
+            null_vec=null_vec,
+            factor_s=t1 - t0,
+            sigma_s=time.perf_counter() - t1,
+        )
 
 
 @dataclass(frozen=True)
@@ -107,8 +161,9 @@ class SolveReport:
     mp_audit: dict
     h: float
     sigma_min: float
-    # seconds per phase (assemble_s is 0.0 for a prebuilt matrix) and the
-    # node count n: {assemble_s, factor_s, sigma_s, solve_s, n}
+    # seconds per phase and the node count n:
+    # {assemble_s, factor_s, sigma_s, solve_s, audit_s, n}; assemble_s is 0.0
+    # for a prebuilt matrix, factor_s and sigma_s are 0.0 for a factored one
     timings: dict
 
 
@@ -246,60 +301,53 @@ def solve_dirichlet(problem, grid, cfg, stiffness=None):
     When the smallest-singular-value estimate falls under 1e-10 times the
     matrix 1-norm the report flags the second Fredholm alternative and the
     returned grid function is a unit-norm approximate null vector instead of
-    a solution.  Passing a prebuilt StiffnessMatrix skips assembly.  The
-    report's timings split the wall time into assembly, LU factorization
-    (with the condition estimate), the sigma_min iteration and the solve
-    with its residual.
+    a solution.  Passing a prebuilt StiffnessMatrix skips assembly, and the
+    matrix is factored only on its first solve (see StiffnessMatrix), so
+    solving one matrix against many right-hand sides costs one LU
+    factorization.  The report's timings split the wall time into assembly,
+    LU factorization (with the condition estimate), the sigma_min
+    iteration, the triangular solves, and the audit (the residual plus the
+    maximum-principle check).
     """
     f = problem.rhs.evaluate(grid.nodes)
     t0 = time.perf_counter()
     sm = stiffness if stiffness is not None else assemble(problem, grid, cfg)
     t1 = time.perf_counter()
+    reused = "_factors" in vars(sm)
+    fac = sm._factors
     A = sm.matrix
-    anorm = float(np.linalg.norm(A, 1))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lu_piv = sla.lu_factor(A)
-    rcond, info = lapack.dgecon(lu_piv[0], anorm, norm="1")
-    condition = math.inf if rcond == 0 else 1.0 / rcond
     t2 = time.perf_counter()
-    sigma, null_vec = _sigma_min_estimate(lu_piv, grid.n)
-    t3 = time.perf_counter()
-
-    def timings():
-        return {
-            "assemble_s": t1 - t0 if stiffness is None else 0.0,
-            "factor_s": t2 - t1,
-            "sigma_s": t3 - t2,
-            "solve_s": time.perf_counter() - t3,
-            "n": grid.n,
-        }
-
-    if sigma < NEAR_SINGULAR_FACTOR * anorm:
-        resid = float(np.max(np.abs(A @ null_vec)))
-        report = SolveReport(
-            residual_inf=resid,
-            condition_estimate=condition,
-            alternative="near_singular",
-            mp_audit={"pass": True, "max_violation": 0.0, "sup_ratio": 0.0},
-            h=grid.h,
-            sigma_min=sigma,
-            timings=timings(),
-        )
-        return GridFunction(grid, null_vec), report
-    with np.errstate(all="ignore"):
-        u = sla.lu_solve(lu_piv, f)
-    if not np.all(np.isfinite(u)):
-        raise ArithmeticError("linear solve produced non-finite values")
-    residual = float(np.max(np.abs(A @ u - f)))
+    if fac.sigma_min < NEAR_SINGULAR_FACTOR * fac.anorm:
+        u = fac.null_vec.copy()
+        t3 = time.perf_counter()
+        residual = float(np.max(np.abs(A @ u)))
+        alternative = "near_singular"
+        mp_audit = {"pass": True, "max_violation": 0.0, "sup_ratio": 0.0}
+    else:
+        with np.errstate(all="ignore"):
+            u = sla.lu_solve(fac.lu_piv, f)
+        if not np.all(np.isfinite(u)):
+            raise ArithmeticError("linear solve produced non-finite values")
+        t3 = time.perf_counter()
+        residual = float(np.max(np.abs(A @ u - f)))
+        alternative = "unique_solution"
+        mp_audit = _mp_audit(u, f, residual)
+    timings = {
+        "assemble_s": t1 - t0 if stiffness is None else 0.0,
+        "factor_s": 0.0 if reused else fac.factor_s,
+        "sigma_s": 0.0 if reused else fac.sigma_s,
+        "solve_s": t3 - t2,
+        "audit_s": time.perf_counter() - t3,
+        "n": grid.n,
+    }
     report = SolveReport(
         residual_inf=residual,
-        condition_estimate=condition,
-        alternative="unique_solution",
-        mp_audit=_mp_audit(u, f, residual),
+        condition_estimate=fac.condition,
+        alternative=alternative,
+        mp_audit=mp_audit,
         h=grid.h,
-        sigma_min=sigma,
-        timings=timings(),
+        sigma_min=fac.sigma_min,
+        timings=timings,
     )
     return GridFunction(grid, u), report
 

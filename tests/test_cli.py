@@ -159,7 +159,9 @@ def test_solve_writes_solution_and_report(capsys, tmp_path):
     assert report["residual_inf"] < 1e-9
     timings = report["timings"]
     assert timings["n"] == 19
-    assert all(timings[k] >= 0 for k in ("assemble_s", "factor_s", "sigma_s", "solve_s"))
+    assert all(
+        timings[k] >= 0 for k in ("assemble_s", "factor_s", "sigma_s", "solve_s", "audit_s")
+    )
 
 
 def test_solve_deterministic_output(capsys, tmp_path):
@@ -175,7 +177,9 @@ def test_solve_deterministic_output(capsys, tmp_path):
         report = json.loads(report_json.read_text())
         # wall-clock phase timings are the one part that may differ
         timings = report.pop("timings")
-        assert set(timings) == {"assemble_s", "factor_s", "sigma_s", "solve_s", "n"}
+        assert set(timings) == {
+            "assemble_s", "factor_s", "sigma_s", "solve_s", "audit_s", "n"
+        }
         files.append((out_csv.read_bytes(), report))
     assert files[0] == files[1]
 
@@ -298,6 +302,39 @@ def test_verify_malformed_config(capsys):
     assert code == 2
     assert "malformed JSON" in err
     assert "line 4" in err and "column" in err
+
+
+@pytest.mark.parametrize(
+    "lemma, config",
+    [
+        ("boundary", {"r": "abc", "alpha_list": [0.5]}),
+        ("boundary", {"r": 0.05, "alpha_list": 0.5}),
+        ("bump", {"r_list": [0.05, None]}),
+        ("gain", {"rho": 0.05, "A_fraction": "half"}),
+        ("exponential", {"alpha_list": [1.0], "half_width": [1.0]}),
+        ("sector", {"r": 0.05, "d": "1e-5x"}),
+        ("composite", {"rho": 0.05, "alpha_list": [0.1], "N": "two"}),
+    ],
+    ids=lambda v: v if isinstance(v, str) else "-".join(map(str, v.values())),
+)
+def test_verify_bad_parameter_is_config_error(capsys, tmp_path, lemma, config):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(config))
+    code, text, err = _run(capsys, "verify", "--lemma", lemma, "--config", str(cfg_path))
+    assert code == 2
+    assert text == ""
+    assert err.startswith(f"config error: {lemma} config: ")
+
+
+def test_verify_numerical_failure_still_exits_one(capsys, tmp_path):
+    # the parameters parse, but no barrier margin exists this close to exponent one
+    cfg_path = tmp_path / "boundary.json"
+    cfg_path.write_text(json.dumps({"r": 0.01, "alpha_list": [0.999]}))
+    code, text, _ = _run(capsys, "verify", "--lemma", "boundary", "--config", str(cfg_path))
+    assert code == 1
+    doc = json.loads(text)
+    assert doc["pass"] is False
+    assert "detail" in doc
 
 
 def test_verify_unknown_config_key(capsys, tmp_path):

@@ -453,16 +453,95 @@ def test_near_singular_shift_reports_second_alternative():
 def test_solve_report_times_each_phase():
     problem = _interval_problem()
     grid = build_grid(problem.domain, 0.05)
-    phases = ("assemble_s", "factor_s", "sigma_s", "solve_s")
+    phases = ("assemble_s", "factor_s", "sigma_s", "solve_s", "audit_s")
     _, report = solve_dirichlet(problem, grid, CFG)
     assert set(report.timings) == {*phases, "n"}
     assert report.timings["n"] == grid.n
     assert all(report.timings[k] >= 0 for k in phases)
     assert report.timings["assemble_s"] > 0
     sm = assemble(problem, grid, CFG)
-    _, report = solve_dirichlet(problem, grid, CFG, stiffness=sm)
-    assert report.timings["assemble_s"] == 0.0
-    assert report.timings["n"] == grid.n
+    _, first = solve_dirichlet(problem, grid, CFG, stiffness=sm)
+    assert first.timings["assemble_s"] == 0.0
+    assert first.timings["factor_s"] > 0 and first.timings["sigma_s"] > 0
+    assert first.timings["n"] == grid.n
+    # a factored matrix is not factored again
+    _, again = solve_dirichlet(problem, grid, CFG, stiffness=sm)
+    assert again.timings["factor_s"] == again.timings["sigma_s"] == 0.0
+    assert again.timings["solve_s"] > 0 and again.timings["audit_s"] > 0
+
+
+def _count_lu_factor(monkeypatch):
+    calls = []
+    lu_factor = sla.lu_factor
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lu_factor(*args, **kwargs)
+
+    monkeypatch.setattr(solver.sla, "lu_factor", counted)
+    return calls
+
+
+def _same_report(report, ref):
+    a, b = dict(vars(report)), dict(vars(ref))
+    for d in (a, b):
+        d.pop("timings")
+    assert a.pop("condition_estimate") == pytest.approx(
+        b.pop("condition_estimate"), rel=1e-12, abs=0
+    )
+    assert a == b
+
+
+@pytest.mark.parametrize("shift", [0.0, 2.5], ids=["unshifted", "shifted"])
+def test_shared_matrix_is_factored_once(monkeypatch, shift):
+    base = _interval_problem()
+    grid = build_grid(base.domain, 0.02)
+    rhs = [const_field(1.0), quadratic_field(), field_sum([(2.0, const_field(1.0)),
+                                                           (-1.0, quadratic_field())])]
+    problems = [
+        ProblemSpec("generic", base.domain, f, kernel=unit_kernel(), shift=shift)
+        for f in rhs
+    ]
+    sm = assemble(problems[0], grid, CFG)
+    calls = _count_lu_factor(monkeypatch)
+    shared = [solve_dirichlet(p, grid, CFG, stiffness=sm) for p in problems]
+    assert len(calls) == 1
+    for p, (u, report) in zip(problems, shared):
+        u_ref, ref = solve_dirichlet(p, grid, CFG, stiffness=assemble(p, grid, CFG))
+        assert report.alternative == "unique_solution"
+        assert np.array_equal(u.values, u_ref.values)
+        _same_report(report, ref)
+    assert len(calls) == 1 + len(problems)
+
+
+def test_shared_near_singular_matrix_keeps_its_verdict(monkeypatch):
+    problem = _interval_problem(half=0.25)
+    grid = build_grid(problem.domain, 0.025)
+    lam1 = float(np.min(np.linalg.eigvals(assemble(problem, grid, CFG).matrix).real))
+    shifted = ProblemSpec("generic", problem.domain, const_field(1.0),
+                          kernel=unit_kernel(), shift=-lam1)
+    sm = assemble(shifted, grid, CFG)
+    calls = _count_lu_factor(monkeypatch)
+    v1, first = solve_dirichlet(shifted, grid, CFG, stiffness=sm)
+    kept = v1.values.copy()
+    # the caller owns the returned vector: changing it leaves the next solve alone
+    v1.values[:] = 0.0
+    v2, second = solve_dirichlet(shifted, grid, CFG, stiffness=sm)
+    assert len(calls) == 1
+    assert first.alternative == second.alternative == "near_singular"
+    assert np.array_equal(v2.values, kept)
+    _same_report(second, first)
+
+
+def test_stiffness_matrix_is_read_only():
+    problem = _interval_problem()
+    grid = build_grid(problem.domain, 0.05)
+    sm = assemble(problem, grid, CFG)
+    solve_dirichlet(problem, grid, CFG, stiffness=sm)
+    with pytest.raises(ValueError, match="read-only"):
+        sm.matrix[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        sm.matrix += 1.0
 
 
 def test_fredholm_probe_unshifted_is_unique():
