@@ -249,7 +249,7 @@ def verify_bump(K, r_list, cfg, N=1):
     }
 
 
-def verify_gain(K, rho, A_fraction, cfg, N=1):
+def verify_gain(K, rho, cfg, N=1, A_fraction=1.0):
     """Check  L_K chi_A <= -c * lam * mu(A) / ell(rho)  on B_{2 rho^2} for a
     radial gain set A of the prescribed mu-fraction."""
     rho = float(rho)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
+import inspect
 import json
 import math
 import os
@@ -90,53 +92,37 @@ def _parse_domain(spec):
     raise ConfigError(f"unknown domain type {kind!r}")
 
 
-_FIELD_KEYS = {
-    "const": ({"value"}, ()),
-    "linear": (set(), ()),
-    "quadratic": (set(), ()),
-    "gaussian": ({"sigma"}, ()),
-    "ell_profile": ({"alpha"}, ("alpha",)),
-    "shell": ({"a", "b"}, ("a", "b")),
-}
+def _required(parameters, names):
+    """The names whose entry in a signature's parameters has no default."""
+    return {name for name in names if parameters[name].default is inspect.Parameter.empty}
 
 
 def _parse_field(spec, where="rhs"):
-    _check_keys(spec, where, {"name"} | {k for ks, _ in _FIELD_KEYS.values() for k in ks},
-                {"name"})
+    """A catalog field from its JSON form {"name": ..., parameter: value}."""
+    every = {p for _, params in nonlocal_eval.FIELDS.values() for p in params}
+    _check_keys(spec, where, {"name"} | every, {"name"})
     name = spec["name"]
-    if name not in _FIELD_KEYS:
+    if name not in nonlocal_eval.FIELDS:
         raise ConfigError(f"unknown field name {name!r} in {where}")
-    allowed, required = _FIELD_KEYS[name]
-    _check_keys(spec, f"{where} ({name})", {"name"} | allowed,
-                {"name"} | set(required))
-    if name == "const":
-        return nonlocal_eval.const_field(float(spec.get("value", 1.0)))
-    if name == "linear":
-        return nonlocal_eval.linear_field()
-    if name == "quadratic":
-        return nonlocal_eval.quadratic_field()
-    if name == "gaussian":
-        return nonlocal_eval.gaussian_field(float(spec.get("sigma", math.sqrt(0.5))))
-    if name == "ell_profile":
-        return nonlocal_eval.ell_profile_field(float(spec["alpha"]))
-    return nonlocal_eval.shell_field(float(spec["a"]), float(spec["b"]))
+    make, params = nonlocal_eval.FIELDS[name]
+    _check_keys(spec, f"{where} ({name})", {"name", *params},
+                {"name"} | _required(inspect.signature(make).parameters, params))
+    return make(**{key: spec[key] for key in params if key in spec})
 
 
-def _parse_quadrature(spec):
-    if spec is None:
-        return nonlocal_eval.QuadratureConfig()
-    _check_keys(spec, "quadrature", {"n_radial", "n_angular", "r_min", "mode"})
-    with _config_errors("quadrature"):
-        kwargs = {}
-        if "n_radial" in spec:
-            kwargs["n_radial"] = int(spec["n_radial"])
-        if "n_angular" in spec:
-            kwargs["n_angular"] = int(spec["n_angular"])
-        if "r_min" in spec:
-            kwargs["r_min"] = float(spec["r_min"])
-        if "mode" in spec:
-            kwargs["mode"] = str(spec["mode"])
-        return nonlocal_eval.QuadratureConfig(**kwargs)
+_QUADRATURE = dataclasses.fields(nonlocal_eval.QuadratureConfig)
+
+
+def _parse_quadrature(values, where="quadrature"):
+    """A QuadratureConfig from the JSON quadrature object or the eval flags
+    given: each of its fields, read with the type of the field's default;
+    one left out (or no object at all) keeps that default."""
+    values = {} if values is None else values
+    _check_keys(values, where, {f.name for f in _QUADRATURE})
+    with _config_errors(where):
+        return nonlocal_eval.QuadratureConfig(**{
+            f.name: type(f.default)(values[f.name]) for f in _QUADRATURE if f.name in values
+        })
 
 
 def _parse_problem(cfg, where="config"):
@@ -184,6 +170,13 @@ def _write_atomic(path, text):
         raise
 
 
+def _emit(text, out):
+    """Print text and, when out is given, also write it there atomically."""
+    print(text, end="")
+    if out:
+        _write_atomic(out, text)
+
+
 def _json_text(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -229,11 +222,9 @@ def _cmd_constants(args):
 
 
 def _cmd_eval(args):
+    flags = {f.name: getattr(args, f.name) for f in _QUADRATURE}
+    cfg = _parse_quadrature({k: v for k, v in flags.items() if v is not None}, "eval flags")
     with _config_errors("eval flags"):
-        cfg = nonlocal_eval.QuadratureConfig(
-            n_radial=args.n_radial, n_angular=args.n_angular,
-            r_min=args.r_min, mode=args.mode,
-        )
         if args.op != "sector":
             x = np.array([float(t) for t in args.x.split(",")], dtype=float)
             field = nonlocal_eval.make_field(args.field)
@@ -260,20 +251,22 @@ def _cmd_eval(args):
                 field, x, cfg, args.N, return_estimate=True
             )
         out = {"err_est": err, "value": value}
-    text = json.dumps(out, sort_keys=True)
-    print(text)
-    if args.out:
-        _write_atomic(args.out, text + "\n")
+    _emit(json.dumps(out, sort_keys=True) + "\n", args.out)
     return 0
 
 
+def _parse_solve(doc, where):
+    """The problem, quadrature and grid of a solve config (a problem plus 'h')."""
+    problem, quad = _parse_problem(doc, where)
+    if "h" not in doc:
+        raise ConfigError(f"{where} requires 'h'")
+    with _config_errors(f"{where}: h"):
+        grid = geometry.build_grid(problem.domain, float(doc["h"]))
+    return problem, quad, grid
+
+
 def _cmd_solve(args):
-    cfg_doc = _load_config(args.config)
-    problem, quad = _parse_problem(cfg_doc)
-    if "h" not in cfg_doc:
-        raise ConfigError("solve config requires 'h'")
-    with _config_errors("h"):
-        grid = geometry.build_grid(problem.domain, float(cfg_doc["h"]))
+    problem, quad, grid = _parse_solve(_load_config(args.config), "config")
     u, report = solver.solve_dirichlet(problem, grid, quad)
     _write_atomic(args.out, _solution_csv(u))
     _write_atomic(args.report, _json_text(_report_dict(report)))
@@ -284,86 +277,59 @@ def _cmd_solve(args):
     return 0
 
 
-def _floats(values):
-    return [float(v) for v in values]
-
-
-# each lemma's config keys besides N, kernel and quadrature:
-# key -> (parse, default), where a default of None marks a required key
-_LEMMA_PARAMS = {
-    "boundary": {"r": (float, None), "alpha_list": (_floats, None)},
-    "bump": {"r_list": (_floats, None)},
-    "gain": {"rho": (float, None), "A_fraction": (float, 1.0)},
-    "tail": {"rho": (float, None), "alpha": (float, None)},
-    "exponential": {"alpha_list": (_floats, None), "half_width": (float, 1.0)},
-    "sector": {"r": (float, None), "d": (float, None), "c_min": (float, 0.1)},
-    "composite": {"rho": (float, None), "alpha_list": (_floats, None),
-                  "A_fraction": (float, 1.0)},
+# each lemma's verifier in barriers, and the rule that passes the lemma on
+# the verifier's result
+_LEMMAS = {
+    "boundary": ("verify_boundary_barrier", lambda r: r["delta_hat"] > 0),
+    "bump": ("verify_bump", lambda r: bool(r["stable"]) and math.isfinite(r["C_hat"])),
+    "gain": ("verify_gain", lambda r: bool(r["pass"])),
+    "tail": ("verify_tail", lambda r: math.isfinite(r["C_hat"])),
+    "exponential": ("verify_exponential", lambda r: r["c0_hat"] > 0),
+    "sector": ("verify_sector", lambda r: bool(r["pass"])),
+    "composite": ("verify_composite", lambda r: r["delta_hat"] > 0),
 }
 
+# Each verifier's signature is its lemma's config schema: every parameter
+# but K, N and cfg is a config key, required when it has no default, and a
+# verifier with a K parameter takes the 'kernel' key.  The signatures are
+# read once, here: tracing may later swap in wrappers that have none.
+_SCHEMAS = {lemma: inspect.signature(getattr(barriers, fn)).parameters
+            for lemma, (fn, _) in _LEMMAS.items()}
 
-def _run_lemma(lemma, K, N, quad, p):
-    """Run one lemma's verifier on its parsed parameters p; returns the
-    verifier's result and whether it passed."""
-    if lemma == "boundary":
-        result = barriers.verify_boundary_barrier(K, p["r"], p["alpha_list"], quad, N=N)
-        return result, result["delta_hat"] > 0
-    if lemma == "bump":
-        result = barriers.verify_bump(K, p["r_list"], quad, N=N)
-        return result, bool(result["stable"]) and math.isfinite(result["C_hat"])
-    if lemma == "gain":
-        result = barriers.verify_gain(K, p["rho"], p["A_fraction"], quad, N=N)
-        return result, bool(result["pass"])
-    if lemma == "tail":
-        result = barriers.verify_tail(K, p["rho"], p["alpha"], quad, N=N)
-        return result, math.isfinite(result["C_hat"])
-    if lemma == "exponential":
-        result = barriers.verify_exponential(
-            K, p["alpha_list"], quad, N=N, half_width=p["half_width"]
-        )
-        return result, result["c0_hat"] > 0
-    if lemma == "sector":
-        result = barriers.verify_sector(p["r"], p["d"], N, quad, c_min=p["c_min"])
-        return result, bool(result["pass"])
-    result = barriers.verify_composite(
-        K, p["rho"], p["alpha_list"], quad, N=N, A_fraction=p["A_fraction"]
-    )
-    return result, result["delta_hat"] > 0
+
+def _lemma_param(key, value):
+    """A lemma parameter from its JSON value: a list of floats for the
+    '*_list' keys, a float otherwise."""
+    if key.endswith("_list"):
+        return [float(v) for v in value]
+    return float(value)
 
 
 def _cmd_verify(args):
     doc = _load_config(args.config)
     lemma = args.lemma
-    params = _LEMMA_PARAMS[lemma]
-    base_keys = {"N", "quadrature"} | ({"kernel"} if lemma != "sector" else set())
+    verifier, passes = _LEMMAS[lemma]
+    schema = _SCHEMAS[lemma]
+    params = [key for key in schema if key not in ("K", "N", "cfg")]
     where = f"{lemma} config"
-    _check_keys(doc, where, base_keys | set(params),
-                {key for key, (_, default) in params.items() if default is None})
+    kernel = ["kernel"] if "K" in schema else []
+    _check_keys(doc, where, {"N", "quadrature", *kernel, *params},
+                _required(schema, params))
     with _config_errors(where):
         N = int(doc.get("N", 1))
-        K = kernels.kernel_from_name(doc.get("kernel", "unit"), N=N)
-        p = {key: parse(doc[key]) if key in doc else default
-             for key, (parse, default) in params.items()}
+        kwargs = {key: _lemma_param(key, doc[key]) for key in params if key in doc}
+        if "K" in schema:
+            kwargs["K"] = kernels.kernel_from_name(doc.get("kernel", "unit"), N=N)
     quad = _parse_quadrature(doc.get("quadrature"))
 
     try:
-        result, passed = _run_lemma(lemma, K, N, quad, p)
+        result = getattr(barriers, verifier)(cfg=quad, N=N, **kwargs)
+        verdict = {"pass": bool(passes(result)), "constants": result}
     except RuntimeError as e:
-        verdict = {"lemma": lemma, "pass": False, "constants": {},
-                   "samples": barriers.SAMPLES_PER_SCALE, "detail": str(e)}
-        text = _json_text(verdict)
-        print(text, end="")
-        if args.out:
-            _write_atomic(args.out, text)
-        return 1
-
-    verdict = {"lemma": lemma, "pass": bool(passed), "constants": result,
-               "samples": barriers.SAMPLES_PER_SCALE}
-    text = _json_text(verdict)
-    print(text, end="")
-    if args.out:
-        _write_atomic(args.out, text)
-    return 0 if passed else 1
+        verdict = {"pass": False, "constants": {}, "detail": str(e)}
+    verdict |= {"lemma": lemma, "samples": barriers.SAMPLES_PER_SCALE}
+    _emit(_json_text(verdict), args.out)
+    return 0 if verdict["pass"] else 1
 
 
 def _cmd_torsion(args):
@@ -380,7 +346,7 @@ def _cmd_torsion(args):
             rhs=_parse_field(doc.get("rhs", {"name": "const", "value": 1.0})),
             kernel=kernels.kernel_from_name(doc.get("kernel", "unit"), N=N),
         )
-        radii = [float(R) for R in doc["R_list"]]
+        radii = solver.torsion_radii(doc["R_list"])
         nodes_across = int(doc.get("nodes_across", 80))
     rows = solver.torsion_scan(radii, template, quad, nodes_across=nodes_across)
     cols = ["R", "h", "max_u", "ell_R", "ratio", "residual_inf"]
@@ -397,16 +363,11 @@ def _cmd_fit(args):
     if ("solve" in doc) == ("synthetic" in doc):
         raise ConfigError("fit config requires exactly one of 'solve'/'synthetic'")
     if "solve" in doc:
-        sub = doc["solve"]
-        problem, quad = _parse_problem(sub, where="fit.solve")
-        if "h" not in sub:
-            raise ConfigError("fit.solve config requires 'h'")
-        with _config_errors("fit.solve.h"):
-            grid = geometry.build_grid(problem.domain, float(sub["h"]))
+        problem, quad, grid = _parse_solve(doc["solve"], "fit.solve")
         u, report = solver.solve_dirichlet(problem, grid, quad)
         if report.alternative != "unique_solution":
             raise VerificationFailure("fit: solve hit the near-singular alternative")
-        desc = sub["rhs"]["name"]
+        desc = doc["solve"]["rhs"]["name"]
     else:
         syn = doc["synthetic"]
         _check_keys(doc["synthetic"], "synthetic", {"domain", "h", "alpha"},
@@ -417,18 +378,14 @@ def _cmd_fit(args):
             alpha = float(syn["alpha"])
         d = geometry.dist_to_boundary(domain, grid.nodes)
         u = geometry.GridFunction(grid, ell(np.maximum(d, 1e-300), alpha))
-        quad = nonlocal_eval.QuadratureConfig()
         desc = f"synthetic ell^{alpha}(d)"
-    result = solver.estimate_regularity(u, desc, quad)
+    result = solver.estimate_regularity(u, desc)
     # keep the document strict JSON: infinite exponents (flat samples) as strings
     result = {
         k: (v if math.isfinite(v) else ("inf" if v > 0 else "-inf"))
         for k, v in result.items()
     }
-    text = _json_text(result)
-    print(text, end="")
-    if args.out:
-        _write_atomic(args.out, text)
+    _emit(_json_text(result), args.out)
     return 0
 
 
@@ -490,10 +447,9 @@ def _build_parser():
                    choices=["decomposition", "direct"])
     e.add_argument("--r", type=float, default=None, help="sector ball radius")
     e.add_argument("--d", type=float, default=None, help="sector boundary gap")
-    e.add_argument("--n-radial", type=int, default=128)
-    e.add_argument("--n-angular", type=int, default=16)
-    e.add_argument("--r-min", type=float, default=1e-12)
-    e.add_argument("--mode", default="fast", choices=["fast", "oracle"])
+    for f in _QUADRATURE:
+        e.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                       help=f"default {f.default}")
     e.add_argument("--out", default=None)
     e.set_defaults(fn=_cmd_eval)
 
@@ -504,7 +460,7 @@ def _build_parser():
     s.set_defaults(fn=_cmd_solve)
 
     v = sub.add_parser("verify", help="run a barrier verifier")
-    v.add_argument("--lemma", required=True, choices=list(_LEMMA_PARAMS))
+    v.add_argument("--lemma", required=True, choices=list(_LEMMAS))
     v.add_argument("--config", required=True)
     v.add_argument("--out", default=None)
     v.set_defaults(fn=_cmd_verify)

@@ -112,19 +112,18 @@ def bessel_k_half(nu, r):
     raise ValueError("closed forms available for nu in {0.5, 1.5}")
 
 
-def bessel_k_generic(nu, r, step=None):
+def bessel_k_generic(nu, r):
     """K_nu(r) by trapezoid on the integral of exp(-r*cosh t)*cosh(nu*t).
 
     The integrand decays doubly exponentially in t, so the trapezoid rule
     converges geometrically in 1/step.  The peak at t = 0 narrows like
-    r^(-1/2), so the default step shrinks with the largest argument to keep
+    r^(-1/2), so the step shrinks with the largest argument to keep
     the relative error near roundoff.  Vectorized in r.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(r <= 0):
         raise ValueError("r must be positive")
-    if step is None:
-        step = min(0.1, 0.5 / math.sqrt(float(np.max(r))))
+    step = min(0.1, 0.5 / math.sqrt(float(np.max(r))))
     t_max = math.acosh(max(760.0 / float(np.min(r)), 2.0))
     n = int(math.ceil(t_max / step))
     t = np.linspace(0.0, n * step, n + 1)

@@ -40,6 +40,7 @@ __all__ = [
     "field_sum",
     "shift_field",
     "grid_field",
+    "FIELDS",
     "make_field",
     "eval_LK",
     "eval_loglap",
@@ -117,9 +118,9 @@ def _radial_breaks(radii):
     return breaks
 
 
-def const_field(c=1.0):
-    c = float(c)
-    return FieldFunction(evaluate=lambda Y: np.full(len(Y), c))
+def const_field(value=1.0):
+    value = float(value)
+    return FieldFunction(evaluate=lambda Y: np.full(len(Y), value))
 
 
 def linear_field(coef=None):
@@ -265,36 +266,43 @@ def grid_field(u):
     )
 
 
+# The field catalog: name -> (constructor, the parameters a description gives
+# it, in order).  make_field reads it, and so does the CLI's JSON form
+# {"name": ..., parameter: value}; parameters left out take the constructor's
+# defaults.
+FIELDS = {
+    "const": (const_field, ("value",)),
+    "linear": (linear_field, ()),
+    "quadratic": (quadratic_field, ()),
+    "gaussian": (gaussian_field, ("sigma",)),
+    "ell_profile": (ell_profile_field, ("alpha",)),
+    "shell": (shell_field, ("a", "b")),
+    "box": (box_field, ("lo", "hi")),
+}
+
+
 def make_field(name):
-    """Parse a catalog field description like 'gaussian(0.5)' or 'const(2)'."""
-    name = name.strip()
-    if "(" in name:
-        base, arg = name.split("(", 1)
-        arg = arg.rstrip(")")
-        args = [float(a) for a in arg.split(",")] if arg else []
-    else:
-        base, args = name, []
+    """Parse a catalog field description like 'gaussian(0.5)', 'const(2)' or
+    'box(0,0,1,1)'.  The numbers are shared out evenly over the field's
+    FIELDS parameters, in order (box takes its lo, then its hi coordinates);
+    a field given no numbers takes its constructor's defaults."""
+    base, _, arg = name.strip().partition("(")
     base = base.strip()
-    if base == "const":
-        return const_field(*args) if args else const_field(1.0)
-    if base == "linear":
-        return linear_field()
-    if base == "quadratic":
-        return quadratic_field()
-    if base == "gaussian":
-        return gaussian_field(*args) if args else gaussian_field()
-    if base == "ell_profile":
-        if not args:
-            raise ValueError("ell_profile requires an exponent argument")
-        return ell_profile_field(args[0])
-    if base == "shell":
-        return shell_field(*args)
-    if base == "box":
-        if len(args) % 2 or not args:
-            raise ValueError("box requires lo and hi coordinate lists")
-        half = len(args) // 2
-        return box_field(args[:half], args[half:])
-    raise ValueError(f"unknown field {name!r}")
+    if base not in FIELDS:
+        raise ValueError(f"unknown field {name!r}")
+    make, params = FIELDS[base]
+    arg = arg.rstrip(")")
+    args = [float(a) for a in arg.split(",")] if arg.strip() else []
+    wrong = ValueError(f"{name!r}: {base} takes the parameters {list(params)}")
+    if args and (not params or len(args) % len(params)):
+        raise wrong
+    k = len(args) // len(params) if args else 0
+    shares = [args[i * k:(i + 1) * k] for i in range(len(params))] if k else []
+    try:
+        return make(*[share[0] if k == 1 else share for share in shares])
+    except TypeError as e:
+        # a required parameter left out, or several numbers for a scalar one
+        raise wrong from e
 
 
 # --------------------------------------------------------------------------

@@ -52,6 +52,7 @@ __all__ = [
     "solve_dirichlet",
     "fredholm_probe",
     "fredholm_sweep",
+    "torsion_radii",
     "torsion_scan",
     "estimate_regularity",
 ]
@@ -105,7 +106,7 @@ class _Factors:
     sigma_s: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StiffnessMatrix:
     """Dense collocation matrix; row i applies the operator to the nodal hat
     interpolants at node i.
@@ -116,7 +117,8 @@ class StiffnessMatrix:
     LU copy lives as long as the matrix.  `matrix` is a read-only view, so
     writing into it raises instead of solving against a stale
     factorization; do not write into the array the matrix was built from
-    either."""
+    either.  Matrices compare and hash by identity, as objects that own
+    their factorization."""
 
     matrix: np.ndarray
     grid: Grid
@@ -419,14 +421,20 @@ def fredholm_sweep(problem, grid, cfg, mu_lo, mu_hi, tol=1e-12):
     return {"mu_star": lam1, "evaluations": solves, "bounds": [lo, hi]}
 
 
+def torsion_radii(R_list):
+    """The torsion radii as floats; raises ValueError unless every one lies
+    in (0, 0.1]."""
+    radii = [float(R) for R in R_list]
+    if not all(0 < R <= 0.1 for R in radii):
+        raise ValueError("torsion radii must lie in (0, 0.1]")
+    return radii
+
+
 def torsion_scan(R_list, template, cfg, nodes_across=80):
     """Solve L u = rhs on balls B_R with zero exterior data and tabulate the
     sup of the solution against the log modulus of R."""
     rows = []
-    for R in R_list:
-        R = float(R)
-        if not 0 < R <= 0.1:
-            raise ValueError("torsion radii must lie in (0, 0.1]")
+    for R in torsion_radii(R_list):
         domain = geometry.Domain.ball(np.zeros(template.domain.N), R)
         h = 2.0 * R / nodes_across
         grid = geometry.build_grid(domain, h)
@@ -445,7 +453,7 @@ def torsion_scan(R_list, template, cfg, nodes_across=80):
     return rows
 
 
-def estimate_regularity(u, f_desc, cfg):
+def estimate_regularity(u, f_desc):
     """Fit the three regularity exponents of a solved grid function.
 
     alpha_global fits the oscillation of the zero-extension over balls centered

@@ -227,7 +227,7 @@ def test_criterion_5_barrier_suite():
     bump = barriers.verify_bump(unit_kernel(), [0.05, 0.005], FAST)
     ok = ok and bump["stable"] and math.isfinite(bump["C_hat"])
 
-    gains = [barriers.verify_gain(unit_kernel(), rho, 1.0, FAST) for rho in (0.01, 0.001)]
+    gains = [barriers.verify_gain(unit_kernel(), rho, FAST) for rho in (0.01, 0.001)]
     ok = ok and all(g["pass"] for g in gains)
     ok = ok and _within_of_mean([g["c_hat"] for g in gains], 0.25)
 
@@ -273,14 +273,14 @@ def test_criterion_6_torsion_scaling():
 
 
 def test_criterion_7_boundary_exponent(torsion_solutions):
-    fits = estimate_regularity(torsion_solutions[2.5e-4], "const(1)", FAST)
+    fits = estimate_regularity(torsion_solutions[2.5e-4], "const(1)")
     ok = 0.35 <= fits["alpha_boundary"] <= 0.65
 
     syn_dom = Domain.interval(-1.0, 1.0)
     grid = build_grid(syn_dom, 0.005)
     d = dist_to_boundary(syn_dom, grid.nodes)
     synthetic = GridFunction(grid, ell(np.maximum(d, 1e-300), 0.5))
-    syn = estimate_regularity(synthetic, "synthetic ell^0.5(d)", FAST)
+    syn = estimate_regularity(synthetic, "synthetic ell^0.5(d)")
     ok = ok and abs(syn["alpha_boundary"] - 0.5) <= 0.02
     assert record_criterion(
         7,
@@ -295,7 +295,7 @@ def test_criterion_8_interior_gains_regularity(torsion_solutions):
     ok = True
     notes = []
     for h in sorted(torsion_solutions, reverse=True):
-        fits = estimate_regularity(torsion_solutions[h], "const(1)", FAST)
+        fits = estimate_regularity(torsion_solutions[h], "const(1)")
         ok = ok and fits["alpha_interior"] >= fits["alpha_global"]
         notes.append(
             f"h={h:g}: interior {fits['alpha_interior']:.2f} vs global "

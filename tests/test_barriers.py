@@ -188,7 +188,7 @@ def test_verify_bump_constant_scales_with_log_modulus():
 
 
 def test_verify_gain_negative_inside_core():
-    out = verify_gain(K1, 0.05, 1.0, CFG)
+    out = verify_gain(K1, 0.05, CFG)
     assert out["pass"] and out["c_hat"] > 0
     assert out["mu_A"] == pytest.approx(out["mu_annulus"])
     assert out["mu_annulus"] < out["mu_annulus_smallrho_limit"]
@@ -197,12 +197,12 @@ def test_verify_gain_negative_inside_core():
 def test_verify_gain_measure_approaches_limit():
     ratios = []
     for rho in (0.01, 1e-3, 1e-4):
-        out = verify_gain(K1, rho, 1.0, CFG)
+        out = verify_gain(K1, rho, CFG)
         ratios.append(out["mu_annulus"] / out["mu_annulus_smallrho_limit"])
     assert ratios == sorted(ratios)
     assert ratios[-1] > 0.9
     with pytest.raises(ValueError):
-        verify_gain(K1, 0.4, 1.0, CFG)
+        verify_gain(K1, 0.4, CFG)
 
 
 def test_verify_tail_stability_needs_small_scales():

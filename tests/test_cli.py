@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from logop import barriers, nonlocal_eval, solver
 from logop.cli import main
 from logop.geometry import Domain, build_grid
 from logop.kernels import unit_kernel
-from logop.nonlocal_eval import QuadratureConfig, const_field
+from logop.nonlocal_eval import QuadratureConfig, const_field, gaussian_field
 from logop.solver import ProblemSpec, assemble
 
 CONFIGS = Path(__file__).parent / "configs"
@@ -93,6 +94,27 @@ def test_eval_bad_quadrature_flags(capsys):
     code, _, err = _run(capsys, "eval", "--op", "LK", "--n-radial", "4")
     assert code == 2
     assert "n_radial" in err
+
+
+@pytest.mark.parametrize(
+    "flags, cfg",
+    [
+        ([], QuadratureConfig()),
+        (["--n-radial", "64", "--mode", "oracle"],
+         QuadratureConfig(n_radial=64, mode="oracle")),
+        (["--n-angular", "8", "--r-min", "1e-9"],
+         QuadratureConfig(n_angular=8, r_min=1e-9)),
+    ],
+    ids=["defaults", "radial-oracle", "angular-rmin"],
+)
+def test_eval_flags_left_out_keep_the_config_defaults(capsys, flags, cfg):
+    code, out, _ = _run(capsys, "eval", "--op", "LK", "--field", "gaussian(0.4)",
+                        "--x", "0.1,0.2", "--N", "2", *flags)
+    assert code == 0
+    x = np.array([0.1, 0.2])
+    value, err = nonlocal_eval.eval_LK(unit_kernel(), gaussian_field(0.4), x, cfg,
+                                       return_estimate=True)
+    assert json.loads(out) == {"value": value, "err_est": err}
 
 
 def test_eval_domain_error_is_numerical_failure(capsys):
@@ -227,6 +249,36 @@ def test_solve_rejects_unknown_config_keys(capsys, tmp_path):
     assert "solver_backend" in err
 
 
+def _solve(capsys, tmp_path, config):
+    cfg_path = tmp_path / "solve.json"
+    cfg_path.write_text(json.dumps(config))
+    out_csv = tmp_path / "u.csv"
+    code, _, err = _run(capsys, "solve", "--config", str(cfg_path),
+                        "--out", str(out_csv), "--report", str(tmp_path / "r.json"))
+    return code, err, out_csv.read_bytes() if code == 0 else None
+
+
+def test_solve_box_rhs(capsys, tmp_path):
+    # a box covering the interval is 1 at every node, like const(1)
+    config = json.loads((CONFIGS / "solve_interval.json").read_text())
+    _, _, const_csv = _solve(capsys, tmp_path, config)
+    code, _, box_csv = _solve(capsys, tmp_path,
+                              config | {"rhs": {"name": "box", "lo": [-1.0], "hi": [1.0]}})
+    assert code == 0
+    assert box_csv == const_csv
+    code, err, _ = _solve(capsys, tmp_path, config | {"rhs": {"name": "box", "lo": [-1.0]}})
+    assert code == 2
+    assert "missing keys ['hi'] in rhs (box)" in err
+
+
+@pytest.mark.parametrize("key", ["n_radial", "n_angular", "r_min", "mode"])
+def test_solve_quadrature_null_is_config_error(capsys, tmp_path, key):
+    config = json.loads((CONFIGS / "solve_interval.json").read_text())
+    code, err, _ = _solve(capsys, tmp_path, config | {"quadrature": {key: None}})
+    assert code == 2
+    assert err.startswith("config error: quadrature: ")
+
+
 def test_solve_requires_h(capsys, tmp_path):
     config = {
         "domain": {"type": "interval", "a": -0.5, "b": 0.5},
@@ -326,6 +378,51 @@ def test_verify_bad_parameter_is_config_error(capsys, tmp_path, lemma, config):
     assert err.startswith(f"config error: {lemma} config: ")
 
 
+_REQUIRED_ONLY = {
+    "boundary": {"r": 0.05, "alpha_list": [0.25]},
+    "bump": {"r_list": [0.05, 0.005]},
+    "gain": {"rho": 0.05},
+    "tail": {"rho": 1e-3, "alpha": 0.25},
+    "exponential": {"alpha_list": [1.0]},
+    "sector": {"r": 0.05, "d": 1e-5},
+    "composite": {"rho": 0.05, "alpha_list": [0.05]},
+}
+
+
+@pytest.mark.parametrize("lemma", list(_REQUIRED_ONLY))
+def test_verify_each_lemma_with_only_its_required_keys(capsys, tmp_path, lemma):
+    cfg_path = tmp_path / "required.json"
+    cfg_path.write_text(json.dumps(_REQUIRED_ONLY[lemma]))
+    code, text, _ = _run(capsys, "verify", "--lemma", lemma, "--config", str(cfg_path))
+    assert code == 0
+    assert json.loads(text)["pass"] is True
+    # any one required key left out is a config error
+    for key in _REQUIRED_ONLY[lemma]:
+        cfg_path.write_text(json.dumps({k: v for k, v in _REQUIRED_ONLY[lemma].items()
+                                        if k != key}))
+        code, _, err = _run(capsys, "verify", "--lemma", lemma, "--config", str(cfg_path))
+        assert code == 2
+        assert f"missing keys ['{key}']" in err
+
+
+def test_verify_calls_the_verifier_it_finds_at_call_time(capsys, tmp_path, monkeypatch):
+    # a wrapper without a signature, as a tracer installs
+    original, calls = barriers.verify_gain, []
+
+    def wrapper(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(barriers, "verify_gain", wrapper)
+    cfg_path = tmp_path / "gain.json"
+    cfg_path.write_text(json.dumps({"rho": 0.05, "A_fraction": 0.5}))
+    code, text, _ = _run(capsys, "verify", "--lemma", "gain", "--config", str(cfg_path))
+    assert code == 0
+    assert [sorted(kw) for kw in calls] == [["A_fraction", "K", "N", "cfg", "rho"]]
+    assert json.loads(text)["constants"] == json.loads(json.dumps(
+        original(unit_kernel(), 0.05, QuadratureConfig(), A_fraction=0.5)))
+
+
 def test_verify_numerical_failure_still_exits_one(capsys, tmp_path):
     # the parameters parse, but no barrier margin exists this close to exponent one
     cfg_path = tmp_path / "boundary.json"
@@ -389,6 +486,19 @@ def test_torsion_csv(capsys, tmp_path):
     assert rows[0]["R"] == 0.05 and rows[1]["R"] == 0.025
     assert rows[1]["max_u"] < rows[0]["max_u"]
     assert all(r["ratio"] > 0 for r in rows)
+
+
+@pytest.mark.parametrize("radii", [[0.5], [0.05, 0.5], [0.05, 0.0]], ids=str)
+def test_torsion_radius_out_of_range_is_config_error(capsys, tmp_path, monkeypatch, radii):
+    solves = []
+    monkeypatch.setattr(solver, "solve_dirichlet", lambda *a, **k: solves.append(a))
+    cfg_path = tmp_path / "torsion.json"
+    cfg_path.write_text(json.dumps({"R_list": radii}))
+    code, _, err = _run(capsys, "torsion", "--config", str(cfg_path),
+                        "--out", str(tmp_path / "t.csv"))
+    assert code == 2
+    assert "torsion radii must lie in (0, 0.1]" in err
+    assert solves == []
 
 
 def test_fit_synthetic_recovers_exponent(capsys, tmp_path):
@@ -473,6 +583,9 @@ def test_logop_threads_caps_blas_pool():
         if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
     }
     env["LOGOP_THREADS"] = "1"
+    # the child imports the logop these tests import, installed or not
+    src = os.path.dirname(os.path.dirname(barriers.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     script = (
         "import os, logop, numpy as np\n"
         "a = np.ones((400, 400)); a @ a\n"

@@ -327,6 +327,11 @@ def test_make_field_catalog():
     b = make_field("box(2,3)")
     assert b.evaluate(np.array([[2.5]]))[0] == 1.0
     assert b.evaluate(np.array([[3.5]]))[0] == 0.0
+    # box(lo_1, lo_2, hi_1, hi_2): the numbers are shared out over lo and hi
+    b2 = make_field("box(0,0,1,2)")
+    assert list(b2.evaluate(np.array([[0.5, 1.5], [1.5, 0.5]]))) == [1.0, 0.0]
+    assert b2.support_radius == pytest.approx(math.sqrt(5.0))
+    assert make_field("gaussian()").support_radius == gaussian_field().support_radius
     s = make_field("shell(0.2,0.4)")
     assert s.support_radius == 0.4
     assert make_field("ell_profile(1)").evaluate(np.array([[0.1]]))[0] == (
@@ -335,12 +340,10 @@ def test_make_field_catalog():
 
 
 def test_make_field_rejects_garbage():
-    with pytest.raises(ValueError):
-        make_field("frobnicate(3)")
-    with pytest.raises(ValueError):
-        make_field("ell_profile")
-    with pytest.raises(ValueError):
-        make_field("box(1)")
+    for desc in ("frobnicate(3)", "ell_profile", "box(1)", "linear(3)", "quadratic(1,2)",
+                 "const(1,2)"):
+        with pytest.raises(ValueError):
+            make_field(desc)
 
 
 def test_shell_and_box_validation():

@@ -544,6 +544,15 @@ def test_stiffness_matrix_is_read_only():
         sm.matrix += 1.0
 
 
+def test_stiffness_matrices_compare_and_hash_by_identity():
+    grid = build_grid(Domain.interval(-0.5, 0.5), 0.1)
+    a = solver.StiffnessMatrix(np.eye(grid.n), grid)
+    b = solver.StiffnessMatrix(np.eye(grid.n), grid)
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2
+
+
 def test_fredholm_probe_unshifted_is_unique():
     problem = _interval_problem(half=0.25)
     grid = build_grid(problem.domain, 0.025)
@@ -700,7 +709,7 @@ def test_torsion_scan_tabulates_log_modulus_scaling():
     assert rows[1]["max_u"] < rows[0]["max_u"]
 
 
-def test_torsion_scan_zero_rhs_and_radius_guard():
+def test_torsion_scan_zero_rhs_and_radius_guard(monkeypatch):
     template = ProblemSpec(
         operator="generic",
         domain=Domain.ball([0.0], 0.05),
@@ -709,8 +718,14 @@ def test_torsion_scan_zero_rhs_and_radius_guard():
     )
     rows = torsion_scan([0.02], template, CFG, nodes_across=20)
     assert rows[0]["max_u"] == pytest.approx(0.0, abs=1e-14)
-    with pytest.raises(ValueError):
-        torsion_scan([0.2], template, CFG)
+    # every radius is checked before the first solve
+    solves = []
+    monkeypatch.setattr(solver, "solve_dirichlet", lambda *a, **k: solves.append(a))
+    for radii in ([0.2], [0.05, 0.5], [0.05, 0.0]):
+        with pytest.raises(ValueError, match=r"\(0, 0.1\]"):
+            torsion_scan(radii, template, CFG)
+    assert solves == []
+    assert solver.torsion_radii([0.1, "0.05"]) == [0.1, 0.05]
 
 
 def test_estimate_regularity_recovers_synthetic_exponent():
@@ -719,7 +734,7 @@ def test_estimate_regularity_recovers_synthetic_exponent():
     x0 = dom.boundary_point()
     d = np.linalg.norm(grid.nodes - x0, axis=1)
     u = GridFunction(grid, ell(np.maximum(d, 1e-300), 0.5))
-    out = estimate_regularity(u, "synthetic ell^0.5", CFG)
+    out = estimate_regularity(u, "synthetic ell^0.5")
     assert set(out) == {"alpha_global", "alpha_interior", "alpha_boundary"}
     assert out["alpha_boundary"] == pytest.approx(0.5, abs=0.02)
     # the ball-oscillation fit sees only whole grid cells, biasing it high
@@ -733,5 +748,5 @@ def test_estimate_regularity_needs_enough_scales():
     grid = build_grid(dom, 0.05)
     u = GridFunction(grid, np.ones(grid.n))
     with pytest.raises(ValueError) as err:
-        estimate_regularity(u, "coarse-probe", CFG)
+        estimate_regularity(u, "coarse-probe")
     assert "coarse-probe" in str(err.value)
