@@ -129,6 +129,8 @@ _BAD_SOLVE_CONFIGS = {
     "kernel": {"operator": {"name": "generic", "kernel": "nope"}},
     "h": {"h": "abc"},
     "radius": {"domain": {"type": "ball", "center": [0.0, 0.0], "radius": -1}},
+    **{f"{key}-null": {"quadrature": {key: None}}
+       for key in ("n_radial", "n_angular", "r_min", "mode")},
 }
 
 
@@ -269,14 +271,6 @@ def test_solve_box_rhs(capsys, tmp_path):
     code, err, _ = _solve(capsys, tmp_path, config | {"rhs": {"name": "box", "lo": [-1.0]}})
     assert code == 2
     assert "missing keys ['hi'] in rhs (box)" in err
-
-
-@pytest.mark.parametrize("key", ["n_radial", "n_angular", "r_min", "mode"])
-def test_solve_quadrature_null_is_config_error(capsys, tmp_path, key):
-    config = json.loads((CONFIGS / "solve_interval.json").read_text())
-    code, err, _ = _solve(capsys, tmp_path, config | {"quadrature": {key: None}})
-    assert code == 2
-    assert err.startswith("config error: quadrature: ")
 
 
 def test_solve_requires_h(capsys, tmp_path):
