@@ -13,10 +13,10 @@ import math
 
 import numpy as np
 
+from ._quadrules import radius, sphere_kinks
 from .logmod import RHO0, ell
 from .nonlocal_eval import (
     FieldFunction,
-    _radial_breaks,
     eval_LK,
     field_sum,
     sector_integral,
@@ -54,14 +54,10 @@ def boundary_barrier_field(r, alpha):
     r, alpha = float(r), float(alpha)
 
     def evaluate(Y):
-        rho = np.linalg.norm(np.atleast_2d(Y), axis=1)
-        t = rho - r
+        t = radius(np.atleast_2d(Y)) - r
         return np.where(t > 0, ell(np.maximum(t, 1e-300), alpha), 0.0)
 
-    return FieldFunction(
-        evaluate=evaluate,
-        breakpoints=_radial_breaks([r, r + RHO0]),
-    )
+    return FieldFunction(evaluate=evaluate, kinks=sphere_kinks([r, r + RHO0]))
 
 
 def bump_field(r):
@@ -70,7 +66,7 @@ def bump_field(r):
     r = float(r)
 
     def evaluate(Y):
-        rho = np.linalg.norm(np.atleast_2d(Y), axis=1)
+        rho = radius(np.atleast_2d(Y))
         t = np.clip(2.0 * rho / r - 1.0, 0.0, 1.0)
         inside = t < 1.0
         tt = np.where(inside, t, 0.0)
@@ -81,7 +77,7 @@ def bump_field(r):
     return FieldFunction(
         evaluate=evaluate,
         support_radius=r,
-        breakpoints=_radial_breaks([r / 2, r]),
+        kinks=sphere_kinks([r / 2, r]),
     )
 
 
@@ -92,13 +88,10 @@ def tail_field(rho, alpha):
     offset = float(ell(rho, alpha))
 
     def evaluate(Y):
-        rr = np.linalg.norm(np.atleast_2d(Y), axis=1)
+        rr = radius(np.atleast_2d(Y))
         return np.maximum(ell(np.maximum(rr, 1e-300), alpha) - offset, 0.0)
 
-    return FieldFunction(
-        evaluate=evaluate,
-        breakpoints=_radial_breaks([rho, RHO0]),
-    )
+    return FieldFunction(evaluate=evaluate, kinks=sphere_kinks([rho, RHO0]))
 
 
 def exponential_field(alpha):

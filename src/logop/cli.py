@@ -116,8 +116,7 @@ _QUADRATURE = dataclasses.fields(nonlocal_eval.QuadratureConfig)
 def _parse_quadrature(values, where="quadrature"):
     """A QuadratureConfig from the JSON quadrature object or the eval flags
     given: each of its fields, read with the type of the field's default;
-    one left out (or no object at all) keeps that default."""
-    values = {} if values is None else values
+    one left out keeps that default."""
     _check_keys(values, where, {f.name for f in _QUADRATURE})
     with _config_errors(where):
         return nonlocal_eval.QuadratureConfig(**{
@@ -137,8 +136,8 @@ def _parse_problem(cfg, where="config"):
         if "kernel" in op:
             kernel = kernels.kernel_from_name(op["kernel"], N=domain.N)
         shift = 0.0
-        pert = cfg.get("perturbation")
-        if pert is not None:
+        if "perturbation" in cfg:
+            pert = cfg["perturbation"]
             _check_keys(pert, "perturbation", {"name", "c"}, {"name"})
             if pert["name"] == "identity":
                 shift = float(pert.get("c", 0.0))
@@ -148,7 +147,7 @@ def _parse_problem(cfg, where="config"):
         problem = solver.ProblemSpec(
             operator=op["name"], domain=domain, rhs=rhs, kernel=kernel, shift=shift
         )
-        quad = _parse_quadrature(cfg.get("quadrature"))
+        quad = _parse_quadrature(cfg.get("quadrature", {}))
         return problem, quad
 
 
@@ -320,7 +319,7 @@ def _cmd_verify(args):
         kwargs = {key: _lemma_param(key, doc[key]) for key in params if key in doc}
         if "K" in schema:
             kwargs["K"] = kernels.kernel_from_name(doc.get("kernel", "unit"), N=N)
-    quad = _parse_quadrature(doc.get("quadrature"))
+    quad = _parse_quadrature(doc.get("quadrature", {}))
 
     try:
         result = getattr(barriers, verifier)(cfg=quad, N=N, **kwargs)
@@ -337,7 +336,7 @@ def _cmd_torsion(args):
     _check_keys(doc, "torsion config",
                 {"R_list", "kernel", "N", "rhs", "nodes_across", "quadrature"},
                 {"R_list"})
-    quad = _parse_quadrature(doc.get("quadrature"))
+    quad = _parse_quadrature(doc.get("quadrature", {}))
     with _config_errors("torsion config"):
         N = int(doc.get("N", 1))
         template = solver.ProblemSpec(

@@ -261,7 +261,7 @@ def sinlog_kernel():
     """K(y) = 1 + sin(ln|y|)/2: bounded oscillatory sample, 0.5 <= K <= 1.5."""
 
     def evaluate(x, Y):
-        rho = np.linalg.norm(Y, axis=1)
+        rho = _quadrules.radius(Y)
         return 1.0 + 0.5 * np.sin(np.log(rho))
 
     return KernelSpec(evaluate=evaluate, lam=0.5, Lam=1.5, name="sinlog")
@@ -284,7 +284,7 @@ def schrodinger_kernel(N):
     w1 = schrodinger_weight(1.0, N)
 
     def evaluate(x, Y):
-        rho = np.linalg.norm(Y, axis=1)
+        rho = _quadrules.radius(Y)
         return schrodinger_weight(np.maximum(rho, 1e-300), N)
 
     return KernelSpec(evaluate=evaluate, lam=w1, Lam=c, name="schrodinger")
@@ -300,7 +300,7 @@ def table_kernel(path):
         raise ValueError("table kernel values must be nonnegative")
 
     def evaluate(x, Y):
-        rho = np.linalg.norm(Y, axis=1)
+        rho = _quadrules.radius(Y)
         return np.interp(rho, knots, vals)
 
     inner = knots[(knots > 0) & (knots < 1)]
@@ -381,19 +381,13 @@ def _regularity_integral(K, z, w, n_radial, n_angular):
     if lo >= hi:
         return 0.0
     half = w / 2
-
-    def breaks(th):
-        out = _quadrules.sphere_crossings(half, th, 1.0)
-        out += _quadrules.sphere_crossings(-half, th, 1.0)
-        out += _quadrules.closest_approach(half, th)
-        out += _quadrules.closest_approach(-half, th)
-        return out + [RHO0]
-
-    xi, rho, wt = _quadrules.polar_rule(N, n_angular, lo, hi, n_radial, breaks)
+    # K(z +- w/2, xi +- w/2) is cut off outside the unit spheres around -+w/2
+    kinks = _quadrules.sphere_kinks([1.0], -half) + _quadrules.sphere_kinks([1.0], half)
+    xi, rho, wt = _quadrules.polar_rule(N, n_angular, lo, hi, n_radial, (RHO0,), kinks)
     xp = xi + half
     xm = xi - half
-    np_r = np.linalg.norm(xp, axis=1)
-    nm_r = np.linalg.norm(xm, axis=1)
+    np_r = _quadrules.radius(xp)
+    nm_r = _quadrules.radius(xm)
     kp = np.where(np_r < 1, K.evaluate(z + half, xp), 0.0)
     km = np.where(nm_r < 1, K.evaluate(z - half, xm), 0.0)
     with np.errstate(divide="ignore"):
@@ -477,7 +471,7 @@ class MollifiedKernel:
         return (1.0 - self.delta, 1.0, 1.0 + self.delta)
 
     def evaluate(self, Y):
-        rho = np.linalg.norm(np.atleast_2d(Y), axis=1)
+        rho = _quadrules.radius(np.atleast_2d(Y))
         raw = self.profile(rho)
         clamped = np.clip(raw, 0.0, self.base.Lam)
         return np.where(rho < 1.0, np.maximum(clamped, self.base.lam / 2), clamped)

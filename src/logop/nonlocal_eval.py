@@ -4,7 +4,7 @@ Every operator here integrates a difference quotient (u(x)-u(y))/|y-x|^N
 against a bounded kernel weight over a radial range; in polar coordinates
 around x the volume factor rho^(N-1) cancels all but drho/rho, so the
 canonical quadrature is composite Simpson in ln(rho) on panels aligned with
-decade boundaries and with the integrand's breakpoints (see _quadrules).
+decade boundaries and with the integrand's kinks and jumps (see _quadrules).
 
 Each operator is defined once, as an _Operator record: _operator builds
 those of L_K, the logarithmic Laplacian and the logarithmic Schrodinger
@@ -13,8 +13,11 @@ build theirs in place.  Every eval_* applies its record through _apply.
 
 Evaluation is organized around FieldFunction objects: the evaluate callable
 must be total on R^N and vectorized over (m, N) batches, and fields that know
-where their kinks and jumps live declare them through a breakpoints callback,
-which is what keeps indicator-type barriers integrable at full Simpson order.
+where their kinks and jumps live declare them as spheres and planes
+(_quadrules.Kinks), which is what keeps indicator-type barriers integrable at
+full Simpson order.  _polar_sum turns the declarations into every ray's
+breaks in one pass, then builds and integrates the rule a block of rays at a
+time (see _BLOCK_NODES).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _quadrules, geometry, kernels
+from ._quadrules import Kinks, radius, sphere_kinks
 from .logmod import RHO0, ell
 
 __all__ = [
@@ -49,6 +53,15 @@ __all__ = [
     "eval_remainder",
     "sector_integral",
 ]
+
+# Quadrature nodes per block of rays in _polar_sum.  A block's arrays (64 KB
+# per column of 8192 doubles) are reused from the heap by the next block and
+# the next evaluation; the whole rule's arrays (~25 000 nodes in 2-D) were
+# returned to the system after each evaluation and faulted in afresh, ~200 000
+# minor page faults per verify-2d batch.  Blocks stay under the budget rather
+# than splitting it evenly: OpenBLAS threads a dot product of more than ~10^4
+# entries, and waking its threads for every block cost more than the block.
+_BLOCK_NODES = 8192
 
 
 @dataclass(frozen=True)
@@ -89,33 +102,16 @@ class FieldFunction:
     """An evaluable scalar field on R^N.
 
     support_radius None means the field is not compactly supported (such
-    fields cannot appear under the far-field convolution).  breakpoints, when
-    given, maps a quadrature base point and ray direction to the list of ray
-    parameters where the field has a kink or jump.
+    fields cannot appear under the far-field convolution).  kinks declares
+    where the field has kinks or jumps, as spheres (with their centres) and
+    axis planes; every quadrature ray around a base point gets a panel edge
+    where it crosses one of them or passes closest to a sphere's centre.
+    A field that declares none is integrated on decade panels alone.
     """
 
     evaluate: callable
     support_radius: float | None = None
-    breakpoints: callable | None = None
-
-    def ray_breaks(self, x, theta):
-        if self.breakpoints is None:
-            return []
-        return list(self.breakpoints(x, theta))
-
-
-def _radial_breaks(radii):
-    """Ray breakpoints: the closest approach to the origin and the crossings
-    of the spheres of the given radii."""
-    radii = tuple(radii)
-
-    def breaks(x, theta):
-        out = _quadrules.closest_approach(x, theta)
-        for R in radii:
-            out += _quadrules.sphere_crossings(x, theta, R)
-        return out
-
-    return breaks
+    kinks: Kinks = Kinks()
 
 
 def const_field(value=1.0):
@@ -137,14 +133,14 @@ def linear_field(coef=None):
 
 def quadratic_field():
     """u(y) = |y|^2."""
-    return FieldFunction(evaluate=lambda Y: np.sum(np.atleast_2d(Y) ** 2, axis=1))
+    return FieldFunction(evaluate=lambda Y: radius(np.atleast_2d(Y), squared=True))
 
 
 def gaussian_field(sigma=math.sqrt(0.5)):
     """u(y) = exp(-|y|^2 / (2 sigma^2)); default sigma gives exp(-|y|^2)."""
     s2 = 2.0 * float(sigma) ** 2
     return FieldFunction(
-        evaluate=lambda Y: np.exp(-np.sum(np.atleast_2d(Y) ** 2, axis=1) / s2),
+        evaluate=lambda Y: np.exp(-radius(np.atleast_2d(Y), squared=True) / s2),
         support_radius=40.0 * float(sigma),
     )
 
@@ -154,13 +150,10 @@ def ell_profile_field(alpha):
     a = float(alpha)
 
     def evaluate(Y):
-        rho = np.linalg.norm(np.atleast_2d(Y), axis=1)
+        rho = radius(np.atleast_2d(Y))
         return ell(np.maximum(rho, 1e-300), a)
 
-    return FieldFunction(
-        evaluate=evaluate,
-        breakpoints=_radial_breaks([RHO0]),
-    )
+    return FieldFunction(evaluate=evaluate, kinks=sphere_kinks([RHO0]))
 
 
 def shell_field(a, b):
@@ -170,13 +163,13 @@ def shell_field(a, b):
         raise ValueError("need 0 <= a < b")
 
     def evaluate(Y):
-        rho = np.linalg.norm(np.atleast_2d(Y), axis=1)
+        rho = radius(np.atleast_2d(Y))
         return np.where((rho >= a) & (rho <= b), 1.0, 0.0)
 
     return FieldFunction(
         evaluate=evaluate,
         support_radius=b,
-        breakpoints=_radial_breaks([a, b] if a > 0 else [b]),
+        kinks=sphere_kinks([a, b] if a > 0 else [b]),
     )
 
 
@@ -193,24 +186,12 @@ def box_field(lo, hi):
         inside = np.all((Y >= lo) & (Y <= hi), axis=1)
         return np.where(inside, 1.0, 0.0)
 
-    def breaks(x, theta):
-        # ray-parameter values where x + t*theta crosses a face plane
-        x = np.asarray(x, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        out = []
-        for ax in range(len(lo)):
-            if theta[ax] != 0.0:
-                for plane in (lo[ax], hi[ax]):
-                    t = (plane - x[ax]) / theta[ax]
-                    if t > 0:
-                        out.append(float(t))
-        return out
-
     corners = np.array(np.meshgrid(*zip(lo, hi))).T.reshape(-1, len(lo))
+    faces = tuple((ax, float(v)) for ax in range(len(lo)) for v in (lo[ax], hi[ax]))
     return FieldFunction(
         evaluate=evaluate,
-        support_radius=float(np.max(np.linalg.norm(corners, axis=1))),
-        breakpoints=breaks,
+        support_radius=float(np.max(radius(corners))),
+        kinks=Kinks(planes=faces),
     )
 
 
@@ -225,15 +206,10 @@ def field_sum(terms):
             out += c * f.evaluate(Y)
         return out
 
-    def breaks(x, theta):
-        out = []
-        for _, f in terms:
-            out += f.ray_breaks(x, theta)
-        return out
-
     supports = [f.support_radius for _, f in terms]
     support = None if any(s is None for s in supports) else max(supports)
-    return FieldFunction(evaluate=evaluate, support_radius=support, breakpoints=breaks)
+    kinks = sum((f.kinks for _, f in terms), Kinks())
+    return FieldFunction(evaluate=evaluate, support_radius=support, kinks=kinks)
 
 
 def shift_field(f, x0):
@@ -243,17 +219,10 @@ def shift_field(f, x0):
     def evaluate(Y):
         return f.evaluate(np.atleast_2d(Y) + x0)
 
-    def breaks(x, theta):
-        return f.ray_breaks(np.asarray(x, dtype=float) + x0, theta)
-
     support = None
     if f.support_radius is not None:
         support = f.support_radius + float(np.linalg.norm(x0))
-    return FieldFunction(
-        evaluate=evaluate,
-        support_radius=support,
-        breakpoints=breaks,
-    )
+    return FieldFunction(evaluate=evaluate, support_radius=support, kinks=f.kinks.shifted(x0))
 
 
 def grid_field(u):
@@ -360,18 +329,33 @@ def _operator(name, N, r_min, reach, K=None):
     raise ValueError(f"unknown operator {name!r}")
 
 
-def _polar_sum(x, N, cfg, level, lo, hi, integrand, breaks_for_ray):
+def _polar_sum(x, N, cfg, level, lo, hi, integrand, kinks, radii):
     """Polar quadrature around x over radii [lo, hi]: dot(w, integrand(Z,
-    rho, Y)) with the offsets Z, radii rho and weights w of
-    _quadrules.polar_rule for every ray at once and the points Y = x + Z.
+    rho, Y)) with the offsets Z, radii rho and weights w of the polar rule
+    (_quadrules.polar_rule) and the points Y = x + Z, its rays broken at the
+    given radii and where they meet the field's kinks.
 
-    The integrand is called once per evaluation with all Q nodes; it returns
-    the Q values of f(Y) whose integral against |Y - x|^(-N) dY is wanted.
-    level scales the radial and angular node counts of cfg."""
+    The breaks and panel edges of every ray are computed in one pass.  The
+    Q nodes of the M rays are then built and integrated in blocks of nearly
+    equal ray counts, each of at most floor(_BLOCK_NODES * M / Q) rays (so
+    about _BLOCK_NODES nodes, or one ray when a ray alone has more), and
+    the blocks' sums are added.  The integrand is called once per block; it
+    returns the values of f(Y) whose integral against |Y - x|^(-N) dY is
+    wanted.  level scales the radial and angular node counts of cfg."""
     n_ang = max(4, int(round(cfg.n_angular * level)))
     n_rad = max(2, int(round(cfg.n_radial * level)))
-    Z, rho, w = _quadrules.polar_rule(N, n_ang, lo, hi, n_rad, breaks_for_ray)
-    return float(np.dot(w, integrand(Z, rho, x + Z)))
+    thetas, ang_w = _quadrules.unit_directions(N, n_ang)
+    breaks = _quadrules.ray_breaks(x, thetas, kinks, radii)
+    edges = _quadrules.panel_edges(lo, hi, breaks)
+    M = len(thetas)
+    per_block = max(1, _BLOCK_NODES * M // int(_quadrules.ray_nodes(edges, n_rad).sum()))
+    blocks = -(-M // per_block)
+    total = 0.0
+    for k in range(blocks):
+        rays = slice(k * M // blocks, (k + 1) * M // blocks)
+        Z, rho, w = _quadrules.polar_nodes(thetas[rays], ang_w[rays], edges[rays], n_rad)
+        total += float(np.dot(w, integrand(Z, rho, x + Z)))
+    return total
 
 
 def _apply(op, u, x, cfg, return_estimate):
@@ -379,9 +363,6 @@ def _apply(op, u, x, cfg, return_estimate):
     return_estimate, also |value - value at half the node counts|."""
     N = len(x)
     ux = float(u.evaluate(x[None, :])[0])
-
-    def breaks(th):
-        return u.ray_breaks(x, th) + list(op.breaks)
 
     def integrand(carry):
         def f(Z, rho, Y):
@@ -393,7 +374,7 @@ def _apply(op, u, x, cfg, return_estimate):
         total = 0.0
         for lo, hi, carries in op.ranges():
             f = integrand(ux if carries else 0.0)
-            total += _polar_sum(x, N, cfg, level, lo, hi, f, breaks)
+            total += _polar_sum(x, N, cfg, level, lo, hi, f, u.kinks, op.breaks)
         return op.scale * total + op.const * ux
 
     level = float(cfg.node_factor())

@@ -237,7 +237,7 @@ def assemble(problem, grid, cfg):
     op = nonlocal_eval._operator(problem.operator, N, cfg.r_min, reach, problem.kernel)
     ranges = op.ranges()
     rules = [
-        _quadrules.polar_rule(N, n_ang, lo, hi, n_rad, lambda th: op.breaks)
+        _quadrules.polar_rule(N, n_ang, lo, hi, n_rad, op.breaks)
         for lo, hi, _ in ranges
     ]
     offs, rho, w = (np.concatenate(part) for part in zip(*rules))

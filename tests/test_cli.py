@@ -131,6 +131,9 @@ _BAD_SOLVE_CONFIGS = {
     "radius": {"domain": {"type": "ball", "center": [0.0, 0.0], "radius": -1}},
     **{f"{key}-null": {"quadrature": {key: None}}
        for key in ("n_radial", "n_angular", "r_min", "mode")},
+    # a null object is not an absent one
+    "quadrature-null": {"quadrature": None},
+    "perturbation-null": {"perturbation": None},
 }
 
 

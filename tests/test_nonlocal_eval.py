@@ -381,9 +381,76 @@ def test_grid_field_wraps_interpolant():
 # ---------------------------------------------------------------------------
 
 
+def _per_ray_panel_edges(lo, hi, breakpoints=()):
+    # the per-ray panel_edges that the vectorized one replaced
+    if not lo < hi:
+        raise ValueError("empty radial range")
+    edges = {lo, hi}
+    k = math.ceil(math.log10(lo) + 1e-12)
+    while 10.0 ** k < hi * (1 - 1e-12):
+        if 10.0 ** k > lo * (1 + 1e-12):
+            edges.add(10.0 ** k)
+        k += 1
+    for b in breakpoints:
+        if lo * (1 + 1e-10) < b < hi * (1 - 1e-10):
+            edges.add(float(b))
+    out = sorted(edges)
+    merged = [out[0]]
+    for e in out[1:]:
+        if e > merged[-1] * (1 + 1e-10):
+            merged.append(e)
+    if len(merged) == 1:
+        return [lo, hi]
+    merged[-1] = hi
+    return merged
+
+
+def _sphere_crossings(x, theta, radius):
+    # positive ray parameters rho with |x + rho*theta| = radius
+    b = float(np.dot(x, theta))
+    c = float(np.dot(x, x)) - radius * radius
+    disc = b * b - c
+    if disc < 0:
+        return []
+    root = math.sqrt(disc)
+    return [t for t in (-b - root, -b + root) if t > 0]
+
+
+def _closest_approach(x, theta):
+    # ray parameter of the point closest to the origin, if ahead of x
+    t = -float(np.dot(x, theta))
+    return [t] if t > 0 else []
+
+
+def _plane_crossings(x, theta, axis, offset):
+    # the ray parameter where x + t*theta crosses the plane y[axis] = offset
+    if theta[axis] == 0.0:
+        return []
+    t = (offset - x[axis]) / theta[axis]
+    return [float(t)] if t > 0 else []
+
+
+def _per_ray_breaks(x, theta, kinks=_quadrules.Kinks(), radii=()):
+    # the breaks of one ray from the per-ray formulas the break closures used
+    x = np.asarray(x, dtype=float)
+    out = list(radii)
+    centres = {c or (0.0,) * len(x) for c, _ in kinks.spheres}
+    for c in centres:
+        out += _closest_approach(x - np.array(c), theta)
+    for c, R in kinks.spheres:
+        out += _sphere_crossings(x - np.array(c or (0.0,) * len(x)), theta, R)
+    for axis, offset in kinks.planes:
+        out += _plane_crossings(x, theta, axis, offset)
+    return sorted(out)
+
+
+def _row(breaks):
+    return sorted(b for b in breaks if b < np.inf)
+
+
 def _linspace_radial_rule(lo, hi, n_per_decade, breakpoints=()):
     # the per-panel construction polar_rule replaced: one linspace per panel
-    edges = _quadrules.panel_edges(lo, hi, breakpoints)
+    edges = _per_ray_panel_edges(lo, hi, breakpoints)
     rhos, wts = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         sa, sb = math.log(a), math.log(b)
@@ -398,51 +465,123 @@ def _linspace_radial_rule(lo, hi, n_per_decade, breakpoints=()):
     return np.concatenate(rhos), np.concatenate(wts)
 
 
-def _per_ray_polar_rule(N, n_angular, lo, hi, n_per_decade, breaks_for_ray):
+def _per_ray_polar_rule(N, n_angular, lo, hi, n_per_decade, radii=(),
+                        kinks=_quadrules.Kinks()):
     thetas, ang_w = _quadrules.unit_directions(N, n_angular)
     Z, rho, w = [], [], []
     for th, aw in zip(thetas, ang_w):
-        r, wr = _linspace_radial_rule(lo, hi, n_per_decade, breaks_for_ray(th))
+        breaks = _per_ray_breaks(np.zeros(N), th, kinks, radii)
+        r, wr = _linspace_radial_rule(lo, hi, n_per_decade, breaks)
         Z.append(r[:, None] * th)
         rho.append(r)
         w.append(aw * wr)
     return np.concatenate(Z), np.concatenate(rho), np.concatenate(w)
 
 
-def _per_ray_polar_sum(x, N, cfg, level, lo, hi, integrand, breaks_for_ray):
+def _per_ray_polar_sum(x, N, cfg, level, lo, hi, integrand, kinks, radii):
     # one radial rule and one integrand call per ray, summed ray by ray
     n_ang = max(4, int(round(cfg.n_angular * level)))
     n_rad = max(2, int(round(cfg.n_radial * level)))
     thetas, ang_w = _quadrules.unit_directions(N, n_ang)
     total = 0.0
     for th, aw in zip(thetas, ang_w):
-        rho, w = _linspace_radial_rule(lo, hi, n_rad, breaks_for_ray(th))
+        breaks = _per_ray_breaks(x, th, kinks, radii)
+        rho, w = _linspace_radial_rule(lo, hi, n_rad, breaks)
         Z = rho[:, None] * th
         total += aw * float(np.sum(w * integrand(Z, rho, x + Z)))
     return total
 
 
-# breaks on decade edges, just off them, and within 1e-10 of each other
-_COLLIDING = [1e-2, 1e-2 * (1 + 1e-11), 0.1 * (1 - 1e-11), 0.3, 0.3 * (1 + 5e-11), 1e-6]
+_UNIT_SPHERE = _quadrules.sphere_kinks([1.0])
+
+
+@pytest.mark.parametrize(
+    "x, theta, want",
+    [
+        ((-2.0, 1.0), (1.0, 0.0), [2.0, 2.0, 2.0]),  # tangent: both roots and the approach
+        ((0.5, 0.0), (-1.0, 0.0), [0.5, 1.5]),       # through the centre
+        ((1.0, 0.0), (-1.0, 0.0), [1.0, 2.0]),       # from a point on the sphere
+        ((0.6, 0.8), (0.0, -1.0), [0.8, 1.6]),
+        ((0.0, 0.0), (0.6, 0.8), [1.0]),             # from the centre
+        ((3.0, 0.0), (0.0, 1.0), []),                # a miss, x itself closest
+    ],
+)
+def test_ray_breaks_on_special_rays(x, theta, want):
+    x, theta = np.array(x), np.array(theta)
+    got = _quadrules.ray_breaks(x, theta[None, :], _UNIT_SPHERE)
+    assert _row(got[0]) == want == _per_ray_breaks(x, theta, _UNIT_SPHERE)
+
+
+def test_ray_breaks_on_planes_parallel_to_the_ray():
+    box = box_field([0.2, -0.5], [0.7, 0.5])
+    thetas = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+    got = _quadrules.ray_breaks(np.zeros(2), thetas, box.kinks)
+    assert [_row(r) for r in got] == [[0.2, 0.7], [], [0.5]]
+    for th, row in zip(thetas, got):
+        assert _row(row) == _per_ray_breaks(np.zeros(2), th, box.kinks)
+
+
+_KINK_FIELDS = {
+    "ell_profile": lambda N: make_field("ell_profile(0.5)"),
+    "shell": lambda N: shell_field(0.1, 0.4),
+    "box": lambda N: box_field([-0.3] * N, [0.2] * N),
+    "composite": lambda N: composite_barrier_field(0.05, 0.5, gain_shell(0.05, 0.5, N)[0]),
+    "shifted-sum": lambda N: shift_field(
+        field_sum([(1.0, box_field([0.1] * N, [0.3] * N)),
+                   (2.0, shift_field(shell_field(0.05, 0.2), [0.1] * N))]),
+        [-0.05, 0.15][:N],
+    ),
+}
+
+
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("case", list(_KINK_FIELDS))
+def test_ray_breaks_match_per_ray_formulas(case, N):
+    u = _KINK_FIELDS[case](N)
+    rng = np.random.default_rng(3)
+    thetas, _ = _quadrules.unit_directions(N, 16)
+    thetas = np.concatenate([thetas, rng.normal(size=(16, N))])
+    for x in rng.uniform(-0.5, 0.5, size=(6, N)):
+        got = _quadrules.ray_breaks(x, thetas, u.kinks, (0.3, 1e-3))
+        for th, row in zip(thetas, got):
+            # the same arithmetic as the per-ray formulas, to the bit
+            assert _row(row) == _per_ray_breaks(x, th, u.kinks, (0.3, 1e-3))
+
+
+def test_composed_kinks_are_those_of_the_parts():
+    # field_sum breaks a ray where any term does; shift_field where the
+    # unshifted field breaks the ray from the shifted base point
+    N, x0, x = 2, np.array([0.2, -0.1]), np.array([0.05, 0.3])
+    f, g = shell_field(0.1, 0.3), box_field([0.0, 0.0], [0.2, 0.4])
+    thetas, _ = _quadrules.unit_directions(N, 16)
+    total = field_sum([(1.0, f), (-1.0, shift_field(g, x0))])
+    got = _quadrules.ray_breaks(x, thetas, total.kinks)
+    for th, row in zip(thetas, got):
+        want = sorted(_per_ray_breaks(x, th, f.kinks) + _per_ray_breaks(x + x0, th, g.kinks))
+        np.testing.assert_allclose(_row(row), want, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("N", [1, 2])
 def test_polar_rule_matches_per_ray_radial_rules(N):
-    def breaks(th):
-        # a break that moves with the ray, on half the rays only
-        return _COLLIDING + ([0.05 / (th[0] + 0.1)] if th[0] > 0 else [])
-
+    # breaks on decade edges, just off them, and within 1e-10 of each other,
+    # plus breaks that move with the ray: a plane crossed by half the rays and
+    # an off-centre sphere
+    radii = (1e-2, 1e-2 * (1 + 1e-11), 0.1 * (1 - 1e-11), 0.3, 0.3 * (1 + 5e-11), 1e-6)
+    kinks = _quadrules.Kinks(
+        spheres=(((0.3,) + (0.0,) * (N - 1), 0.2),), planes=((0, 0.05),)
+    )
     lo, hi, n_ang, n_rad = 1e-12, 1.0, 16, 128
-    Z, rho, w = _quadrules.polar_rule(N, n_ang, lo, hi, n_rad, breaks)
+    Z, rho, w = _quadrules.polar_rule(N, n_ang, lo, hi, n_rad, radii, kinks)
     thetas, ang_w = _quadrules.unit_directions(N, n_ang)
-    rules = [_quadrules.radial_rule(lo, hi, n_rad, breaks(th)) for th in thetas]
+    breaks = _quadrules.ray_breaks(np.zeros(N), thetas, kinks, radii)
+    rules = [_quadrules.radial_rule(lo, hi, n_rad, row) for row in breaks]
     concatenated = (
         np.concatenate([r[:, None] * th for (r, _), th in zip(rules, thetas)]),
         np.concatenate([r for r, _ in rules]),
         np.concatenate([aw * wr for (_, wr), aw in zip(rules, ang_w)]),
     )
     assert len({len(r) for r, _ in rules}) > 1
-    for ref in (concatenated, _per_ray_polar_rule(N, n_ang, lo, hi, n_rad, breaks)):
+    for ref in (concatenated, _per_ray_polar_rule(N, n_ang, lo, hi, n_rad, radii, kinks)):
         for got, want in zip((Z, rho, w), ref):
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
@@ -450,12 +589,81 @@ def test_polar_rule_matches_per_ray_radial_rules(N):
     assert np.sum(w) == pytest.approx(np.sum(ang_w) * math.log(hi / lo), rel=1e-13)
 
 
+def test_panel_edges_merge_chains_as_the_per_ray_edges_do():
+    # each break within 1e-10 of the one before: the per-ray merge keeps every
+    # second one, since it compares with the last edge kept
+    chain = [0.2 * (1 + 0.6e-10) ** k for k in range(6)]
+    breaks = [chain, chain[1:], [0.5, 0.5, 0.5 * (1 + 2e-10)], []]
+    rows = [b + [np.inf] * (6 - len(b)) for b in breaks]
+    edges = _quadrules.panel_edges(1e-3, 1.0, rows)
+    for row, b in zip(edges, breaks):
+        assert _row(row) == _per_ray_panel_edges(1e-3, 1.0, b)
+
+
 def test_panel_edges_keep_one_panel_when_hi_collides_with_lo():
     # hi within the 1e-10 merge tolerance of lo still spans one panel
-    assert _quadrules.panel_edges(1.0, 1.0 + 1e-11) == [1.0, 1.0 + 1e-11]
+    assert _quadrules.panel_edges(1.0, 1.0 + 1e-11).tolist() == [[1.0, 1.0 + 1e-11]]
     rho, w = _quadrules.radial_rule(1.0, 1.0 + 1e-11, 128)
     assert np.all((rho > 1.0) & (rho < 1.0 + 1e-11))
     assert np.sum(w) == pytest.approx(math.log1p(1e-11), rel=1e-4)
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_radius_is_the_row_norm(N):
+    Y = np.random.default_rng(5).normal(size=(1000, N)) * np.logspace(-150, 150, 1000)[:, None]
+    assert np.array_equal(_quadrules.radius(Y), np.linalg.norm(Y, axis=1))
+    assert np.array_equal(_quadrules.radius(Y, squared=True), np.sum(Y ** 2, axis=1))
+
+
+# ---------------------------------------------------------------------------
+# _polar_sum in blocks of rays against one block
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "N, cfg, level, blocks",
+    [
+        (1, FAST, 1.0, 1),
+        (2, FAST, 1.0, 4),
+        (2, FAST, 0.5, 1),  # the half level of return_estimate
+        (2, ORACLE, 4.0, 64),  # 64 rays of ~6200 nodes: one per block
+        # every ray has more nodes than a block: one ray per block
+        (1, QuadratureConfig(n_radial=1024), 1.0, 2),
+        (2, QuadratureConfig(n_radial=1024), 1.0, 16),
+    ],
+    ids=["1d", "2d", "2d-half", "2d-oracle", "1d-long-rays", "2d-long-rays"],
+)
+def test_blocked_polar_sum_matches_one_block(N, cfg, level, blocks, monkeypatch):
+    u = composite_barrier_field(0.05, 0.5, gain_shell(0.05, 1.0, N)[0])
+    x = sample_annulus(3, N, 0.0, 0.005)[2]
+    K = sinlog_kernel()
+    ux = float(u.evaluate(x[None, :])[0])
+    sizes = []
+
+    def integrand(Z, rho, Y):
+        sizes.append(len(rho))
+        return (ux - u.evaluate(Y)) * K.evaluate(x, Z)
+
+    args = (x, N, cfg, level, cfg.r_min, 1.0, integrand, u.kinks, (0.3,))
+    value = nonlocal_eval._polar_sum(*args)
+    blocked, sizes[:] = sizes[:], []
+    monkeypatch.setattr(nonlocal_eval, "_BLOCK_NODES", 10 ** 12)
+    assert nonlocal_eval._polar_sum(*args) == pytest.approx(value, rel=1e-13)
+    assert len(sizes) == 1 and sum(blocked) == sizes[0]
+    assert len(blocked) == blocks
+    # blocks of whole rays, each within the budget unless one ray exceeds it
+    rays = len(_quadrules.unit_directions(N, round(cfg.n_angular * level))[0])
+    assert max(blocked) <= 8192 or blocks == rays
+
+
+def test_blocked_estimate_matches_one_block(monkeypatch):
+    u = composite_barrier_field(0.05, 0.5, gain_shell(0.05, 1.0, 2)[0])
+    x = sample_annulus(3, 2, 0.0, 0.005)[2]
+    value, est = eval_LK(sinlog_kernel(), u, x, FAST, return_estimate=True)
+    monkeypatch.setattr(nonlocal_eval, "_BLOCK_NODES", 10 ** 12)
+    ref, ref_est = eval_LK(sinlog_kernel(), u, x, FAST, return_estimate=True)
+    assert value == pytest.approx(ref, rel=1e-13)
+    assert abs(est - ref_est) <= 1e-13 * abs(ref)
 
 
 _BARRIER_CASES = {

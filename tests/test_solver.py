@@ -169,9 +169,7 @@ def test_assembly_rejects_nonfinite_xdependent_kernel():
 def _difference_per_node(K, grid, cfg, hi):
     # the per-node scatter loop that the lattice projection replaced
     n_ang, n_rad = cfg.node_counts()
-    offs, _, w = polar_rule(
-        grid.domain.N, n_ang, cfg.r_min, hi, n_rad, lambda th: K.radial_breakpoints
-    )
+    offs, _, w = polar_rule(grid.domain.N, n_ang, cfg.r_min, hi, n_rad, K.radial_breakpoints)
     A = np.zeros((grid.n, grid.n))
     for i, x in enumerate(grid.nodes):
         wk = w * K.evaluate(x, offs)
@@ -186,7 +184,7 @@ def _farfield_per_node(grid, cfg):
     # the per-node scatter loop that the far-field projection replaced
     r_out = max(grid.domain.max_reach(x) for x in grid.nodes)
     n_ang, n_rad = cfg.node_counts()
-    offs, _, w = polar_rule(grid.domain.N, n_ang, 1.0, r_out, n_rad, lambda th: ())
+    offs, _, w = polar_rule(grid.domain.N, n_ang, 1.0, r_out, n_rad)
     A = np.zeros((grid.n, grid.n))
     for i, x in enumerate(grid.nodes):
         idx, sw = scatter_weights(grid, x + offs)
