@@ -13,8 +13,11 @@ fields and verifiers), `cli` (batch front end, installed as `logop`).
 
 LOGOP_THREADS, when set, caps the BLAS thread pools: it is copied into the
 OpenBLAS/OpenMP/MKL thread variables (unless those are set already) before
-numpy is imported, because the pools are sized when numpy loads.  It has no
-effect if numpy was imported before logop.
+numpy is imported, because a pool is sized when its library loads.  numpy's
+pool is not capped if numpy was imported before logop.  The factorizations
+use scipy's bundled OpenBLAS, which loads at the first factorization (see
+`solver`), so its pool is capped unless scipy.linalg was imported before
+logop.
 """
 
 import os as _os

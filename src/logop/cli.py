@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -423,6 +424,7 @@ def _cmd_converge(args):
 # --------------------------------------------------------------------------
 
 
+@functools.cache  # built once per process; parse_args does not change it
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="logop",

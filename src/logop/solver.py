@@ -25,20 +25,26 @@ A StiffnessMatrix is factored once: its LU factorization, condition estimate
 and smallest singular value are computed on the first solve and kept, so
 every later right-hand side costs one pair of triangular solves, the
 residual and the maximum-principle audit.
+
+scipy.linalg (LAPACK) is loaded on the first factorization, triangular
+solve or condition estimate, not when this module is imported: the
+pointwise evaluators and the barrier verifiers (`eval`, `verify`,
+`constants`) never load it, and the first solve in a process pays the
+~0.2 s load (its `factor_s` includes it).
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import os
+import sys
 import time
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import lapack
 
 from . import _quadrules, geometry, kernels, nonlocal_eval
 from .geometry import Grid, GridFunction
@@ -63,6 +69,33 @@ SWEEP_MAX_SOLVES = 500
 SIGMA_MIN_RTOL = 1e-13  # relative change of sigma that ends the inverse iteration
 DENSE_BYTES_PER_ENTRY = 16  # float64 matrix plus the LU factorization's copy
 _OPERATORS = ("generic", "loglap", "schrodinger")
+
+
+def _lazy_import(name):
+    """The module `name`, executed on its first attribute access.
+
+    It is registered in sys.modules (and on its parent package), so a later
+    `import name` anywhere gets this same object; a missing module raises
+    ModuleNotFoundError here, not at first use.
+    """
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    parent, _, child = name.rpartition(".")
+    setattr(sys.modules[parent], child, module)
+    return module
+
+
+# a module attribute, not a local import: perfbench's tracer and the tests
+# patch `solver.sla`
+sla = _lazy_import("scipy.linalg")
 
 
 @dataclass(frozen=True)
@@ -141,7 +174,7 @@ class StiffnessMatrix:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             lu_piv = sla.lu_factor(A)
-        rcond, info = lapack.dgecon(lu_piv[0], anorm, norm="1")
+        rcond, info = sla.lapack.dgecon(lu_piv[0], anorm, norm="1")
         t1 = time.perf_counter()
         sigma, null_vec = _sigma_min_estimate(lu_piv, self.n)
         return _Factors(

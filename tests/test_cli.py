@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from logop import barriers, nonlocal_eval, solver
+from logop import barriers, cli, nonlocal_eval, solver
 from logop.cli import main
 from logop.geometry import Domain, build_grid
 from logop.kernels import unit_kernel
@@ -159,6 +159,30 @@ def test_bad_flag_or_config_value_is_usage_error(capsys, tmp_path, argv):
     code, _, err = _run(capsys, *argv)
     assert code == 2
     assert "config error" in err
+
+
+def test_one_parser_serves_every_call(capsys):
+    # main builds its parser once per process; no call may see an earlier one
+    runs = [
+        ["eval", "--op", "LK", "--bogus"],
+        ["eval", "--op", "LK", "--field", "gaussian(0.5)", "--x", "0.1"],
+        ["verify", "--lemma", "sector", "--config", str(CONFIGS / "verify_sector.json")],
+        ["constants", "--N", "2"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        return code, capsys.readouterr().out
+
+    first = []
+    for argv in runs:
+        cli._build_parser.cache_clear()
+        first.append(run(argv))
+    assert [code for code, _ in first] == [2, 0, 0, 0]
+    assert [run(argv) for argv in runs] == first
 
 
 # ---------------------------------------------------------------------------
@@ -570,33 +594,73 @@ def test_converge_needs_three_levels(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.skipif(
-    not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task"
-)
-def test_logop_threads_caps_blas_pool():
+def _python(script, **env_vars):
+    """Run `script` in a fresh interpreter that imports the logop these tests
+    import, installed or not; returns the finished process."""
     env = {
         k: v
         for k, v in os.environ.items()
         if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
     }
-    env["LOGOP_THREADS"] = "1"
-    # the child imports the logop these tests import, installed or not
+    env.update(env_vars)
     src = os.path.dirname(os.path.dirname(barriers.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    script = (
-        "import os, logop, numpy as np\n"
-        "a = np.ones((400, 400)); a @ a\n"
-        "print(len(os.listdir('/proc/self/task')))\n"
-    )
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", script],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task"
+)
+def test_logop_threads_caps_blas_pool():
+    # scipy's bundled OpenBLAS starts its pool at the first factorization
+    script = (
+        "import os, logop, numpy as np\n"
+        "a = np.ones((400, 400)); a @ a\n"
+        "logop.solver.sla.lu_factor(a + 400 * np.eye(400))\n"
+        "print(len(os.listdir('/proc/self/task')))\n"
+    )
+    proc = _python(script, LOGOP_THREADS="1")
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) == 1
+
+
+def test_eval_and_verify_never_load_lapack(tmp_path):
+    script = f"""
+import json, sys
+from logop import cli, solver
+argv = [["eval", "--op", "LK", "--field", "gaussian(0.5)", "--x", "0.1"],
+        ["verify", "--lemma", "sector", "--config", {str(CONFIGS / "verify_sector.json")!r}]]
+codes = [cli.main(a) for a in argv]
+before = "scipy.linalg._flapack" in sys.modules
+codes.append(cli.main(["solve", "--config", {str(CONFIGS / "solve_interval.json")!r},
+                       "--out", {str(tmp_path / "u.csv")!r},
+                       "--report", {str(tmp_path / "r.json")!r}]))
+print(json.dumps([codes, before, "scipy.linalg._flapack" in sys.modules,
+                  solver.sla is sys.modules["scipy.linalg"]]))
+"""
+    proc = _python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0], False, True, True]
+
+
+def test_import_without_scipy_fails_at_import():
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "try:\n"
+        "    import logop\n"
+        "except ModuleNotFoundError as e:\n"
+        "    print(e.name)\n"
+    )
+    proc = _python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split(".")[0].strip() == "scipy"
 
 
 # ---------------------------------------------------------------------------
