@@ -5,7 +5,7 @@ The package evaluates singular integral operators whose kernels scale like
 associated Dirichlet problems by collocation, and numerically verifies the
 barrier constructions that drive their log-Hoelder regularity theory.
 
-Layout: `logmod` (the truncated log modulus, seminorms, exponent fits),
+Layout: `logmod` (the truncated log modulus and exponent fits),
 `kernels` (special functions, kernel catalog, mollification), `geometry`
 (domains and grids), `nonlocal_eval` (pointwise quadrature of the operators),
 `solver` (dense collocation solves and Fredholm probes), `barriers` (barrier
@@ -37,7 +37,7 @@ from .kernels import (
     mollify_kernel,
     schrodinger_weight,
 )
-from .logmod import RHO0, ell, fit_exponent, norm_X, norm_Y, seminorm_global
+from .logmod import RHO0, ell, fit_exponent
 from .nonlocal_eval import (
     FieldFunction,
     QuadratureConfig,
@@ -87,9 +87,6 @@ __all__ = [
     "RHO0",
     "ell",
     "fit_exponent",
-    "norm_X",
-    "norm_Y",
-    "seminorm_global",
     "FieldFunction",
     "QuadratureConfig",
     "eval_J_conv",

@@ -1,10 +1,11 @@
 """Bounded convex domains, boundary distance, lattice grids, multilinear interpolation.
 
-Shapes are deliberately restricted to interval / ball / box: all three are
-convex, Lipschitz, and satisfy a uniform exterior ball condition, so none of
-the boundary pathologies (re-entrant corners, cusps) can occur.  Grid
-functions carry the zero-exterior convention: a value is stored per interior
-node and every point outside the domain is implicitly zero.
+Shapes are deliberately restricted to ball and box (an interval is a 1-D
+box): both are convex, Lipschitz, and satisfy a uniform exterior ball
+condition, so none of the boundary pathologies (re-entrant corners, cusps)
+can occur.  Grid functions carry the zero-exterior convention: a value is
+stored per interior node and every point outside the domain is implicitly
+zero.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ __all__ = [
     "Grid",
     "GridFunction",
     "dist_to_boundary",
-    "exterior_ball_radius",
     "build_grid",
     "interpolate",
     "interpolate_many",
@@ -28,20 +28,14 @@ __all__ = [
 
 
 class Domain:
-    """A bounded convex domain: interval(a,b), ball(center,R) or box(lo,hi)."""
+    """A bounded convex domain: ball(center,R) or box(lo,hi); interval(a,b) is
+    the 1-D box [a, b]."""
 
     def __init__(self, shape, **params):
-        if shape not in ("interval", "ball", "box"):
+        if shape not in ("ball", "box"):
             raise ValueError(f"unknown domain shape {shape!r}")
         self.shape = shape
-        if shape == "interval":
-            a, b = float(params["a"]), float(params["b"])
-            if not a < b:
-                raise ValueError("interval requires a < b")
-            self.a, self.b = a, b
-            self.lo = np.array([a])
-            self.hi = np.array([b])
-        elif shape == "ball":
+        if shape == "ball":
             self.center_pt = np.atleast_1d(np.asarray(params["center"], dtype=float))
             self.radius = float(params["radius"])
             if self.radius <= 0:
@@ -61,7 +55,7 @@ class Domain:
 
     @classmethod
     def interval(cls, a, b):
-        return cls("interval", a=a, b=b)
+        return cls("box", lo=[a], hi=[b])
 
     @classmethod
     def ball(cls, center, radius):
@@ -110,8 +104,6 @@ class Domain:
 
     def boundary_point(self):
         """A canonical boundary point (used by regularity fits)."""
-        if self.shape == "interval":
-            return np.array([self.b])
         if self.shape == "ball":
             p = np.array(self.center_pt, dtype=float)
             p[0] += self.radius
@@ -121,8 +113,6 @@ class Domain:
         return p
 
     def __repr__(self):
-        if self.shape == "interval":
-            return f"Domain.interval({self.a}, {self.b})"
         if self.shape == "ball":
             return f"Domain.ball({self.center_pt.tolist()}, {self.radius})"
         return f"Domain.box({self.lo.tolist()}, {self.hi.tolist()})"
@@ -136,9 +126,7 @@ def dist_to_boundary(domain, x):
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = x[None, :] if single else x
-    if domain.shape == "interval":
-        d = np.minimum(np.abs(pts[:, 0] - domain.a), np.abs(pts[:, 0] - domain.b))
-    elif domain.shape == "ball":
+    if domain.shape == "ball":
         d = np.abs(domain.radius - np.linalg.norm(pts - domain.center_pt, axis=1))
     else:
         below = domain.lo - pts
@@ -148,15 +136,6 @@ def dist_to_boundary(domain, x):
         d_in = np.min(np.minimum(pts - domain.lo, domain.hi - pts), axis=1)
         d = np.where(d_out > 0, d_out, np.maximum(d_in, 0.0))
     return float(d[0]) if single else d
-
-
-def exterior_ball_radius(domain):
-    """Largest uniform exterior-ball radius.
-
-    Every shipped shape is convex, so an exterior half-space (a ball of any
-    radius) touches each boundary point; the radius is unbounded.
-    """
-    return math.inf
 
 
 @dataclass(frozen=True)

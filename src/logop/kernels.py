@@ -30,7 +30,6 @@ __all__ = [
     "digamma",
     "bessel_k_generic",
     "bessel_k1",
-    "bessel_k_half",
     "LogLapConstants",
     "loglap_constants",
     "schrodinger_weight",
@@ -99,17 +98,6 @@ def digamma(x):
         - inv2 * (1.0 / 12 - inv2 * (1.0 / 120 - inv2 * (1.0 / 252 - inv2 * tail)))
     )
     return acc + series
-
-
-def bessel_k_half(nu, r):
-    """Closed-form K_nu for nu in {1/2, 3/2}; vectorized in r > 0."""
-    r = np.asarray(r, dtype=float)
-    pref = np.sqrt(np.pi / (2 * r)) * np.exp(-r)
-    if nu == 0.5:
-        return pref
-    if nu == 1.5:
-        return pref * (1 + 1 / r)
-    raise ValueError("closed forms available for nu in {0.5, 1.5}")
 
 
 def bessel_k_generic(nu, r):
@@ -410,14 +398,14 @@ def check_one_regularity(K, pairs, quad):
     Radial jumps in y shift the disagreement window by |w| and contribute
     only O(|w|), which ell(|w|) absorbs; a kernel rough in x does blow up.
     """
-    n_rad = quad.node_counts()[1]
+    n_ang, n_rad = quad.node_counts()
     per_pair = []
     drifts = []
     wns = []
     for z, w in pairs:
         wn = float(np.linalg.norm(np.asarray(w, dtype=float)))
-        coarse = _regularity_integral(K, z, w, n_rad, quad.n_angular)
-        fine = _regularity_integral(K, z, w, 2 * n_rad, quad.n_angular)
+        coarse = _regularity_integral(K, z, w, n_rad, n_ang)
+        fine = _regularity_integral(K, z, w, 2 * n_rad, n_ang)
         per_pair.append(fine / ell(wn))
         wns.append(wn)
         denom = max(abs(fine), 1e-300)

@@ -1,40 +1,26 @@
-"""Truncated logarithmic modulus and the log-Hölder seminorm machinery.
+"""Truncated logarithmic modulus and exponent fits against it.
 
 The modulus ell(rho) = |ln(min(rho, 0.1))|^(-1) replaces the power moduli of
-classical Hölder theory everywhere in this package: seminorms quotient
-differences by ell^alpha(|x-y|), distance weights multiply by powers of
-ell(d(x, y)), and the exponent-fitting diagnostics run ordinary least squares
-in (ln ell(r), ln osc) coordinates.
+classical Hölder theory everywhere in this package: the barrier fields and
+kernel probes are built from powers of ell, and the exponent-fitting
+diagnostics run ordinary least squares in (ln ell(r), ln osc) coordinates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry
 
 RHO0 = 0.1          # truncation cutoff of the modulus
-PAIR_EXHAUSTIVE_LIMIT = 2000
-PAIR_SUBSAMPLE = 2_000_000
-PAIR_SEED = 20240817
 
 __all__ = [
     "RHO0",
     "ell",
-    "SampledFunction",
-    "SeminormSpec",
-    "seminorm_global",
-    "seminorm_weighted",
-    "norm_X",
-    "norm_Y",
     "fit_exponent",
     "fit_second_order_exponent",
-    "check_semi_homogeneity",
-    "norm_equivalence_check",
-    "pair_mode",
 ]
 
 
@@ -52,137 +38,6 @@ def ell(rho, alpha=1.0):
     if np.isscalar(rho) or arr.ndim == 0:
         return float(out)
     return out
-
-
-@dataclass(frozen=True)
-class SampledFunction:
-    """A function known at finitely many pairwise-distinct points."""
-
-    points: np.ndarray   # (n, N)
-    values: np.ndarray   # (n,)
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        vals = np.asarray(self.values, dtype=float)
-        if pts.shape[0] != vals.shape[0]:
-            raise ValueError("points and values must have matching lengths")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n(self):
-        return len(self.values)
-
-
-@dataclass(frozen=True)
-class SeminormSpec:
-    alpha: float
-    beta: float
-    domain: geometry.Domain
-
-    def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be nonnegative")
-
-
-def pair_mode(n):
-    """'exhaustive' below the pair-enumeration limit, 'subsampled' above."""
-    return "exhaustive" if n < PAIR_EXHAUSTIVE_LIMIT else "subsampled"
-
-
-def _pair_blocks(n):
-    """Yield (i_idx, j_idx) index blocks covering the pair set."""
-    if pair_mode(n) == "exhaustive":
-        for i in range(n - 1):
-            j = np.arange(i + 1, n)
-            yield np.full(len(j), i), j
-    else:
-        rng = np.random.default_rng(PAIR_SEED)
-        block = 200_000
-        remaining = PAIR_SUBSAMPLE
-        while remaining > 0:
-            m = min(block, remaining)
-            i = rng.integers(0, n, size=m)
-            j = rng.integers(0, n, size=m)
-            keep = i != j
-            yield i[keep], j[keep]
-            remaining -= m
-
-
-def _pair_max(u, quotient):
-    """Maximum of quotient(dx, du, i, j) over sampled point pairs."""
-    if u.n < 2:
-        raise ValueError("need at least two sample points")
-    best = 0.0
-    pts, vals = u.points, u.values
-    for i, j in _pair_blocks(u.n):
-        dx = np.linalg.norm(pts[i] - pts[j], axis=1)
-        du = np.abs(vals[i] - vals[j])
-        ok = dx > 0
-        if not np.all(ok):
-            i, j, dx, du = i[ok], j[ok], dx[ok], du[ok]
-        q = quotient(dx, du, i, j)
-        if len(q):
-            best = max(best, float(np.max(q)))
-    return best
-
-
-def seminorm_global(u, alpha):
-    """sup over pairs of |u(x)-u(y)| / ell^alpha(|x-y|)."""
-    return _pair_max(u, lambda dx, du, i, j: du / ell(dx, alpha))
-
-
-def seminorm_weighted(u, spec):
-    """sup over pairs of ell^(a+b)(d(x,y)) |u(x)-u(y)| / ell^a(|x-y|).
-
-    d(x,y) = min(d(x), d(y)) is the smaller boundary distance of the pair;
-    pairs touching the boundary (d = 0) carry zero weight by the ell(0+) = 0
-    convention.
-    """
-    inside = spec.domain.contains(u.points)
-    if not np.all(inside):
-        raise ValueError("all sample points must lie inside the domain")
-    d = geometry.dist_to_boundary(spec.domain, u.points)
-    a, b = spec.alpha, spec.beta
-
-    def quotient(dx, du, i, j):
-        dij = np.minimum(d[i], d[j])
-        w = np.where(dij > 0, ell(np.maximum(dij, 1e-300), a + b), 0.0)
-        return w * du / ell(dx, a)
-
-    return _pair_max(u, quotient)
-
-
-def _weighted_norm(u, spec):
-    """ell^beta(d)-weighted sup norm plus the weighted seminorm."""
-    d = geometry.dist_to_boundary(spec.domain, u.points)
-    w = np.where(d > 0, ell(np.maximum(d, 1e-300), spec.beta), 0.0)
-    return float(np.max(w * np.abs(u.values))) + seminorm_weighted(u, spec)
-
-
-def norm_X(u_interior, u_global, alpha, domain):
-    """Solution-space norm: global ell^alpha seminorm + interior (1+alpha) norm.
-
-    The global samples must honor the zero-exterior contract; a nonzero value
-    at a point outside the domain is a contract violation.
-    """
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0,1)")
-    outside = ~domain.contains(u_global.points)
-    if np.any(outside & (u_global.values != 0)):
-        raise ValueError("exterior samples must vanish (zero-exterior contract)")
-    spec = SeminormSpec(alpha=1 + alpha, beta=0.0, domain=domain)
-    return seminorm_global(u_global, alpha) + _weighted_norm(u_interior, spec)
-
-
-def norm_Y(f, domain):
-    """Data-space norm: sup norm + ell^2(d(x,y))-weighted ell^1 seminorm."""
-    if f.n == 0:
-        raise ValueError("empty sample")
-    sup = float(np.max(np.abs(f.values)))
-    if f.n == 1:
-        return sup
-    return sup + seminorm_weighted(f, SeminormSpec(alpha=1.0, beta=1.0, domain=domain))
 
 
 def fit_exponent(radii, oscillations):
@@ -237,65 +92,3 @@ def fit_second_order_exponent(u, grid, center, radii):
     if np.all(second <= 1e-14 * scale):
         return math.inf
     return fit_exponent(radii, second)
-
-
-def check_semi_homogeneity(lambda_grid, r_grid):
-    """Empirical constant for ell(lam)ell(r) <= c ell(lam r).
-
-    Returns the sampled maximum c_hat of ell(lam)ell(r)/ell(lam r) together
-    with a flag that the two-sided display ell(lam)/c_hat <= inf_r
-    ell(lam r)/ell(r) held on the sample (it does, by construction of c_hat,
-    but the check is evaluated rather than assumed).
-    """
-    lam = np.asarray(lambda_grid, dtype=float)
-    r = np.asarray(r_grid, dtype=float)
-    if np.any(lam <= 0) or np.any(r <= 0):
-        raise ValueError("grids must be positive")
-    L, R = np.meshgrid(lam, r, indexing="ij")
-    ratio = ell(L) * ell(R) / ell(L * R)
-    c_hat = float(np.max(ratio))
-    holds = bool(np.isfinite(c_hat))
-    lower_ok = True
-    for lv in lam:
-        inf_r = float(np.min(ell(lv * r) / ell(r)))
-        if ell(lv) / c_hat > inf_r * (1 + 1e-12):
-            lower_ok = False
-    return {"c_hat": c_hat, "holds": holds, "lower_display_ok": lower_ok}
-
-
-def norm_equivalence_check(u, spec, r0, lam):
-    """Ratios between the ball-wise localized norm and the weighted norm.
-
-    The localized quantity is sup over sampled balls B_r(x) with B_{lam r}(x)
-    inside the domain and r < r0 of
-        ell^beta(r) sup_{B_r(x)} |u| + ell^(alpha+beta)(r) [u]_{ell^alpha(B_r(x))}.
-    Both returned ratios must be finite and bounded away from zero for the
-    two norms to be equivalent on the sample.
-    """
-    if lam <= 1:
-        raise ValueError("lam must exceed 1")
-    if r0 <= 0:
-        raise ValueError("r0 must be positive")
-    pts, vals = u.points, u.values
-    d = geometry.dist_to_boundary(spec.domain, pts)
-    radii = [r0 / 2 ** k for k in range(6)]
-    localized = 0.0
-    admissible = 0
-    for x_idx in range(u.n):
-        for r in radii:
-            if r >= r0 or lam * r >= d[x_idx]:
-                continue
-            mask = np.linalg.norm(pts - pts[x_idx], axis=1) < r
-            if np.count_nonzero(mask) < 2:
-                continue
-            admissible += 1
-            local = SampledFunction(pts[mask], vals[mask])
-            term = ell(r, spec.beta) * float(np.max(np.abs(local.values)))
-            term += ell(r, spec.alpha + spec.beta) * seminorm_global(local, spec.alpha)
-            localized = max(localized, term)
-    if admissible == 0:
-        raise ValueError("no admissible balls for this (r0, lam) configuration")
-    weighted = _weighted_norm(u, spec)
-    if weighted == 0 or localized == 0:
-        raise ValueError("degenerate sample: zero norm")
-    return {"lower_ratio": localized / weighted, "upper_ratio": weighted / localized}

@@ -419,8 +419,12 @@ def eval_loglap(u, x, cfg, N, path="decomposition", return_estimate=False):
     path='direct' applies the log-Laplacian's operator record: c_N times the
     difference quotient over B_1(x) minus c_N times the far field, each range
     with its own polar rule, plus rho_N * u(x).  path='decomposition'
-    composes the same constants with eval_LK(K=1) and eval_J_conv as an
-    independent cross-check.  The two must agree up to quadrature error.
+    composes the same constants with eval_LK(K=1) and eval_J_conv.  Both
+    paths run the same _apply arithmetic on the same rules, so their values
+    agree to the bit and the decomposition checks nothing independently.
+    Only the estimate differs: the decomposition adds the half-level
+    estimates of its two parts, whose errors can cancel in the direct sum,
+    so it is the larger of the two.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if len(x) != N:

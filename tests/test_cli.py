@@ -1,6 +1,8 @@
+import importlib
 import json
 import math
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import logop
 from logop import barriers, cli, nonlocal_eval, solver
 from logop.cli import main
 from logop.geometry import Domain, build_grid
@@ -661,6 +664,18 @@ def test_import_without_scipy_fails_at_import():
     proc = _python(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split(".")[0].strip() == "scipy"
+
+
+def test_every_exported_name_resolves():
+    names = [f"logop.{m.name}" for m in pkgutil.iter_modules(logop.__path__)]
+    modules = [logop] + [importlib.import_module(name) for name in names]
+    missing = [
+        f"{mod.__name__}.{name}"
+        for mod in modules
+        for name in getattr(mod, "__all__", ())
+        if not hasattr(mod, name)
+    ]
+    assert missing == []
 
 
 # ---------------------------------------------------------------------------

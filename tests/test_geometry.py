@@ -12,7 +12,6 @@ from logop.geometry import (
     build_grid,
     difference_projection,
     dist_to_boundary,
-    exterior_ball_radius,
     interpolate,
     interpolate_many,
     scatter_weights,
@@ -68,12 +67,6 @@ def test_dist_to_boundary_is_1_lipschitz(x, y):
     dx = dist_to_boundary(dom, np.array([x]))
     dy = dist_to_boundary(dom, np.array([y]))
     assert abs(dx - dy) <= abs(x - y) + 1e-12
-
-
-def test_exterior_ball_radius_unbounded_for_convex_shapes():
-    assert exterior_ball_radius(Domain.ball([0.0], 0.5)) == math.inf
-    assert exterior_ball_radius(Domain.interval(0.0, 1.0)) == math.inf
-    assert exterior_ball_radius(Domain.box([0.0, 0.0], [1.0, 2.0])) == math.inf
 
 
 def test_boundary_point_lies_on_boundary():

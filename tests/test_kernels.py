@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
-from logop import QuadratureConfig
+from logop import QuadratureConfig, kernels
 from logop.kernels import (
     EULER_GAMMA,
     KernelSpec,
     bessel_k1,
     bessel_k_generic,
-    bessel_k_half,
     check_one_regularity,
     check_uniform_ellipticity,
     digamma,
@@ -66,14 +65,6 @@ def test_bessel_k1_against_scipy():
     assert bessel_k1(0.7) == pytest.approx(float(sps.kv(1, 0.7)), rel=1e-12)
     with pytest.raises(ValueError):
         bessel_k1(-1.0)
-
-
-def test_bessel_k_half_closed_forms():
-    rs = np.array([0.1, 1.0, 3.0])
-    assert np.allclose(bessel_k_half(0.5, rs), sps.kv(0.5, rs), rtol=1e-13)
-    assert np.allclose(bessel_k_half(1.5, rs), sps.kv(1.5, rs), rtol=1e-13)
-    with pytest.raises(ValueError):
-        bessel_k_half(2.5, rs)
 
 
 def test_bessel_k_generic_against_scipy():
@@ -269,6 +260,21 @@ def test_one_regularity_x_jump_blows_up():
     assert out["growth_slope"] > 0.5
     ratios = out["per_pair"]
     assert ratios[1] / ratios[0] > 1.5 and ratios[2] / ratios[1] > 1.3
+
+
+def test_one_regularity_oracle_mode_refines_angles_too(monkeypatch):
+    # oracle mode scales both node counts; the probe must pass both on
+    seen = []
+
+    def record(K, z, w, n_radial, n_angular):
+        seen.append((n_radial, n_angular))
+        return 1.0
+
+    monkeypatch.setattr(kernels, "_regularity_integral", record)
+    cfg = QuadratureConfig(mode="oracle")
+    n_rad = cfg.node_counts()[1]
+    check_one_regularity(unit_kernel(), [(np.zeros(2), np.array([0.01, 0.0]))], cfg)
+    assert seen == [(n_rad, 64), (2 * n_rad, 64)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,21 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logop import geometry
-from logop.logmod import (
-    RHO0,
-    SampledFunction,
-    SeminormSpec,
-    check_semi_homogeneity,
-    ell,
-    fit_exponent,
-    fit_second_order_exponent,
-    norm_X,
-    norm_Y,
-    norm_equivalence_check,
-    pair_mode,
-    seminorm_global,
-    seminorm_weighted,
-)
+from logop.logmod import RHO0, ell, fit_exponent, fit_second_order_exponent
 
 PLATEAU = 1.0 / math.log(10.0)
 
@@ -75,151 +61,6 @@ def test_ell_halves_at_square(r):
     # |ln r^2| = 2|ln r| once both arguments are below the cutoff
     if r * r < RHO0 and r < RHO0:
         assert ell(r * r) == pytest.approx(ell(r) / 2.0, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# seminorms
-# ---------------------------------------------------------------------------
-
-
-def _line_sample(xs, values):
-    return SampledFunction(np.asarray(xs, dtype=float)[:, None], values)
-
-
-def test_seminorm_global_constant_is_zero():
-    u = _line_sample([0.0, 0.1, 0.5], [2.0, 2.0, 2.0])
-    assert seminorm_global(u, 0.5) == 0.0
-
-
-def test_seminorm_global_alpha_zero_is_oscillation():
-    u = _line_sample([0.0, 1.0, 2.0], [1.0, 4.0, 2.0])
-    assert seminorm_global(u, 0.0) == pytest.approx(3.0, abs=1e-15)
-
-
-def test_seminorm_global_of_modulus_profile_is_one():
-    # u = ell^alpha(|x|) with u(0) = 0 saturates the quotient at pairs (x, 0)
-    alpha = 0.7
-    xs = np.linspace(-0.08, 0.08, 41)
-    vals = np.where(np.abs(xs) > 0, ell(np.maximum(np.abs(xs), 1e-300), alpha), 0.0)
-    u = SampledFunction(xs[:, None], vals)
-    got = seminorm_global(u, alpha)
-    assert got == pytest.approx(1.0, rel=1e-12)
-    # brute-force confirmation over all pairs
-    brute = 0.0
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            brute = max(brute, abs(vals[i] - vals[j]) / ell(abs(xs[i] - xs[j]), alpha))
-    assert got == pytest.approx(brute, rel=1e-12)
-
-
-def test_seminorm_needs_two_points():
-    with pytest.raises(ValueError):
-        seminorm_global(_line_sample([0.3], [1.0]), 0.5)
-
-
-def test_seminorm_weighted_constant_zero_and_exterior_error():
-    dom = geometry.Domain.interval(-1.0, 1.0)
-    spec = SeminormSpec(alpha=0.5, beta=0.5, domain=dom)
-    u = _line_sample([-0.5, 0.0, 0.5], [3.0, 3.0, 3.0])
-    assert seminorm_weighted(u, spec) == 0.0
-    bad = _line_sample([0.0, 2.0], [0.0, 1e-3])
-    with pytest.raises(ValueError):
-        seminorm_weighted(bad, spec)
-
-
-def test_seminorm_weighted_beta_zero_below_global():
-    dom = geometry.Domain.interval(-1.0, 1.0)
-    spec = SeminormSpec(alpha=0.6, beta=0.0, domain=dom)
-    rng = np.random.default_rng(3)
-    xs = rng.uniform(-0.9, 0.9, size=25)
-    u = _line_sample(xs, np.sin(5.0 * xs))
-    weighted = seminorm_weighted(u, spec)
-    glob = seminorm_global(u, 0.6)
-    # weight ell^0.6(d) <= ell^0.6(0.1+) = plateau^0.6 <= 1
-    assert weighted <= glob + 1e-12
-
-
-def test_seminorm_weighted_brute_force_oracle():
-    # alpha=0, weight beta: output equals max over pairs of
-    # ell^beta(min(d_i, d_j)) |u_i - u_j|
-    dom = geometry.Domain.interval(-1.0, 1.0)
-    beta = 1.0
-    spec = SeminormSpec(alpha=0.0, beta=beta, domain=dom)
-    rng = np.random.default_rng(11)
-    xs = rng.uniform(-0.95, 0.95, size=30)
-    vals = rng.normal(size=30)
-    u = _line_sample(xs, vals)
-    d = geometry.dist_to_boundary(dom, u.points)
-    brute = 0.0
-    for i in range(30):
-        for j in range(i + 1, 30):
-            w = ell(min(d[i], d[j]), beta)
-            brute = max(brute, w * abs(vals[i] - vals[j]))
-    assert seminorm_weighted(u, spec) == pytest.approx(brute, rel=1e-12)
-
-
-@given(st.integers(min_value=0, max_value=5))
-def test_seminorm_triangle_inequality(seed):
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(-1.0, 1.0, size=12)
-    a = rng.normal(size=12)
-    b = rng.normal(size=12)
-    pts = xs[:, None]
-    s_ab = seminorm_global(SampledFunction(pts, a + b), 0.5)
-    s_a = seminorm_global(SampledFunction(pts, a), 0.5)
-    s_b = seminorm_global(SampledFunction(pts, b), 0.5)
-    assert s_ab <= s_a + s_b + 1e-12
-
-
-# ---------------------------------------------------------------------------
-# norms
-# ---------------------------------------------------------------------------
-
-
-def test_norm_X_zero_function_and_contract():
-    dom = geometry.Domain.interval(-1.0, 1.0)
-    inner = _line_sample([-0.5, 0.0, 0.5], [0.0, 0.0, 0.0])
-    glob = _line_sample([-0.5, 0.0, 0.5, 1.5], [0.0, 0.0, 0.0, 0.0])
-    assert norm_X(inner, glob, 0.5, dom) == 0.0
-    bad_glob = _line_sample([-0.5, 0.0, 1.5], [0.0, 0.0, 1e-3])
-    with pytest.raises(ValueError):
-        norm_X(inner, bad_glob, 0.5, dom)
-    with pytest.raises(ValueError):
-        norm_X(inner, glob, 1.5, dom)
-
-
-def test_norm_X_modulus_profile_finite():
-    dom = geometry.Domain.interval(-1.0, 1.0)
-    xs = np.linspace(-0.9, 0.9, 31)
-    d = geometry.dist_to_boundary(dom, xs[:, None])
-    vals = ell(np.maximum(d, 1e-300), 0.5)
-    u = SampledFunction(xs[:, None], vals)
-    value = norm_X(u, u, 0.5, dom)
-    assert math.isfinite(value) and value > 0
-
-
-def test_norm_Y_values():
-    dom = geometry.Domain.interval(-1.0, 1.0)
-    ones = _line_sample([-0.5, 0.0, 0.5], [1.0, 1.0, 1.0])
-    assert norm_Y(ones, dom) == pytest.approx(1.0, abs=1e-15)
-    zeros = _line_sample([-0.5, 0.0, 0.5], [0.0, 0.0, 0.0])
-    assert norm_Y(zeros, dom) == 0.0
-    with pytest.raises(ValueError):
-        norm_Y(SampledFunction(np.zeros((0, 1)), np.zeros(0)), dom)
-
-
-def test_norm_Y_linear_matches_pair_enumeration():
-    dom = geometry.Domain.interval(-1.0, 1.0)
-    xs = np.linspace(-0.9, 0.9, 19)
-    u = _line_sample(xs, xs)
-    d = geometry.dist_to_boundary(dom, u.points)
-    brute = 0.0
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            w = ell(min(d[i], d[j]), 2.0)
-            q = ell(abs(xs[i] - xs[j]), 1.0)
-            brute = max(brute, w * abs(xs[i] - xs[j]) / q)
-    assert norm_Y(u, dom) == pytest.approx(np.max(np.abs(xs)) + brute, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -281,82 +122,3 @@ def test_second_order_fit_rejects_radii_outside_domain():
     grid, u = _interval_grid_function(lambda x: x, h=0.01, half=0.5)
     with pytest.raises(ValueError):
         fit_second_order_exponent(u, grid, np.array([0.4]), [0.2, 0.1, 0.05])
-
-
-# ---------------------------------------------------------------------------
-# semi-homogeneity and norm equivalence
-# ---------------------------------------------------------------------------
-
-
-def test_semi_homogeneity_lambda_one_row():
-    r = np.array([1e-6, 1e-3, 0.05])
-    out = check_semi_homogeneity([1.0], r)
-    # ell(1)ell(r)/ell(r) = ell(1) = plateau <= c_hat
-    assert out["c_hat"] >= PLATEAU - 1e-15
-    assert out["holds"] and out["lower_display_ok"]
-
-
-def test_semi_homogeneity_diagonal_no_blowup():
-    # at lam = r the ratio simplifies to 2 ell(r), tending to 0
-    for r in (1e-2, 1e-4, 1e-6):
-        out = check_semi_homogeneity([r], [r])
-        assert out["c_hat"] == pytest.approx(2.0 * ell(r), rel=1e-12)
-
-
-def test_semi_homogeneity_grid():
-    # For lam = 10^-j, r = 10^-k with j, k >= 1 the ratio ell(lam)ell(r) /
-    # ell(lam r) equals 1/(j ln 10) + 1/(k ln 10), maximized at j = k = 1,
-    # so the sampled constant is exactly 2 / ln 10.
-    grid = [10.0 ** (-k) for k in range(13)]
-    out = check_semi_homogeneity(grid, grid)
-    assert out["holds"]
-    assert out["c_hat"] == pytest.approx(2.0 / math.log(10.0), rel=1e-12)
-    assert out["lower_display_ok"]
-    with pytest.raises(ValueError):
-        check_semi_homogeneity([0.0, 1.0], grid)
-
-
-def test_norm_equivalence_ratios_stable():
-    dom = geometry.Domain.interval(-0.5, 0.5)
-    spec = SeminormSpec(alpha=0.5, beta=0.5, domain=dom)
-    ratios = []
-    for m in (81, 161):
-        xs = np.linspace(-0.45, 0.45, m)
-        d = geometry.dist_to_boundary(dom, xs[:, None])
-        u = SampledFunction(xs[:, None], ell(np.maximum(d, 1e-300), 0.5))
-        out = norm_equivalence_check(u, spec, r0=0.2, lam=1.5)
-        assert out["lower_ratio"] > 0 and out["upper_ratio"] > 0
-        ratios.append(out["lower_ratio"])
-    assert max(ratios) / min(ratios) < 1.5
-
-
-def test_norm_equivalence_constant_sample():
-    dom = geometry.Domain.interval(-0.5, 0.5)
-    spec = SeminormSpec(alpha=0.5, beta=0.5, domain=dom)
-    xs = np.linspace(-0.4, 0.4, 33)
-    u = SampledFunction(xs[:, None], np.full(33, 2.0))
-    out = norm_equivalence_check(u, spec, r0=0.2, lam=1.5)
-    assert math.isfinite(out["lower_ratio"]) and math.isfinite(out["upper_ratio"])
-
-
-def test_norm_equivalence_empty_ball_error():
-    dom = geometry.Domain.interval(-0.05, 0.05)  # too thin for r0=0.2, lam=4
-    spec = SeminormSpec(alpha=0.5, beta=0.5, domain=dom)
-    xs = np.linspace(-0.04, 0.04, 9)
-    u = SampledFunction(xs[:, None], xs)
-    with pytest.raises(ValueError):
-        norm_equivalence_check(u, spec, r0=0.2, lam=4.0)
-    with pytest.raises(ValueError):
-        norm_equivalence_check(u, spec, r0=0.2, lam=0.5)  # lam must exceed 1
-
-
-def test_spec_validation_and_pair_mode():
-    with pytest.raises(ValueError):
-        SeminormSpec(alpha=-0.1, beta=0.0, domain=geometry.Domain.interval(0, 1))
-    assert pair_mode(10) == "exhaustive"
-    assert pair_mode(5000) == "subsampled"
-
-
-def test_sampled_function_shape_check():
-    with pytest.raises(ValueError):
-        SampledFunction(np.zeros((3, 1)), np.zeros(2))
