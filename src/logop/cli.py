@@ -202,6 +202,7 @@ def _report_dict(report):
         "mp_audit": report.mp_audit,
         "h": report.h,
         "sigma_min": report.sigma_min,
+        "factorization": report.factorization,
         "timings": report.timings,
     }
 

@@ -418,31 +418,23 @@ def eval_loglap(u, x, cfg, N, path="decomposition", return_estimate=False):
 
     path='direct' applies the log-Laplacian's operator record: c_N times the
     difference quotient over B_1(x) minus c_N times the far field, each range
-    with its own polar rule, plus rho_N * u(x).  path='decomposition'
-    composes the same constants with eval_LK(K=1) and eval_J_conv.  Both
-    paths run the same _apply arithmetic on the same rules, so their values
-    agree to the bit and the decomposition checks nothing independently.
-    Only the estimate differs: the decomposition adds the half-level
-    estimates of its two parts, whose errors can cancel in the direct sum,
-    so it is the larger of the two.
+    with its own polar rule, plus rho_N * u(x).  path='decomposition' names
+    the composition c_N * (eval_LK(K=1) - eval_J_conv) + rho_N * u(x); that
+    is the same sum over the same ranges and rules, so both paths run the
+    record and agree to the bit, value and estimate, and the decomposition
+    checks nothing independently.  The estimate is |value - value at half
+    the node counts| of the whole sum: adding the estimates of the two
+    parts would overstate it wherever their errors cancel in the sum.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if len(x) != N:
         raise ValueError("point dimension does not match N")
     if u.support_radius is None:
         raise ValueError("the logarithmic Laplacian requires a declared support")
-    op = _operator("loglap", N, cfg.r_min, float(np.linalg.norm(x)) + u.support_radius)
-    if path == "direct":
-        return _apply(op, u, x, cfg, return_estimate)
-    if path != "decomposition":
+    if path not in ("decomposition", "direct"):
         raise ValueError("path must be 'decomposition' or 'direct'")
-    ux = float(u.evaluate(x[None, :])[0])
-    lk = eval_LK(kernels.unit_kernel(), u, x, cfg, return_estimate=return_estimate)
-    jc = eval_J_conv(u, x, cfg, return_estimate=return_estimate)
-    if return_estimate:
-        (v1, e1), (v2, e2) = lk, jc
-        return op.scale * (v1 - v2) + op.const * ux, op.scale * (e1 + e2)
-    return op.scale * (lk - jc) + op.const * ux
+    op = _operator("loglap", N, cfg.r_min, float(np.linalg.norm(x)) + u.support_radius)
+    return _apply(op, u, x, cfg, return_estimate)
 
 
 def eval_schrodinger(u, x, cfg, N, return_estimate=False):

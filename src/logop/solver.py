@@ -21,16 +21,23 @@ operator has nonpositive off-diagonal entries and nonnegative row sums, i.e.
 it is an M-matrix: the discrete comparison principle is exact up to the
 linear-algebra residual.
 
-A StiffnessMatrix is factored once: its LU factorization, condition estimate
+A StiffnessMatrix is factored once: its factorization, condition estimate
 and smallest singular value are computed on the first solve and kept, so
-every later right-hand side costs one pair of triangular solves, the
-residual and the maximum-principle audit.
+every later right-hand side costs one solve with the factorization, the
+residual and the maximum-principle audit.  On a 1-D grid (a run of
+consecutive lattice points) a translation-invariant operator gives a
+symmetric Toeplitz matrix A = T(S) + d*I; assemble marks it, and it is
+factored in O(n^2) by Levinson's recursion and solved in O(n log n) by the
+Gohberg-Semencul formula.  Every other matrix, and a Toeplitz one whose
+Levinson factor breaks down, fails its backward-error check or lies near
+the singular threshold, is factored by dense LU.
 
 scipy.linalg (LAPACK) is loaded on the first factorization, triangular
 solve or condition estimate, not when this module is imported: the
 pointwise evaluators and the barrier verifiers (`eval`, `verify`,
 `constants`) never load it, and the first solve in a process pays the
-~0.2 s load (its `factor_s` includes it).
+~0.2 s load (its `factor_s` includes it).  The Toeplitz solves use
+numpy.fft, which numpy has already loaded; scipy.fft is never imported.
 """
 
 from __future__ import annotations
@@ -68,6 +75,16 @@ Z_MATRIX_TOL = 1e-14  # off-diagonal rounding allowed, relative to max|A|
 SWEEP_MAX_SOLVES = 500
 SIGMA_MIN_RTOL = 1e-13  # relative change of sigma that ends the inverse iteration
 DENSE_BYTES_PER_ENTRY = 16  # float64 matrix plus the LU factorization's copy
+# a Levinson factor is kept when a probe solve's normwise backward error is
+# at most TOEPLITZ_BACKWARD_TOL (measured up to 2e-14 on the 1-D catalog
+# operators at n <= 2000, LU up to 8e-15) and sigma_min is at least
+# TOEPLITZ_SIGMA_FLOOR times the matrix 1-norm.  The Levinson and LU
+# estimates of sigma_min agree to 3e-8 relative at sigma_min = 1e-9 times
+# the 1-norm and to 3e-7 at 1e-10 (unit and sinlog kernels, n = 99 and 499,
+# shifted towards -lambda_1), so a margin of 10 over the near-singular
+# threshold leaves every near_singular verdict and null vector to LU
+TOEPLITZ_BACKWARD_TOL = 1e-11
+TOEPLITZ_SIGMA_FLOOR = 10 * NEAR_SINGULAR_FACTOR
 _OPERATORS = ("generic", "loglap", "schrodinger")
 
 
@@ -126,13 +143,132 @@ class ProblemSpec:
             raise ValueError("kernel is only meaningful for the generic operator")
 
 
+class _LU:
+    """Dense LU factorization with partial pivoting (LAPACK getrf) of A;
+    overwrite lets it factor A in place."""
+
+    name = "lu"
+
+    def __init__(self, A, overwrite=False):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            self.lu_piv = sla.lu_factor(A, overwrite_a=overwrite)
+        self.singular = not np.all(np.diagonal(self.lu_piv[0]))
+
+    def solve(self, b, trans=False):
+        return sla.lu_solve(self.lu_piv, b, trans=int(trans))
+
+    def condition(self, anorm):
+        """1-norm condition estimate (dgecon)."""
+        rcond, _ = sla.lapack.dgecon(self.lu_piv[0], anorm, norm="1")
+        return math.inf if rcond == 0 else 1.0 / rcond
+
+
+class _Toeplitz:
+    """Inverse of a symmetric Toeplitz matrix T from the first column x of
+    T^-1 (Levinson's recursion, O(n^2)), applied by the Gohberg-Semencul
+    formula T^-1 = (L(x) L(x)^T - L(ZJx) L(ZJx)^T) / x[0] in O(n log n):
+    L(v) is the lower-triangular Toeplitz matrix with first column v, J the
+    reversal and Z the down-shift, so ZJx = [0, x[n-1], ..., x[1]].  L(v) b
+    is the first n entries of the convolution v * b, and L(v)^T b =
+    J L(v) J b; the convolutions are real FFTs of length m >= 2n - 1."""
+
+    name = "toeplitz"
+    singular = False
+
+    def __init__(self, x):
+        self.n = n = len(x)
+        self.m = 1 << (2 * n - 1).bit_length()
+        self.x0 = x[0]
+        self.X = np.fft.rfft(x, self.m)
+        self.Y = np.fft.rfft(np.concatenate(([0.0], x[:0:-1])), self.m)
+
+    def solve(self, b, trans=False):
+        """T^-1 b; T is symmetric, so trans changes nothing."""
+        n, m, fft = self.n, self.m, np.fft
+        B = fft.rfft(b[::-1], m)
+        s = fft.rfft(fft.irfft(self.X * B, m)[n - 1::-1], m)
+        t = fft.rfft(fft.irfft(self.Y * B, m)[n - 1::-1], m)
+        return fft.irfft(self.X * s - self.Y * t, m)[:n] / self.x0
+
+    def condition(self, anorm):
+        """1-norm condition estimate: anorm times the dgecon estimate of
+        ||T^-1||_1, run on this factor's solves."""
+        return anorm * _inverse_norm1_estimate(self.solve, self.n)
+
+
+def _toeplitz_norm1(column):
+    """1-norm of the symmetric Toeplitz matrix with this first column:
+    column j of the matrix holds column[j::-1] and column[1:n-j], so its
+    sum of magnitudes comes from one cumulative sum, in O(n) and without
+    the n x n temporary np.linalg.norm makes."""
+    p = np.cumsum(np.abs(column))
+    return float(np.max(p + p[::-1]) - abs(column[0]))
+
+
+def _levinson(A, shift=0.0):
+    """The _Toeplitz factor of A - shift*I, where A is symmetric Toeplitz,
+    or None when Levinson's recursion meets a singular
+    leading minor or a probe solve has a normwise backward error above
+    TOEPLITZ_BACKWARD_TOL (the recursion does not pivot, so it is not stable
+    for every indefinite matrix).  The recursion reads the first column of
+    A, the probe's residual all of A, and A - shift*I is never formed."""
+    n = len(A)
+    column = A[:, 0].copy()
+    column[0] -= shift
+    e1 = np.zeros(n)
+    e1[0] = 1.0
+    try:
+        x = sla.solve_toeplitz(column, e1, check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+    if not (np.all(np.isfinite(x)) and x[0] != 0.0):
+        return None
+    factor = _Toeplitz(x)
+    b = np.random.default_rng(7).standard_normal(n)
+    with np.errstate(all="ignore"):
+        y = factor.solve(b)
+        r = A @ y - shift * y - b
+        scale = _toeplitz_norm1(column) * np.max(np.abs(y)) + np.max(np.abs(b))
+        backward = np.max(np.abs(r)) / scale
+    return factor if backward <= TOEPLITZ_BACKWARD_TOL else None
+
+
+def _inverse_norm1_estimate(solve, n, itmax=5):
+    """Estimate of ||A^-1||_1 from solves with A and A^T: Hager's method with
+    Higham's refinements, step for step as LAPACK's dlacn2, which dgecon
+    runs on the solves with U^-1 L^-1 of an LU factorization A = PLU.
+    solve(b, trans) returns A^-1 b, or A^-T b when trans is true."""
+    y = solve(np.full(n, 1.0 / n))
+    if n == 1:
+        return abs(float(y[0]))
+    est = float(np.sum(np.abs(y)))
+    signs = np.where(y >= 0, 1.0, -1.0)
+    z = solve(signs, trans=True)
+    j = int(np.argmax(np.abs(z)))
+    for _ in range(2, itmax + 1):
+        y = solve(np.eye(1, n, j)[0])
+        est_old, est = est, float(np.sum(np.abs(y)))
+        new_signs = np.where(y >= 0, 1.0, -1.0)
+        if np.array_equal(new_signs, signs) or est <= est_old:
+            break
+        signs = new_signs
+        z = solve(signs, trans=True)
+        j_last, j = j, int(np.argmax(np.abs(z)))
+        if z[j_last] == abs(z[j]):
+            break
+    i = np.arange(n)
+    alternating = (-1.0) ** i * (1.0 + i / (n - 1))
+    return max(est, 2.0 * float(np.sum(np.abs(solve(alternating)))) / (3 * n))
+
+
 @dataclass(frozen=True)
 class _Factors:
     """What a solve needs from its matrix besides the matrix itself."""
 
-    lu_piv: tuple
+    factor: _LU | _Toeplitz
     anorm: float  # 1-norm of the matrix
-    condition: float  # 1-norm condition estimate from dgecon
+    condition: float  # 1-norm condition estimate
     sigma_min: float
     null_vec: np.ndarray  # approximate singular vector of sigma_min
     factor_s: float
@@ -144,14 +280,17 @@ class StiffnessMatrix:
     """Dense collocation matrix; row i applies the operator to the nodal hat
     interpolants at node i.
 
-    The matrix is factored once: the first solve computes its LU
-    factorization, 1-norm, condition estimate and smallest singular value
-    (`_factors`), and every later solve with this matrix reuses them.  The
-    LU copy lives as long as the matrix.  `matrix` is a read-only view, so
-    writing into it raises instead of solving against a stale
-    factorization; do not write into the array the matrix was built from
-    either.  Matrices compare and hash by identity, as objects that own
-    their factorization."""
+    The matrix is factored once: the first solve computes its factorization,
+    1-norm, condition estimate and smallest singular value (`_factors`), and
+    every later solve with this matrix reuses them.  A matrix built by
+    `assemble` on a 1-D grid for a translation-invariant operator is
+    symmetric Toeplitz (a _ToeplitzStiffness) and is factored by Levinson's
+    recursion, with LU as the fallback (see `_factors`); every other matrix,
+    including one built here from a raw array, is factored by LU, whose copy
+    lives as long as the matrix.  `matrix` is a read-only view, so writing
+    into it raises instead of solving against a stale factorization; do not
+    write into the array the matrix was built from either.  Matrices compare
+    and hash by identity, as objects that own their factorization."""
 
     matrix: np.ndarray
     grid: Grid
@@ -167,25 +306,42 @@ class StiffnessMatrix:
 
     @cached_property
     def _factors(self):
-        """LU, 1-norm, condition estimate and sigma_min, computed once."""
+        """Factorization, 1-norm, condition estimate and sigma_min, computed
+        once.  A Toeplitz matrix is refactored by LU when Levinson fails
+        (see _levinson) or sigma_min falls under TOEPLITZ_SIGMA_FLOOR times
+        the 1-norm; factor_s then includes the Levinson attempt and its
+        sigma_min iteration."""
         A = self.matrix
         t0 = time.perf_counter()
-        anorm = float(np.linalg.norm(A, 1))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            lu_piv = sla.lu_factor(A)
-        rcond, info = sla.lapack.dgecon(lu_piv[0], anorm, norm="1")
-        t1 = time.perf_counter()
-        sigma, null_vec = _sigma_min_estimate(lu_piv, self.n)
+        if isinstance(self, _ToeplitzStiffness):
+            anorm = _toeplitz_norm1(A[:, 0])
+            factor = _levinson(A)
+        else:
+            anorm, factor = float(np.linalg.norm(A, 1)), None
+        if factor is not None:
+            t1 = time.perf_counter()
+            sigma, null_vec = _sigma_min_estimate(factor, self.n)
+            if sigma < TOEPLITZ_SIGMA_FLOOR * anorm:
+                factor = None
+        if factor is None:
+            factor = _LU(A)
+            t1 = time.perf_counter()
+            sigma, null_vec = _sigma_min_estimate(factor, self.n)
+        t2 = time.perf_counter()
+        condition = factor.condition(anorm)
         return _Factors(
-            lu_piv=lu_piv,
+            factor=factor,
             anorm=anorm,
-            condition=math.inf if rcond == 0 else 1.0 / rcond,
+            condition=condition,
             sigma_min=sigma,
             null_vec=null_vec,
-            factor_s=t1 - t0,
-            sigma_s=time.perf_counter() - t1,
+            factor_s=t1 - t0 + time.perf_counter() - t2,
+            sigma_s=t2 - t1,
         )
+
+
+class _ToeplitzStiffness(StiffnessMatrix):
+    """A StiffnessMatrix that assemble knows to be symmetric Toeplitz."""
 
 
 @dataclass(frozen=True)
@@ -196,6 +352,7 @@ class SolveReport:
     mp_audit: dict
     h: float
     sigma_min: float
+    factorization: str  # "toeplitz" (Levinson) | "lu"
     # seconds per phase and the node count n:
     # {assemble_s, factor_s, sigma_s, solve_s, audit_s, n}; assemble_s is 0.0
     # for a prebuilt matrix, factor_s and sigma_s are 0.0 for a factored one
@@ -288,12 +445,16 @@ def assemble(problem, grid, cfg):
     def diag(wk):
         return wk[:near].sum() + op.const + problem.shift
 
-    return StiffnessMatrix(matrix=_lattice_matrix(grid, offs, weights, diag), grid=grid)
+    A = _lattice_matrix(grid, offs, weights, diag)
+    # one stencil on a hole-free 1-D lattice: A[i, j] depends on j - i only,
+    # and the 1-D polar rule pairs every offset with its mirror image
+    toeplitz = N == 1 and grid.n == grid.dims[0] and not callable(weights)
+    return (_ToeplitzStiffness if toeplitz else StiffnessMatrix)(matrix=A, grid=grid)
 
 
-def _sigma_min_estimate(lu_piv, n, iters=40, seed=7):
+def _sigma_min_estimate(factor, n, iters=40, seed=7):
     """Smallest singular value by inverse power iteration on A^T A, using the
-    existing factorization; also returns the approximate singular vector.
+    factorization's solves; also returns the approximate singular vector.
     Stops once sigma changes by at most SIGMA_MIN_RTOL relative, or after
     iters steps."""
     rng = np.random.default_rng(seed)
@@ -302,8 +463,8 @@ def _sigma_min_estimate(lu_piv, n, iters=40, seed=7):
     sigma = math.inf
     with np.errstate(all="ignore"):
         for _ in range(iters):
-            y = sla.lu_solve(lu_piv, v, trans=1)
-            z = sla.lu_solve(lu_piv, y, trans=0)
+            y = factor.solve(v, trans=True)
+            z = factor.solve(y)
             nz = np.linalg.norm(z)
             if not np.isfinite(nz) or nz == 0.0:
                 return 0.0, v
@@ -338,11 +499,12 @@ def solve_dirichlet(problem, grid, cfg, stiffness=None):
     returned grid function is a unit-norm approximate null vector instead of
     a solution.  Passing a prebuilt StiffnessMatrix skips assembly, and the
     matrix is factored only on its first solve (see StiffnessMatrix), so
-    solving one matrix against many right-hand sides costs one LU
-    factorization.  The report's timings split the wall time into assembly,
-    LU factorization (with the condition estimate), the sigma_min
-    iteration, the triangular solves, and the audit (the residual plus the
-    maximum-principle check).
+    solving one matrix against many right-hand sides costs one
+    factorization.  The report names the factorization ("toeplitz" or "lu"),
+    and its timings split the wall time into assembly, factorization (with
+    the condition estimate), the sigma_min iteration, the solve with the
+    factorization, and the audit (the residual plus the maximum-principle
+    check).
     """
     f = problem.rhs.evaluate(grid.nodes)
     t0 = time.perf_counter()
@@ -360,7 +522,7 @@ def solve_dirichlet(problem, grid, cfg, stiffness=None):
         mp_audit = {"pass": True, "max_violation": 0.0, "sup_ratio": 0.0}
     else:
         with np.errstate(all="ignore"):
-            u = sla.lu_solve(fac.lu_piv, f)
+            u = fac.factor.solve(f)
         if not np.all(np.isfinite(u)):
             raise ArithmeticError("linear solve produced non-finite values")
         t3 = time.perf_counter()
@@ -382,6 +544,7 @@ def solve_dirichlet(problem, grid, cfg, stiffness=None):
         mp_audit=mp_audit,
         h=grid.h,
         sigma_min=fac.sigma_min,
+        factorization=fac.factor.name,
         timings=timings,
     )
     return GridFunction(grid, u), report
@@ -400,18 +563,24 @@ def fredholm_sweep(problem, grid, cfg, mu_lo, mu_hi, tol=1e-12):
     The collocation matrix A is a Z-matrix (off-diagonal entries <= 0), so
     lambda_1, its eigenvalue of smallest real part, is real and simple with a
     positive eigenvector, and (A - sigma*I)^-1 >= 0 for sigma below the
-    smallest row sum (Perron-Frobenius).  One LU factorization of A - sigma*I
-    drives inverse iteration from x = 1; each solve y = (A - sigma*I)^-1 x
+    smallest row sum (Perron-Frobenius).  One factorization of A - sigma*I
+    (Levinson when A is symmetric Toeplitz, else LU of a copy) drives
+    inverse iteration from x = 1; each solve y = (A - sigma*I)^-1 x
     gives the Collatz-Wielandt enclosure
-    sigma + 1/max(y/x) <= lambda_1 <= sigma + 1/min(y/x), and the iteration
-    stops once its width is at most tol*max(1, |lambda_1|).
+    sigma + 1/max(y/x) <= lambda_1 <= sigma + 1/min(y/x), exact for the
+    exact solve.  Once that is at most tol*max(1, |lambda_1|) wide, the
+    iterate y itself gives min(Ay/y) <= lambda_1 <= max(Ay/y), which holds
+    for every positive y, so the solve's rounding drops out and only that of
+    the one product A @ y is left; the iteration stops when this enclosure
+    is that narrow too.
 
     Returns {"mu_star": midpoint of the enclosure, "evaluations": number of
-    triangular solves, "bounds": [lo, hi]}.  Raises ValueError when A is not
-    a Z-matrix or lambda_1 lies outside [mu_lo, mu_hi], and ArithmeticError
+    solves, "bounds": [lo, hi]}.  Raises ValueError when A is not
+    a Z-matrix or the enclosure lies outside [mu_lo, mu_hi], and ArithmeticError
     when the enclosure has not converged after SWEEP_MAX_SOLVES solves.
     """
-    A = assemble(replace(problem, shift=0.0), grid, cfg).matrix
+    sm = assemble(replace(problem, shift=0.0), grid, cfg)
+    A = sm.matrix
     n = len(A)
     off_max = np.max(A, where=~np.eye(n, dtype=bool), initial=-math.inf)
     if off_max > Z_MATRIX_TOL * np.max(np.abs(A)):
@@ -421,33 +590,36 @@ def fredholm_sweep(problem, grid, cfg, mu_lo, mu_hi, tol=1e-12):
         )
     sigma = min(float(mu_lo), float(np.min(A.sum(axis=1))))
     for _ in range(2):
-        M = A.copy()
-        M[np.diag_indices(n)] -= sigma
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            lu_piv = sla.lu_factor(M, overwrite_a=True)
-        if np.all(np.diagonal(lu_piv[0])):
+        factor = _levinson(A, sigma) if isinstance(sm, _ToeplitzStiffness) else None
+        if factor is None:
+            M = A.copy()
+            M[np.diag_indices(n)] -= sigma
+            factor = _LU(M, overwrite=True)
+        if not factor.singular:
             break
         sigma -= max(1.0, abs(sigma))  # exactly singular: sigma hit lambda_1
     else:
         raise ArithmeticError(f"A - sigma*I is singular at sigma={sigma!r}")
     x = np.ones(n)
     for solves in range(1, SWEEP_MAX_SOLVES + 1):
-        y = sla.lu_solve(lu_piv, x, check_finite=False)
+        y = factor.solve(x)
         r = y / x
         if not np.min(r) > 0.0:
             raise ArithmeticError("inverse iterate lost positivity")
         lo, hi = sigma + 1.0 / float(np.max(r)), sigma + 1.0 / float(np.min(r))
-        lam1 = 0.5 * (lo + hi)
-        if hi - lo <= tol * max(1.0, abs(lam1)):
-            break
+        if hi - lo <= tol * max(1.0, abs(lo + hi) / 2):
+            q = (A @ y) / y
+            lo, hi = float(np.min(q)), float(np.max(q))
+            lam1 = 0.5 * (lo + hi)
+            if hi - lo <= tol * max(1.0, abs(lam1)):
+                break
         x = y / np.max(y)
     else:
         raise ArithmeticError(
             f"lambda_1 enclosure [{lo!r}, {hi!r}] did not reach tol={tol} "
             f"in {SWEEP_MAX_SOLVES} solves"
         )
-    if not mu_lo <= lam1 <= mu_hi:
+    if hi < mu_lo or lo > mu_hi:
         raise ValueError(
             f"first eigenvalue lambda_1={lam1!r} lies outside [{mu_lo}, {mu_hi}]"
         )

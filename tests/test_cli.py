@@ -120,6 +120,20 @@ def test_eval_flags_left_out_keep_the_config_defaults(capsys, flags, cfg):
     assert json.loads(out) == {"value": value, "err_est": err}
 
 
+@pytest.mark.parametrize("x", ["0.13", "-0.7"])
+def test_loglap_paths_print_the_same_estimate(capsys, x):
+    # both paths estimate the whole sum; adding the estimates of its parts
+    # printed 2.2e-8 against 2.2e-16 at 0.13
+    docs = []
+    for path in ("decomposition", "direct"):
+        code, out, _ = _run(capsys, "eval", "--op", "loglap", "--field", "gaussian(0.4)",
+                            f"--x={x}", "--N", "1", "--path", path)
+        assert code == 0
+        docs.append(json.loads(out))
+    assert docs[0] == docs[1]
+    assert docs[0]["err_est"] < 1e-12
+
+
 def test_eval_domain_error_is_numerical_failure(capsys):
     code, _, err = _run(
         capsys, "eval", "--op", "sector", "--r", "1.5", "--d", "0.1"
@@ -211,6 +225,7 @@ def test_solve_writes_solution_and_report(capsys, tmp_path):
     assert report["mp_audit"]["pass"] is True
     assert report["h"] == 0.05
     assert report["residual_inf"] < 1e-9
+    assert report["factorization"] == "toeplitz"
     timings = report["timings"]
     assert timings["n"] == 19
     assert all(
@@ -266,6 +281,8 @@ def test_solve_near_singular_exits_nonzero(capsys, tmp_path):
     assert "near-singular" in err
     report = json.loads(report_json.read_text())
     assert report["alternative"] == "near_singular"
+    # sigma_min is near the singular threshold, so LU refactored the matrix
+    assert report["factorization"] == "lu"
     # the CSV now holds a unit-norm approximate null vector
     rows = out_csv.read_text().strip().splitlines()[1:]
     v = np.array([float(r.split(",")[1]) for r in rows])
@@ -650,6 +667,24 @@ print(json.dumps([codes, before, "scipy.linalg._flapack" in sys.modules,
     proc = _python(script)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0], False, True, True]
+
+
+def test_interval_solve_never_loads_scipy_fft(tmp_path):
+    # the Toeplitz solves use numpy.fft; importing scipy.fft would add ~0.1 s
+    # to the first solve in a process
+    report = tmp_path / "r.json"
+    script = f"""
+import json, sys
+from logop import cli
+code = cli.main(["solve", "--config", {str(CONFIGS / "solve_interval.json")!r},
+                 "--out", {str(tmp_path / "u.csv")!r}, "--report", {str(report)!r}])
+with open({str(report)!r}) as f:
+    factorization = json.load(f)["factorization"]
+print(json.dumps([code, factorization, "scipy.fft" in sys.modules]))
+"""
+    proc = _python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, "toeplitz", False]
 
 
 def test_import_without_scipy_fails_at_import():

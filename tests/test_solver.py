@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -321,18 +322,16 @@ def test_assembly_refuses_dense_system_beyond_physical_memory():
     assert peak < 1e6
 
 
-class _CountingLinalg:
-    """scipy.linalg with its lu_solve calls counted."""
+class _CountingFactor:
+    """A factorization with its solves counted."""
 
-    def __init__(self):
+    def __init__(self, factor):
+        self.factor = factor
         self.solves = 0
 
-    def __getattr__(self, name):
-        return getattr(sla, name)
-
-    def lu_solve(self, *args, **kwargs):
+    def solve(self, b, trans=False):
         self.solves += 1
-        return sla.lu_solve(*args, **kwargs)
+        return self.factor.solve(b, trans)
 
 
 @pytest.mark.parametrize(
@@ -343,17 +342,18 @@ class _CountingLinalg:
         (Domain.ball([0.0, 0.0], 0.25), 0.02, sinlog_kernel, 35),
     ],
 )
-def test_sigma_min_estimate_stops_once_converged(
-    domain, h, kernel, step_bound, monkeypatch
-):
+def test_sigma_min_estimate_stops_once_converged(domain, h, kernel, step_bound):
     grid = build_grid(domain, h)
     problem = ProblemSpec(
         operator="generic", domain=domain, rhs=const_field(1.0), kernel=kernel()
     )
-    A = assemble(problem, grid, CFG).matrix
-    counter = _CountingLinalg()
-    monkeypatch.setattr(solver, "sla", counter)
-    sigma, v = solver._sigma_min_estimate(sla.lu_factor(A), grid.n)
+    sm = assemble(problem, grid, CFG)
+    A = sm.matrix
+    # counted on the factorization the matrix takes: Levinson in 1-D, LU in 2-D
+    factor = sm._factors.factor
+    assert factor.name == ("toeplitz" if domain.N == 1 else "lu")
+    counter = _CountingFactor(factor)
+    sigma, v = solver._sigma_min_estimate(counter, grid.n)
     assert sigma == pytest.approx(np.linalg.svd(A, compute_uv=False)[-1], rel=1e-10)
     assert np.linalg.norm(A.T @ v) == pytest.approx(sigma, rel=1e-6)
     assert counter.solves // 2 < step_bound
@@ -468,15 +468,22 @@ def test_solve_report_times_each_phase():
     assert again.timings["solve_s"] > 0 and again.timings["audit_s"] > 0
 
 
-def _count_lu_factor(monkeypatch):
-    calls = []
-    lu_factor = sla.lu_factor
+def _count_factorizations(monkeypatch):
+    """Calls of lu_factor and of solve_toeplitz (one per Levinson
+    factorization), by name."""
+    calls = {"lu_factor": 0, "solve_toeplitz": 0}
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return lu_factor(*args, **kwargs)
+    def counting(name):
+        original = getattr(sla, name)
 
-    monkeypatch.setattr(solver.sla, "lu_factor", counted)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(solver.sla, name, counting(name))
     return calls
 
 
@@ -501,15 +508,16 @@ def test_shared_matrix_is_factored_once(monkeypatch, shift):
         for f in rhs
     ]
     sm = assemble(problems[0], grid, CFG)
-    calls = _count_lu_factor(monkeypatch)
+    calls = _count_factorizations(monkeypatch)
     shared = [solve_dirichlet(p, grid, CFG, stiffness=sm) for p in problems]
-    assert len(calls) == 1
+    assert calls == {"lu_factor": 0, "solve_toeplitz": 1}
     for p, (u, report) in zip(problems, shared):
         u_ref, ref = solve_dirichlet(p, grid, CFG, stiffness=assemble(p, grid, CFG))
         assert report.alternative == "unique_solution"
+        assert report.factorization == "toeplitz"
         assert np.array_equal(u.values, u_ref.values)
         _same_report(report, ref)
-    assert len(calls) == 1 + len(problems)
+    assert calls == {"lu_factor": 0, "solve_toeplitz": 1 + len(problems)}
 
 
 def test_shared_near_singular_matrix_keeps_its_verdict(monkeypatch):
@@ -519,16 +527,151 @@ def test_shared_near_singular_matrix_keeps_its_verdict(monkeypatch):
     shifted = ProblemSpec("generic", problem.domain, const_field(1.0),
                           kernel=unit_kernel(), shift=-lam1)
     sm = assemble(shifted, grid, CFG)
-    calls = _count_lu_factor(monkeypatch)
+    calls = _count_factorizations(monkeypatch)
     v1, first = solve_dirichlet(shifted, grid, CFG, stiffness=sm)
     kept = v1.values.copy()
     # the caller owns the returned vector: changing it leaves the next solve alone
     v1.values[:] = 0.0
     v2, second = solve_dirichlet(shifted, grid, CFG, stiffness=sm)
-    assert len(calls) == 1
+    # sigma_min is near the singular threshold, so LU refactors the matrix
+    # after the one Levinson attempt
+    assert calls == {"lu_factor": 1, "solve_toeplitz": 1}
     assert first.alternative == second.alternative == "near_singular"
+    assert first.factorization == "lu"
     assert np.array_equal(v2.values, kept)
     _same_report(second, first)
+
+
+def test_levinson_is_kept_above_the_sigma_floor():
+    # sigma_min = 1e-8 times the 1-norm, 10^2 above TOEPLITZ_SIGMA_FLOOR:
+    # Levinson stays, and its estimate agrees with LU's to far better than
+    # the margin to the near-singular threshold
+    problem = _interval_problem(half=0.25)
+    grid = build_grid(problem.domain, 0.025)
+    A = assemble(problem, grid, CFG).matrix
+    anorm = float(np.linalg.norm(A, 1))
+    shift = 1e-8 * anorm - float(np.linalg.eigvalsh(A)[0])
+    shifted = replace(problem, shift=shift)
+    sm = assemble(shifted, grid, CFG)
+    _, report = solve_dirichlet(shifted, grid, CFG, stiffness=sm)
+    oracle = solver.StiffnessMatrix(np.array(sm.matrix), grid)
+    _, ref = solve_dirichlet(shifted, grid, CFG, stiffness=oracle)
+    assert (report.factorization, ref.factorization) == ("toeplitz", "lu")
+    assert report.alternative == ref.alternative == "unique_solution"
+    assert ref.sigma_min == pytest.approx(1e-8 * anorm, rel=1e-3)
+    assert report.sigma_min == pytest.approx(ref.sigma_min, rel=1e-6)
+
+
+_ORACLE_CASES = {
+    "unit": ("generic", Domain.interval(-0.5, 0.5), 0.005, lambda tmp: unit_kernel(), 0.0),
+    "sinlog": ("generic", Domain.interval(-0.5, 0.5), 0.005, lambda tmp: sinlog_kernel(), 0.0),
+    "table": ("generic", Domain.interval(-0.5, 0.5), 0.005, _table_kernel_file, 0.0),
+    "loglap-farfield": ("loglap", Domain.interval(-0.8, 0.8), 0.005, None, 0.0),
+    "schrodinger": ("schrodinger", Domain.interval(-0.5, 0.5), 0.005, None, 0.0),
+    "shifted": ("generic", Domain.interval(-0.5, 0.5), 0.005, lambda tmp: unit_kernel(), 2.5),
+}
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_toeplitz_path_matches_lu(case, tmp_path):
+    # the same matrix solved through Levinson (as assembled) and through LU
+    # (as a raw array)
+    operator, domain, h, make_kernel, shift = _ORACLE_CASES[case]
+    problem = ProblemSpec(
+        operator=operator,
+        domain=domain,
+        rhs=quadratic_field(),
+        kernel=make_kernel(tmp_path) if make_kernel else None,
+        shift=shift,
+    )
+    grid = build_grid(domain, h)
+    sm = assemble(problem, grid, CFG)
+    if operator == "loglap":
+        assert np.max(domain.max_reach(grid.nodes)) > 1.0  # the far field is nonzero
+    u, report = solve_dirichlet(problem, grid, CFG, stiffness=sm)
+    oracle = solver.StiffnessMatrix(np.array(sm.matrix), grid)
+    u_lu, ref = solve_dirichlet(problem, grid, CFG, stiffness=oracle)
+    assert (report.factorization, ref.factorization) == ("toeplitz", "lu")
+    assert report.alternative == ref.alternative == "unique_solution"
+    assert report.mp_audit["pass"] == ref.mp_audit["pass"]
+    assert np.max(np.abs(u.values - u_lu.values)) <= 1e-12 * np.max(np.abs(u_lu.values))
+    assert report.sigma_min == pytest.approx(ref.sigma_min, rel=1e-12)
+    assert report.condition_estimate == pytest.approx(ref.condition_estimate, rel=1e-10)
+    assert report.residual_inf <= 1e-12 * np.max(np.abs(problem.rhs.evaluate(grid.nodes)))
+
+
+def test_only_1d_translation_invariant_matrices_take_levinson():
+    interval = Domain.interval(-0.5, 0.5)
+    ball = Domain.ball([0.0, 0.0], 0.25)
+    cases = [
+        (interval, unit_kernel(), "toeplitz"),
+        (interval, _wobble_kernel(), "lu"),
+        (ball, unit_kernel(), "lu"),
+    ]
+    for domain, kernel, factorization in cases:
+        problem = ProblemSpec("generic", domain, const_field(1.0), kernel=kernel)
+        _, report = solve_dirichlet(problem, build_grid(domain, 0.05), CFG)
+        assert report.factorization == factorization
+
+
+def test_levinson_failures_fall_back_to_lu(monkeypatch):
+    problem = _interval_problem(half=0.1)
+    grid = build_grid(problem.domain, 0.04)
+    assert grid.n == 5
+    # symmetric Toeplitz with eigenvalues 4, -1, -1, -1, -1, but its first
+    # leading minor is 0
+    A = np.ones((5, 5)) - np.eye(5)
+    sm = solver._ToeplitzStiffness(A, grid)
+    u, report = solve_dirichlet(problem, grid, CFG, stiffness=sm)
+    assert report.factorization == "lu"
+    assert report.alternative == "unique_solution"
+    assert np.allclose(u.values, 0.25, rtol=0, atol=1e-15)
+    # a Levinson factor that fails the backward-error check is not kept
+    sm = assemble(problem, grid, CFG)
+    monkeypatch.setattr(solver, "TOEPLITZ_BACKWARD_TOL", 0.0)
+    _, report = solve_dirichlet(problem, grid, CFG, stiffness=sm)
+    assert report.factorization == "lu"
+
+
+def test_fredholm_sweep_falls_back_from_levinson(monkeypatch):
+    # equal row sums equal lambda_1 = 0: Levinson meets the singular A - 0*I,
+    # LU confirms it, and the lowered shift is factored by Levinson
+    problem = _interval_problem(half=0.1)
+    grid = build_grid(problem.domain, 0.04)
+    A = 5.0 * np.eye(5) - np.ones((5, 5))
+    monkeypatch.setattr(
+        solver, "assemble", lambda *args: solver._ToeplitzStiffness(A, grid)
+    )
+    calls = _count_factorizations(monkeypatch)
+    out = fredholm_sweep(problem, grid, CFG, 0.0, 1.0)
+    assert out["mu_star"] == pytest.approx(0.0, abs=1e-14)
+    # the FFT solves round where LU on these integers is exact, so the
+    # enclosure from y = (A - sigma*I)^-1 x alone missed lambda_1 = 0 by an ulp
+    assert out["bounds"][0] <= 0.0 <= out["bounds"][1]
+    assert calls == {"lu_factor": 1, "solve_toeplitz": 2}
+
+
+def test_inverse_norm_estimate_is_dgecon():
+    # dgecon runs the estimator on U^-1 L^-1 (A = PLU, the permutation left
+    # out); given those solves, _inverse_norm1_estimate takes the same steps.
+    # Over 1000 random matrices its final alternating-sign stage decides
+    # a few estimates.
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        n = int(rng.integers(1, 8))
+        A = rng.standard_normal((n, n))
+        lu = sla.lu_factor(A)[0]
+
+        def solve(b, trans=False):
+            steps = [{"lower": True, "unit_diagonal": True}, {"lower": False}]
+            for kw in steps[::-1] if trans else steps:
+                b = sla.solve_triangular(lu, b, trans=int(trans), **kw)
+            return b
+
+        anorm = float(np.linalg.norm(A, 1))
+        rcond, _ = sla.lapack.dgecon(lu, anorm, norm="1")
+        estimate = solver._inverse_norm1_estimate(solve, n)
+        assert anorm * estimate == pytest.approx(1.0 / rcond, rel=1e-12)
 
 
 def test_stiffness_matrix_is_read_only():
@@ -559,13 +702,16 @@ def test_fredholm_probe_unshifted_is_unique():
     assert report.sigma_min > 0
 
 
-def test_fredholm_sweep_locates_first_eigenvalue():
+def test_fredholm_sweep_locates_first_eigenvalue(monkeypatch):
     problem = _interval_problem(half=0.25)
     grid = build_grid(problem.domain, 0.025)
     A = assemble(problem, grid, CFG).matrix
     real_eigs = np.sort(np.linalg.eigvals(A).real)
     lam1, lam2 = float(real_eigs[0]), float(real_eigs[1])
+    calls = _count_factorizations(monkeypatch)
     out = fredholm_sweep(problem, grid, CFG, 0.5 * lam1, 0.5 * (lam1 + lam2))
+    # A - sigma*I is symmetric Toeplitz: Levinson factors it, with no LU copy
+    assert calls == {"lu_factor": 0, "solve_toeplitz": 1}
     assert out["mu_star"] == pytest.approx(lam1, rel=1e-8)
     assert out["evaluations"] >= 3
     with pytest.raises(ValueError):
