@@ -8,8 +8,9 @@ barrier constructions that drive their log-Hoelder regularity theory.
 Layout: `logmod` (the truncated log modulus and exponent fits),
 `kernels` (special functions, kernel catalog, mollification), `geometry`
 (domains and grids), `nonlocal_eval` (pointwise quadrature of the operators),
-`solver` (dense collocation solves and Fredholm probes), `barriers` (barrier
-fields and verifiers), `cli` (batch front end, installed as `logop`).
+`solver` (dense collocation solves, their Fredholm verdicts and the
+first-eigenvalue sweep), `barriers` (barrier fields and verifiers), `cli`
+(batch front end, installed as `logop`).
 
 LOGOP_THREADS, when set, caps the BLAS thread pools: it is copied into the
 OpenBLAS/OpenMP/MKL thread variables (unless those are set already) before
@@ -54,7 +55,6 @@ from .solver import (
     StiffnessMatrix,
     assemble,
     estimate_regularity,
-    fredholm_probe,
     fredholm_sweep,
     solve_dirichlet,
     torsion_scan,
@@ -100,7 +100,6 @@ __all__ = [
     "StiffnessMatrix",
     "assemble",
     "estimate_regularity",
-    "fredholm_probe",
     "fredholm_sweep",
     "solve_dirichlet",
     "torsion_scan",

@@ -219,7 +219,9 @@ def radial_rule(lo, hi, n_per_decade, breakpoints=()):
 
     Returns (rho, w) with sum(w * f(rho)) approximating the integral over
     [lo, hi].  Node density is n_per_decade subintervals per factor of 10,
-    with at least two subintervals per panel.
+    with at least two subintervals per panel.  Nothing in the package calls
+    it: it is polar_nodes on one ray, kept as the 1-D reference rule the
+    tests and perfbench's tracer use by name.
     """
     edges = panel_edges(lo, hi, breakpoints)
     _, rho, w = polar_nodes(np.ones((1, 1)), np.ones(1), edges, n_per_decade)

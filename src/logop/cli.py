@@ -194,19 +194,6 @@ def _solution_csv(u):
     return "\n".join(lines) + "\n"
 
 
-def _report_dict(report):
-    return {
-        "residual_inf": report.residual_inf,
-        "condition_estimate": report.condition_estimate,
-        "alternative": report.alternative,
-        "mp_audit": report.mp_audit,
-        "h": report.h,
-        "sigma_min": report.sigma_min,
-        "factorization": report.factorization,
-        "timings": report.timings,
-    }
-
-
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------
@@ -270,7 +257,7 @@ def _cmd_solve(args):
     problem, quad, grid = _parse_solve(_load_config(args.config), "config")
     u, report = solver.solve_dirichlet(problem, grid, quad)
     _write_atomic(args.out, _solution_csv(u))
-    _write_atomic(args.report, _json_text(_report_dict(report)))
+    _write_atomic(args.report, _json_text(dataclasses.asdict(report)))
     if report.alternative != "unique_solution":
         print("solver: near-singular system; wrote approximate null vector",
               file=sys.stderr)

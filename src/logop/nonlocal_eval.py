@@ -477,8 +477,8 @@ def sector_integral(r, d, N, cfg):
     if not 0 < d < r * r:
         raise ValueError("d must lie in (0, r^2)")
     if N == 1:
-        rho, w = _quadrules.radial_rule(d, d + 2 * r, cfg.node_counts()[1])
-        return float(np.sum(w))
+        # the chord is [d, d + 2r] on one side of x: integral of d(rho)/rho
+        return math.log((d + 2 * r) / d)
     if N != 2:
         raise ValueError("only dimensions 1 and 2 are supported")
     # Substitute sin(theta) = q sin(phi), q = r/(r+d): the angular integrand

@@ -30,14 +30,17 @@ symmetric Toeplitz matrix A = T(S) + d*I; assemble marks it, and it is
 factored in O(n^2) by Levinson's recursion and solved in O(n log n) by the
 Gohberg-Semencul formula.  Every other matrix, and a Toeplitz one whose
 Levinson factor breaks down, fails its backward-error check or lies near
-the singular threshold, is factored by dense LU.
+the singular threshold, is factored by dense LU of one Fortran-ordered
+copy.  `_factor` makes this choice for every solve and for the
+first-eigenvalue sweep, and a factor is only its solves: the condition
+estimate is the same Hager-Higham iteration on either factor.
 
-scipy.linalg (LAPACK) is loaded on the first factorization, triangular
-solve or condition estimate, not when this module is imported: the
-pointwise evaluators and the barrier verifiers (`eval`, `verify`,
-`constants`) never load it, and the first solve in a process pays the
-~0.2 s load (its `factor_s` includes it).  The Toeplitz solves use
-numpy.fft, which numpy has already loaded; scipy.fft is never imported.
+scipy.linalg (LAPACK) is loaded on the first factorization or triangular
+solve, not when this module is imported: the pointwise evaluators and the
+barrier verifiers (`eval`, `verify`, `constants`) never load it, and the
+first solve in a process pays the ~0.2 s load (its `factor_s` includes
+it).  The Toeplitz solves use numpy.fft, which numpy has already loaded;
+scipy.fft is never imported.
 """
 
 from __future__ import annotations
@@ -63,7 +66,6 @@ __all__ = [
     "SolveReport",
     "assemble",
     "solve_dirichlet",
-    "fredholm_probe",
     "fredholm_sweep",
     "torsion_radii",
     "torsion_scan",
@@ -144,24 +146,27 @@ class ProblemSpec:
 
 
 class _LU:
-    """Dense LU factorization with partial pivoting (LAPACK getrf) of A;
-    overwrite lets it factor A in place."""
+    """Dense LU factorization with partial pivoting (LAPACK getrf) of
+    A - shift*I, made in place on one Fortran-ordered copy.  A is checked
+    for finiteness before the copy is made, so the check's n x n mask and
+    the copy never exist together."""
 
     name = "lu"
 
-    def __init__(self, A, overwrite=False):
+    def __init__(self, A, shift):
         with warnings.catch_warnings():
+            # sla is touched before the copy is made: loading scipy.linalg
+            # while the copy exists leaves module objects above it on the
+            # heap, which keeps its pages resident once it is freed (copying
+            # first raised xdep-2d's peak RSS from 81.5 to 88.1 MB)
             warnings.simplefilter("ignore", sla.LinAlgWarning)
-            self.lu_piv = sla.lu_factor(A, overwrite_a=overwrite)
+            M = np.array(np.asarray_chkfinite(A), order="F")
+            M[np.diag_indices(len(M))] -= shift
+            self.lu_piv = sla.lu_factor(M, overwrite_a=True, check_finite=False)
         self.singular = not np.all(np.diagonal(self.lu_piv[0]))
 
     def solve(self, b, trans=False):
         return sla.lu_solve(self.lu_piv, b, trans=int(trans))
-
-    def condition(self, anorm):
-        """1-norm condition estimate (dgecon)."""
-        rcond, _ = sla.lapack.dgecon(self.lu_piv[0], anorm, norm="1")
-        return math.inf if rcond == 0 else 1.0 / rcond
 
 
 class _Toeplitz:
@@ -190,11 +195,6 @@ class _Toeplitz:
         s = fft.rfft(fft.irfft(self.X * B, m)[n - 1::-1], m)
         t = fft.rfft(fft.irfft(self.Y * B, m)[n - 1::-1], m)
         return fft.irfft(self.X * s - self.Y * t, m)[:n] / self.x0
-
-    def condition(self, anorm):
-        """1-norm condition estimate: anorm times the dgecon estimate of
-        ||T^-1||_1, run on this factor's solves."""
-        return anorm * _inverse_norm1_estimate(self.solve, self.n)
 
 
 def _toeplitz_norm1(column):
@@ -234,11 +234,20 @@ def _levinson(A, shift=0.0):
     return factor if backward <= TOEPLITZ_BACKWARD_TOL else None
 
 
+def _factor(A, toeplitz, shift=0.0):
+    """The factorization of A - shift*I, the one place that chooses it:
+    Levinson's when `toeplitz` says A is symmetric Toeplitz and _levinson
+    keeps the factor, else LU of one copy (_LU)."""
+    factor = _levinson(A, shift) if toeplitz else None
+    return factor if factor is not None else _LU(A, shift)
+
+
 def _inverse_norm1_estimate(solve, n, itmax=5):
     """Estimate of ||A^-1||_1 from solves with A and A^T: Hager's method with
-    Higham's refinements, step for step as LAPACK's dlacn2, which dgecon
-    runs on the solves with U^-1 L^-1 of an LU factorization A = PLU.
-    solve(b, trans) returns A^-1 b, or A^-T b when trans is true."""
+    Higham's refinements, step for step as LAPACK's dlacn2, which LAPACK's
+    LU condition estimate runs on the solves with U^-1 L^-1 of A = PLU.
+    solve(b, trans) returns A^-1 b, or A^-T b when trans is true.  Every
+    factor's condition estimate is the 1-norm times this estimate."""
     y = solve(np.full(n, 1.0 / n))
     if n == 1:
         return abs(float(y[0]))
@@ -312,23 +321,18 @@ class StiffnessMatrix:
         the 1-norm; factor_s then includes the Levinson attempt and its
         sigma_min iteration."""
         A = self.matrix
+        toeplitz = isinstance(self, _ToeplitzStiffness)
         t0 = time.perf_counter()
-        if isinstance(self, _ToeplitzStiffness):
-            anorm = _toeplitz_norm1(A[:, 0])
-            factor = _levinson(A)
-        else:
-            anorm, factor = float(np.linalg.norm(A, 1)), None
-        if factor is not None:
-            t1 = time.perf_counter()
-            sigma, null_vec = _sigma_min_estimate(factor, self.n)
-            if sigma < TOEPLITZ_SIGMA_FLOOR * anorm:
-                factor = None
-        if factor is None:
-            factor = _LU(A)
+        anorm = _toeplitz_norm1(A[:, 0]) if toeplitz else float(np.linalg.norm(A, 1))
+        factor = _factor(A, toeplitz)
+        t1 = time.perf_counter()
+        sigma, null_vec = _sigma_min_estimate(factor, self.n)
+        if factor.name == "toeplitz" and sigma < TOEPLITZ_SIGMA_FLOOR * anorm:
+            factor = _factor(A, False)
             t1 = time.perf_counter()
             sigma, null_vec = _sigma_min_estimate(factor, self.n)
         t2 = time.perf_counter()
-        condition = factor.condition(anorm)
+        condition = anorm * _inverse_norm1_estimate(factor.solve, self.n)
         return _Factors(
             factor=factor,
             anorm=anorm,
@@ -550,12 +554,6 @@ def solve_dirichlet(problem, grid, cfg, stiffness=None):
     return GridFunction(grid, u), report
 
 
-def fredholm_probe(problem, grid, cfg):
-    """Report which discrete Fredholm alternative the system exhibits."""
-    _, report = solve_dirichlet(problem, grid, cfg)
-    return report
-
-
 def fredholm_sweep(problem, grid, cfg, mu_lo, mu_hi, tol=1e-12):
     """Enclose the first eigenvalue lambda_1 of the base operator (the
     problem's own shift is ignored) and check that it lies in [mu_lo, mu_hi].
@@ -564,8 +562,8 @@ def fredholm_sweep(problem, grid, cfg, mu_lo, mu_hi, tol=1e-12):
     lambda_1, its eigenvalue of smallest real part, is real and simple with a
     positive eigenvector, and (A - sigma*I)^-1 >= 0 for sigma below the
     smallest row sum (Perron-Frobenius).  One factorization of A - sigma*I
-    (Levinson when A is symmetric Toeplitz, else LU of a copy) drives
-    inverse iteration from x = 1; each solve y = (A - sigma*I)^-1 x
+    (_factor: Levinson when A is symmetric Toeplitz, else LU of one copy)
+    drives inverse iteration from x = 1; each solve y = (A - sigma*I)^-1 x
     gives the Collatz-Wielandt enclosure
     sigma + 1/max(y/x) <= lambda_1 <= sigma + 1/min(y/x), exact for the
     exact solve.  Once that is at most tol*max(1, |lambda_1|) wide, the
@@ -590,11 +588,7 @@ def fredholm_sweep(problem, grid, cfg, mu_lo, mu_hi, tol=1e-12):
         )
     sigma = min(float(mu_lo), float(np.min(A.sum(axis=1))))
     for _ in range(2):
-        factor = _levinson(A, sigma) if isinstance(sm, _ToeplitzStiffness) else None
-        if factor is None:
-            M = A.copy()
-            M[np.diag_indices(n)] -= sigma
-            factor = _LU(M, overwrite=True)
+        factor = _factor(A, isinstance(sm, _ToeplitzStiffness), sigma)
         if not factor.singular:
             break
         sigma -= max(1.0, abs(sigma))  # exactly singular: sigma hit lambda_1

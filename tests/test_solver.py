@@ -40,7 +40,6 @@ from logop.solver import (
     ProblemSpec,
     assemble,
     estimate_regularity,
-    fredholm_probe,
     fredholm_sweep,
     solve_dirichlet,
     torsion_scan,
@@ -674,6 +673,59 @@ def test_inverse_norm_estimate_is_dgecon():
         assert anorm * estimate == pytest.approx(1.0 / rcond, rel=1e-12)
 
 
+_BALL = Domain.ball([0.0, 0.0], 0.25)
+
+
+@pytest.mark.parametrize(
+    "operator, domain, kernel, h",
+    [
+        ("generic", _BALL, unit_kernel(), 0.02),
+        ("generic", _BALL, sinlog_kernel(), 0.02),
+        ("loglap", Domain.box([-0.5, -0.5], [0.5, 0.5]), None, 0.05),
+    ],
+    ids=["ball-unit", "ball-sinlog", "box-loglap"],
+)
+def test_lu_condition_estimate_is_dgecon(operator, domain, kernel, h):
+    # the estimator runs on the LU factor's solves, which apply the row
+    # permutation dgecon leaves out; on these matrices both take the same steps
+    problem = ProblemSpec(operator, domain, const_field(1.0), kernel=kernel)
+    grid = build_grid(domain, h)
+    sm = assemble(problem, grid, CFG)
+    _, report = solve_dirichlet(problem, grid, CFG, stiffness=sm)
+    assert report.factorization == "lu"
+    anorm = float(np.linalg.norm(sm.matrix, 1))
+    rcond, _ = sla.lapack.dgecon(sla.lu_factor(sm.matrix)[0], anorm, norm="1")
+    assert report.condition_estimate == pytest.approx(1.0 / rcond, rel=1e-12, abs=0)
+
+
+def test_lu_paths_hold_one_copy_of_the_matrix(monkeypatch):
+    # a solve and the sweep each factor one Fortran-ordered copy in place,
+    # with A's finiteness checked before the copy is made: beyond A, the
+    # traced peak is that copy (1.01x), not two copies (2.01x) or a copy
+    # plus the finiteness mask (1.13x)
+    problem = ProblemSpec("generic", _BALL, const_field(1.0), kernel=unit_kernel())
+    grid = build_grid(_BALL, 0.02)
+    A = np.array(assemble(problem, grid, CFG).matrix)
+    assert 400 <= grid.n <= 600
+
+    def fresh():
+        return solver.StiffnessMatrix(A, grid)
+
+    monkeypatch.setattr(solver, "assemble", lambda *args: fresh())
+
+    def peak(run):
+        run()  # loads scipy.linalg, whose modules would count towards the peak
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1] / A.nbytes
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: solve_dirichlet(problem, grid, CFG, stiffness=fresh())) <= 1.05
+    assert peak(lambda: fredholm_sweep(problem, grid, CFG, 0.0, 20.0)) <= 1.25
+
+
 def test_stiffness_matrix_is_read_only():
     problem = _interval_problem()
     grid = build_grid(problem.domain, 0.05)
@@ -697,7 +749,7 @@ def test_stiffness_matrices_compare_and_hash_by_identity():
 def test_fredholm_probe_unshifted_is_unique():
     problem = _interval_problem(half=0.25)
     grid = build_grid(problem.domain, 0.025)
-    report = fredholm_probe(problem, grid, CFG)
+    report = solve_dirichlet(problem, grid, CFG)[1]
     assert report.alternative == "unique_solution"
     assert report.sigma_min > 0
 
