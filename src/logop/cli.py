@@ -186,12 +186,13 @@ def _g17(v):
 
 
 def _solution_csv(u):
+    # the text of _g17 on every value, made by one %-format of the whole table
     grid = u.grid
-    cols = [f"x{i + 1}" for i in range(grid.domain.N)]
-    lines = [",".join(cols + ["u"])]
-    for node, val in zip(grid.nodes, u.values):
-        lines.append(",".join([_g17(c) for c in node] + [_g17(val)]))
-    return "\n".join(lines) + "\n"
+    N = grid.domain.N
+    header = ",".join([f"x{i + 1}" for i in range(N)] + ["u"])
+    table = "\n".join([",".join(["%.17g"] * (N + 1))] * grid.n)
+    values = np.column_stack([grid.nodes, u.values]).ravel().tolist()
+    return header + "\n" + table % tuple(values) + "\n"
 
 
 # --------------------------------------------------------------------------

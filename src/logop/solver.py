@@ -26,14 +26,17 @@ and smallest singular value are computed on the first solve and kept, so
 every later right-hand side costs one solve with the factorization, the
 residual and the maximum-principle audit.  On a 1-D grid (a run of
 consecutive lattice points) a translation-invariant operator gives a
-symmetric Toeplitz matrix A = T(S) + d*I; assemble marks it, and it is
+symmetric Toeplitz matrix A = T(S) + d*I, and assemble keeps only its first
+column (a _ToeplitzStiffness): its products are direct convolutions, it is
 factored in O(n^2) by Levinson's recursion and solved in O(n log n) by the
-Gohberg-Semencul formula.  Every other matrix, and a Toeplitz one whose
-Levinson factor breaks down, fails its backward-error check or lies near
-the singular threshold, is factored by dense LU of one Fortran-ordered
-copy.  `_factor` makes this choice for every solve and for the
-first-eigenvalue sweep, and a factor is only its solves: the condition
-estimate is the same Hager-Higham iteration on either factor.
+Gohberg-Semencul formula, and its n x n matrix is formed only when read or
+for LU.  Every other matrix, a Toeplitz one of fewer than TOEPLITZ_MIN_N
+rows, and a Toeplitz one whose Levinson factor breaks down, fails its
+backward-error check or lies near the singular threshold, is factored by
+dense LU of one Fortran-ordered copy.  `_factor` makes this choice for
+every solve and for the first-eigenvalue sweep, and a factor is only its
+solves: the condition estimate is the same Hager-Higham iteration on either
+factor.
 
 scipy.linalg (LAPACK) is loaded on the first factorization or triangular
 solve, not when this module is imported: the pointwise evaluators and the
@@ -57,7 +60,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _quadrules, geometry, kernels, nonlocal_eval
-from .geometry import Grid, GridFunction
+from .geometry import GridFunction
 from .logmod import ell, fit_exponent, fit_second_order_exponent
 
 __all__ = [
@@ -87,6 +90,15 @@ DENSE_BYTES_PER_ENTRY = 16  # float64 matrix plus the LU factorization's copy
 # threshold leaves every near_singular verdict and null vector to LU
 TOEPLITZ_BACKWARD_TOL = 1e-11
 TOEPLITZ_SIGMA_FLOOR = 10 * NEAR_SINGULAR_FACTOR
+# a 1-D Toeplitz matrix with fewer rows is factored by LU: each Levinson
+# factor pays ~1 ms of FFT set-up and Python overhead however small n is.
+# StiffnessMatrix._factors (factor, condition estimate and sigma_min, LU
+# including forming the dense matrix; median of 21, unit kernel on
+# (-0.5, 0.5), 2 vCPU) takes, Levinson against LU: 1.4-2.4 against 0.5-0.8
+# ms at n = 19, 2.1 against 1.1 at n = 149, 3.4 against 2.8-3.1 at n = 249,
+# 3.9-4.3 against 4.1-4.2 at n = 299, 4.5-4.7 against 5.4-5.5 at n = 349,
+# 4.8-4.9 against 7.0-7.3 at n = 399 and 4.7-4.9 against 11.0 at n = 499
+TOEPLITZ_MIN_N = 300
 _OPERATORS = ("generic", "loglap", "schrodinger")
 
 
@@ -166,7 +178,9 @@ class _LU:
         self.singular = not np.all(np.diagonal(self.lu_piv[0]))
 
     def solve(self, b, trans=False):
-        return sla.lu_solve(self.lu_piv, b, trans=int(trans))
+        # an exactly singular factor gives inf or nan, which the callers
+        # check; scipy's own check would raise instead
+        return sla.lu_solve(self.lu_piv, b, trans=int(trans), check_finite=False)
 
 
 class _Toeplitz:
@@ -206,15 +220,16 @@ def _toeplitz_norm1(column):
     return float(np.max(p + p[::-1]) - abs(column[0]))
 
 
-def _levinson(A, shift=0.0):
-    """The _Toeplitz factor of A - shift*I, where A is symmetric Toeplitz,
-    or None when Levinson's recursion meets a singular
-    leading minor or a probe solve has a normwise backward error above
-    TOEPLITZ_BACKWARD_TOL (the recursion does not pivot, so it is not stable
-    for every indefinite matrix).  The recursion reads the first column of
-    A, the probe's residual all of A, and A - shift*I is never formed."""
-    n = len(A)
-    column = A[:, 0].copy()
+def _levinson(column, matvec, shift=0.0):
+    """The _Toeplitz factor of T - shift*I, where T is the symmetric Toeplitz
+    matrix with this first column and matvec(v) = T @ v, or None when
+    Levinson's recursion meets a singular leading minor or a probe solve has
+    a normwise backward error above TOEPLITZ_BACKWARD_TOL (the recursion
+    does not pivot, so it is not stable for every indefinite matrix).  The
+    recursion reads the column, the probe's residual one product with T,
+    and no n x n array is formed."""
+    n = len(column)
+    column = column.copy()
     column[0] -= shift
     e1 = np.zeros(n)
     e1[0] = 1.0
@@ -228,18 +243,25 @@ def _levinson(A, shift=0.0):
     b = np.random.default_rng(7).standard_normal(n)
     with np.errstate(all="ignore"):
         y = factor.solve(b)
-        r = A @ y - shift * y - b
+        r = matvec(y) - shift * y - b
         scale = _toeplitz_norm1(column) * np.max(np.abs(y)) + np.max(np.abs(b))
         backward = np.max(np.abs(r)) / scale
     return factor if backward <= TOEPLITZ_BACKWARD_TOL else None
 
 
-def _factor(A, toeplitz, shift=0.0):
-    """The factorization of A - shift*I, the one place that chooses it:
-    Levinson's when `toeplitz` says A is symmetric Toeplitz and _levinson
-    keeps the factor, else LU of one copy (_LU)."""
-    factor = _levinson(A, shift) if toeplitz else None
-    return factor if factor is not None else _LU(A, shift)
+def _factor(sm, shift=0.0, levinson=True):
+    """The factorization of A - shift*I for the StiffnessMatrix sm, the one
+    place that chooses it: Levinson's when sm is symmetric Toeplitz with at
+    least TOEPLITZ_MIN_N rows, `levinson` is true and _levinson keeps the
+    factor, else LU of one copy of the dense matrix (_LU).  A Toeplitz
+    matrix forms its dense matrix only here, behind the memory guard."""
+    if not isinstance(sm, _ToeplitzStiffness):
+        return _LU(sm.matrix, shift)
+    if levinson and sm.n >= TOEPLITZ_MIN_N:
+        factor = _levinson(sm.column, sm.matvec, shift)
+        if factor is not None:
+            return factor
+    return _LU(sm._dense("the LU fallback from Levinson"), shift)
 
 
 def _inverse_norm1_estimate(solve, n, itmax=5):
@@ -284,34 +306,44 @@ class _Factors:
     sigma_s: float
 
 
-@dataclass(frozen=True, eq=False)
 class StiffnessMatrix:
-    """Dense collocation matrix; row i applies the operator to the nodal hat
+    """Collocation matrix; row i applies the operator to the nodal hat
     interpolants at node i.
 
+    Every stiffness matrix offers the same interface: its `grid`, its size
+    `n`, the product `matvec(v)` = A @ v, the dense `matrix` and `_factors`.
     The matrix is factored once: the first solve computes its factorization,
     1-norm, condition estimate and smallest singular value (`_factors`), and
     every later solve with this matrix reuses them.  A matrix built by
     `assemble` on a 1-D grid for a translation-invariant operator is
-    symmetric Toeplitz (a _ToeplitzStiffness) and is factored by Levinson's
-    recursion, with LU as the fallback (see `_factors`); every other matrix,
-    including one built here from a raw array, is factored by LU, whose copy
-    lives as long as the matrix.  `matrix` is a read-only view, so writing
-    into it raises instead of solving against a stale factorization; do not
-    write into the array the matrix was built from either.  Matrices compare
-    and hash by identity, as objects that own their factorization."""
+    symmetric Toeplitz (a _ToeplitzStiffness, which keeps only its first
+    column) and is factored by Levinson's recursion, with LU as the fallback
+    (see `_factors`); every other matrix, including one built here from a
+    raw array, is factored by LU, whose copy lives as long as the matrix.
+    `matrix` is read-only, so writing into it raises instead of solving
+    against a stale factorization; do not write into the array the matrix
+    was built from either.  Matrices compare and hash by identity, as
+    objects that own their factorization."""
 
-    matrix: np.ndarray
-    grid: Grid
-
-    def __post_init__(self):
-        view = np.asarray(self.matrix).view()
+    def __init__(self, matrix, grid):
+        view = np.asarray(matrix).view()
         view.flags.writeable = False
-        object.__setattr__(self, "matrix", view)
+        self._matrix = view
+        self.grid = grid
+
+    @property
+    def matrix(self):
+        return self._matrix
 
     @property
     def n(self):
-        return self.matrix.shape[0]
+        return self._matrix.shape[0]
+
+    def matvec(self, v):
+        return self._matrix @ v
+
+    def _norm1(self):
+        return float(np.linalg.norm(self._matrix, 1))
 
     @cached_property
     def _factors(self):
@@ -319,20 +351,25 @@ class StiffnessMatrix:
         once.  A Toeplitz matrix is refactored by LU when Levinson fails
         (see _levinson) or sigma_min falls under TOEPLITZ_SIGMA_FLOOR times
         the 1-norm; factor_s then includes the Levinson attempt and its
-        sigma_min iteration."""
-        A = self.matrix
-        toeplitz = isinstance(self, _ToeplitzStiffness)
+        sigma_min iteration.  An LU factor with a zero pivot has sigma_min 0,
+        an infinite condition estimate and the null vector of the SVD, as
+        inverse iteration cannot run on it."""
         t0 = time.perf_counter()
-        anorm = _toeplitz_norm1(A[:, 0]) if toeplitz else float(np.linalg.norm(A, 1))
-        factor = _factor(A, toeplitz)
-        t1 = time.perf_counter()
-        sigma, null_vec = _sigma_min_estimate(factor, self.n)
-        if factor.name == "toeplitz" and sigma < TOEPLITZ_SIGMA_FLOOR * anorm:
-            factor = _factor(A, False)
+        anorm = self._norm1()
+        for levinson in (True, False):
+            factor = _factor(self, levinson=levinson)
             t1 = time.perf_counter()
-            sigma, null_vec = _sigma_min_estimate(factor, self.n)
+            if factor.singular:
+                sigma, null_vec = 0.0, np.linalg.svd(self.matrix)[2][-1]
+            else:
+                sigma, null_vec = _sigma_min_estimate(factor, self.n)
+            if factor.name == "lu" or sigma >= TOEPLITZ_SIGMA_FLOOR * anorm:
+                break
         t2 = time.perf_counter()
-        condition = anorm * _inverse_norm1_estimate(factor.solve, self.n)
+        if factor.singular:
+            condition = math.inf
+        else:
+            condition = anorm * _inverse_norm1_estimate(factor.solve, self.n)
         return _Factors(
             factor=factor,
             anorm=anorm,
@@ -345,7 +382,41 @@ class StiffnessMatrix:
 
 
 class _ToeplitzStiffness(StiffnessMatrix):
-    """A StiffnessMatrix that assemble knows to be symmetric Toeplitz."""
+    """A symmetric Toeplitz StiffnessMatrix, kept as its first column
+    c = A[:, 0] (n numbers; assemble builds one for a translation-invariant
+    operator on a hole-free 1-D grid).  Each entry of matvec is one dot
+    product with a window of (c[n-1], ..., c[1], c[0], ..., c[n-1]), so it
+    rounds like A @ v, in O(n) memory.  The dense matrix is formed only when
+    `matrix` is read (built on each read, not kept) or LU needs it, and
+    each time the memory guard runs first."""
+
+    def __init__(self, column, grid):
+        view = np.asarray(column).view()
+        view.flags.writeable = False
+        self.column = view
+        self.grid = grid
+
+    @property
+    def matrix(self):
+        return self._dense("reading the dense matrix")
+
+    @property
+    def n(self):
+        return len(self.column)
+
+    def matvec(self, v):
+        c = self.column
+        return np.convolve(np.concatenate((c[:0:-1], c)), v, "valid")
+
+    def _norm1(self):
+        return _toeplitz_norm1(self.column)
+
+    def _dense(self, cause):
+        """toeplitz(c), read-only, once the guard has found room for it."""
+        _check_dense_size(self.grid, cause)
+        A = sla.toeplitz(self.column)
+        A.flags.writeable = False
+        return A
 
 
 @dataclass(frozen=True)
@@ -363,9 +434,10 @@ class SolveReport:
     timings: dict
 
 
-def _lattice_matrix(grid, offs, weights, diag):
+def _lattice_matrix(grid, offs, weights, diag, toeplitz=False):
     """Dense matrix of u -> diag(w) u(x_i) - sum_k w[k] interp u(x_i + offs[k])
-    collocated at every node x_i, where w holds the offset weights at x_i.
+    collocated at every node x_i, where w holds the offset weights at x_i,
+    or only its first column when `toeplitz` is true.
 
     weights is that array itself when it is the same at every node (a
     translation-invariant operator) or a function of the node giving it (an
@@ -374,58 +446,82 @@ def _lattice_matrix(grid, offs, weights, diag):
     is gathered from the stencil S = -(P @ w): entry j is S[q[j] + origin - q[i]],
     with q the flat index of each node in the difference table.  The stencil
     is computed once, or once per node (one sparse matrix-vector product)
-    for an x-dependent kernel."""
+    for an x-dependent kernel.  `toeplitz` asks for one stencil on a
+    hole-free 1-D lattice, where A is symmetric Toeplitz: its first column
+    S[q[0] + origin - q] (plus the diagonal at the top) is returned, and no
+    n x n array is allocated."""
     P = geometry.difference_projection(grid, offs)
     span = tuple(2 * d - 1 for d in grid.dims)
     q = np.ravel_multi_index((grid.lattice - grid.kmin).T, span)
     origin = np.ravel_multi_index(tuple(d - 1 for d in grid.dims), span)
 
-    def stencil(w):
+    def stencil(i, w):
         S, d = -(P @ w), diag(w)
-        return S, d, bool(np.all(np.isfinite(S))) and math.isfinite(d)
-
-    if callable(weights):
-        rows = map(stencil, map(weights, grid.nodes))
-    else:
-        rows = [stencil(weights)] * grid.n
-    A = np.empty((grid.n, grid.n))
-    for i, (S, d, finite) in enumerate(rows):
-        if not finite:
+        if not (np.all(np.isfinite(S)) and math.isfinite(d)):
             raise ArithmeticError(
                 f"quadrature failure assembling node {i} at {grid.nodes[i]}"
             )
+        return S, d
+
+    if callable(weights):
+        rows = (stencil(i, weights(x)) for i, x in enumerate(grid.nodes))
+    else:
+        S, d = stencil(0, weights)
+        if toeplitz:
+            column = S[q[0] + origin - q]
+            column[0] += d
+            return column
+        rows = [(S, d)] * grid.n
+    A = np.empty((grid.n, grid.n))
+    for i, (S, d) in enumerate(rows):
         row = A[i]
         np.take(S, q + (origin - q[i]), out=row)
         row[i] += d
     return A
 
 
-def _check_dense_size(grid):
+def _check_dense_size(grid, cause="assembly"):
     """Refuse a dense system that cannot fit in physical memory: the matrix
-    and the copy LU factorization makes take 16*n^2 bytes."""
+    and the copy LU factorization makes take 16*n^2 bytes.  assemble checks
+    before it allocates anything for every matrix but a symmetric Toeplitz
+    one, which is stored as one column of n numbers and checks here only
+    when its dense matrix is formed: for the LU fallback from Levinson or
+    when its `matrix` is read.  `cause` names which in the error."""
     need = DENSE_BYTES_PER_ENTRY * grid.n ** 2
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         n_fit = math.sqrt(have / DENSE_BYTES_PER_ENTRY)
         h_fit = grid.h * (grid.n / n_fit) ** (1.0 / grid.domain.N)
         raise ValueError(
-            f"dense system with n={grid.n} nodes needs {need / 1e9:.1f} GB "
+            f"{cause}: dense system with n={grid.n} nodes needs {need / 1e9:.1f} GB "
             f"(matrix plus LU copy) but physical memory is {have / 1e9:.1f} GB; "
             f"use a coarser grid, h >= {h_fit:.3g}"
         )
 
 
 def assemble(problem, grid, cfg):
-    """Assemble the dense collocation matrix for the problem's operator: the
-    polar rule, weights and diagonal of its nonlocal_eval._operator record,
+    """Assemble the collocation matrix for the problem's operator: the polar
+    rule, weights and diagonal of its nonlocal_eval._operator record,
     gathered through _lattice_matrix.
 
-    Raises ValueError before allocating anything when the dense system would
-    not fit in physical memory."""
+    A translation-invariant operator on a hole-free 1-D grid gives a
+    _ToeplitzStiffness, which stores the first column only; every other
+    matrix is dense, and for it assemble raises ValueError before
+    allocating anything when the dense system would not fit in physical
+    memory."""
     if grid.n == 0:
         raise ValueError("grid has no nodes")
-    _check_dense_size(grid)
     N = grid.domain.N
+    # one stencil on a hole-free 1-D lattice: A[i, j] depends on j - i only,
+    # and the 1-D polar rule pairs every offset with its mirror image.  Only
+    # a kernel can depend on x; loglap and schrodinger carry none.
+    toeplitz = (
+        N == 1
+        and grid.n == grid.dims[0]
+        and (problem.kernel is None or problem.kernel.translation_invariant)
+    )
+    if not toeplitz:
+        _check_dense_size(grid)
     n_ang, n_rad = cfg.node_counts()
     reach = float(np.max(grid.domain.max_reach(grid.nodes)))
     op = nonlocal_eval._operator(problem.operator, N, cfg.r_min, reach, problem.kernel)
@@ -449,11 +545,8 @@ def assemble(problem, grid, cfg):
     def diag(wk):
         return wk[:near].sum() + op.const + problem.shift
 
-    A = _lattice_matrix(grid, offs, weights, diag)
-    # one stencil on a hole-free 1-D lattice: A[i, j] depends on j - i only,
-    # and the 1-D polar rule pairs every offset with its mirror image
-    toeplitz = N == 1 and grid.n == grid.dims[0] and not callable(weights)
-    return (_ToeplitzStiffness if toeplitz else StiffnessMatrix)(matrix=A, grid=grid)
+    A = _lattice_matrix(grid, offs, weights, diag, toeplitz)
+    return (_ToeplitzStiffness if toeplitz else StiffnessMatrix)(A, grid)
 
 
 def _sigma_min_estimate(factor, n, iters=40, seed=7):
@@ -498,17 +591,18 @@ def _mp_audit(u, f, residual_inf):
 def solve_dirichlet(problem, grid, cfg, stiffness=None):
     """Solve the collocation system; returns (GridFunction, SolveReport).
 
-    When the smallest-singular-value estimate falls under 1e-10 times the
-    matrix 1-norm the report flags the second Fredholm alternative and the
-    returned grid function is a unit-norm approximate null vector instead of
-    a solution.  Passing a prebuilt StiffnessMatrix skips assembly, and the
+    When the smallest-singular-value estimate is at most 1e-10 times the
+    matrix 1-norm (it is 0 for a matrix with a zero LU pivot) the report
+    flags the second Fredholm alternative and the returned grid function is
+    a unit-norm approximate null vector instead of a solution.  Passing a prebuilt StiffnessMatrix skips assembly, and the
     matrix is factored only on its first solve (see StiffnessMatrix), so
     solving one matrix against many right-hand sides costs one
     factorization.  The report names the factorization ("toeplitz" or "lu"),
     and its timings split the wall time into assembly, factorization (with
     the condition estimate), the sigma_min iteration, the solve with the
     factorization, and the audit (the residual plus the maximum-principle
-    check).
+    check).  Both residuals are products with sm.matvec, so a Toeplitz
+    matrix is never formed for them.
     """
     f = problem.rhs.evaluate(grid.nodes)
     t0 = time.perf_counter()
@@ -516,12 +610,11 @@ def solve_dirichlet(problem, grid, cfg, stiffness=None):
     t1 = time.perf_counter()
     reused = "_factors" in vars(sm)
     fac = sm._factors
-    A = sm.matrix
     t2 = time.perf_counter()
-    if fac.sigma_min < NEAR_SINGULAR_FACTOR * fac.anorm:
+    if fac.sigma_min <= NEAR_SINGULAR_FACTOR * fac.anorm:
         u = fac.null_vec.copy()
         t3 = time.perf_counter()
-        residual = float(np.max(np.abs(A @ u)))
+        residual = float(np.max(np.abs(sm.matvec(u))))
         alternative = "near_singular"
         mp_audit = {"pass": True, "max_violation": 0.0, "sup_ratio": 0.0}
     else:
@@ -530,7 +623,7 @@ def solve_dirichlet(problem, grid, cfg, stiffness=None):
         if not np.all(np.isfinite(u)):
             raise ArithmeticError("linear solve produced non-finite values")
         t3 = time.perf_counter()
-        residual = float(np.max(np.abs(A @ u - f)))
+        residual = float(np.max(np.abs(sm.matvec(u) - f)))
         alternative = "unique_solution"
         mp_audit = _mp_audit(u, f, residual)
     timings = {
@@ -562,7 +655,8 @@ def fredholm_sweep(problem, grid, cfg, mu_lo, mu_hi, tol=1e-12):
     lambda_1, its eigenvalue of smallest real part, is real and simple with a
     positive eigenvector, and (A - sigma*I)^-1 >= 0 for sigma below the
     smallest row sum (Perron-Frobenius).  One factorization of A - sigma*I
-    (_factor: Levinson when A is symmetric Toeplitz, else LU of one copy)
+    (_factor: Levinson when A is a large enough symmetric Toeplitz matrix,
+    else LU of one copy)
     drives inverse iteration from x = 1; each solve y = (A - sigma*I)^-1 x
     gives the Collatz-Wielandt enclosure
     sigma + 1/max(y/x) <= lambda_1 <= sigma + 1/min(y/x), exact for the
@@ -578,17 +672,26 @@ def fredholm_sweep(problem, grid, cfg, mu_lo, mu_hi, tol=1e-12):
     when the enclosure has not converged after SWEEP_MAX_SOLVES solves.
     """
     sm = assemble(replace(problem, shift=0.0), grid, cfg)
-    A = sm.matrix
-    n = len(A)
-    off_max = np.max(A, where=~np.eye(n, dtype=bool), initial=-math.inf)
-    if off_max > Z_MATRIX_TOL * np.max(np.abs(A)):
+    n = sm.n
+    if isinstance(sm, _ToeplitzStiffness):
+        # from the first column c in O(n): the off-diagonal is c[1:], and
+        # row i sums c[0..i] and c[1..n-1-i]
+        c = sm.column
+        p = np.cumsum(c)
+        off_max = np.max(c[1:], initial=-math.inf)
+        a_max, row_sums = np.max(np.abs(c)), p + p[::-1] - c[0]
+    else:
+        A = sm.matrix
+        off_max = np.max(A, where=~np.eye(n, dtype=bool), initial=-math.inf)
+        a_max, row_sums = np.max(np.abs(A)), A.sum(axis=1)
+    if off_max > Z_MATRIX_TOL * a_max:
         raise ValueError(
             f"matrix is not a Z-matrix (off-diagonal entry {off_max:.3g} > 0); "
             "the eigenvalue enclosure needs a nonpositive off-diagonal"
         )
-    sigma = min(float(mu_lo), float(np.min(A.sum(axis=1))))
+    sigma = min(float(mu_lo), float(np.min(row_sums)))
     for _ in range(2):
-        factor = _factor(A, isinstance(sm, _ToeplitzStiffness), sigma)
+        factor = _factor(sm, sigma)
         if not factor.singular:
             break
         sigma -= max(1.0, abs(sigma))  # exactly singular: sigma hit lambda_1
@@ -602,7 +705,7 @@ def fredholm_sweep(problem, grid, cfg, mu_lo, mu_hi, tol=1e-12):
             raise ArithmeticError("inverse iterate lost positivity")
         lo, hi = sigma + 1.0 / float(np.max(r)), sigma + 1.0 / float(np.min(r))
         if hi - lo <= tol * max(1.0, abs(lo + hi) / 2):
-            q = (A @ y) / y
+            q = sm.matvec(y) / y
             lo, hi = float(np.min(q)), float(np.max(q))
             lam1 = 0.5 * (lo + hi)
             if hi - lo <= tol * max(1.0, abs(lam1)):

@@ -20,3 +20,13 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def levinson_at_any_n(monkeypatch):
+    """Levinson's recursion for 1-D Toeplitz matrices of every size, so that
+    tests on small grids exercise it (solver.TOEPLITZ_MIN_N gives those to
+    LU)."""
+    from logop import solver
+
+    monkeypatch.setattr(solver, "TOEPLITZ_MIN_N", 0)

@@ -14,7 +14,7 @@ import pytest
 import logop
 from logop import barriers, cli, nonlocal_eval, solver
 from logop.cli import main
-from logop.geometry import Domain, build_grid
+from logop.geometry import Domain, GridFunction, build_grid
 from logop.kernels import unit_kernel
 from logop.nonlocal_eval import QuadratureConfig, const_field, gaussian_field
 from logop.solver import ProblemSpec, assemble
@@ -207,7 +207,7 @@ def test_one_parser_serves_every_call(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_solve_writes_solution_and_report(capsys, tmp_path):
+def test_solve_writes_solution_and_report(capsys, tmp_path, levinson_at_any_n):
     out_csv = tmp_path / "u.csv"
     report_json = tmp_path / "report.json"
     code, _, _ = _run(
@@ -253,7 +253,7 @@ def test_solve_deterministic_output(capsys, tmp_path):
     assert files[0] == files[1]
 
 
-def test_solve_near_singular_exits_nonzero(capsys, tmp_path):
+def test_solve_near_singular_exits_nonzero(capsys, tmp_path, levinson_at_any_n):
     # find the bottom eigenvalue first, then shift the identity onto it
     domain = Domain.interval(-0.25, 0.25)
     problem = ProblemSpec(
@@ -287,6 +287,58 @@ def test_solve_near_singular_exits_nonzero(capsys, tmp_path):
     rows = out_csv.read_text().strip().splitlines()[1:]
     v = np.array([float(r.split(",")[1]) for r in rows])
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [np.ones((5, 5)), np.zeros((5, 5)), 5.0 * np.eye(5) - np.ones((5, 5))],
+    ids=["ones", "zeros", "zero-row-sums"],
+)
+def test_solve_singular_matrix_exits_nonzero(capsys, tmp_path, monkeypatch, matrix):
+    # an exactly singular LU factor gives the near-singular verdict with the
+    # SVD's null vector, not a crash on the inverse iteration's inf iterate
+    config = {
+        "domain": {"type": "interval", "a": -0.1, "b": 0.1},
+        "operator": {"name": "generic", "kernel": "unit"},
+        "rhs": {"name": "const", "value": 1.0},
+        "h": 0.04,
+    }
+    cfg_path = tmp_path / "singular.json"
+    cfg_path.write_text(json.dumps(config))
+    monkeypatch.setattr(
+        solver, "assemble", lambda problem, grid, cfg: solver.StiffnessMatrix(matrix, grid)
+    )
+    out_csv, report_json = tmp_path / "null.csv", tmp_path / "report.json"
+    code, _, err = _run(
+        capsys, "solve", "--config", str(cfg_path),
+        "--out", str(out_csv), "--report", str(report_json),
+    )
+    assert code == 1
+    assert "near-singular" in err
+    report = json.loads(report_json.read_text())
+    assert report["alternative"] == "near_singular"
+    assert report["factorization"] == "lu"
+    assert report["sigma_min"] == 0.0
+    v = np.loadtxt(out_csv, delimiter=",", skiprows=1)[:, 1]
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(matrix @ v)) <= 1e-12 * np.max(np.abs(matrix))
+
+
+def test_solution_csv_is_the_g17_text():
+    # one %-format of the whole table gives the text of _g17 on every value
+    specials = [-0.0, math.inf, -math.inf, 5e-324, -2.5e-310, 1e-20, -1e20, 0.1, 1 / 3]
+    for domain, h in [(Domain.interval(-0.5, 0.5), 0.0005), (Domain.ball([0.0, 0.0], 0.25), 0.03)]:
+        grid = build_grid(domain, h)
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal(grid.n) * 10.0 ** rng.integers(-20, 21, grid.n)
+        values[: len(specials)] = specials
+        u = GridFunction(grid, values)
+        cols = [f"x{i + 1}" for i in range(domain.N)] + ["u"]
+        lines = [",".join(cols)] + [
+            ",".join([cli._g17(c) for c in node] + [cli._g17(val)])
+            for node, val in zip(grid.nodes, values)
+        ]
+        assert cli._solution_csv(u) == "\n".join(lines) + "\n"
 
 
 def test_solve_rejects_unknown_config_keys(capsys, tmp_path):
@@ -675,7 +727,8 @@ def test_interval_solve_never_loads_scipy_fft(tmp_path):
     report = tmp_path / "r.json"
     script = f"""
 import json, sys
-from logop import cli
+from logop import cli, solver
+solver.TOEPLITZ_MIN_N = 0  # n = 19: Levinson only when asked for
 code = cli.main(["solve", "--config", {str(CONFIGS / "solve_interval.json")!r},
                  "--out", {str(tmp_path / "u.csv")!r}, "--report", {str(report)!r}])
 with open({str(report)!r}) as f:

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import tracemalloc
 from dataclasses import replace
@@ -280,26 +281,97 @@ def test_loglap_assembly_projects_once(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("operator", ["generic", "loglap", "schrodinger"])
-def test_assembly_peak_memory_is_the_matrix(operator):
-    # the matrix is the only n x n array assembly allocates, so the
-    # documented 16*n^2 bytes (matrix plus LU copy) hold for every operator
-    domain = Domain.interval(-0.5, 0.5)
-    grid = build_grid(domain, 0.001)
-    problem = ProblemSpec(
-        operator=operator,
-        domain=domain,
-        rhs=const_field(1.0),
-        kernel=unit_kernel() if operator == "generic" else None,
-    )
+@pytest.mark.parametrize(
+    "operator, domain, h, kernel",
+    [
+        ("generic", Domain.ball([0.0, 0.0], 0.25), 0.01, unit_kernel()),
+        ("loglap", Domain.ball([0.0, 0.0], 0.25), 0.01, None),
+        ("schrodinger", Domain.ball([0.0, 0.0], 0.25), 0.01, None),
+        ("generic", Domain.interval(-0.5, 0.5), 0.001, _wobble_kernel()),
+    ],
+    ids=["generic", "loglap", "schrodinger", "xdep-1d"],
+)
+def test_assembly_peak_memory_is_the_matrix(operator, domain, h, kernel):
+    # a dense matrix (2-D grid or x-dependent kernel) is the only n x n array
+    # assembly allocates, so the documented 16*n^2 bytes (matrix plus LU
+    # copy) hold for every operator
+    problem = ProblemSpec(operator, domain, const_field(1.0), kernel=kernel)
+    assemble(problem, build_grid(domain, 0.1), CFG)  # loads scipy.sparse untraced
+    grid = build_grid(domain, h)
     tracemalloc.start()
     try:
-        A = assemble(problem, grid, CFG).matrix
+        sm = assemble(problem, grid, CFG)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert A.shape == (grid.n, grid.n)
-    assert peak <= 1.25 * A.nbytes
+    assert type(sm) is solver.StiffnessMatrix
+    assert sm.matrix.shape == (grid.n, grid.n)
+    assert peak <= 1.25 * sm.matrix.nbytes
+
+
+def test_toeplitz_path_holds_no_dense_matrix():
+    # assembly, a solve and the sweep on a 1-D Toeplitz stiffness keep its
+    # first column and O(n) work arrays, far below one n x n matrix
+    problem = _interval_problem()
+    grid = build_grid(problem.domain, 0.0005)
+    assert grid.n == 1999
+
+    def run():
+        sm = assemble(problem, grid, CFG)
+        _, report = solve_dirichlet(problem, grid, CFG, stiffness=sm)
+        fredholm_sweep(problem, grid, CFG, 1.0, 2.5)
+        return report
+
+    run()  # loads scipy.linalg and scipy.sparse untraced
+    tracemalloc.start()
+    try:
+        report = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.factorization == "toeplitz"
+    assert peak < 0.05 * 8 * grid.n ** 2
+
+
+def _no_room_for_dense(monkeypatch, n):
+    """Report physical memory one page short of the 16*n^2 bytes the dense
+    system of n nodes needs."""
+    page = 4096
+    pages = solver.DENSE_BYTES_PER_ENTRY * n ** 2 // page - 1
+    sizes = {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": page}
+    sysconf = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: sizes.get(name) or sysconf(name))
+
+
+@pytest.mark.parametrize("fallback", ["backward-error", "sigma-floor"])
+def test_dense_size_guard_runs_when_a_toeplitz_matrix_is_formed(monkeypatch, fallback):
+    # a Toeplitz stiffness stores n numbers: it assembles and solves without
+    # room for a dense matrix, and the guard refuses only what would form one,
+    # naming why, before anything n x n is allocated
+    problem = _interval_problem()
+    grid = build_grid(problem.domain, 0.0005)
+    lam1 = fredholm_sweep(problem, grid, CFG, 1.0, 2.5)["mu_star"]
+    _no_room_for_dense(monkeypatch, grid.n)
+    sm = assemble(problem, grid, CFG)
+    _, report = solve_dirichlet(problem, grid, CFG, stiffness=sm)
+    assert (report.factorization, report.alternative) == ("toeplitz", "unique_solution")
+    with pytest.raises(ValueError, match=rf"reading the dense matrix: .*n={grid.n}"):
+        sm.matrix
+    if fallback == "backward-error":
+        monkeypatch.setattr(solver, "TOEPLITZ_BACKWARD_TOL", 0.0)
+    else:
+        problem = replace(problem, shift=-lam1)
+    sm = assemble(problem, grid, CFG)
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            ValueError, match=rf"LU fallback from Levinson: .*n={grid.n}.*coarser grid"
+        ):
+            solve_dirichlet(problem, grid, CFG, stiffness=sm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * 8 * grid.n ** 2
 
 
 def test_assembly_refuses_dense_system_beyond_physical_memory():
@@ -497,7 +569,7 @@ def _same_report(report, ref):
 
 
 @pytest.mark.parametrize("shift", [0.0, 2.5], ids=["unshifted", "shifted"])
-def test_shared_matrix_is_factored_once(monkeypatch, shift):
+def test_shared_matrix_is_factored_once(monkeypatch, levinson_at_any_n, shift):
     base = _interval_problem()
     grid = build_grid(base.domain, 0.02)
     rhs = [const_field(1.0), quadratic_field(), field_sum([(2.0, const_field(1.0)),
@@ -519,7 +591,7 @@ def test_shared_matrix_is_factored_once(monkeypatch, shift):
     assert calls == {"lu_factor": 0, "solve_toeplitz": 1 + len(problems)}
 
 
-def test_shared_near_singular_matrix_keeps_its_verdict(monkeypatch):
+def test_shared_near_singular_matrix_keeps_its_verdict(monkeypatch, levinson_at_any_n):
     problem = _interval_problem(half=0.25)
     grid = build_grid(problem.domain, 0.025)
     lam1 = float(np.min(np.linalg.eigvals(assemble(problem, grid, CFG).matrix).real))
@@ -541,7 +613,7 @@ def test_shared_near_singular_matrix_keeps_its_verdict(monkeypatch):
     _same_report(second, first)
 
 
-def test_levinson_is_kept_above_the_sigma_floor():
+def test_levinson_is_kept_above_the_sigma_floor(levinson_at_any_n):
     # sigma_min = 1e-8 times the 1-norm, 10^2 above TOEPLITZ_SIGMA_FLOOR:
     # Levinson stays, and its estimate agrees with LU's to far better than
     # the margin to the near-singular threshold
@@ -572,7 +644,7 @@ _ORACLE_CASES = {
 
 
 @pytest.mark.parametrize("case", list(_ORACLE_CASES))
-def test_toeplitz_path_matches_lu(case, tmp_path):
+def test_toeplitz_path_matches_lu(case, tmp_path, levinson_at_any_n):
     # the same matrix solved through Levinson (as assembled) and through LU
     # (as a raw array)
     operator, domain, h, make_kernel, shift = _ORACLE_CASES[case]
@@ -599,7 +671,43 @@ def test_toeplitz_path_matches_lu(case, tmp_path):
     assert report.residual_inf <= 1e-12 * np.max(np.abs(problem.rhs.evaluate(grid.nodes)))
 
 
-def test_only_1d_translation_invariant_matrices_take_levinson():
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_toeplitz_column_is_the_gathered_matrix(case, tmp_path, monkeypatch):
+    # assemble keeps the first column c of the matrix the per-row path of
+    # _lattice_matrix gathers.  toeplitz(c) is that matrix bit for bit on and
+    # below the diagonal; above it the gathered matrix may miss symmetry by
+    # an ulp, where a mirrored offset's interpolation weights f and 1 - f
+    # round apart (sinlog here).  The products match componentwise.
+    operator, domain, h, make_kernel, shift = _ORACLE_CASES[case]
+    problem = ProblemSpec(
+        operator=operator,
+        domain=domain,
+        rhs=quadratic_field(),
+        kernel=make_kernel(tmp_path) if make_kernel else None,
+        shift=shift,
+    )
+    grid = build_grid(domain, h)
+    gathered = []
+    lattice_matrix = solver._lattice_matrix
+
+    def both_paths(grid, offs, weights, diag, toeplitz=False):
+        gathered.append(lattice_matrix(grid, offs, weights, diag))
+        return lattice_matrix(grid, offs, weights, diag, toeplitz)
+
+    monkeypatch.setattr(solver, "_lattice_matrix", both_paths)
+    sm = assemble(problem, grid, CFG)
+    assert type(sm) is solver._ToeplitzStiffness
+    (A,) = gathered
+    T = sm.matrix
+    assert np.array_equal(T, sla.toeplitz(sm.column))
+    assert np.array_equal(np.tril(T), np.tril(A))
+    assert np.max(np.abs(T - A)) <= np.finfo(float).eps * np.max(np.abs(A))
+    for v in (np.random.default_rng(0).standard_normal(grid.n), np.ones(grid.n)):
+        err = np.abs(sm.matvec(v) - T @ v)
+        assert np.all(err <= 1e-15 * (np.abs(T) @ np.abs(v)))
+
+
+def test_only_1d_translation_invariant_matrices_take_levinson(levinson_at_any_n):
     interval = Domain.interval(-0.5, 0.5)
     ball = Domain.ball([0.0, 0.0], 0.25)
     cases = [
@@ -613,14 +721,36 @@ def test_only_1d_translation_invariant_matrices_take_levinson():
         assert report.factorization == factorization
 
 
-def test_levinson_failures_fall_back_to_lu(monkeypatch):
+def test_small_toeplitz_matrices_take_lu():
+    # below TOEPLITZ_MIN_N rows LU is the faster factorization
+    problem = _interval_problem()
+    for h, factorization in ((0.05, "lu"), (0.002, "toeplitz")):
+        grid = build_grid(problem.domain, h)
+        assert (grid.n < solver.TOEPLITZ_MIN_N) == (factorization == "lu")
+        sm = assemble(problem, grid, CFG)
+        assert type(sm) is solver._ToeplitzStiffness
+        _, report = solve_dirichlet(problem, grid, CFG, stiffness=sm)
+        assert report.factorization == factorization
+
+
+def test_sigma_min_estimate_survives_an_overflowing_solve():
+    # a pivot of 1e-310 is not zero, but the first solve overflows to inf:
+    # the estimate reads sigma_min = 0 from it instead of the next LU solve
+    # rejecting the inf iterate
+    factor = solver._LU(np.diag([1.0, 1e-310]), 0.0)
+    assert not factor.singular
+    sigma, _ = solver._sigma_min_estimate(factor, 2)
+    assert sigma == 0.0
+
+
+def test_levinson_failures_fall_back_to_lu(monkeypatch, levinson_at_any_n):
     problem = _interval_problem(half=0.1)
     grid = build_grid(problem.domain, 0.04)
     assert grid.n == 5
     # symmetric Toeplitz with eigenvalues 4, -1, -1, -1, -1, but its first
     # leading minor is 0
     A = np.ones((5, 5)) - np.eye(5)
-    sm = solver._ToeplitzStiffness(A, grid)
+    sm = solver._ToeplitzStiffness(A[:, 0], grid)
     u, report = solve_dirichlet(problem, grid, CFG, stiffness=sm)
     assert report.factorization == "lu"
     assert report.alternative == "unique_solution"
@@ -632,14 +762,14 @@ def test_levinson_failures_fall_back_to_lu(monkeypatch):
     assert report.factorization == "lu"
 
 
-def test_fredholm_sweep_falls_back_from_levinson(monkeypatch):
+def test_fredholm_sweep_falls_back_from_levinson(monkeypatch, levinson_at_any_n):
     # equal row sums equal lambda_1 = 0: Levinson meets the singular A - 0*I,
     # LU confirms it, and the lowered shift is factored by Levinson
     problem = _interval_problem(half=0.1)
     grid = build_grid(problem.domain, 0.04)
     A = 5.0 * np.eye(5) - np.ones((5, 5))
     monkeypatch.setattr(
-        solver, "assemble", lambda *args: solver._ToeplitzStiffness(A, grid)
+        solver, "assemble", lambda *args: solver._ToeplitzStiffness(A[:, 0], grid)
     )
     calls = _count_factorizations(monkeypatch)
     out = fredholm_sweep(problem, grid, CFG, 0.0, 1.0)
@@ -754,7 +884,7 @@ def test_fredholm_probe_unshifted_is_unique():
     assert report.sigma_min > 0
 
 
-def test_fredholm_sweep_locates_first_eigenvalue(monkeypatch):
+def test_fredholm_sweep_locates_first_eigenvalue(monkeypatch, levinson_at_any_n):
     problem = _interval_problem(half=0.25)
     grid = build_grid(problem.domain, 0.025)
     A = assemble(problem, grid, CFG).matrix
