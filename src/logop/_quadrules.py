@@ -13,7 +13,8 @@ Breaks come from declarations, not per-ray callbacks: Kinks lists the
 spheres and axis planes where a field has kinks or jumps, ray_breaks turns
 them (and any radii shared by every ray) into one break array over all rays,
 and panel_edges and polar_nodes build every ray's panels and nodes from it in
-a few numpy passes.
+a few numpy passes.  The panels that every ray around a point shares get
+one radial rule, shared_radial_nodes, cached by its edges.
 """
 
 from __future__ import annotations
@@ -214,6 +215,21 @@ def polar_nodes(thetas, ang_w, edges, n_per_decade):
     return Z, rho, np.repeat(ang_w, counts) * w
 
 
+@functools.lru_cache(maxsize=32)
+def shared_radial_nodes(edges, n_per_decade):
+    """(rho, w) of polar_nodes on the panels between the given edges (a
+    tuple; fewer than two give no nodes) for one ray of angular weight 1.
+    These are the panels every ray around a point shares, from the inner
+    radius out to the first break of one ray alone, so a few edge lists
+    serve every evaluation; the arrays are cached read-only."""
+    if len(edges) < 2:
+        rho, w = np.empty(0), np.empty(0)
+    else:
+        _, rho, w = polar_nodes(np.ones((1, 1)), np.ones(1), np.array([edges]), n_per_decade)
+    rho.flags.writeable = w.flags.writeable = False
+    return rho, w
+
+
 def radial_rule(lo, hi, n_per_decade, breakpoints=()):
     """Composite-Simpson nodes/weights for integral f(rho) d(rho)/rho.
 
@@ -244,17 +260,21 @@ def polar_rule(N, n_angular, lo, hi, n_per_decade, radii=(), kinks=Kinks()):
     return polar_nodes(thetas, ang_w, panel_edges(lo, hi, breaks), n_per_decade)
 
 
+@functools.lru_cache(maxsize=16)
 def unit_directions(N, n_angular):
     """Quadrature directions and angular weights on the unit sphere.
 
     1-D: the two rays with weight 1 each (counting measure on S^0).
     2-D: uniform angles with the periodic-trapezoid weight 2*pi/M.
+    Cached, so the arrays are read-only.
     """
     if N == 1:
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    if N == 2:
+        thetas, ang_w = np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
+    elif N == 2:
         M = int(n_angular)
         phi = 2 * np.pi * np.arange(M) / M
-        thetas = np.column_stack([np.cos(phi), np.sin(phi)])
-        return thetas, np.full(M, 2 * np.pi / M)
-    raise ValueError("only dimensions 1 and 2 are supported")
+        thetas, ang_w = np.column_stack([np.cos(phi), np.sin(phi)]), np.full(M, 2 * np.pi / M)
+    else:
+        raise ValueError("only dimensions 1 and 2 are supported")
+    thetas.flags.writeable = ang_w.flags.writeable = False
+    return thetas, ang_w

@@ -221,7 +221,11 @@ class KernelSpec:
     (m, N) and returns the m kernel values.  lam/Lam are the ellipticity
     bounds; translation-invariant kernels ignore x entirely.
     radial_breakpoints lists radii |y| where the kernel profile has kinks or
-    jumps, so quadrature panels can be aligned with them.
+    jumps, so quadrature panels can be aligned with them.  profile, when
+    given, is the kernel as a function of rho = |y| alone, vectorized over an
+    array of radii: then evaluate(x, Y) = profile(|Y|) for every x, and the
+    quadratures evaluate it once per radius of their rule instead of once
+    per node.  The catalog kernels are all radial (_radial_kernel).
     """
 
     evaluate: callable
@@ -230,52 +234,50 @@ class KernelSpec:
     translation_invariant: bool = True
     name: str = ""
     radial_breakpoints: tuple = ()
+    profile: callable | None = None
 
     def __post_init__(self):
         if not 0 < self.lam <= self.Lam:
             raise ValueError("need 0 < lam <= Lam")
+        if self.profile is not None and not self.translation_invariant:
+            raise ValueError("a kernel of |y| alone is translation invariant")
+
+
+def _radial_kernel(profile, lam, Lam, name, radial_breakpoints=()):
+    """The KernelSpec of the kernel K(x, y) = profile(|y|): its evaluate is
+    the profile at the radii of the offsets, so the two cannot disagree."""
+    return KernelSpec(
+        evaluate=lambda x, Y: profile(_quadrules.radius(Y)),
+        lam=lam,
+        Lam=Lam,
+        name=name,
+        radial_breakpoints=radial_breakpoints,
+        profile=profile,
+    )
 
 
 def unit_kernel():
-    return KernelSpec(
-        evaluate=lambda x, Y: np.ones(len(Y)),
-        lam=1.0,
-        Lam=1.0,
-        name="unit",
-    )
+    return _radial_kernel(np.ones_like, 1.0, 1.0, "unit")
 
 
 def sinlog_kernel():
     """K(y) = 1 + sin(ln|y|)/2: bounded oscillatory sample, 0.5 <= K <= 1.5."""
-
-    def evaluate(x, Y):
-        rho = _quadrules.radius(Y)
-        return 1.0 + 0.5 * np.sin(np.log(rho))
-
-    return KernelSpec(evaluate=evaluate, lam=0.5, Lam=1.5, name="sinlog")
+    return _radial_kernel(lambda rho: 1.0 + 0.5 * np.sin(np.log(rho)), 0.5, 1.5, "sinlog")
 
 
 def loglap_kernel(N):
     """The constant kernel c_N of the logarithmic Laplacian's local part."""
     c = loglap_constants(N).c_N
-    return KernelSpec(
-        evaluate=lambda x, Y: np.full(len(Y), c),
-        lam=c,
-        Lam=c,
-        name="loglap",
-    )
+    return _radial_kernel(lambda rho: np.full(np.shape(rho), c), c, c, "loglap")
 
 
 def schrodinger_kernel(N):
     """K(y) = omega(|y|) restricted to B_1 (the weight is decreasing)."""
     c = loglap_constants(N).c_N
     w1 = schrodinger_weight(1.0, N)
-
-    def evaluate(x, Y):
-        rho = _quadrules.radius(Y)
-        return schrodinger_weight(np.maximum(rho, 1e-300), N)
-
-    return KernelSpec(evaluate=evaluate, lam=w1, Lam=c, name="schrodinger")
+    return _radial_kernel(
+        lambda rho: schrodinger_weight(np.maximum(rho, 1e-300), N), w1, c, "schrodinger"
+    )
 
 
 def table_kernel(path):
@@ -286,18 +288,13 @@ def table_kernel(path):
         raise ValueError("table radii must be strictly increasing")
     if np.any(vals < 0):
         raise ValueError("table kernel values must be nonnegative")
-
-    def evaluate(x, Y):
-        rho = _quadrules.radius(Y)
-        return np.interp(rho, knots, vals)
-
     inner = knots[(knots > 0) & (knots < 1)]
-    return KernelSpec(
-        evaluate=evaluate,
-        lam=float(np.min(vals)),
-        Lam=float(np.max(vals)),
-        name=f"table:{path}",
-        radial_breakpoints=tuple(inner[:64]),
+    return _radial_kernel(
+        lambda rho: np.interp(rho, knots, vals),
+        float(np.min(vals)),
+        float(np.max(vals)),
+        f"table:{path}",
+        tuple(inner[:64]),
     )
 
 

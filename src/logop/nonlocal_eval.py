@@ -16,8 +16,11 @@ must be total on R^N and vectorized over (m, N) batches, and fields that know
 where their kinks and jumps live declare them as spheres and planes
 (_quadrules.Kinks), which is what keeps indicator-type barriers integrable at
 full Simpson order.  _polar_sum turns the declarations into every ray's
-breaks in one pass, then builds and integrates the rule a block of rays at a
-time (see _BLOCK_NODES).
+breaks in one pass, integrates the panels every ray shares with one cached
+radial rule, and builds and integrates each ray's remaining panels a block
+of rays at a time (see _BLOCK_NODES).  A weight of |z| alone (a kernel's
+profile, the Schrodinger weight) is folded into the radial weights, so it
+is evaluated once per radius, not once per node.
 """
 
 from __future__ import annotations
@@ -54,13 +57,14 @@ __all__ = [
     "sector_integral",
 ]
 
-# Quadrature nodes per block of rays in _polar_sum.  A block's arrays (64 KB
-# per column of 8192 doubles) are reused from the heap by the next block and
-# the next evaluation; the whole rule's arrays (~25 000 nodes in 2-D) were
-# returned to the system after each evaluation and faulted in afresh, ~200 000
-# minor page faults per verify-2d batch.  Blocks stay under the budget rather
-# than splitting it evenly: OpenBLAS threads a dot product of more than ~10^4
-# entries, and waking its threads for every block cost more than the block.
+# Quadrature nodes per block of rays in _polar_sum, for the shared part and
+# the tails alike.  A block's arrays (64 KB per column of 8192 doubles) are
+# reused from the heap by the next block and the next evaluation; the whole
+# rule's arrays (~25 000 nodes in 2-D) were returned to the system after each
+# evaluation and faulted in afresh, ~200 000 minor page faults per verify-2d
+# batch.  Blocks stay under the budget rather than splitting it evenly:
+# OpenBLAS threads a dot product of more than ~10^4 entries, and waking its
+# threads for every block cost more than the block.
 _BLOCK_NODES = 8192
 
 
@@ -285,15 +289,19 @@ class _Operator:
     read it:
 
         scale * integral over lo <= |z| <= hi of
-            (c(z) u(x) - u(x+z)) * weight(x, z, |z|) / |z|^N dz  +  const * u(x)
+            (c(z) u(x) - u(x+z)) * weight / |z|^N dz  +  const * u(x)
 
-    with c = 1 on [lo, near] and c = 0 on [near, hi]; weight None means 1, and
-    breaks lists the radii where the weight has kinks or jumps."""
+    with c = 1 on [lo, near] and c = 0 on [near, hi].  A weight of |z| alone
+    is the profile: profile(|z|), evaluated once per radius of the rule.
+    Any other weight is weight(x, z), evaluated at every node; with neither
+    the weight is 1.  breaks lists the radii where the weight has kinks or
+    jumps."""
 
     lo: float
     near: float
     hi: float
     weight: callable | None = None
+    profile: callable | None = None
     breaks: tuple = ()
     scale: float = 1.0
     const: float = 0.0
@@ -312,7 +320,8 @@ def _operator(name, N, r_min, reach, K=None):
     if name == "generic":
         return _Operator(
             r_min, 1.0, 1.0,
-            weight=lambda x, Z, rho: K.evaluate(x, Z),
+            weight=K.evaluate if K.profile is None else None,
+            profile=K.profile,
             breaks=K.radial_breakpoints,
             translation_invariant=K.translation_invariant,
         )
@@ -324,38 +333,67 @@ def _operator(name, N, r_min, reach, K=None):
     if name == "schrodinger":
         hi = max(40.0, reach)  # omega(40) / omega(0+) < 2e-16 for N <= 3
         return _Operator(
-            r_min, hi, hi, weight=lambda x, Z, rho: kernels.schrodinger_weight(rho, N)
+            r_min, hi, hi, profile=lambda rho: kernels.schrodinger_weight(rho, N)
         )
     raise ValueError(f"unknown operator {name!r}")
 
 
-def _polar_sum(x, N, cfg, level, lo, hi, integrand, kinks, radii):
-    """Polar quadrature around x over radii [lo, hi]: dot(w, integrand(Z,
-    rho, Y)) with the offsets Z, radii rho and weights w of the polar rule
-    (_quadrules.polar_rule) and the points Y = x + Z, its rays broken at the
-    given radii and where they meet the field's kinks.
+def _polar_sum(x, N, cfg, level, lo, hi, integrand, profile, kinks, radii):
+    """Polar quadrature around x over radii [lo, hi]: the sum of
+    w * profile(rho) * integrand(Z, Y) over the nodes of the polar rule
+    (_quadrules.polar_rule), with offsets Z, radii rho, weights w and points
+    Y = x + Z, its rays broken at the given radii and where they meet the
+    field's kinks.  The integrand returns the values of f(Y) whose integral
+    against |Y - x|^(-N) dY is wanted, times any weight not of rho alone;
+    profile, a weight of rho alone (None for 1), is evaluated once per
+    radius of the rule.  level scales the radial and angular node counts of
+    cfg.
 
     The breaks and panel edges of every ray are computed in one pass.  The
-    Q nodes of the M rays are then built and integrated in blocks of nearly
-    equal ray counts, each of at most floor(_BLOCK_NODES * M / Q) rays (so
-    about _BLOCK_NODES nodes, or one ray when a ray alone has more), and
-    the blocks' sums are added.  The integrand is called once per block; it
-    returns the values of f(Y) whose integral against |Y - x|^(-N) dY is
-    wanted.  level scales the radial and angular node counts of cfg."""
+    leading edges that every ray shares (lo, the decades, and radii shared
+    by all rays, up to the first break of one ray alone) carry one radial
+    rule (rho_p, w_p), cached by _quadrules.shared_radial_nodes, on every
+    ray: those nodes are the products theta_k rho_p, and their sum is
+    ang_w @ (values @ w_p) over the rays.  Each ray's panels beyond the
+    last shared edge, its tail, are built by polar_nodes.  Each part is
+    integrated in blocks of whole rays (_ray_blocks), with one integrand
+    call per block."""
     n_ang = max(4, int(round(cfg.n_angular * level)))
     n_rad = max(2, int(round(cfg.n_radial * level)))
     thetas, ang_w = _quadrules.unit_directions(N, n_ang)
-    breaks = _quadrules.ray_breaks(x, thetas, kinks, radii)
-    edges = _quadrules.panel_edges(lo, hi, breaks)
-    M = len(thetas)
-    per_block = max(1, _BLOCK_NODES * M // int(_quadrules.ray_nodes(edges, n_rad).sum()))
-    blocks = -(-M // per_block)
+    edges = _quadrules.panel_edges(lo, hi, _quadrules.ray_breaks(x, thetas, kinks, radii))
+    same = np.all(edges == edges[0], axis=0)
+    shared = len(same) if same.all() else int(np.argmin(same))
+    rho_p, w_p = _quadrules.shared_radial_nodes(tuple(edges[0, :shared].tolist()), n_rad)
+    if profile is not None:
+        w_p = w_p * profile(rho_p)
+    M, Qp = len(thetas), len(rho_p)
     total = 0.0
-    for k in range(blocks):
-        rays = slice(k * M // blocks, (k + 1) * M // blocks)
-        Z, rho, w = _quadrules.polar_nodes(thetas[rays], ang_w[rays], edges[rays], n_rad)
-        total += float(np.dot(w, integrand(Z, rho, x + Z)))
+    for rays in _ray_blocks(M, M * Qp):
+        Z = (thetas[rays].T[:, :, None] * rho_p).reshape(N, -1).T  # column-major
+        vals = integrand(Z, x + Z)
+        total += float(ang_w[rays] @ (vals.reshape(-1, Qp) @ w_p))
+    if shared == len(same):
+        return total
+    # every ray's tail starts at the last shared edge
+    tails = edges[:, shared - 1:]
+    for rays in _ray_blocks(M, int(_quadrules.ray_nodes(tails, n_rad).sum())):
+        Z, rho, w = _quadrules.polar_nodes(thetas[rays], ang_w[rays], tails[rays], n_rad)
+        if profile is not None:
+            w = w * profile(rho)
+        total += float(np.dot(w, integrand(Z, x + Z)))
     return total
+
+
+def _ray_blocks(M, Q):
+    """Slices of M rays that carry Q nodes in all: blocks of nearly equal
+    ray counts, each of at most floor(_BLOCK_NODES * M / Q) rays (so about
+    _BLOCK_NODES nodes, or one ray when a ray alone has more); none when Q
+    is 0."""
+    if Q == 0:
+        return []
+    blocks = -(-M // max(1, _BLOCK_NODES * M // Q))
+    return [slice(k * M // blocks, (k + 1) * M // blocks) for k in range(blocks)]
 
 
 def _apply(op, u, x, cfg, return_estimate):
@@ -365,16 +403,16 @@ def _apply(op, u, x, cfg, return_estimate):
     ux = float(u.evaluate(x[None, :])[0])
 
     def integrand(carry):
-        def f(Z, rho, Y):
+        def f(Z, Y):
             diff = carry - u.evaluate(Y)
-            return diff if op.weight is None else diff * op.weight(x, Z, rho)
+            return diff if op.weight is None else diff * op.weight(x, Z)
         return f
 
     def run(level):
         total = 0.0
         for lo, hi, carries in op.ranges():
             f = integrand(ux if carries else 0.0)
-            total += _polar_sum(x, N, cfg, level, lo, hi, f, u.kinks, op.breaks)
+            total += _polar_sum(x, N, cfg, level, lo, hi, f, op.profile, u.kinks, op.breaks)
         return op.scale * total + op.const * ux
 
     level = float(cfg.node_factor())
@@ -459,7 +497,7 @@ def eval_remainder(Ki, u, x, cfg, return_estimate=False):
     hi = Ki.support_radius
     op = _Operator(
         1.0, hi, hi,
-        weight=lambda x, Z, rho: Ki.evaluate(Z),
+        weight=lambda x, Z: Ki.evaluate(Z),
         breaks=Ki.radial_breakpoints,
     )
     return _apply(op, u, x, cfg, return_estimate)

@@ -351,25 +351,32 @@ class StiffnessMatrix:
         once.  A Toeplitz matrix is refactored by LU when Levinson fails
         (see _levinson) or sigma_min falls under TOEPLITZ_SIGMA_FLOOR times
         the 1-norm; factor_s then includes the Levinson attempt and its
-        sigma_min iteration.  An LU factor with a zero pivot has sigma_min 0,
-        an infinite condition estimate and the null vector of the SVD, as
-        inverse iteration cannot run on it."""
+        sigma_min iteration.  Inverse iteration cannot run on an LU factor
+        with a zero pivot, nor on one whose solves overflow (a tiny pivot),
+        which _sigma_min_estimate reports as sigma_min 0 and the condition
+        estimate as a non-finite norm: then sigma_min (0 for a zero pivot)
+        and the null vector come from the SVD, and the condition estimate
+        is infinite."""
         t0 = time.perf_counter()
         anorm = self._norm1()
         for levinson in (True, False):
             factor = _factor(self, levinson=levinson)
             t1 = time.perf_counter()
-            if factor.singular:
-                sigma, null_vec = 0.0, np.linalg.svd(self.matrix)[2][-1]
-            else:
+            sigma, null_vec = 0.0, None
+            if not factor.singular:
                 sigma, null_vec = _sigma_min_estimate(factor, self.n)
             if factor.name == "lu" or sigma >= TOEPLITZ_SIGMA_FLOOR * anorm:
                 break
         t2 = time.perf_counter()
-        if factor.singular:
-            condition = math.inf
+        inverse_norm = math.inf
+        if sigma > 0.0:
+            inverse_norm = _inverse_norm1_estimate(factor.solve, self.n)
+        if math.isfinite(inverse_norm):
+            condition = anorm * inverse_norm
         else:
-            condition = anorm * _inverse_norm1_estimate(factor.solve, self.n)
+            _, singular_values, vt = np.linalg.svd(self.matrix)
+            sigma = 0.0 if factor.singular else float(singular_values[-1])
+            null_vec, condition = vt[-1], math.inf
         return _Factors(
             factor=factor,
             anorm=anorm,
@@ -534,13 +541,15 @@ def assemble(problem, grid, cfg):
     # only the range that carries u(x), which comes first, feeds the diagonal
     near = len(rules[0][2]) if ranges[0][2] else 0
     w = op.scale * w
-    if op.weight is None:
+    if op.profile is not None:
+        weights = w * op.profile(rho)
+    elif op.weight is None:
         weights = w
     elif op.translation_invariant:
-        weights = w * op.weight(np.zeros(N), offs, rho)
+        weights = w * op.weight(np.zeros(N), offs)
     else:
         def weights(x):
-            return w * op.weight(x, offs, rho)
+            return w * op.weight(x, offs)
 
     def diag(wk):
         return wk[:near].sum() + op.const + problem.shift

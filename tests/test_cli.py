@@ -324,6 +324,36 @@ def test_solve_singular_matrix_exits_nonzero(capsys, tmp_path, monkeypatch, matr
     assert np.max(np.abs(matrix @ v)) <= 1e-12 * np.max(np.abs(matrix))
 
 
+def test_solve_with_overflowing_solves_exits_nonzero(capsys, tmp_path, monkeypatch):
+    # a pivot of 1e-310 is not zero, but every solve with it overflows: the
+    # SVD gives sigma_min and the null vector, and the condition is infinite
+    matrix = np.diag([1.0, 1.0, 1.0, 1.0, 1e-310])
+    config = {
+        "domain": {"type": "interval", "a": -0.1, "b": 0.1},
+        "operator": {"name": "generic", "kernel": "unit"},
+        "rhs": {"name": "const", "value": 1.0},
+        "h": 0.04,
+    }
+    cfg_path = tmp_path / "tiny_pivot.json"
+    cfg_path.write_text(json.dumps(config))
+    monkeypatch.setattr(
+        solver, "assemble", lambda problem, grid, cfg: solver.StiffnessMatrix(matrix, grid)
+    )
+    out_csv, report_json = tmp_path / "null.csv", tmp_path / "report.json"
+    code, _, err = _run(
+        capsys, "solve", "--config", str(cfg_path),
+        "--out", str(out_csv), "--report", str(report_json),
+    )
+    assert code == 1
+    assert "near-singular" in err
+    report = json.loads(report_json.read_text())
+    assert report["alternative"] == "near_singular"
+    assert report["condition_estimate"] == math.inf
+    v = np.loadtxt(out_csv, delimiter=",", skiprows=1)[:, 1]
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(matrix @ v)) <= 1e-12 * np.max(np.abs(matrix))
+
+
 def test_solution_csv_is_the_g17_text():
     # one %-format of the whole table gives the text of _g17 on every value
     specials = [-0.0, math.inf, -math.inf, 5e-324, -2.5e-310, 1e-20, -1e20, 0.1, 1 / 3]

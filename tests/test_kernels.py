@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
-from logop import QuadratureConfig, kernels
+from logop import QuadratureConfig, _quadrules, kernels
 from logop.kernels import (
     EULER_GAMMA,
     KernelSpec,
@@ -151,6 +151,10 @@ def test_kernel_spec_validation():
         KernelSpec(evaluate=lambda x, Y: np.ones(len(Y)), lam=2.0, Lam=1.0)
     with pytest.raises(ValueError):
         KernelSpec(evaluate=lambda x, Y: np.ones(len(Y)), lam=0.0, Lam=1.0)
+    # a kernel of |y| alone cannot depend on x
+    with pytest.raises(ValueError):
+        KernelSpec(evaluate=lambda x, Y: np.ones(len(Y)), lam=1.0, Lam=1.0,
+                   translation_invariant=False, profile=np.ones_like)
 
 
 def test_kernel_from_name():
@@ -160,6 +164,28 @@ def test_kernel_from_name():
     assert kernel_from_name("schrodinger", N=1).name == "schrodinger"
     with pytest.raises(ValueError):
         kernel_from_name("nope")
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_catalog_profiles_are_the_kernels_at_the_radius(N, tmp_path):
+    table = tmp_path / "profile.csv"
+    table.write_text("0.0,1.0\n0.3,2.0\n0.7,0.5\n1.0,1.0\n")
+    rng = np.random.default_rng(13)
+    rho = np.logspace(-12, 0, 400)
+    theta = rng.normal(size=(len(rho), N))
+    theta /= np.linalg.norm(theta, axis=1, keepdims=True)
+    x = rng.uniform(-0.5, 0.5, N)
+    # |rho theta| is rho to a few ulps; ln rho then rounds at ulp(27.6) =
+    # 3.6e-15 for radii down to 1e-12, which sin(ln rho)/2 passes on: up to
+    # 3.8e-15 relative to K >= 1/2 for sinlog
+    rtol = {"sinlog": 4e-15}
+    for name in ("unit", "sinlog", "loglap", "schrodinger", f"table:{table}"):
+        K = kernel_from_name(name, N)
+        Y = rho[:, None] * theta
+        assert np.array_equal(K.evaluate(x, Y), K.profile(_quadrules.radius(Y)))
+        np.testing.assert_allclose(
+            K.profile(rho), K.evaluate(x, Y), rtol=rtol.get(name, 1e-15), atol=0
+        )
 
 
 def test_table_kernel_roundtrip(tmp_path):

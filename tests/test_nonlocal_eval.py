@@ -6,6 +6,7 @@ import scipy.special as sps
 
 from logop import _quadrules, nonlocal_eval
 from logop.barriers import (
+    _scan,
     boundary_barrier_field,
     bump_field,
     composite_barrier_field,
@@ -13,7 +14,7 @@ from logop.barriers import (
     sample_annulus,
 )
 from logop.geometry import Domain, GridFunction, build_grid
-from logop.kernels import mollify_kernel, sinlog_kernel, unit_kernel
+from logop.kernels import KernelSpec, mollify_kernel, sinlog_kernel, unit_kernel
 from logop.nonlocal_eval import (
     FieldFunction,
     QuadratureConfig,
@@ -78,6 +79,14 @@ def test_LK_quadratic_2d():
     # integrand (0 - rho^2)/rho^2 integrates to -|B_1| = -pi
     val = eval_LK(unit_kernel(), quadratic_field(), np.array([0.0, 0.0]), FAST)
     assert val == pytest.approx(-math.pi, abs=1e-7)
+
+
+@pytest.mark.parametrize("x", [[0.0], [0.3], [0.0, 0.0], [0.2, -0.1]])
+def test_LK_sinlog_quadratic_closed_form(x):
+    # -|S^(N-1)| int_0^1 (1 + sin(ln rho)/2) rho drho, and int_0^1 rho
+    # sin(ln rho) drho = Im 1/(2 + i) = -1/5: -0.8 in 1-D, -0.8 pi in 2-D
+    val = eval_LK(sinlog_kernel(), quadratic_field(), np.array(x), FAST)
+    assert val == pytest.approx(-0.8 * (math.pi if len(x) == 2 else 1.0), abs=1e-7)
 
 
 def test_LK_odd_field_cancels():
@@ -185,6 +194,57 @@ def test_loglap_fourier_reference_value():
     assert val == pytest.approx(-(EULER_GAMMA + math.log(2.0)), abs=1e-4)
     slow = eval_loglap(gaussian_field(sigma=1.0), np.array([0.0]), ORACLE, N=1)
     assert slow == pytest.approx(-(EULER_GAMMA + math.log(2.0)), abs=1e-6)
+
+
+# Spectral oracle: L u = F^-1(m F u) for the symbols m = 2 ln|xi| of the
+# logarithmic Laplacian (Chen & Weth, CPDE 2019) and ln(1 + |xi|^2) of the
+# logarithmic Schrodinger operator (I - Delta)^log.  For the Gaussian
+# u = exp(-|y|^2 / (2 sigma^2)) the transform is sigma sqrt(2 pi)
+# exp(-(sigma xi)^2 / 2) in 1-D and 2 pi sigma^2 exp(-(sigma |xi|)^2 / 2) in
+# 2-D; the inversion integral runs on 30-point Gauss-Legendre panels,
+# log-graded on [0, 1] and uniform on [1, 40].  It shares nothing with the
+# polar rule, the operator records or the constants c_N and rho_N.
+_GL_T, _GL_W = np.polynomial.legendre.leggauss(30)
+_XI_EDGES = np.concatenate(([0.0], np.logspace(-14, 0, 15), np.arange(2.0, 41.0)))
+_XI = ((_XI_EDGES[:-1, None] + _XI_EDGES[1:, None]) / 2
+       + np.diff(_XI_EDGES)[:, None] / 2 * _GL_T).ravel()
+_XI_W = (np.diff(_XI_EDGES)[:, None] / 2 * _GL_W).ravel()
+
+
+def _spectral(symbol, sigma, r, N):
+    """L u at a point at distance r from 0, u the Gaussian of width sigma."""
+    damp = np.exp(-((sigma * _XI) ** 2) / 2)
+    if N == 1:
+        uhat = sigma * math.sqrt(2 * math.pi) * damp
+        return float(np.dot(_XI_W, symbol(_XI) * uhat * np.cos(_XI * r))) / math.pi
+    uhat = 2 * math.pi * sigma ** 2 * damp
+    return float(np.dot(_XI_W, symbol(_XI) * uhat * sps.j0(_XI * r) * _XI)) / (2 * math.pi)
+
+
+# bounds: about twice the largest errors of the default rule on these cases
+# when they were written (2.4e-15, 1.1e-15 and 1.8e-12)
+@pytest.mark.parametrize(
+    "N, points, bound",
+    [
+        (1, [(-0.9,), (-0.35,), (0.0,), (0.35,), (0.9,)], 5e-15),
+        (2, [(0.0, 0.0), (0.4, 0.0), (0.24, -0.32)], 2.5e-15),
+    ],
+    ids=["1d", "2d"],
+)
+def test_loglap_matches_its_symbol(N, points, bound):
+    sigma = math.sqrt(0.5)
+    for x in points:
+        got = eval_loglap(gaussian_field(sigma), np.array(x), FAST, N=N)
+        want = _spectral(lambda xi: 2 * np.log(xi), sigma, math.hypot(*x), N)
+        assert abs(got - want) <= bound
+
+
+def test_schrodinger_matches_its_symbol():
+    sigma = math.sqrt(0.5)
+    for x in (-0.9, 0.0, 0.35):
+        got = eval_schrodinger(gaussian_field(sigma), np.array([x]), FAST, N=1)
+        want = _spectral(lambda xi: np.log1p(xi * xi), sigma, abs(x), 1)
+        assert abs(got - want) <= 3.5e-12
 
 
 def test_loglap_zero_field():
@@ -478,8 +538,9 @@ def _per_ray_polar_rule(N, n_angular, lo, hi, n_per_decade, radii=(),
     return np.concatenate(Z), np.concatenate(rho), np.concatenate(w)
 
 
-def _per_ray_polar_sum(x, N, cfg, level, lo, hi, integrand, kinks, radii):
-    # one radial rule and one integrand call per ray, summed ray by ray
+def _per_ray_polar_sum(x, N, cfg, level, lo, hi, integrand, profile, kinks, radii):
+    # one radial rule and one integrand call per ray, summed ray by ray, the
+    # profile evaluated at every node
     n_ang = max(4, int(round(cfg.n_angular * level)))
     n_rad = max(2, int(round(cfg.n_radial * level)))
     thetas, ang_w = _quadrules.unit_directions(N, n_ang)
@@ -488,7 +549,10 @@ def _per_ray_polar_sum(x, N, cfg, level, lo, hi, integrand, kinks, radii):
         breaks = _per_ray_breaks(x, th, kinks, radii)
         rho, w = _linspace_radial_rule(lo, hi, n_rad, breaks)
         Z = rho[:, None] * th
-        total += aw * float(np.sum(w * integrand(Z, rho, x + Z)))
+        vals = integrand(Z, x + Z)
+        if profile is not None:
+            vals = vals * profile(rho)
+        total += aw * float(np.sum(w * vals))
     return total
 
 
@@ -623,13 +687,15 @@ def test_radius_is_the_row_norm(N):
 @pytest.mark.parametrize(
     "N, cfg, level, blocks",
     [
-        (1, FAST, 1.0, 1),
-        (2, FAST, 1.0, 4),
-        (2, FAST, 0.5, 1),  # the half level of return_estimate
-        (2, ORACLE, 4.0, 64),  # 64 rays of ~6200 nodes: one per block
-        # every ray has more nodes than a block: one ray per block
-        (1, QuadratureConfig(n_radial=1024), 1.0, 2),
-        (2, QuadratureConfig(n_radial=1024), 1.0, 16),
+        # (blocks of the shared nodes, blocks of the tails)
+        (1, FAST, 1.0, (1, 1)),
+        (2, FAST, 1.0, (2, 2)),
+        (2, FAST, 0.5, (1, 1)),  # the half level of return_estimate
+        # 64 rays of ~3600 shared nodes and ~2600 tail nodes
+        (2, ORACLE, 4.0, (32, 22)),
+        # every ray has more shared nodes than a block: one ray per block
+        (1, QuadratureConfig(n_radial=1024), 1.0, (2, 2)),
+        (2, QuadratureConfig(n_radial=1024), 1.0, (16, 16)),
     ],
     ids=["1d", "2d", "2d-half", "2d-oracle", "1d-long-rays", "2d-long-rays"],
 )
@@ -640,20 +706,36 @@ def test_blocked_polar_sum_matches_one_block(N, cfg, level, blocks, monkeypatch)
     ux = float(u.evaluate(x[None, :])[0])
     sizes = []
 
-    def integrand(Z, rho, Y):
-        sizes.append(len(rho))
+    def integrand(Z, Y):
+        sizes.append(len(Z))
         return (ux - u.evaluate(Y)) * K.evaluate(x, Z)
 
-    args = (x, N, cfg, level, cfg.r_min, 1.0, integrand, u.kinks, (0.3,))
+    args = (x, N, cfg, level, cfg.r_min, 1.0, integrand, None, u.kinks, (0.3,))
     value = nonlocal_eval._polar_sum(*args)
     blocked, sizes[:] = sizes[:], []
     monkeypatch.setattr(nonlocal_eval, "_BLOCK_NODES", 10 ** 12)
     assert nonlocal_eval._polar_sum(*args) == pytest.approx(value, rel=1e-13)
-    assert len(sizes) == 1 and sum(blocked) == sizes[0]
-    assert len(blocked) == blocks
+    # one block per part: the shared nodes of every ray, then every tail
+    shared, tails = blocked[:blocks[0]], blocked[blocks[0]:]
+    assert len(sizes) == 2 and [sum(shared), sum(tails)] == sizes
+    assert (len(shared), len(tails)) == blocks
     # blocks of whole rays, each within the budget unless one ray exceeds it
     rays = len(_quadrules.unit_directions(N, round(cfg.n_angular * level))[0])
-    assert max(blocked) <= 8192 or blocks == rays
+    for part in (shared, tails):
+        assert max(part) <= 8192 or len(part) == rays
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_scan_builds_each_shared_rule_once(N):
+    # the rays around every sampled point share the decades up to the first
+    # crossing of the barrier's kink, so a few cached rules serve 32 points
+    r = 0.05
+    pts = sample_annulus(32, N, r, r + r * r)
+    _quadrules.shared_radial_nodes.cache_clear()
+    _scan(sinlog_kernel(), boundary_barrier_field(r, 0.3), pts, FAST)
+    info = _quadrules.shared_radial_nodes.cache_info()
+    assert info.hits + info.misses == len(pts)
+    assert info.misses == info.currsize <= 3
 
 
 def test_blocked_estimate_matches_one_block(monkeypatch):
@@ -679,6 +761,16 @@ _BARRIER_CASES = {
 }
 
 
+# translation invariant but not radial, so without a profile: its weight is
+# evaluated at every node, shared ones included
+_ANISOTROPIC = KernelSpec(
+    evaluate=lambda x, Z: 1.0 + 0.5 * Z[:, 0] / _quadrules.radius(Z),
+    lam=0.5,
+    Lam=1.5,
+    name="anisotropic",
+)
+
+
 def _evaluators(u, N):
     """Every pointwise evaluator as a function of x; J and the logarithmic
     Laplacian need a field with declared support."""
@@ -686,6 +778,7 @@ def _evaluators(u, N):
     evals = [
         lambda x: eval_LK(unit_kernel(), u, x, FAST),
         lambda x: eval_LK(sinlog_kernel(), u, x, FAST),
+        lambda x: eval_LK(_ANISOTROPIC, u, x, FAST),
         lambda x: eval_schrodinger(u, x, FAST, N),
         lambda x: eval_remainder(Ki, u, x, FAST),
     ]
@@ -708,6 +801,21 @@ def test_eval_LK_matches_per_ray_polar_sum(case, N, monkeypatch):
     vals = [f(x) for f in evals for x in pts]
     monkeypatch.setattr(nonlocal_eval, "_polar_sum", _per_ray_polar_sum)
     ref = [f(x) for f in evals for x in pts]
+    np.testing.assert_allclose(vals, ref, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_polar_sum_with_no_shared_panel_matches_per_ray(N, monkeypatch):
+    # one ray meets the shell within the innermost decade, so the rays share
+    # no panel and every node is on a tail
+    u = shell_field(0.1, 0.4)
+    x = np.array([0.1 + 5e-12, 0.0][:N])
+    thetas, _ = _quadrules.unit_directions(N, FAST.n_angular)
+    edges = _quadrules.panel_edges(FAST.r_min, 1.0, _quadrules.ray_breaks(x, thetas, u.kinks))
+    assert not np.all(edges[:, 1] == edges[0, 1])
+    vals = [eval_LK(K, u, x, FAST) for K in (sinlog_kernel(), _ANISOTROPIC)]
+    monkeypatch.setattr(nonlocal_eval, "_polar_sum", _per_ray_polar_sum)
+    ref = [eval_LK(K, u, x, FAST) for K in (sinlog_kernel(), _ANISOTROPIC)]
     np.testing.assert_allclose(vals, ref, rtol=1e-12, atol=0)
 
 
