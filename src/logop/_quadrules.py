@@ -12,9 +12,9 @@ jumps at negligible cost for smooth integrands.
 Breaks come from declarations, not per-ray callbacks: Kinks lists the
 spheres and axis planes where a field has kinks or jumps, ray_breaks turns
 them (and any radii shared by every ray) into one break array over all rays,
-and panel_edges and polar_nodes build every ray's panels and nodes from it in
-a few numpy passes.  The panels that every ray around a point shares get
-one radial rule, shared_radial_nodes, cached by its edges.
+and panel_edges, ray_panels and polar_nodes build every ray's panels and
+nodes from it in a few numpy passes.  The panels that every ray around a
+point shares get one radial rule, shared_radial_nodes, cached by its edges.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -172,33 +173,51 @@ def panel_edges(lo, hi, breaks=()):
     return edges[:, :max(2, int(count.max()))]
 
 
-def _panels(edges, n_per_decade):
-    """The panels of every row of edges in row order: their ends a, b, the
-    ends' logs sa, sb, the Simpson subinterval count m of each, and the
-    number of panels of each row."""
+class Panels(NamedTuple):
+    """The panels of every ray of an edge array, in ray order: their ends a,
+    b, the ends' logs sa, sb, the Simpson subinterval count m of each, and
+    count, the number of panels of each ray."""
+
+    a: np.ndarray
+    b: np.ndarray
+    sa: np.ndarray
+    sb: np.ndarray
+    m: np.ndarray
+    count: np.ndarray
+
+    def nodes(self):
+        """The number of nodes polar_nodes puts on these panels."""
+        return int(self.m.sum()) + len(self.m)
+
+    def rays(self, block):
+        """The panels of the rays in the slice block."""
+        start = int(self.count[:block.start].sum())
+        p = slice(start, start + int(self.count[block].sum()))
+        return Panels(self.a[p], self.b[p], self.sa[p], self.sb[p], self.m[p],
+                      self.count[block])
+
+
+def ray_panels(edges, n_per_decade):
+    """The Panels of every row of edges (panel_edges), with
+    m = max(2, 2*ceil(n_per_decade*ln(b/a)/(2 ln 10))) subintervals on each
+    panel [a, b]."""
     real = edges[:, 1:] < np.inf
     s = np.log(edges)
     a, b = edges[:, :-1][real], edges[:, 1:][real]
     sa, sb = s[:, :-1][real], s[:, 1:][real]
     m = np.maximum(2, 2 * np.ceil(n_per_decade * (sb - sa) / (2 * _LN10)))
-    return a, b, sa, sb, m, real.sum(axis=1)
+    return Panels(a, b, sa, sb, m, real.sum(axis=1))
 
 
-def ray_nodes(edges, n_per_decade):
-    """The number of nodes polar_nodes puts on each ray of edges."""
-    *_, m, panels = _panels(edges, n_per_decade)
-    return np.add.reduceat(m.astype(np.intp) + 1, np.cumsum(panels) - panels)
+def polar_nodes(thetas, ang_w, panels):
+    """Composite-Simpson polar nodes on the Panels of every ray.
 
-
-def polar_nodes(thetas, ang_w, edges, n_per_decade):
-    """Composite-Simpson polar nodes on the panels of every ray of edges.
-
-    Each panel [a, b] gets m = max(2, 2*ceil(n_per_decade*ln(b/a)/(2 ln 10)))
-    subintervals of width ds in s = ln(rho), nodes s_a + j*ds with the two end
-    nodes nudged into the panel, and weights (1, 4, 2, ..., 4, 1)*ds/3, times
-    the ray's angular weight.  Returns (Z, rho, w) as polar_rule does.
+    Each panel [a, b] gets its m subintervals of width ds in s = ln(rho),
+    nodes s_a + j*ds with the two end nodes nudged into the panel, and
+    weights (1, 4, 2, ..., 4, 1)*ds/3, times the ray's angular weight.
+    Returns (Z, rho, w) as polar_rule does.
     """
-    a, b, sa, sb, m, panels = _panels(edges, n_per_decade)
+    a, b, sa, sb, m, count = panels
     ds = (sb - sa) / m
     size = m.astype(np.intp) + 1
     last = np.cumsum(size) - 1
@@ -210,9 +229,9 @@ def polar_nodes(thetas, ang_w, edges, n_per_decade):
     w = np.where(j & 1, 4.0, 2.0)
     w[first] = w[last] = 1.0
     w *= np.repeat(ds / 3.0, size)
-    counts = np.add.reduceat(size, np.cumsum(panels) - panels)
-    Z = (rho * np.repeat(thetas.T, counts, axis=1)).T
-    return Z, rho, np.repeat(ang_w, counts) * w
+    per_ray = np.add.reduceat(size, np.cumsum(count) - count)
+    Z = (rho * np.repeat(thetas.T, per_ray, axis=1)).T
+    return Z, rho, np.repeat(ang_w, per_ray) * w
 
 
 @functools.lru_cache(maxsize=32)
@@ -225,7 +244,8 @@ def shared_radial_nodes(edges, n_per_decade):
     if len(edges) < 2:
         rho, w = np.empty(0), np.empty(0)
     else:
-        _, rho, w = polar_nodes(np.ones((1, 1)), np.ones(1), np.array([edges]), n_per_decade)
+        panels = ray_panels(np.array([edges]), n_per_decade)
+        _, rho, w = polar_nodes(np.ones((1, 1)), np.ones(1), panels)
     rho.flags.writeable = w.flags.writeable = False
     return rho, w
 
@@ -239,8 +259,8 @@ def radial_rule(lo, hi, n_per_decade, breakpoints=()):
     it: it is polar_nodes on one ray, kept as the 1-D reference rule the
     tests and perfbench's tracer use by name.
     """
-    edges = panel_edges(lo, hi, breakpoints)
-    _, rho, w = polar_nodes(np.ones((1, 1)), np.ones(1), edges, n_per_decade)
+    panels = ray_panels(panel_edges(lo, hi, breakpoints), n_per_decade)
+    _, rho, w = polar_nodes(np.ones((1, 1)), np.ones(1), panels)
     return rho, w
 
 
@@ -257,7 +277,8 @@ def polar_rule(N, n_angular, lo, hi, n_per_decade, radii=(), kinks=Kinks()):
     """
     thetas, ang_w = unit_directions(N, n_angular)
     breaks = ray_breaks(np.zeros(N), thetas, kinks, radii)
-    return polar_nodes(thetas, ang_w, panel_edges(lo, hi, breaks), n_per_decade)
+    panels = ray_panels(panel_edges(lo, hi, breaks), n_per_decade)
+    return polar_nodes(thetas, ang_w, panels)
 
 
 @functools.lru_cache(maxsize=16)

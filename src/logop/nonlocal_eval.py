@@ -355,9 +355,10 @@ def _polar_sum(x, N, cfg, level, lo, hi, integrand, profile, kinks, radii):
     rule (rho_p, w_p), cached by _quadrules.shared_radial_nodes, on every
     ray: those nodes are the products theta_k rho_p, and their sum is
     ang_w @ (values @ w_p) over the rays.  Each ray's panels beyond the
-    last shared edge, its tail, are built by polar_nodes.  Each part is
-    integrated in blocks of whole rays (_ray_blocks), with one integrand
-    call per block."""
+    last shared edge, its tail, are built once for all rays
+    (_quadrules.ray_panels), which also sizes the blocks, and their nodes by
+    polar_nodes a block at a time.  Each part is integrated in blocks of
+    whole rays (_ray_blocks), with one integrand call per block."""
     n_ang = max(4, int(round(cfg.n_angular * level)))
     n_rad = max(2, int(round(cfg.n_radial * level)))
     thetas, ang_w = _quadrules.unit_directions(N, n_ang)
@@ -376,9 +377,9 @@ def _polar_sum(x, N, cfg, level, lo, hi, integrand, profile, kinks, radii):
     if shared == len(same):
         return total
     # every ray's tail starts at the last shared edge
-    tails = edges[:, shared - 1:]
-    for rays in _ray_blocks(M, int(_quadrules.ray_nodes(tails, n_rad).sum())):
-        Z, rho, w = _quadrules.polar_nodes(thetas[rays], ang_w[rays], tails[rays], n_rad)
+    tails = _quadrules.ray_panels(edges[:, shared - 1:], n_rad)
+    for rays in _ray_blocks(M, tails.nodes()):
+        Z, rho, w = _quadrules.polar_nodes(thetas[rays], ang_w[rays], tails.rays(rays))
         if profile is not None:
             w = w * profile(rho)
         total += float(np.dot(w, integrand(Z, x + Z)))

@@ -8,12 +8,14 @@ offsets z with weights w (scale and kernel folded in), and the range that
 carries u(x) plus the record's constant give the diagonal.  Every operator
 is thus one stencil plus one diagonal.  Nodes lie on the lattice
 center + h*Z^N, so every node sees the offsets fall into the same lattice
-cells: the rule is projected once onto the lattice differences, and for a
-translation-invariant operator (every catalog kernel, the log-Laplacian and
-the Schrodinger operator) the matrix is gathered from one stencil (a
-block-Toeplitz matrix).  Kernels that depend on x project their own
-kernel-weighted weights at each node, one sparse matrix-vector product per
-row.
+cells: the rule is projected once onto the lattice differences
+(geometry.difference_projection: a sparse matrix with 2^N entries per
+offset onto a difference table padded by one cell on each side of every
+axis, built in small blocks), and for a translation-invariant operator
+(every catalog kernel, the log-Laplacian and the Schrodinger operator) the
+matrix is gathered from one stencil (a block-Toeplitz matrix).  Kernels
+that depend on x project their own kernel-weighted weights at each node
+through the same projection, one sparse matrix-vector product per row.
 
 Because the radial quadrature weights are positive and the interpolation
 weights are a convex partition, the assembled matrix of the difference
@@ -449,22 +451,27 @@ def _lattice_matrix(grid, offs, weights, diag, toeplitz=False):
     weights is that array itself when it is the same at every node (a
     translation-invariant operator) or a function of the node giving it (an
     x-dependent kernel); diag maps a node's weights to its diagonal entry.
-    The offsets are projected onto the lattice differences once, and row i
-    is gathered from the stencil S = -(P @ w): entry j is S[q[j] + origin - q[i]],
-    with q the flat index of each node in the difference table.  The stencil
+    The offsets are projected onto the lattice differences once
+    (geometry.difference_projection), and row i is gathered from the stencil
+    S = -(P @ w): entry j is S[q[j] + origin - q[i]], with q the flat index
+    of each node and origin that of the zero difference (lattice offset
+    dims) in the padded difference table of shape 2*dims + 1.  Rows read
+    only its interior: the padding holds the corners of offsets beyond every
+    lattice difference, and only the interior must be finite.  The stencil
     is computed once, or once per node (one sparse matrix-vector product)
     for an x-dependent kernel.  `toeplitz` asks for one stencil on a
     hole-free 1-D lattice, where A is symmetric Toeplitz: its first column
     S[q[0] + origin - q] (plus the diagonal at the top) is returned, and no
     n x n array is allocated."""
     P = geometry.difference_projection(grid, offs)
-    span = tuple(2 * d - 1 for d in grid.dims)
+    span = tuple(2 * d + 1 for d in grid.dims)
     q = np.ravel_multi_index((grid.lattice - grid.kmin).T, span)
-    origin = np.ravel_multi_index(tuple(d - 1 for d in grid.dims), span)
+    origin = np.ravel_multi_index(grid.dims, span)
+    inner = (slice(1, -1),) * len(span)
 
     def stencil(i, w):
         S, d = -(P @ w), diag(w)
-        if not (np.all(np.isfinite(S)) and math.isfinite(d)):
+        if not (np.all(np.isfinite(S.reshape(span)[inner])) and math.isfinite(d)):
             raise ArithmeticError(
                 f"quadrature failure assembling node {i} at {grid.nodes[i]}"
             )

@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from logop import geometry
 from logop.geometry import (
     Domain,
     GridFunction,
@@ -203,6 +205,14 @@ def test_scatter_weights_partition_of_unity():
     assert np.allclose((vals * wts).sum(axis=1), interpolate_many(u, pts), atol=1e-13)
 
 
+def _padded_indices(grid):
+    # flat index of every node, and of the zero difference, in the padded
+    # difference table of shape 2*dims + 1
+    span = tuple(2 * d + 1 for d in grid.dims)
+    q = np.ravel_multi_index((grid.lattice - grid.kmin).T, span)
+    return span, q, np.ravel_multi_index(grid.dims, span)
+
+
 @pytest.mark.parametrize(
     "domain, h",
     [(Domain.interval(-0.5, 0.5), 0.05), (Domain.ball([0.3, -0.2], 0.1), 0.02)],
@@ -219,18 +229,110 @@ def test_difference_projection_matches_scatter_weights(domain, h):
     ])
     w = rng.uniform(0.1, 1.0, size=len(offs))
     P = difference_projection(grid, offs)
-    span = tuple(2 * d - 1 for d in grid.dims)
+    span, q, origin = _padded_indices(grid)
     assert P.shape == (math.prod(span), len(offs))
-    assert np.all(np.diff(P.indptr) <= 2 ** N)
+    assert np.array_equal(P.indptr, np.arange(0, 2 ** N * len(offs) + 1, 2 ** N))
     S = P @ w
-    q = np.ravel_multi_index((grid.lattice - grid.kmin).T, span)
-    origin = np.ravel_multi_index(tuple(d - 1 for d in grid.dims), span)
     for i, x in enumerate(grid.nodes):
         idx, sw = scatter_weights(grid, x + offs)
         valid = idx >= 0
         row = np.zeros(grid.n)
         np.add.at(row, idx[valid], (w[:, None] * sw)[valid])
         assert np.max(np.abs(S[q + (origin - q[i])] - row)) <= 1e-14 * np.max(row)
+
+
+def _masked_projection(grid, offsets):
+    # the projection onto the unpadded table (shape 2*dims - 1) with the
+    # corners beyond +-(dims - 1) masked out, built whole
+    from scipy import sparse
+
+    dims = np.asarray(grid.dims)
+    span = tuple((2 * dims - 1).tolist())
+    t = np.asarray(offsets, dtype=float) / grid.h
+    floor = np.floor(t)
+    frac = t - floor
+    base = floor.astype(np.int64) + (dims - 1)
+    shifts = list(itertools.product((0, 1), repeat=grid.domain.N))
+    rows = np.empty((len(t), len(shifts)), dtype=np.int64)
+    vals = np.empty((len(t), len(shifts)))
+    keep = np.empty((len(t), len(shifts)), dtype=bool)
+    for c, shift in enumerate(shifts):
+        k = base + shift
+        keep[:, c] = np.all((k >= 0) & (k < span), axis=1)
+        rows[:, c] = np.ravel_multi_index(k.T, span, mode="clip")
+        vals[:, c] = np.prod(np.where(shift, frac, 1 - frac), axis=1)
+    indptr = np.zeros(len(t) + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    return sparse.csc_array(
+        (vals[keep], rows[keep], indptr), shape=(math.prod(span), len(t))
+    )
+
+
+@pytest.mark.parametrize(
+    "domain, h, Q",
+    [
+        (Domain.interval(-0.5, 0.5), 0.05, 1000),
+        (Domain.interval(-0.5, 0.5), 0.05, 2 * geometry._BLOCK_OFFSETS + 123),
+        (Domain.ball([0.3, -0.2], 0.1), 0.02, 1000),
+        (Domain.ball([0.3, -0.2], 0.1), 0.02, 2 * geometry._BLOCK_OFFSETS + 123),
+    ],
+    ids=["1d-one-block", "1d-blocks", "2d-one-block", "2d-blocks"],
+)
+def test_difference_projection_is_the_masked_one_padded(domain, h, Q):
+    # bit for bit on the interior of the padded table: the same entries in
+    # the same order in every column, the same products S = P @ w, and the
+    # padding holds only the corners the mask dropped
+    grid = build_grid(domain, h)
+    rng = np.random.default_rng(Q)
+    N = domain.N
+    lattice = h * rng.integers(-12, 13, size=(Q // 4, N))
+    offs = np.concatenate([
+        rng.uniform(-domain.diameter, domain.diameter, size=(Q // 4, N)),
+        rng.uniform(-40.0, 40.0, size=(Q // 4, N)),
+        lattice,
+        -lattice,
+    ])
+    offs = np.concatenate([offs, rng.uniform(-1.0, 1.0, size=(Q - len(offs), N))])
+    assert len(offs) == Q
+    P, ref = difference_projection(grid, offs), _masked_projection(grid, offs)
+    span, _, _ = _padded_indices(grid)
+    at = np.unravel_index(P.indices, span)
+    inner = np.all([(k >= 1) & (k <= 2 * d - 1) for k, d in zip(at, grid.dims)], axis=0)
+    unpadded = np.ravel_multi_index([k[inner] - 1 for k in at], [2 * d - 1 for d in grid.dims])
+    assert np.array_equal(unpadded, ref.indices)
+    assert np.array_equal(P.data[inner].view(np.uint64), ref.data.view(np.uint64))
+    per_column = np.add.reduceat(inner, P.indptr[:-1])
+    assert np.array_equal(per_column, np.diff(ref.indptr))
+    assert np.count_nonzero(~inner) > 0
+
+    w = rng.uniform(0.1, 1.0, size=Q)
+    S = (P @ w).reshape(span)[(slice(1, -1),) * N].ravel()
+    assert np.array_equal(S.view(np.uint64), (ref @ w).view(np.uint64))
+
+
+def test_difference_projection_refuses_nonfinite_offsets():
+    grid = build_grid(Domain.ball([0.0, 0.0], 0.1), 0.02)
+    offs = np.zeros((10, 2))
+    offs[7, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        difference_projection(grid, offs)
+
+
+def test_difference_projection_peak_memory_is_its_output():
+    # built in blocks: beyond P itself the temporaries take about 8 doubles
+    # per offset of one block in 2-D, not per offset of the whole rule
+    grid = build_grid(Domain.ball([0.0, 0.0], 0.25), 0.02)
+    Q = 12 * geometry._BLOCK_OFFSETS
+    offs = np.random.default_rng(3).uniform(-1.0, 1.0, size=(2, Q)).T  # column-major
+    difference_projection(grid, offs[:10])  # loads scipy.sparse untraced
+    tracemalloc.start()
+    try:
+        P = difference_projection(grid, offs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    output = P.data.nbytes + P.indices.nbytes + P.indptr.nbytes
+    assert peak <= output + 16 * 8 * geometry._BLOCK_OFFSETS
 
 
 def test_interpolation_reproduces_linear_functions():

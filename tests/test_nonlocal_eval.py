@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
+from conftest import spectral
 from logop import _quadrules, nonlocal_eval
 from logop.barriers import (
     _scan,
@@ -196,31 +197,6 @@ def test_loglap_fourier_reference_value():
     assert slow == pytest.approx(-(EULER_GAMMA + math.log(2.0)), abs=1e-6)
 
 
-# Spectral oracle: L u = F^-1(m F u) for the symbols m = 2 ln|xi| of the
-# logarithmic Laplacian (Chen & Weth, CPDE 2019) and ln(1 + |xi|^2) of the
-# logarithmic Schrodinger operator (I - Delta)^log.  For the Gaussian
-# u = exp(-|y|^2 / (2 sigma^2)) the transform is sigma sqrt(2 pi)
-# exp(-(sigma xi)^2 / 2) in 1-D and 2 pi sigma^2 exp(-(sigma |xi|)^2 / 2) in
-# 2-D; the inversion integral runs on 30-point Gauss-Legendre panels,
-# log-graded on [0, 1] and uniform on [1, 40].  It shares nothing with the
-# polar rule, the operator records or the constants c_N and rho_N.
-_GL_T, _GL_W = np.polynomial.legendre.leggauss(30)
-_XI_EDGES = np.concatenate(([0.0], np.logspace(-14, 0, 15), np.arange(2.0, 41.0)))
-_XI = ((_XI_EDGES[:-1, None] + _XI_EDGES[1:, None]) / 2
-       + np.diff(_XI_EDGES)[:, None] / 2 * _GL_T).ravel()
-_XI_W = (np.diff(_XI_EDGES)[:, None] / 2 * _GL_W).ravel()
-
-
-def _spectral(symbol, sigma, r, N):
-    """L u at a point at distance r from 0, u the Gaussian of width sigma."""
-    damp = np.exp(-((sigma * _XI) ** 2) / 2)
-    if N == 1:
-        uhat = sigma * math.sqrt(2 * math.pi) * damp
-        return float(np.dot(_XI_W, symbol(_XI) * uhat * np.cos(_XI * r))) / math.pi
-    uhat = 2 * math.pi * sigma ** 2 * damp
-    return float(np.dot(_XI_W, symbol(_XI) * uhat * sps.j0(_XI * r) * _XI)) / (2 * math.pi)
-
-
 # bounds: about twice the largest errors of the default rule on these cases
 # when they were written (2.4e-15, 1.1e-15 and 1.8e-12)
 @pytest.mark.parametrize(
@@ -235,7 +211,7 @@ def test_loglap_matches_its_symbol(N, points, bound):
     sigma = math.sqrt(0.5)
     for x in points:
         got = eval_loglap(gaussian_field(sigma), np.array(x), FAST, N=N)
-        want = _spectral(lambda xi: 2 * np.log(xi), sigma, math.hypot(*x), N)
+        want = spectral(lambda xi: 2 * np.log(xi), sigma, math.hypot(*x), N)
         assert abs(got - want) <= bound
 
 
@@ -243,7 +219,7 @@ def test_schrodinger_matches_its_symbol():
     sigma = math.sqrt(0.5)
     for x in (-0.9, 0.0, 0.35):
         got = eval_schrodinger(gaussian_field(sigma), np.array([x]), FAST, N=1)
-        want = _spectral(lambda xi: np.log1p(xi * xi), sigma, abs(x), 1)
+        want = spectral(lambda xi: np.log1p(xi * xi), sigma, abs(x), 1)
         assert abs(got - want) <= 3.5e-12
 
 

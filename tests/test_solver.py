@@ -167,6 +167,22 @@ def test_assembly_rejects_nonfinite_xdependent_kernel():
         assemble(problem, grid, CFG)
 
 
+def test_stencil_check_reads_only_the_differences_nodes_read():
+    # a non-finite weight on an offset beyond every lattice difference lands
+    # in the padding of the difference table, which no row reads; one that
+    # reaches a node fails assembly
+    grid = build_grid(Domain.interval(-0.5, 0.5), 0.1)
+    offs = np.array([[0.05], [5.0]])
+
+    def diag(w):
+        return 1.0
+
+    A = solver._lattice_matrix(grid, offs, np.array([1.0, np.nan]), diag)
+    assert np.all(np.isfinite(A))
+    with pytest.raises(ArithmeticError, match="node 0"):
+        solver._lattice_matrix(grid, offs, np.array([np.nan, 1.0]), diag)
+
+
 def _difference_per_node(K, grid, cfg, hi):
     # the per-node scatter loop that the lattice projection replaced
     n_ang, n_rad = cfg.node_counts()
