@@ -10,9 +10,10 @@ zero.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +37,20 @@ __all__ = [
 # 12 288 (~300 minor page faults), 12.8 ms in blocks of 16 384 and 14.9 ms
 # in one block (2 600-3 600 faults).
 _BLOCK_OFFSETS = 4096
+
+
+def _one_or_many(cast):
+    """Let f(owner, pts) of an (m,N) batch also take a single point (N,),
+    for which it returns cast of the one value."""
+    def decorate(f):
+        @functools.wraps(f)
+        def call(owner, x):
+            x = np.asarray(x, dtype=float)
+            if x.ndim == 1:
+                return cast(f(owner, x[None, :])[0])
+            return f(owner, x)
+        return call
+    return decorate
 
 
 class Domain:
@@ -88,30 +103,22 @@ class Domain:
             return 2.0 * self.radius
         return float(np.linalg.norm(self.hi - self.lo))
 
-    def contains(self, x):
+    @_one_or_many(bool)
+    def contains(self, pts):
         """Open-set membership; works on a single point or an (m,N) batch."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = x[None, :] if single else x
         if self.shape == "ball":
-            inside = np.linalg.norm(pts - self.center_pt, axis=1) < self.radius
-        else:
-            inside = np.all((pts > self.lo) & (pts < self.hi), axis=1)
-        return bool(inside[0]) if single else inside
+            return np.linalg.norm(pts - self.center_pt, axis=1) < self.radius
+        return np.all((pts > self.lo) & (pts < self.hi), axis=1)
 
-    def max_reach(self, x):
+    @_one_or_many(float)
+    def max_reach(self, pts):
         """Largest |y - x| over y in the closure of the domain; works on a
         single point or an (m,N) batch."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = x[None, :] if single else x
         if self.shape == "ball":
-            reach = np.linalg.norm(pts - self.center_pt, axis=1) + self.radius
-        else:
-            # the farthest corner takes the farther of lo and hi on every axis
-            far = np.maximum(np.abs(pts - self.lo), np.abs(pts - self.hi))
-            reach = np.linalg.norm(far, axis=1)
-        return float(reach[0]) if single else reach
+            return np.linalg.norm(pts - self.center_pt, axis=1) + self.radius
+        # the farthest corner takes the farther of lo and hi on every axis
+        far = np.maximum(np.abs(pts - self.lo), np.abs(pts - self.hi))
+        return np.linalg.norm(far, axis=1)
 
     def boundary_point(self):
         """A canonical boundary point (used by regularity fits)."""
@@ -129,27 +136,24 @@ class Domain:
         return f"Domain.box({self.lo.tolist()}, {self.hi.tolist()})"
 
 
-def dist_to_boundary(domain, x):
+@_one_or_many(float)
+def dist_to_boundary(domain, pts):
     """Euclidean distance from x (interior or exterior) to the boundary.
 
     Vectorized over an (m,N) batch of points.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
     if domain.shape == "ball":
-        d = np.abs(domain.radius - np.linalg.norm(pts - domain.center_pt, axis=1))
-    else:
-        below = domain.lo - pts
-        above = pts - domain.hi
-        outside = np.maximum(np.maximum(below, above), 0.0)
-        d_out = np.linalg.norm(outside, axis=1)
-        d_in = np.min(np.minimum(pts - domain.lo, domain.hi - pts), axis=1)
-        d = np.where(d_out > 0, d_out, np.maximum(d_in, 0.0))
-    return float(d[0]) if single else d
+        return np.abs(domain.radius - np.linalg.norm(pts - domain.center_pt, axis=1))
+    below = domain.lo - pts
+    above = pts - domain.hi
+    outside = np.maximum(np.maximum(below, above), 0.0)
+    d_out = np.linalg.norm(outside, axis=1)
+    d_in = np.min(np.minimum(pts - domain.lo, domain.hi - pts), axis=1)
+    return np.where(d_out > 0, d_out, np.maximum(d_in, 0.0))
 
 
-@dataclass(frozen=True)
+# eq=False: a grid holds arrays, so it compares and hashes by identity
+@dataclass(frozen=True, eq=False)
 class Grid:
     """Uniform lattice strictly inside a domain, lexicographic node order."""
 
@@ -159,15 +163,10 @@ class Grid:
     lattice: np.ndarray        # (n, N) int, lattice coordinates of each node
     kmin: np.ndarray           # (N,) int, lattice lower corner
     dims: tuple                # lattice table shape per axis
-    node_index: np.ndarray = field(repr=False)  # dense lattice -> node id (-1 hole)
 
     @property
     def n(self):
         return len(self.nodes)
-
-    @property
-    def anchor(self):
-        return self.domain.center
 
     def value_table(self, values):
         """Dense lattice table of nodal values with zeros in the holes."""
@@ -186,38 +185,23 @@ def build_grid(domain, h):
     if h >= domain.diameter / 4:
         raise ValueError(f"h={h} too coarse for domain of diameter {domain.diameter}")
     center = domain.center
-    axes = []
-    for i in range(domain.N):
-        klo = math.ceil((domain.lo[i] - center[i]) / h - 1e-12)
-        khi = math.floor((domain.hi[i] - center[i]) / h + 1e-12)
-        axes.append(np.arange(klo, khi + 1))
-    if domain.N == 1:
-        ks = axes[0][:, None]
-    else:
-        k1, k2 = np.meshgrid(axes[0], axes[1], indexing="ij")
-        ks = np.column_stack([k1.ravel(), k2.ravel()])
+    axes = [
+        np.arange(
+            math.ceil((domain.lo[i] - center[i]) / h - 1e-12),
+            math.floor((domain.hi[i] - center[i]) / h + 1e-12) + 1,
+        )
+        for i in range(domain.N)
+    ]
+    # an ij meshgrid runs through the lattice in lexicographic order already
+    ks = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, domain.N)
     pts = center + h * ks
     keep = domain.contains(pts)
     ks, pts = ks[keep], pts[keep]
     if len(pts) == 0:
         raise ValueError("grid is empty at this resolution")
-    order = np.lexsort(tuple(pts[:, i] for i in reversed(range(domain.N))))
-    ks, pts = ks[order], pts[order]
     kmin = ks.min(axis=0)
     dims = tuple((ks.max(axis=0) - kmin + 1).tolist())
-    node_index = -np.ones(dims, dtype=np.int64)
-    node_index.reshape(-1)[np.ravel_multi_index((ks - kmin).T, dims)] = np.arange(
-        len(pts)
-    )
-    return Grid(
-        domain=domain,
-        h=h,
-        nodes=pts,
-        lattice=ks,
-        kmin=kmin,
-        dims=dims,
-        node_index=node_index,
-    )
+    return Grid(domain=domain, h=h, nodes=pts, lattice=ks, kmin=kmin, dims=dims)
 
 
 class GridFunction:
@@ -235,16 +219,33 @@ class GridFunction:
         return interpolate(self, y)
 
 
-def _gather(table, idx_per_axis):
-    """Table lookup with out-of-range indices mapped to zero."""
-    dims = table.shape
+def _cells(grid, Y):
+    """Per axis, the lower corner (relative to kmin) of the lattice cell that
+    holds each point of an (m,N) batch, and the point's offset in it."""
+    t = (np.asarray(Y, dtype=float) - grid.domain.center) / grid.h
+    base = np.floor(t).astype(np.int64)
+    return (base - grid.kmin).T, (t - base).T
+
+
+def _gather(table, idx_per_axis, fill):
+    """Table lookup, with fill wherever an index is off the table."""
     valid = np.ones(idx_per_axis[0].shape, dtype=bool)
     clipped = []
-    for ax, idx in enumerate(idx_per_axis):
-        valid &= (idx >= 0) & (idx < dims[ax])
-        clipped.append(np.clip(idx, 0, dims[ax] - 1))
-    vals = table[tuple(clipped)]
-    return np.where(valid, vals, 0.0)
+    for size, idx in zip(table.shape, idx_per_axis):
+        valid &= (idx >= 0) & (idx < size)
+        clipped.append(np.clip(idx, 0, size - 1))
+    return np.where(valid, table[tuple(clipped)], fill)
+
+
+def _corners(grid, Y, table, fill):
+    """The 2^N corners of the cell that holds each point of Y, first axis
+    fastest: per corner, table there (fill off the table) and the
+    multilinear factor of each axis."""
+    base, frac = _cells(grid, Y)
+    for shift in itertools.product((0, 1), repeat=grid.domain.N):
+        shift = shift[::-1]
+        factors = [f if s else 1 - f for s, f in zip(shift, frac)]
+        yield _gather(table, [b + s for s, b in zip(shift, base)], fill), factors
 
 
 def interpolate_many(u, Y):
@@ -254,29 +255,11 @@ def interpolate_many(u, Y):
     which realizes the zero-exterior contract; points farther than one cell
     from every node come out exactly zero.
     """
-    grid = u.grid
-    Y = np.asarray(Y, dtype=float)
-    t = (Y - grid.anchor) / grid.h
-    base = np.floor(t).astype(np.int64)
-    frac = t - base
-    base -= grid.kmin
-    table = u._table
-    if grid.domain.N == 1:
-        b = base[:, 0]
-        f = frac[:, 0]
-        return (1 - f) * _gather(table, (b,)) + f * _gather(table, (b + 1,))
-    b1, b2 = base[:, 0], base[:, 1]
-    f1, f2 = frac[:, 0], frac[:, 1]
-    v00 = _gather(table, (b1, b2))
-    v10 = _gather(table, (b1 + 1, b2))
-    v01 = _gather(table, (b1, b2 + 1))
-    v11 = _gather(table, (b1 + 1, b2 + 1))
-    return (
-        v00 * (1 - f1) * (1 - f2)
-        + v10 * f1 * (1 - f2)
-        + v01 * (1 - f1) * f2
-        + v11 * f1 * f2
-    )
+    terms = [
+        functools.reduce(np.multiply, factors, value)
+        for value, factors in _corners(u.grid, Y, u._table, 0.0)
+    ]
+    return functools.reduce(np.add, terms)
 
 
 def interpolate(u, y):
@@ -295,39 +278,13 @@ def scatter_weights(grid, Y):
     check that projection against (and the benchmark tracer wraps it by
     name).
     """
-    Y = np.asarray(Y, dtype=float)
-    t = (Y - grid.anchor) / grid.h
-    base = np.floor(t).astype(np.int64)
-    frac = t - base
-    base -= grid.kmin
-    node_index = grid.node_index
-    dims = grid.dims
-
-    def look(idx_per_axis):
-        valid = np.ones(idx_per_axis[0].shape, dtype=bool)
-        clipped = []
-        for ax, idx in enumerate(idx_per_axis):
-            valid &= (idx >= 0) & (idx < dims[ax])
-            clipped.append(np.clip(idx, 0, dims[ax] - 1))
-        got = node_index[tuple(clipped)]
-        return np.where(valid, got, -1)
-
-    if grid.domain.N == 1:
-        b = base[:, 0]
-        f = frac[:, 0]
-        idx = np.stack([look((b,)), look((b + 1,))], axis=1)
-        wts = np.stack([1 - f, f], axis=1)
-        return idx, wts
-    b1, b2 = base[:, 0], base[:, 1]
-    f1, f2 = frac[:, 0], frac[:, 1]
-    idx = np.stack(
-        [look((b1, b2)), look((b1 + 1, b2)), look((b1, b2 + 1)), look((b1 + 1, b2 + 1))],
-        axis=1,
-    )
-    wts = np.stack(
-        [(1 - f1) * (1 - f2), f1 * (1 - f2), (1 - f1) * f2, f1 * f2], axis=1
-    )
-    return idx, wts
+    node_id = np.full(grid.dims, -1)
+    node_id[tuple((grid.lattice - grid.kmin).T)] = np.arange(grid.n)
+    idx, wts = zip(*(
+        (ids, functools.reduce(np.multiply, factors))
+        for ids, factors in _corners(grid, Y, node_id, -1)
+    ))
+    return np.stack(idx, axis=1), np.stack(wts, axis=1)
 
 
 def difference_projection(grid, offsets):
@@ -335,13 +292,13 @@ def difference_projection(grid, offsets):
     of a grid.
 
     Every node sees the same offsets fall into the same lattice cells with
-    the same multilinear weights (nodes are anchor + h*Z^N); only the values
-    weighting the offsets change from node to node.  So for one weight per
-    offset, `P @ w` is the flattened difference table, padded by one cell on
-    each side of every axis (shape 2*dims + 1), whose entry d + dims is what
-    scatter_weights would deposit from `node_i + offsets` onto node j
-    whenever lattice[j] - lattice[i] = d.  Column k of P holds the weights
-    of offset k at its 2^N cell corners, in the order of
+    the same multilinear weights (nodes are domain.center + h*Z^N); only the
+    values weighting the offsets change from node to node.  So for one
+    weight per offset, `P @ w` is the flattened difference table, padded by
+    one cell on each side of every axis (shape 2*dims + 1), whose entry
+    d + dims is what scatter_weights would deposit from `node_i + offsets`
+    onto node j whenever lattice[j] - lattice[i] = d.  Column k of P holds the
+    weights of offset k at its 2^N cell corners, in the order of
     itertools.product((0, 1), repeat=N), so every column has exactly 2^N
     entries.  A corner beyond +-(dims - 1) on some axis cannot fall on a
     node of this grid: its index on that axis is clipped into the padding,

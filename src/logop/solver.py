@@ -527,18 +527,18 @@ def assemble(problem, grid, cfg):
         raise ValueError("grid has no nodes")
     N = grid.domain.N
     # one stencil on a hole-free 1-D lattice: A[i, j] depends on j - i only,
-    # and the 1-D polar rule pairs every offset with its mirror image.  Only
-    # a kernel can depend on x; loglap and schrodinger carry none.
-    toeplitz = (
-        N == 1
-        and grid.n == grid.dims[0]
-        and (problem.kernel is None or problem.kernel.translation_invariant)
-    )
-    if not toeplitz:
+    # and the 1-D polar rule pairs every offset with its mirror image.  Any
+    # other grid is dense whatever the operator, and is refused before
+    # anything is allocated (the reach alone takes O(n) memory).
+    lattice_1d = N == 1 and grid.n == grid.dims[0]
+    if not lattice_1d:
         _check_dense_size(grid)
     n_ang, n_rad = cfg.node_counts()
     reach = float(np.max(grid.domain.max_reach(grid.nodes)))
     op = nonlocal_eval._operator(problem.operator, N, cfg.r_min, reach, problem.kernel)
+    toeplitz = lattice_1d and op.translation_invariant
+    if lattice_1d and not toeplitz:
+        _check_dense_size(grid)
     ranges = op.ranges()
     rules = [
         _quadrules.polar_rule(N, n_ang, lo, hi, n_rad, op.breaks)

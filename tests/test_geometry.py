@@ -135,10 +135,21 @@ def test_build_grid_resolution_guard():
         build_grid(Domain.interval(0.0, 1.0), 0.0)
 
 
-def test_grid_nodes_interior_sorted_uniform():
-    grid = build_grid(Domain.ball([0.2, -0.1], 0.7), 0.1)
+@pytest.mark.parametrize(
+    "domain, h",
+    [
+        (Domain.ball([0.2, -0.1], 0.7), 0.1),
+        (Domain.interval(-0.3, 1.1), 0.05),
+        (Domain.ball([0.23, -0.41], 0.77), 0.013),
+        (Domain.box([-0.5, 0.1], [0.7, 0.45]), 0.02),
+    ],
+    ids=["ball", "interval", "ball-off-centre-fine", "box"],
+)
+def test_grid_nodes_interior_sorted_uniform(domain, h):
+    # build_grid does not sort: the lattice it filters is in this order
+    grid = build_grid(domain, h)
     assert np.all(grid.domain.contains(grid.nodes))
-    order = np.lexsort((grid.nodes[:, 1], grid.nodes[:, 0]))
+    order = np.lexsort(grid.nodes.T[::-1])  # axis 0 is the primary key
     assert np.array_equal(order, np.arange(grid.n))
     # all pairwise gaps along each axis are integer multiples of h
     rel = (grid.nodes - grid.nodes[0]) / grid.h
@@ -184,6 +195,14 @@ def test_interpolation_zero_exterior_contract():
     u = GridFunction(grid, np.ones(grid.n))
     far = np.array([[0.0, 0.7], [2.0, 2.0], [-0.7, 0.0]])
     assert np.allclose(interpolate_many(u, far), 0.0)
+
+
+def test_grids_compare_and_hash_by_identity():
+    domain = Domain.ball([0.0, 0.0], 1.0)
+    a, b = build_grid(domain, 0.1), build_grid(domain, 0.1)
+    assert (a == b) is False
+    assert a == a
+    assert {a: 1, b: 2}[a] == 1
 
 
 def test_grid_function_length_check():
@@ -342,3 +361,20 @@ def test_interpolation_reproduces_linear_functions():
     u = GridFunction(grid, f(grid.nodes))
     pts = np.random.default_rng(2).uniform(-0.6, 0.6, size=(30, 2))
     assert np.allclose(interpolate_many(u, pts), f(pts), atol=1e-12)
+
+
+def test_interpolation_reproduces_bilinear_functions_inside_a_ball():
+    # exact wherever all four corners of the cell are nodes; the corners are
+    # located here from the lattice, not through geometry's cell code
+    domain = Domain.ball([0.23, -0.41], 0.77)
+    grid = build_grid(domain, 0.07)
+    f = lambda p: 0.4 - 1.3 * p[:, 0] + 0.6 * p[:, 1] + 2.1 * p[:, 0] * p[:, 1]
+    u = GridFunction(grid, f(grid.nodes))
+    pts = np.random.default_rng(8).uniform(domain.lo, domain.hi, size=(4000, 2))
+    low = np.floor((pts - domain.center) / grid.h)
+    inside = np.ones(len(pts), dtype=bool)
+    for shift in itertools.product((0, 1), repeat=2):
+        inside &= domain.contains(domain.center + grid.h * (low + shift))
+    pts = pts[inside]
+    assert len(pts) > 1000
+    assert np.max(np.abs(interpolate_many(u, pts) - f(pts))) <= 1e-14
