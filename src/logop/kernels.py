@@ -108,7 +108,8 @@ def bessel_k_generic(nu, r):
     r^(-1/2), so the step shrinks with the largest argument to keep
     the relative error near roundoff.  Vectorized in r.
     """
-    r = np.atleast_1d(np.asarray(r, dtype=float))
+    arr = np.asarray(r, dtype=float)
+    r = arr.reshape(-1)
     if np.any(r <= 0):
         raise ValueError("r must be positive")
     step = min(0.1, 0.5 / math.sqrt(float(np.max(r))))
@@ -124,7 +125,7 @@ def bessel_k_generic(nu, r):
         for k in range(0, len(r), _BESSEL_BLOCK):
             block = slice(k, k + _BESSEL_BLOCK)
             out[block] = np.exp(-np.outer(r[block], ch)) @ w
-    return out if out.shape != (1,) else float(out[0])
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def _bessel_k1_series(r):
@@ -149,7 +150,7 @@ def _bessel_k1_series(r):
 
 def bessel_k1(r):
     """Modified Bessel K_1: series for r <= 2, integral representation above."""
-    arr = np.atleast_1d(np.asarray(r, dtype=float))
+    arr = np.asarray(r, dtype=float)
     if np.any(arr <= 0):
         raise ValueError("r must be positive")
     out = np.empty_like(arr)
@@ -157,10 +158,8 @@ def bessel_k1(r):
     if np.any(small):
         out[small] = _bessel_k1_series(arr[small])
     if np.any(~small):
-        out[~small] = np.atleast_1d(bessel_k_generic(1.0, arr[~small]))
-    if np.isscalar(r) or np.asarray(r).ndim == 0:
-        return float(out[0])
-    return out
+        out[~small] = bessel_k_generic(1.0, arr[~small])
+    return float(out) if arr.ndim == 0 else out
 
 
 # --------------------------------------------------------------------------
@@ -197,8 +196,7 @@ def schrodinger_weight(r, N):
     if N == 1:
         out = np.exp(-arr)
     elif N == 2:
-        out = np.atleast_1d(arr) * np.atleast_1d(bessel_k1(arr)) / math.pi
-        out = out.reshape(arr.shape)
+        out = arr * bessel_k1(arr) / math.pi
     elif N == 3:
         out = (1 + arr) * np.exp(-arr) / (2 * math.pi)
     else:

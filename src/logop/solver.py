@@ -35,10 +35,11 @@ Gohberg-Semencul formula, and its n x n matrix is formed only when read or
 for LU.  Every other matrix, a Toeplitz one of fewer than TOEPLITZ_MIN_N
 rows, and a Toeplitz one whose Levinson factor breaks down, fails its
 backward-error check or lies near the singular threshold, is factored by
-dense LU of one Fortran-ordered copy.  `_factor` makes this choice for
-every solve and for the first-eigenvalue sweep, and a factor is only its
-solves: the condition estimate is the same Hager-Higham iteration on either
-factor.
+dense LU of one Fortran-ordered copy.  Each matrix type makes this choice
+(`_factor`, falling back to `_lu`) and computes the sweep's Z-matrix
+statistics (`_z_stats`) itself, so no caller asks which type a matrix is, and
+a factor is only its solves: the condition estimate is the same
+Hager-Higham iteration on either factor.
 
 scipy.linalg (LAPACK) is loaded on the first factorization or triangular
 solve, not when this module is imported: the pointwise evaluators and the
@@ -186,23 +187,40 @@ class _LU:
 
 
 class _Toeplitz:
-    """Inverse of a symmetric Toeplitz matrix T from the first column x of
-    T^-1 (Levinson's recursion, O(n^2)), applied by the Gohberg-Semencul
+    """Inverse of T - shift*I, where T is the symmetric Toeplitz matrix with
+    this first column and matvec(v) = T @ v, from the first column x of the
+    inverse (Levinson's recursion, O(n^2)), applied by the Gohberg-Semencul
     formula T^-1 = (L(x) L(x)^T - L(ZJx) L(ZJx)^T) / x[0] in O(n log n):
     L(v) is the lower-triangular Toeplitz matrix with first column v, J the
     reversal and Z the down-shift, so ZJx = [0, x[n-1], ..., x[1]].  L(v) b
     is the first n entries of the convolution v * b, and L(v)^T b =
-    J L(v) J b; the convolutions are real FFTs of length m >= 2n - 1."""
+    J L(v) J b; the convolutions are real FFTs of length m >= 2n - 1.
+    Raises np.linalg.LinAlgError when the recursion meets a singular leading
+    minor or a probe solve's normwise backward error exceeds
+    TOEPLITZ_BACKWARD_TOL (the recursion does not pivot, so it is not stable
+    for every indefinite matrix).  No n x n array is formed."""
 
     name = "toeplitz"
     singular = False
 
-    def __init__(self, x):
-        self.n = n = len(x)
+    def __init__(self, column, matvec, shift=0.0):
+        self.n = n = len(column)
+        column = np.concatenate(([column[0] - shift], column[1:]))
+        x = sla.solve_toeplitz(column, np.eye(1, n)[0], check_finite=False)
+        if not (np.all(np.isfinite(x)) and x[0] != 0.0):
+            raise np.linalg.LinAlgError("Levinson's recursion broke down")
         self.m = 1 << (2 * n - 1).bit_length()
         self.x0 = x[0]
         self.X = np.fft.rfft(x, self.m)
         self.Y = np.fft.rfft(np.concatenate(([0.0], x[:0:-1])), self.m)
+        b = np.random.default_rng(7).standard_normal(n)
+        with np.errstate(all="ignore"):
+            y = self.solve(b)
+            r = matvec(y) - shift * y - b
+            scale = _toeplitz_norm1(column) * np.max(np.abs(y)) + np.max(np.abs(b))
+            backward = np.max(np.abs(r)) / scale
+        if not backward <= TOEPLITZ_BACKWARD_TOL:
+            raise np.linalg.LinAlgError(f"Levinson probe backward error {backward:.3g}")
 
     def solve(self, b, trans=False):
         """T^-1 b; T is symmetric, so trans changes nothing."""
@@ -220,50 +238,6 @@ def _toeplitz_norm1(column):
     the n x n temporary np.linalg.norm makes."""
     p = np.cumsum(np.abs(column))
     return float(np.max(p + p[::-1]) - abs(column[0]))
-
-
-def _levinson(column, matvec, shift=0.0):
-    """The _Toeplitz factor of T - shift*I, where T is the symmetric Toeplitz
-    matrix with this first column and matvec(v) = T @ v, or None when
-    Levinson's recursion meets a singular leading minor or a probe solve has
-    a normwise backward error above TOEPLITZ_BACKWARD_TOL (the recursion
-    does not pivot, so it is not stable for every indefinite matrix).  The
-    recursion reads the column, the probe's residual one product with T,
-    and no n x n array is formed."""
-    n = len(column)
-    column = column.copy()
-    column[0] -= shift
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    try:
-        x = sla.solve_toeplitz(column, e1, check_finite=False)
-    except np.linalg.LinAlgError:
-        return None
-    if not (np.all(np.isfinite(x)) and x[0] != 0.0):
-        return None
-    factor = _Toeplitz(x)
-    b = np.random.default_rng(7).standard_normal(n)
-    with np.errstate(all="ignore"):
-        y = factor.solve(b)
-        r = matvec(y) - shift * y - b
-        scale = _toeplitz_norm1(column) * np.max(np.abs(y)) + np.max(np.abs(b))
-        backward = np.max(np.abs(r)) / scale
-    return factor if backward <= TOEPLITZ_BACKWARD_TOL else None
-
-
-def _factor(sm, shift=0.0, levinson=True):
-    """The factorization of A - shift*I for the StiffnessMatrix sm, the one
-    place that chooses it: Levinson's when sm is symmetric Toeplitz with at
-    least TOEPLITZ_MIN_N rows, `levinson` is true and _levinson keeps the
-    factor, else LU of one copy of the dense matrix (_LU).  A Toeplitz
-    matrix forms its dense matrix only here, behind the memory guard."""
-    if not isinstance(sm, _ToeplitzStiffness):
-        return _LU(sm.matrix, shift)
-    if levinson and sm.n >= TOEPLITZ_MIN_N:
-        factor = _levinson(sm.column, sm.matvec, shift)
-        if factor is not None:
-            return factor
-    return _LU(sm._dense("the LU fallback from Levinson"), shift)
 
 
 def _inverse_norm1_estimate(solve, n, itmax=5):
@@ -312,20 +286,20 @@ class StiffnessMatrix:
     """Collocation matrix; row i applies the operator to the nodal hat
     interpolants at node i.
 
-    Every stiffness matrix offers the same interface: its `grid`, its size
-    `n`, the product `matvec(v)` = A @ v, the dense `matrix` and `_factors`.
-    The matrix is factored once: the first solve computes its factorization,
-    1-norm, condition estimate and smallest singular value (`_factors`), and
-    every later solve with this matrix reuses them.  A matrix built by
-    `assemble` on a 1-D grid for a translation-invariant operator is
-    symmetric Toeplitz (a _ToeplitzStiffness, which keeps only its first
-    column) and is factored by Levinson's recursion, with LU as the fallback
-    (see `_factors`); every other matrix, including one built here from a
-    raw array, is factored by LU, whose copy lives as long as the matrix.
-    `matrix` is read-only, so writing into it raises instead of solving
-    against a stale factorization; do not write into the array the matrix
-    was built from either.  Matrices compare and hash by identity, as
-    objects that own their factorization."""
+    Every stiffness matrix offers the same interface, so no caller asks
+    which type it is: its `grid`, its size `n`, the product `matvec(v)` =
+    A @ v, the dense `matrix`, `_factor(shift)` (the factorization of
+    A - shift*I; here LU of one copy) with its LU fallback `_lu(shift)`,
+    `_z_stats()` (the largest off-diagonal entry, max|A| and the row sums)
+    and `_factors` (factorization, 1-norm, condition estimate and smallest
+    singular value, computed by the first solve and reused by every later
+    one).  A matrix built by `assemble` on a 1-D grid for a
+    translation-invariant operator is a _ToeplitzStiffness, which keeps only
+    its first column and is factored by Levinson's recursion.  `matrix` is
+    read-only, so writing into it raises instead of solving against a stale
+    factorization; do not write into the array the matrix was built from
+    either.  Matrices compare and hash by identity, as objects that own
+    their factorization."""
 
     def __init__(self, matrix, grid):
         view = np.asarray(matrix).view()
@@ -347,13 +321,24 @@ class StiffnessMatrix:
     def _norm1(self):
         return float(np.linalg.norm(self._matrix, 1))
 
+    def _lu(self, shift=0.0):
+        return _LU(self._matrix, shift)
+
+    def _factor(self, shift=0.0):
+        return self._lu(shift)
+
+    def _z_stats(self):
+        A = self._matrix
+        off_max = np.max(A, where=~np.eye(self.n, dtype=bool), initial=-math.inf)
+        return off_max, np.max(np.abs(A)), A.sum(axis=1)
+
     @cached_property
     def _factors(self):
         """Factorization, 1-norm, condition estimate and sigma_min, computed
-        once.  A Toeplitz matrix is refactored by LU when Levinson fails
-        (see _levinson) or sigma_min falls under TOEPLITZ_SIGMA_FLOOR times
-        the 1-norm; factor_s then includes the Levinson attempt and its
-        sigma_min iteration.  Inverse iteration cannot run on an LU factor
+        once.  A factor other than LU (Levinson's) is replaced by `_lu` when
+        its sigma_min falls under TOEPLITZ_SIGMA_FLOOR times the 1-norm;
+        factor_s then includes the first factor and its sigma_min
+        iteration.  Inverse iteration cannot run on an LU factor
         with a zero pivot, nor on one whose solves overflow (a tiny pivot),
         which _sigma_min_estimate reports as sigma_min 0 and the condition
         estimate as a non-finite norm: then sigma_min (0 for a zero pivot)
@@ -361,8 +346,8 @@ class StiffnessMatrix:
         is infinite."""
         t0 = time.perf_counter()
         anorm = self._norm1()
-        for levinson in (True, False):
-            factor = _factor(self, levinson=levinson)
+        for factor_once in (self._factor, self._lu):
+            factor = factor_once()
             t1 = time.perf_counter()
             sigma, null_vec = 0.0, None
             if not factor.singular:
@@ -419,6 +404,26 @@ class _ToeplitzStiffness(StiffnessMatrix):
 
     def _norm1(self):
         return _toeplitz_norm1(self.column)
+
+    def _lu(self, shift=0.0):
+        return _LU(self._dense("the LU fallback from Levinson"), shift)
+
+    def _factor(self, shift=0.0):
+        """Levinson's factor when n >= TOEPLITZ_MIN_N and _Toeplitz keeps
+        it, else LU, which forms the dense matrix behind the memory guard."""
+        if self.n >= TOEPLITZ_MIN_N:
+            try:
+                return _Toeplitz(self.column, self.matvec, shift)
+            except np.linalg.LinAlgError:
+                pass
+        return self._lu(shift)
+
+    def _z_stats(self):
+        # from c in O(n): the off-diagonal is c[1:], and row i sums c[0..i]
+        # and c[1..n-1-i]
+        c = self.column
+        p = np.cumsum(c)
+        return np.max(c[1:], initial=-math.inf), np.max(np.abs(c)), p + p[::-1] - c[0]
 
     def _dense(self, cause):
         """toeplitz(c), read-only, once the guard has found room for it."""
@@ -610,7 +615,8 @@ def solve_dirichlet(problem, grid, cfg, stiffness=None):
     When the smallest-singular-value estimate is at most 1e-10 times the
     matrix 1-norm (it is 0 for a matrix with a zero LU pivot) the report
     flags the second Fredholm alternative and the returned grid function is
-    a unit-norm approximate null vector instead of a solution.  Passing a prebuilt StiffnessMatrix skips assembly, and the
+    a unit-norm approximate null vector instead of a solution.  Passing a
+    prebuilt StiffnessMatrix skips assembly, and the
     matrix is factored only on its first solve (see StiffnessMatrix), so
     solving one matrix against many right-hand sides costs one
     factorization.  The report names the factorization ("toeplitz" or "lu"),
@@ -669,11 +675,12 @@ def fredholm_sweep(problem, grid, cfg, mu_lo, mu_hi, tol=1e-12):
 
     The collocation matrix A is a Z-matrix (off-diagonal entries <= 0), so
     lambda_1, its eigenvalue of smallest real part, is real and simple with a
-    positive eigenvector, and (A - sigma*I)^-1 >= 0 for sigma below the
-    smallest row sum (Perron-Frobenius).  One factorization of A - sigma*I
-    (_factor: Levinson when A is a large enough symmetric Toeplitz matrix,
-    else LU of one copy)
-    drives inverse iteration from x = 1; each solve y = (A - sigma*I)^-1 x
+    positive eigenvector, and (A - sigma*I)^-1 >= 0 for sigma below it
+    (Perron-Frobenius).  sigma is the smallest row sum (sm._z_stats), at
+    most lambda_1 by Collatz-Wielandt with x = 1, lowered once if A - sigma*I
+    is exactly singular; mu_lo and mu_hi only judge the enclosure.  One
+    factorization of A - sigma*I (sm._factor) drives inverse iteration from
+    x = 1; each solve y = (A - sigma*I)^-1 x
     gives the Collatz-Wielandt enclosure
     sigma + 1/max(y/x) <= lambda_1 <= sigma + 1/min(y/x), exact for the
     exact solve.  Once that is at most tol*max(1, |lambda_1|) wide, the
@@ -688,32 +695,21 @@ def fredholm_sweep(problem, grid, cfg, mu_lo, mu_hi, tol=1e-12):
     when the enclosure has not converged after SWEEP_MAX_SOLVES solves.
     """
     sm = assemble(replace(problem, shift=0.0), grid, cfg)
-    n = sm.n
-    if isinstance(sm, _ToeplitzStiffness):
-        # from the first column c in O(n): the off-diagonal is c[1:], and
-        # row i sums c[0..i] and c[1..n-1-i]
-        c = sm.column
-        p = np.cumsum(c)
-        off_max = np.max(c[1:], initial=-math.inf)
-        a_max, row_sums = np.max(np.abs(c)), p + p[::-1] - c[0]
-    else:
-        A = sm.matrix
-        off_max = np.max(A, where=~np.eye(n, dtype=bool), initial=-math.inf)
-        a_max, row_sums = np.max(np.abs(A)), A.sum(axis=1)
+    off_max, a_max, row_sums = sm._z_stats()
     if off_max > Z_MATRIX_TOL * a_max:
         raise ValueError(
             f"matrix is not a Z-matrix (off-diagonal entry {off_max:.3g} > 0); "
             "the eigenvalue enclosure needs a nonpositive off-diagonal"
         )
-    sigma = min(float(mu_lo), float(np.min(row_sums)))
+    sigma = float(np.min(row_sums))
     for _ in range(2):
-        factor = _factor(sm, sigma)
+        factor = sm._factor(sigma)
         if not factor.singular:
             break
         sigma -= max(1.0, abs(sigma))  # exactly singular: sigma hit lambda_1
     else:
         raise ArithmeticError(f"A - sigma*I is singular at sigma={sigma!r}")
-    x = np.ones(n)
+    x = np.ones(sm.n)
     for solves in range(1, SWEEP_MAX_SOLVES + 1):
         y = factor.solve(x)
         r = y / x

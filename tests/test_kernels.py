@@ -77,6 +77,20 @@ def test_bessel_k_generic_against_scipy():
         bessel_k_generic(1.0, 0.0)
 
 
+@pytest.mark.parametrize("r", [0.4, 3.0], ids=["series", "integral"])
+def test_bessel_scalars_only_for_scalar_input(r):
+    # a shape-(1,) array stays an array; only a scalar or 0-d input gives a float
+    for f in (bessel_k1, lambda x: bessel_k_generic(1.0, x),
+              lambda x: schrodinger_weight(x, 2)):
+        scalar = f(r)
+        assert type(f(np.float64(r))) is type(f(np.array(r))) is type(scalar) is float
+        one = f(np.array([r]))
+        assert isinstance(one, np.ndarray) and one.shape == (1,)
+        assert one[0] == scalar
+        square = np.array([[r, 2 * r], [r / 2, 3 * r]])
+        assert np.array_equal(f(square), f(square.ravel()).reshape(2, 2))
+
+
 # ---------------------------------------------------------------------------
 # operator constants and the Bessel weight
 # ---------------------------------------------------------------------------

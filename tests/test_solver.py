@@ -966,29 +966,71 @@ def test_fredholm_sweep_rejects_bracket_without_first_eigenvalue():
         fredholm_sweep(problem, grid, CFG, 2.0, 5.0)
 
 
-def test_fredholm_sweep_guards_its_enclosure(monkeypatch):
+@pytest.mark.parametrize(
+    "stiffness",
+    [
+        lambda A, grid: solver.StiffnessMatrix(A, grid),
+        lambda A, grid: solver._ToeplitzStiffness(A[:, 0], grid),
+    ],
+    ids=["dense", "toeplitz"],
+)
+def test_fredholm_sweep_guards_its_enclosure(monkeypatch, stiffness):
     problem = _interval_problem(half=0.25)
     grid = build_grid(problem.domain, 0.025)
     monkeypatch.setattr(solver, "SWEEP_MAX_SOLVES", 2)
     with pytest.raises(ArithmeticError, match="2 solves"):
         fredholm_sweep(problem, grid, CFG, 0.0, 10.0)
 
-    def use_matrix(rows):
-        A = np.array(rows, dtype=float)
-        monkeypatch.setattr(
-            solver, "assemble",
-            lambda *args: solver.StiffnessMatrix(A, grid),
-        )
+    def use_matrix(column):
+        # symmetric Toeplitz, so both types hold the same matrix
+        A = sla.toeplitz(np.array(column, dtype=float))
+        monkeypatch.setattr(solver, "assemble", lambda *args: stiffness(A, grid))
 
     # a positive off-diagonal entry voids the Perron-Frobenius enclosure
-    use_matrix([[2.0, 0.5, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+    use_matrix([2.0, -1.0, 0.5])
     with pytest.raises(ValueError, match="Z-matrix"):
         fredholm_sweep(problem, grid, CFG, 0.0, 10.0)
     # equal row sums equal lambda_1 = 0, so the first shift is singular
-    use_matrix([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
+    use_matrix([2.0, -1.0, -1.0])
     out = fredholm_sweep(problem, grid, CFG, 0.0, 1.0)
     assert out["mu_star"] == pytest.approx(0.0, abs=1e-14)
     assert out["bounds"][0] <= 0.0 <= out["bounds"][1]
+
+
+def test_fredholm_sweep_shift_does_not_depend_on_the_bracket():
+    # the shift is the smallest row sum whatever mu_lo is, so a bracket
+    # reaching down to -100 costs no more solves than a narrow one
+    problem = ProblemSpec("generic", _BALL, const_field(1.0), kernel=sinlog_kernel())
+    grid = build_grid(_BALL, 0.02)
+    lam1 = float(np.linalg.eigvalsh(assemble(problem, grid, CFG).matrix)[0])
+    narrow = fredholm_sweep(problem, grid, CFG, 6.0, 10.0)
+    wide = fredholm_sweep(problem, grid, CFG, -100.0, 100.0)
+    assert wide["mu_star"] == pytest.approx(lam1, rel=0, abs=1e-10)
+    assert wide["evaluations"] == narrow["evaluations"]
+
+
+@pytest.mark.parametrize(
+    "problem, h",
+    [
+        (_interval_problem(kernel=sinlog_kernel()), 0.01),
+        # a negative smallest row sum
+        (ProblemSpec("loglap", Domain.interval(-3.0, 3.0), const_field(1.0)), 0.05),
+    ],
+    ids=["sinlog", "loglap-wide"],
+)
+def test_toeplitz_z_stats_are_the_dense_statistics(problem, h):
+    grid = build_grid(problem.domain, h)
+    sm = assemble(problem, grid, CFG)
+    assert type(sm) is solver._ToeplitzStiffness
+    A = sm.matrix
+    off_max, a_max, row_sums = sm._z_stats()
+    dense_off_max, dense_a_max, dense_row_sums = solver.StiffnessMatrix(A, grid)._z_stats()
+    assert off_max == dense_off_max < 0 and a_max == dense_a_max
+    # the two sums add the same entries in different orders
+    bound = grid.n * np.finfo(float).eps * np.abs(A).sum(axis=1)
+    assert np.all(np.abs(row_sums - dense_row_sums) <= bound)
+    if problem.operator == "loglap":
+        assert np.min(row_sums) < 0
 
 
 def test_loglap_solve_on_small_ball():
