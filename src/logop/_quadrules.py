@@ -15,6 +15,9 @@ them (and any radii shared by every ray) into one break array over all rays,
 and panel_edges, ray_panels and polar_nodes build every ray's panels and
 nodes from it in a few numpy passes.  The panels that every ray around a
 point shares get one radial rule, shared_radial_nodes, cached by its edges.
+polar_sum, the one engine with per-ray breaks, integrates around a point
+block by block; the pointwise evaluators and the regularity integral run on
+it.  polar_rule, for assembly, is the cached radial rule on every ray.
 """
 
 from __future__ import annotations
@@ -29,6 +32,16 @@ import numpy as np
 _NUDGE = 1e-12
 _MERGE = 1e-10  # edges closer than this, relative, are one edge
 _LN10 = math.log(10.0)
+
+# Quadrature nodes per block of rays in polar_sum, for the shared part and
+# the tails alike.  A block's arrays (64 KB per column of 8192 doubles) are
+# reused from the heap by the next block and the next evaluation; the whole
+# rule's arrays (~25 000 nodes in 2-D) were returned to the system after each
+# evaluation and faulted in afresh, ~200 000 minor page faults per verify-2d
+# batch.  Blocks stay under the budget rather than splitting it evenly:
+# OpenBLAS threads a dot product of more than ~10^4 entries, and waking its
+# threads for every block cost more than the block.
+_BLOCK_NODES = 8192
 
 
 def radius(Y, squared=False):
@@ -256,29 +269,86 @@ def radial_rule(lo, hi, n_per_decade, breakpoints=()):
     Returns (rho, w) with sum(w * f(rho)) approximating the integral over
     [lo, hi].  Node density is n_per_decade subintervals per factor of 10,
     with at least two subintervals per panel.  Nothing in the package calls
-    it: it is polar_nodes on one ray, kept as the 1-D reference rule the
-    tests and perfbench's tracer use by name.
+    it: it is a writable copy of the cached shared_radial_nodes, kept as the
+    1-D reference rule the tests and perfbench's tracer use by name.
     """
-    panels = ray_panels(panel_edges(lo, hi, breakpoints), n_per_decade)
-    _, rho, w = polar_nodes(np.ones((1, 1)), np.ones(1), panels)
-    return rho, w
+    edges = tuple(panel_edges(lo, hi, breakpoints)[0].tolist())
+    rho, w = shared_radial_nodes(edges, n_per_decade)
+    return rho.copy(), w.copy()
 
 
-def polar_rule(N, n_angular, lo, hi, n_per_decade, radii=(), kinks=Kinks()):
+def polar_rule(N, n_angular, lo, hi, n_per_decade, radii=()):
     """Polar rule for integral over lo <= |z| <= hi of f(z) |z|^(-N) dz.
 
-    Every ray theta of unit_directions(N, n_angular) carries the radial rule
-    of radial_rule on its panel_edges, with breaks at the given radii and
-    where the ray from the origin meets the kinks; all rays are built in one
-    pass.  Returns (Z, rho, w): the offsets Z = rho*theta of shape (Q, N),
-    their radii rho, and the combined weights (Simpson weight times angular
-    weight), so that dot(w, f(Z)) approximates the integral.  Z is
-    column-major: integrands work column by column over the Q nodes.
+    Every ray theta of unit_directions(N, n_angular) carries the one radial
+    rule of shared_radial_nodes, its panels broken at the decades and at the
+    given radii.  Returns (Z, rho, w): the offsets Z = rho*theta of shape
+    (Q, N), ray by ray, their radii rho, and the combined weights (Simpson
+    weight times angular weight), so that dot(w, f(Z)) approximates the
+    integral.  Z is column-major: integrands work column by column over the
+    Q nodes.
     """
     thetas, ang_w = unit_directions(N, n_angular)
-    breaks = ray_breaks(np.zeros(N), thetas, kinks, radii)
-    panels = ray_panels(panel_edges(lo, hi, breaks), n_per_decade)
-    return polar_nodes(thetas, ang_w, panels)
+    rho, w = shared_radial_nodes(tuple(panel_edges(lo, hi, radii)[0].tolist()), n_per_decade)
+    Z = (thetas.T[:, :, None] * rho).reshape(N, -1).T
+    return Z, np.tile(rho, len(thetas)), (ang_w[:, None] * w).ravel()
+
+
+def _ray_blocks(M, Q):
+    """Slices of M rays that carry Q nodes in all: blocks of nearly equal
+    ray counts, each of at most floor(_BLOCK_NODES * M / Q) rays (so about
+    _BLOCK_NODES nodes, or one ray when a ray alone has more); none when Q
+    is 0."""
+    if Q == 0:
+        return []
+    blocks = -(-M // max(1, _BLOCK_NODES * M // Q))
+    return [slice(k * M // blocks, (k + 1) * M // blocks) for k in range(blocks)]
+
+
+def polar_sum(x, n_ang, n_rad, lo, hi, integrand, profile=None, kinks=Kinks(), radii=()):
+    """Polar quadrature around x over radii [lo, hi]: the sum of
+    w * profile(rho) * integrand(Z, Y) over polar nodes with offsets Z,
+    radii rho, weights w and points Y = x + Z, on the n_ang rays of
+    unit_directions(len(x), n_ang) with n_rad Simpson subintervals per
+    decade, every ray broken at the given radii and where it meets the
+    kinks.  The integrand returns the values of f(Y) whose integral against
+    |Y - x|^(-N) dY is wanted, times any weight not of rho alone; profile,
+    a weight of rho alone (None for 1), is evaluated once per radius.
+
+    The breaks and panel edges of every ray are computed in one pass.  The
+    leading edges that every ray shares (lo, the decades, and radii shared
+    by all rays, up to the first break of one ray alone) carry one radial
+    rule (rho_p, w_p), cached by shared_radial_nodes, on every ray: those
+    nodes are the products theta_k rho_p, and their sum is
+    ang_w @ (values @ w_p) over the rays.  Each ray's panels beyond the
+    last shared edge, its tail, are built once for all rays (ray_panels),
+    which also sizes the blocks, and their nodes by polar_nodes a block at
+    a time.  Each part is integrated in blocks of whole rays (_ray_blocks),
+    with one integrand call per block."""
+    N = len(x)
+    thetas, ang_w = unit_directions(N, n_ang)
+    edges = panel_edges(lo, hi, ray_breaks(x, thetas, kinks, radii))
+    same = np.all(edges == edges[0], axis=0)
+    shared = len(same) if same.all() else int(np.argmin(same))
+    rho_p, w_p = shared_radial_nodes(tuple(edges[0, :shared].tolist()), n_rad)
+    if profile is not None:
+        w_p = w_p * profile(rho_p)
+    M, Qp = len(thetas), len(rho_p)
+    total = 0.0
+    for rays in _ray_blocks(M, M * Qp):
+        Z = (thetas[rays].T[:, :, None] * rho_p).reshape(N, -1).T  # column-major
+        vals = integrand(Z, x + Z)
+        total += float(ang_w[rays] @ (vals.reshape(-1, Qp) @ w_p))
+    if shared == len(same):
+        return total
+    # every ray's tail starts at the last shared edge
+    tails = ray_panels(edges[:, shared - 1:], n_rad)
+    for rays in _ray_blocks(M, tails.nodes()):
+        Z, rho, w = polar_nodes(thetas[rays], ang_w[rays], tails.rays(rays))
+        if profile is not None:
+            w = w * profile(rho)
+        total += float(np.dot(w, integrand(Z, x + Z)))
+    return total
 
 
 @functools.lru_cache(maxsize=16)

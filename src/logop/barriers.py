@@ -185,7 +185,6 @@ def _scan(K, field, points, cfg):
 
 
 def _stable_within(values, rel):
-    values = [v for v in values]
     mean = sum(values) / len(values)
     if mean == 0:
         return all(v == 0 for v in values)

@@ -2,8 +2,8 @@
 
 Covers the generic uniformly elliptic kernel K(x,y) with interaction range 1,
 the constants of the logarithmic Laplacian, the Bessel-type weight of the
-logarithmic Schrodinger operator, smooth mollified kernel families, and the
-numerical ellipticity / 1-regularity checks.
+logarithmic Schrodinger operator, smooth mollifications of radial kernels,
+and the ellipticity / 1-regularity checks (the latter on _quadrules.polar_sum).
 
 The special functions (gamma, digamma, modified Bessel K) are implemented
 here rather than imported: the values feed operator constants that the rest
@@ -353,7 +353,8 @@ def check_uniform_ellipticity(K, samples, domain=None, N=1, seed=101):
 
 
 def _regularity_integral(K, z, w, n_radial, n_angular):
-    """The kernel-oscillation integral of the alpha-regularity condition."""
+    """The kernel-oscillation integral of the alpha-regularity condition, by
+    polar_sum around 0 with the profile ell(|xi|) |xi|^N (which undoes |xi|^-N)."""
     z = np.asarray(z, dtype=float)
     w = np.asarray(w, dtype=float)
     N = len(z)
@@ -366,17 +367,17 @@ def _regularity_integral(K, z, w, n_radial, n_angular):
     half = w / 2
     # K(z +- w/2, xi +- w/2) is cut off outside the unit spheres around -+w/2
     kinks = _quadrules.sphere_kinks([1.0], -half) + _quadrules.sphere_kinks([1.0], half)
-    xi, rho, wt = _quadrules.polar_rule(N, n_angular, lo, hi, n_radial, (RHO0,), kinks)
-    xp = xi + half
-    xm = xi - half
-    np_r = _quadrules.radius(xp)
-    nm_r = _quadrules.radius(xm)
-    kp = np.where(np_r < 1, K.evaluate(z + half, xp), 0.0)
-    km = np.where(nm_r < 1, K.evaluate(z - half, xm), 0.0)
-    with np.errstate(divide="ignore"):
-        fp = np.where(np_r < 1, kp / np_r ** N, 0.0)
-        fm = np.where(nm_r < 1, km / nm_r ** N, 0.0)
-    return float(np.dot(wt, np.abs(fp - fm) * ell(rho) * rho ** N))
+
+    def quotient(shift, xi):  # K(z + shift, y) / |y|^N for |y| < 1, y = xi + shift
+        r = _quadrules.radius(xi + shift)
+        with np.errstate(divide="ignore"):
+            return np.where(r < 1, K.evaluate(z + shift, xi + shift) / r ** N, 0.0)
+
+    def integrand(xi, _):
+        return np.abs(quotient(half, xi) - quotient(-half, xi))
+
+    return _quadrules.polar_sum(np.zeros(N), n_angular, n_radial, lo, hi, integrand,
+                                lambda rho: ell(rho) * rho ** N, kinks, (RHO0,))
 
 
 def check_one_regularity(K, pairs, quad):
@@ -434,7 +435,7 @@ _MOLL_MASS = float(np.sum(_MOLL_WEIGHTS * np.exp(-1.0 / (1.0 - _MOLL_NODES ** 2)
 
 @dataclass(frozen=True)
 class MollifiedKernel:
-    """Smooth, clamped mollification K_i of a translation-invariant kernel.
+    """Smooth, clamped mollification K_i of a radial kernel.
 
     Satisfies lam/2 <= K_i on B_1, 0 <= K_i <= Lam everywhere, and K_i = 0
     outside B_{1+1/(2i)} (a subset of B_{1+1/i}).
@@ -461,20 +462,17 @@ class MollifiedKernel:
 
 
 def mollify_kernel(K, i):
-    """Mollify the radial profile of K (extended by zero outside B_1)."""
-    if not K.translation_invariant:
-        raise ValueError("mollification implemented for translation-invariant kernels")
+    """Mollify K.profile, extended by zero outside B_1; a kernel without a
+    radial profile is refused."""
+    if K.profile is None:
+        raise ValueError("mollification needs a radial kernel (KernelSpec.profile)")
     if i < 1:
         raise ValueError("index i must be a positive integer")
     delta = 1.0 / (2 * int(i))
 
     def base_profile(r):
-        # radial profile of K (catalog kernels depend on |y| only), zero outside B_1
-        r = np.asarray(r, dtype=float)
-        flat = np.abs(r).ravel()
-        vals = K.evaluate(np.zeros(1), np.maximum(flat, 1e-300)[:, None])
-        vals = np.where(flat < 1.0, vals, 0.0)
-        return vals.reshape(r.shape)
+        r = np.abs(r)
+        return np.where(r < 1.0, K.profile(np.maximum(r, 1e-300)), 0.0)
 
     def profile(rho):
         rho = np.asarray(rho, dtype=float)

@@ -15,12 +15,11 @@ Evaluation is organized around FieldFunction objects: the evaluate callable
 must be total on R^N and vectorized over (m, N) batches, and fields that know
 where their kinks and jumps live declare them as spheres and planes
 (_quadrules.Kinks), which is what keeps indicator-type barriers integrable at
-full Simpson order.  _polar_sum turns the declarations into every ray's
-breaks in one pass, integrates the panels every ray shares with one cached
-radial rule, and builds and integrates each ray's remaining panels a block
-of rays at a time (see _BLOCK_NODES).  A weight of |z| alone (a kernel's
-profile, the Schrodinger weight) is folded into the radial weights, so it
-is evaluated once per radius, not once per node.
+full Simpson order.  _quadrules.polar_sum turns the declarations into every
+ray's breaks, integrates the panels every ray shares with one cached radial
+rule, and the rest of each ray a block of rays at a time.  A weight of |z|
+alone (a kernel's profile, the Schrodinger weight) is evaluated once per
+radius, not once per node.
 """
 
 from __future__ import annotations
@@ -57,16 +56,6 @@ __all__ = [
     "sector_integral",
 ]
 
-# Quadrature nodes per block of rays in _polar_sum, for the shared part and
-# the tails alike.  A block's arrays (64 KB per column of 8192 doubles) are
-# reused from the heap by the next block and the next evaluation; the whole
-# rule's arrays (~25 000 nodes in 2-D) were returned to the system after each
-# evaluation and faulted in afresh, ~200 000 minor page faults per verify-2d
-# batch.  Blocks stay under the budget rather than splitting it evenly:
-# OpenBLAS threads a dot product of more than ~10^4 entries, and waking its
-# threads for every block cost more than the block.
-_BLOCK_NODES = 8192
-
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -75,6 +64,8 @@ class QuadratureConfig:
     n_radial counts Simpson subintervals per radial decade; n_angular counts
     uniform angles (2-D only); r_min is the inner truncation radius; oracle
     mode quadruples the node counts for use as an independent slow reference.
+    node_counts is the one place that scales the counts, by the mode and by
+    the level of an evaluation (1, or 1/2 for its error estimate).
     """
 
     n_radial: int = 128
@@ -92,13 +83,11 @@ class QuadratureConfig:
         if self.mode not in ("fast", "oracle"):
             raise ValueError("mode must be 'fast' or 'oracle'")
 
-    def node_factor(self):
-        return 4 if self.mode == "oracle" else 1
-
-    def node_counts(self):
-        """(angles, radial subintervals per decade) scaled by the mode."""
-        f = self.node_factor()
-        return self.n_angular * f, self.n_radial * f
+    def node_counts(self, level=1.0):
+        """(angles, radial subintervals per decade) scaled by the mode and by
+        level, at least 4 angles and 2 subintervals."""
+        f = (4 if self.mode == "oracle" else 1) * level
+        return max(4, round(self.n_angular * f)), max(2, round(self.n_radial * f))
 
 
 @dataclass(frozen=True)
@@ -279,7 +268,7 @@ def make_field(name):
 
 
 # --------------------------------------------------------------------------
-# the operators and the quadrature engine
+# the operators
 # --------------------------------------------------------------------------
 
 
@@ -338,69 +327,9 @@ def _operator(name, N, r_min, reach, K=None):
     raise ValueError(f"unknown operator {name!r}")
 
 
-def _polar_sum(x, N, cfg, level, lo, hi, integrand, profile, kinks, radii):
-    """Polar quadrature around x over radii [lo, hi]: the sum of
-    w * profile(rho) * integrand(Z, Y) over the nodes of the polar rule
-    (_quadrules.polar_rule), with offsets Z, radii rho, weights w and points
-    Y = x + Z, its rays broken at the given radii and where they meet the
-    field's kinks.  The integrand returns the values of f(Y) whose integral
-    against |Y - x|^(-N) dY is wanted, times any weight not of rho alone;
-    profile, a weight of rho alone (None for 1), is evaluated once per
-    radius of the rule.  level scales the radial and angular node counts of
-    cfg.
-
-    The breaks and panel edges of every ray are computed in one pass.  The
-    leading edges that every ray shares (lo, the decades, and radii shared
-    by all rays, up to the first break of one ray alone) carry one radial
-    rule (rho_p, w_p), cached by _quadrules.shared_radial_nodes, on every
-    ray: those nodes are the products theta_k rho_p, and their sum is
-    ang_w @ (values @ w_p) over the rays.  Each ray's panels beyond the
-    last shared edge, its tail, are built once for all rays
-    (_quadrules.ray_panels), which also sizes the blocks, and their nodes by
-    polar_nodes a block at a time.  Each part is integrated in blocks of
-    whole rays (_ray_blocks), with one integrand call per block."""
-    n_ang = max(4, int(round(cfg.n_angular * level)))
-    n_rad = max(2, int(round(cfg.n_radial * level)))
-    thetas, ang_w = _quadrules.unit_directions(N, n_ang)
-    edges = _quadrules.panel_edges(lo, hi, _quadrules.ray_breaks(x, thetas, kinks, radii))
-    same = np.all(edges == edges[0], axis=0)
-    shared = len(same) if same.all() else int(np.argmin(same))
-    rho_p, w_p = _quadrules.shared_radial_nodes(tuple(edges[0, :shared].tolist()), n_rad)
-    if profile is not None:
-        w_p = w_p * profile(rho_p)
-    M, Qp = len(thetas), len(rho_p)
-    total = 0.0
-    for rays in _ray_blocks(M, M * Qp):
-        Z = (thetas[rays].T[:, :, None] * rho_p).reshape(N, -1).T  # column-major
-        vals = integrand(Z, x + Z)
-        total += float(ang_w[rays] @ (vals.reshape(-1, Qp) @ w_p))
-    if shared == len(same):
-        return total
-    # every ray's tail starts at the last shared edge
-    tails = _quadrules.ray_panels(edges[:, shared - 1:], n_rad)
-    for rays in _ray_blocks(M, tails.nodes()):
-        Z, rho, w = _quadrules.polar_nodes(thetas[rays], ang_w[rays], tails.rays(rays))
-        if profile is not None:
-            w = w * profile(rho)
-        total += float(np.dot(w, integrand(Z, x + Z)))
-    return total
-
-
-def _ray_blocks(M, Q):
-    """Slices of M rays that carry Q nodes in all: blocks of nearly equal
-    ray counts, each of at most floor(_BLOCK_NODES * M / Q) rays (so about
-    _BLOCK_NODES nodes, or one ray when a ray alone has more); none when Q
-    is 0."""
-    if Q == 0:
-        return []
-    blocks = -(-M // max(1, _BLOCK_NODES * M // Q))
-    return [slice(k * M // blocks, (k + 1) * M // blocks) for k in range(blocks)]
-
-
 def _apply(op, u, x, cfg, return_estimate):
-    """The operator op applied to u at x: one _polar_sum per range.  With
-    return_estimate, also |value - value at half the node counts|."""
-    N = len(x)
+    """The operator op applied to u at x: one _quadrules.polar_sum per range.
+    With return_estimate, also |value - value at half the node counts|."""
     ux = float(u.evaluate(x[None, :])[0])
 
     def integrand(carry):
@@ -410,19 +339,21 @@ def _apply(op, u, x, cfg, return_estimate):
         return f
 
     def run(level):
+        n_ang, n_rad = cfg.node_counts(level)
         total = 0.0
         for lo, hi, carries in op.ranges():
             f = integrand(ux if carries else 0.0)
-            total += _polar_sum(x, N, cfg, level, lo, hi, f, op.profile, u.kinks, op.breaks)
+            total += _quadrules.polar_sum(
+                x, n_ang, n_rad, lo, hi, f, op.profile, u.kinks, op.breaks
+            )
         return op.scale * total + op.const * ux
 
-    level = float(cfg.node_factor())
-    value = run(level)
+    value = run(1.0)
     if not np.isfinite(value):
         raise ValueError("quadrature produced a non-finite value")
     if not return_estimate:
         return value
-    return value, abs(value - run(level / 2))
+    return value, abs(value - run(0.5))
 
 
 def eval_LK(K, u, x, cfg, return_estimate=False):

@@ -81,6 +81,7 @@ __all__ = [
 NEAR_SINGULAR_FACTOR = 1e-10
 Z_MATRIX_TOL = 1e-14  # off-diagonal rounding allowed, relative to max|A|
 SWEEP_MAX_SOLVES = 500
+SWEEP_RTOL = 1e-12  # relative width of the lambda_1 enclosure that ends the sweep
 SIGMA_MIN_RTOL = 1e-13  # relative change of sigma that ends the inverse iteration
 DENSE_BYTES_PER_ENTRY = 16  # float64 matrix plus the LU factorization's copy
 # a Levinson factor is kept when a probe solve's normwise backward error is
@@ -240,7 +241,7 @@ def _toeplitz_norm1(column):
     return float(np.max(p + p[::-1]) - abs(column[0]))
 
 
-def _inverse_norm1_estimate(solve, n, itmax=5):
+def _inverse_norm1_estimate(solve, n):
     """Estimate of ||A^-1||_1 from solves with A and A^T: Hager's method with
     Higham's refinements, step for step as LAPACK's dlacn2, which LAPACK's
     LU condition estimate runs on the solves with U^-1 L^-1 of A = PLU.
@@ -253,7 +254,7 @@ def _inverse_norm1_estimate(solve, n, itmax=5):
     signs = np.where(y >= 0, 1.0, -1.0)
     z = solve(signs, trans=True)
     j = int(np.argmax(np.abs(z)))
-    for _ in range(2, itmax + 1):
+    for _ in range(2, 6):  # dlacn2's ITMAX = 5 steps in all
         y = solve(np.eye(1, n, j)[0])
         est_old, est = est, float(np.sum(np.abs(y)))
         new_signs = np.where(y >= 0, 1.0, -1.0)
@@ -570,17 +571,17 @@ def assemble(problem, grid, cfg):
     return (_ToeplitzStiffness if toeplitz else StiffnessMatrix)(A, grid)
 
 
-def _sigma_min_estimate(factor, n, iters=40, seed=7):
+def _sigma_min_estimate(factor, n):
     """Smallest singular value by inverse power iteration on A^T A, using the
     factorization's solves; also returns the approximate singular vector.
     Stops once sigma changes by at most SIGMA_MIN_RTOL relative, or after
-    iters steps."""
-    rng = np.random.default_rng(seed)
+    40 steps from a fixed random start."""
+    rng = np.random.default_rng(7)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     sigma = math.inf
     with np.errstate(all="ignore"):
-        for _ in range(iters):
+        for _ in range(40):
             y = factor.solve(v, trans=True)
             z = factor.solve(y)
             nz = np.linalg.norm(z)
@@ -669,7 +670,7 @@ def solve_dirichlet(problem, grid, cfg, stiffness=None):
     return GridFunction(grid, u), report
 
 
-def fredholm_sweep(problem, grid, cfg, mu_lo, mu_hi, tol=1e-12):
+def fredholm_sweep(problem, grid, cfg, mu_lo, mu_hi):
     """Enclose the first eigenvalue lambda_1 of the base operator (the
     problem's own shift is ignored) and check that it lies in [mu_lo, mu_hi].
 
@@ -683,7 +684,7 @@ def fredholm_sweep(problem, grid, cfg, mu_lo, mu_hi, tol=1e-12):
     x = 1; each solve y = (A - sigma*I)^-1 x
     gives the Collatz-Wielandt enclosure
     sigma + 1/max(y/x) <= lambda_1 <= sigma + 1/min(y/x), exact for the
-    exact solve.  Once that is at most tol*max(1, |lambda_1|) wide, the
+    exact solve.  Once that is at most SWEEP_RTOL*max(1, |lambda_1|) wide, the
     iterate y itself gives min(Ay/y) <= lambda_1 <= max(Ay/y), which holds
     for every positive y, so the solve's rounding drops out and only that of
     the one product A @ y is left; the iteration stops when this enclosure
@@ -716,16 +717,16 @@ def fredholm_sweep(problem, grid, cfg, mu_lo, mu_hi, tol=1e-12):
         if not np.min(r) > 0.0:
             raise ArithmeticError("inverse iterate lost positivity")
         lo, hi = sigma + 1.0 / float(np.max(r)), sigma + 1.0 / float(np.min(r))
-        if hi - lo <= tol * max(1.0, abs(lo + hi) / 2):
+        if hi - lo <= SWEEP_RTOL * max(1.0, abs(lo + hi) / 2):
             q = sm.matvec(y) / y
             lo, hi = float(np.min(q)), float(np.max(q))
             lam1 = 0.5 * (lo + hi)
-            if hi - lo <= tol * max(1.0, abs(lam1)):
+            if hi - lo <= SWEEP_RTOL * max(1.0, abs(lam1)):
                 break
         x = y / np.max(y)
     else:
         raise ArithmeticError(
-            f"lambda_1 enclosure [{lo!r}, {hi!r}] did not reach tol={tol} "
+            f"lambda_1 enclosure [{lo!r}, {hi!r}] did not reach tol={SWEEP_RTOL} "
             f"in {SWEEP_MAX_SOLVES} solves"
         )
     if hi < mu_lo or lo > mu_hi:

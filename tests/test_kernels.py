@@ -364,6 +364,18 @@ def test_mollify_sinlog_respects_clamp():
     assert np.all(vals >= 0.0) and np.all(vals <= 1.5 + 1e-12)
 
 
+def test_mollify_refuses_a_kernel_without_a_radial_profile():
+    # translation invariant but not radial (0.5 <= K <= 1.5): sampled along
+    # +e_1 alone, it used to mollify to the constant 1.5 inside B_1
+    aniso = KernelSpec(
+        evaluate=lambda x, Y: 1.0 + 0.5 * Y[:, 0] / _quadrules.radius(Y),
+        lam=0.5,
+        Lam=1.5,
+    )
+    with pytest.raises(ValueError, match="radial"):
+        mollify_kernel(aniso, 10)
+
+
 def test_mollify_rejects_bad_inputs():
     K = schrodinger_kernel(1)
     assert mollify_kernel(K, 5).i == 5  # radial catalog kernels are fine

@@ -1,11 +1,13 @@
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 import scipy.special as sps
 
 from conftest import spectral
-from logop import _quadrules, nonlocal_eval
+from logop import _quadrules, kernels, nonlocal_eval
 from logop.barriers import (
     _scan,
     boundary_barrier_field,
@@ -16,6 +18,7 @@ from logop.barriers import (
 )
 from logop.geometry import Domain, GridFunction, build_grid
 from logop.kernels import KernelSpec, mollify_kernel, sinlog_kernel, unit_kernel
+from logop.logmod import RHO0, ell
 from logop.nonlocal_eval import (
     FieldFunction,
     QuadratureConfig,
@@ -55,9 +58,12 @@ def test_quadrature_config_validation():
         QuadratureConfig(r_min=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(mode="turbo")
-    assert FAST.node_factor() == 1
-    assert ORACLE.node_factor() == 4
+    assert FAST.node_counts() == (16, 128)
+    assert FAST.node_counts(0.5) == (8, 64)
     assert ORACLE.node_counts() == (64, 512)
+    assert ORACLE.node_counts(0.5) == (32, 256)
+    # the floors of 4 angles and 2 subintervals per decade
+    assert FAST.node_counts(0.01) == (4, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -514,12 +520,11 @@ def _per_ray_polar_rule(N, n_angular, lo, hi, n_per_decade, radii=(),
     return np.concatenate(Z), np.concatenate(rho), np.concatenate(w)
 
 
-def _per_ray_polar_sum(x, N, cfg, level, lo, hi, integrand, profile, kinks, radii):
+def _per_ray_polar_sum(x, n_ang, n_rad, lo, hi, integrand, profile=None,
+                       kinks=_quadrules.Kinks(), radii=()):
     # one radial rule and one integrand call per ray, summed ray by ray, the
     # profile evaluated at every node
-    n_ang = max(4, int(round(cfg.n_angular * level)))
-    n_rad = max(2, int(round(cfg.n_radial * level)))
-    thetas, ang_w = _quadrules.unit_directions(N, n_ang)
+    thetas, ang_w = _quadrules.unit_directions(len(x), n_ang)
     total = 0.0
     for th, aw in zip(thetas, ang_w):
         breaks = _per_ray_breaks(x, th, kinks, radii)
@@ -601,32 +606,49 @@ def test_composed_kinks_are_those_of_the_parts():
         np.testing.assert_allclose(_row(row), want, rtol=1e-12, atol=0)
 
 
+# breaks on decade edges, just off them, and within 1e-10 of each other
+_RADII = (1e-2, 1e-2 * (1 + 1e-11), 0.1 * (1 - 1e-11), 0.3, 0.3 * (1 + 5e-11), 1e-6)
+
+
 @pytest.mark.parametrize("N", [1, 2])
 def test_polar_rule_matches_per_ray_radial_rules(N):
-    # breaks on decade edges, just off them, and within 1e-10 of each other,
-    # plus breaks that move with the ray: a plane crossed by half the rays and
-    # an off-centre sphere
-    radii = (1e-2, 1e-2 * (1 + 1e-11), 0.1 * (1 - 1e-11), 0.3, 0.3 * (1 + 5e-11), 1e-6)
-    kinks = _quadrules.Kinks(
-        spheres=(((0.3,) + (0.0,) * (N - 1), 0.2),), planes=((0, 0.05),)
-    )
+    # radii shared by every ray: each ray carries the same cached radial rule,
+    # to the bit the rule built ray by ray
     lo, hi, n_ang, n_rad = 1e-12, 1.0, 16, 128
-    Z, rho, w = _quadrules.polar_rule(N, n_ang, lo, hi, n_rad, radii, kinks)
-    thetas, ang_w = _quadrules.unit_directions(N, n_ang)
-    breaks = _quadrules.ray_breaks(np.zeros(N), thetas, kinks, radii)
-    rules = [_quadrules.radial_rule(lo, hi, n_rad, row) for row in breaks]
-    concatenated = (
-        np.concatenate([r[:, None] * th for (r, _), th in zip(rules, thetas)]),
-        np.concatenate([r for r, _ in rules]),
-        np.concatenate([aw * wr for (_, wr), aw in zip(rules, ang_w)]),
-    )
-    assert len({len(r) for r, _ in rules}) > 1
-    for ref in (concatenated, _per_ray_polar_rule(N, n_ang, lo, hi, n_rad, radii, kinks)):
+    ang_w = _quadrules.unit_directions(N, n_ang)[1]
+    for radii in ((), _RADII):
+        Z, rho, w = _quadrules.polar_rule(N, n_ang, lo, hi, n_rad, radii)
+        ref = _per_ray_polar_rule(N, n_ang, lo, hi, n_rad, radii)
         for got, want in zip((Z, rho, w), ref):
-            assert got.shape == want.shape
-            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
-    # Simpson in ln(rho) integrates d(rho)/rho exactly
-    assert np.sum(w) == pytest.approx(np.sum(ang_w) * math.log(hi / lo), rel=1e-13)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert Z.flags.f_contiguous
+        # Simpson in ln(rho) integrates d(rho)/rho exactly
+        assert np.sum(w) == pytest.approx(np.sum(ang_w) * math.log(hi / lo), rel=1e-13)
+
+
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("make_kernel", [unit_kernel, sinlog_kernel])
+def test_regularity_integral_matches_per_ray_rule(N, make_kernel):
+    # the rays break where they leave the unit spheres around -+w/2, at
+    # radii that differ from ray to ray: polar_sum against the dot product
+    # over the rule built ray by ray with the same breaks
+    K = make_kernel()
+    z, w = np.array([0.1, -0.2][:N]), np.array([0.004, 0.003][:N])
+    half, n_ang, n_rad = w / 2, 16, 128
+    lo, hi = 2 * np.linalg.norm(w), 1 + np.linalg.norm(w) / 2
+    kinks = _quadrules.sphere_kinks([1.0], -half) + _quadrules.sphere_kinks([1.0], half)
+    xi, rho, wt = _per_ray_polar_rule(N, n_ang, lo, hi, n_rad, (RHO0,), kinks)
+    thetas = _quadrules.unit_directions(N, n_ang)[0]
+    breaks = _quadrules.ray_breaks(np.zeros(N), thetas, kinks, (RHO0,))
+    edges = _quadrules.panel_edges(lo, hi, breaks)
+    assert N == 1 or not np.all(edges == edges[0])  # 1-D: the two rays mirror
+    terms = []
+    for s in (1, -1):
+        r = _quadrules.radius(xi + s * half)
+        terms.append(np.where(r < 1, K.evaluate(z + s * half, xi + s * half) / r ** N, 0.0))
+    ref = float(np.dot(wt, np.abs(terms[0] - terms[1]) * ell(rho) * rho ** N))
+    got = kernels._regularity_integral(K, z, w, n_rad, n_ang)
+    assert got == pytest.approx(ref, rel=1e-13)
 
 
 def test_panel_edges_merge_chains_as_the_per_ray_edges_do():
@@ -656,7 +678,7 @@ def test_radius_is_the_row_norm(N):
 
 
 # ---------------------------------------------------------------------------
-# _polar_sum in blocks of rays against one block
+# polar_sum in blocks of rays against one block
 # ---------------------------------------------------------------------------
 
 
@@ -668,7 +690,7 @@ def test_radius_is_the_row_norm(N):
         (2, FAST, 1.0, (2, 2)),
         (2, FAST, 0.5, (1, 1)),  # the half level of return_estimate
         # 64 rays of ~3600 shared nodes and ~2600 tail nodes
-        (2, ORACLE, 4.0, (32, 22)),
+        (2, ORACLE, 1.0, (32, 22)),
         # every ray has more shared nodes than a block: one ray per block
         (1, QuadratureConfig(n_radial=1024), 1.0, (2, 2)),
         (2, QuadratureConfig(n_radial=1024), 1.0, (16, 16)),
@@ -686,17 +708,18 @@ def test_blocked_polar_sum_matches_one_block(N, cfg, level, blocks, monkeypatch)
         sizes.append(len(Z))
         return (ux - u.evaluate(Y)) * K.evaluate(x, Z)
 
-    args = (x, N, cfg, level, cfg.r_min, 1.0, integrand, None, u.kinks, (0.3,))
-    value = nonlocal_eval._polar_sum(*args)
+    n_ang, n_rad = cfg.node_counts(level)
+    args = (x, n_ang, n_rad, cfg.r_min, 1.0, integrand, None, u.kinks, (0.3,))
+    value = _quadrules.polar_sum(*args)
     blocked, sizes[:] = sizes[:], []
-    monkeypatch.setattr(nonlocal_eval, "_BLOCK_NODES", 10 ** 12)
-    assert nonlocal_eval._polar_sum(*args) == pytest.approx(value, rel=1e-13)
+    monkeypatch.setattr(_quadrules, "_BLOCK_NODES", 10 ** 12)
+    assert _quadrules.polar_sum(*args) == pytest.approx(value, rel=1e-13)
     # one block per part: the shared nodes of every ray, then every tail
     shared, tails = blocked[:blocks[0]], blocked[blocks[0]:]
     assert len(sizes) == 2 and [sum(shared), sum(tails)] == sizes
     assert (len(shared), len(tails)) == blocks
     # blocks of whole rays, each within the budget unless one ray exceeds it
-    rays = len(_quadrules.unit_directions(N, round(cfg.n_angular * level))[0])
+    rays = len(_quadrules.unit_directions(N, n_ang)[0])
     for part in (shared, tails):
         assert max(part) <= 8192 or len(part) == rays
 
@@ -718,7 +741,7 @@ def test_blocked_estimate_matches_one_block(monkeypatch):
     u = composite_barrier_field(0.05, 0.5, gain_shell(0.05, 1.0, 2)[0])
     x = sample_annulus(3, 2, 0.0, 0.005)[2]
     value, est = eval_LK(sinlog_kernel(), u, x, FAST, return_estimate=True)
-    monkeypatch.setattr(nonlocal_eval, "_BLOCK_NODES", 10 ** 12)
+    monkeypatch.setattr(_quadrules, "_BLOCK_NODES", 10 ** 12)
     ref, ref_est = eval_LK(sinlog_kernel(), u, x, FAST, return_estimate=True)
     assert value == pytest.approx(ref, rel=1e-13)
     assert abs(est - ref_est) <= 1e-13 * abs(ref)
@@ -775,7 +798,7 @@ def test_eval_LK_matches_per_ray_polar_sum(case, N, monkeypatch):
     pts = sample_annulus(4, N, r_lo, r_hi)
     evals = _evaluators(u, N)
     vals = [f(x) for f in evals for x in pts]
-    monkeypatch.setattr(nonlocal_eval, "_polar_sum", _per_ray_polar_sum)
+    monkeypatch.setattr(_quadrules, "polar_sum", _per_ray_polar_sum)
     ref = [f(x) for f in evals for x in pts]
     np.testing.assert_allclose(vals, ref, rtol=1e-12, atol=0)
 
@@ -790,7 +813,7 @@ def test_polar_sum_with_no_shared_panel_matches_per_ray(N, monkeypatch):
     edges = _quadrules.panel_edges(FAST.r_min, 1.0, _quadrules.ray_breaks(x, thetas, u.kinks))
     assert not np.all(edges[:, 1] == edges[0, 1])
     vals = [eval_LK(K, u, x, FAST) for K in (sinlog_kernel(), _ANISOTROPIC)]
-    monkeypatch.setattr(nonlocal_eval, "_polar_sum", _per_ray_polar_sum)
+    monkeypatch.setattr(_quadrules, "polar_sum", _per_ray_polar_sum)
     ref = [eval_LK(K, u, x, FAST) for K in (sinlog_kernel(), _ANISOTROPIC)]
     np.testing.assert_allclose(vals, ref, rtol=1e-12, atol=0)
 
@@ -820,3 +843,32 @@ def test_assembly_matches_per_ray_offsets(case, monkeypatch):
     monkeypatch.setattr(_quadrules, "polar_rule", _per_ray_polar_rule)
     ref = assemble(problem, grid, FAST).matrix
     assert np.max(np.abs(A - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_second_assembly_reuses_the_cached_radial_rule():
+    # assembly's rays share their radii, so every range of the operator is one
+    # shared_radial_nodes entry, built by the first assembly only
+    operator, domain, h, make_kernel = _ASSEMBLY_CASES["2d-loglap-box-farfield"]
+    problem = ProblemSpec(operator=operator, domain=domain, rhs=const_field(1.0))
+    grid = build_grid(domain, h)
+    _quadrules.shared_radial_nodes.cache_clear()
+    first = assemble(problem, grid, FAST).matrix
+    built = _quadrules.shared_radial_nodes.cache_info()
+    assert built.misses == 2 and built.hits == 0  # the near and the far range
+    assert np.array_equal(assemble(problem, grid, FAST).matrix, first)
+    again = _quadrules.shared_radial_nodes.cache_info()
+    assert (again.misses, again.hits) == (2, 2)
+
+
+def test_only_quadrules_builds_per_ray_breaks_and_panels():
+    # one polar quadrature engine: the per-ray pieces are composed in
+    # _quadrules (polar_sum, polar_rule) and named nowhere else
+    pieces = re.compile(r"\b(ray_breaks|panel_edges|ray_panels|polar_nodes)\b")
+    package = pathlib.Path(_quadrules.__file__).parent
+    named = {
+        path.name: sorted(set(pieces.findall(path.read_text())))
+        for path in package.glob("*.py")
+        if path.name != "_quadrules.py"
+    }
+    assert len(named) >= 8
+    assert {name: found for name, found in named.items() if found} == {}
