@@ -19,12 +19,21 @@ through the same projection, one sparse matrix-vector product per row.
 
 Because the radial quadrature weights are positive and the interpolation
 weights are a convex partition, the assembled matrix of the difference
-operator has nonpositive off-diagonal entries and nonnegative row sums, i.e.
-it is an M-matrix: the discrete comparison principle is exact up to the
-linear-algebra residual.
+operator has nonpositive off-diagonal entries (a Z-matrix).  Its row sums are
+the kernel mass that lands outside the domain, plus the operator's constant
+and shift, less the log-Laplacian's far field: positive for every unshifted
+generic-kernel and Schrodinger matrix and for the log-Laplacian on small
+domains, but not always (the log-Laplacian on (-3, 3) at h = 0.05 has a
+smallest row sum of -3.34).  A Z-matrix with positive row
+sums is a nonsingular M-matrix with A^-1 >= 0, so nonnegative data give
+nonnegative solutions (the discrete comparison principle holds up to the
+solve's rounding); SolveReport.sigma_path reads "m_matrix" and
+mp_audit["certified"] is true exactly when a solve's matrix passed that test.
 
-A StiffnessMatrix is factored once: its factorization, condition estimate
-and smallest singular value are computed on the first solve and kept, so
+A StiffnessMatrix is factored once: its factorization, condition number
+and smallest singular value are computed on the first solve and kept (for
+an M-matrix from two solves, A^-1 1 and A^-T 1; otherwise by inverse
+iteration and the Hager-Higham estimate), so
 every later right-hand side costs one solve with the factorization, the
 residual and the maximum-principle audit.  On a 1-D grid (a run of
 consecutive lattice points) a translation-invariant operator gives a
@@ -38,8 +47,8 @@ backward-error check or lies near the singular threshold, is factored by
 dense LU of one Fortran-ordered copy.  Each matrix type makes this choice
 (`_factor`, falling back to `_lu`) and computes the sweep's Z-matrix
 statistics (`_z_stats`) itself, so no caller asks which type a matrix is, and
-a factor is only its solves: the condition estimate is the same
-Hager-Higham iteration on either factor.
+a factor is only its solves: the M-matrix certificate, the sigma_min
+iteration and the Hager-Higham estimate are the same on either factor.
 
 scipy.linalg (LAPACK) is loaded on the first factorization or triangular
 solve, not when this module is imported: the pointwise evaluators and the
@@ -87,21 +96,29 @@ DENSE_BYTES_PER_ENTRY = 16  # float64 matrix plus the LU factorization's copy
 # a Levinson factor is kept when a probe solve's normwise backward error is
 # at most TOEPLITZ_BACKWARD_TOL (measured up to 2e-14 on the 1-D catalog
 # operators at n <= 2000, LU up to 8e-15) and sigma_min is at least
-# TOEPLITZ_SIGMA_FLOOR times the matrix 1-norm.  The Levinson and LU
+# TOEPLITZ_SIGMA_FLOOR times the matrix 1-norm (a certified M-matrix bound
+# under it falls back to the sigma_min iteration).  The Levinson and LU
 # estimates of sigma_min agree to 3e-8 relative at sigma_min = 1e-9 times
 # the 1-norm and to 3e-7 at 1e-10 (unit and sinlog kernels, n = 99 and 499,
 # shifted towards -lambda_1), so a margin of 10 over the near-singular
 # threshold leaves every near_singular verdict and null vector to LU
 TOEPLITZ_BACKWARD_TOL = 1e-11
 TOEPLITZ_SIGMA_FLOOR = 10 * NEAR_SINGULAR_FACTOR
-# a 1-D Toeplitz matrix with fewer rows is factored by LU: each Levinson
-# factor pays ~1 ms of FFT set-up and Python overhead however small n is.
-# StiffnessMatrix._factors (factor, condition estimate and sigma_min, LU
+# a 1-D Toeplitz matrix with fewer rows is factored by LU.
+# StiffnessMatrix._factors (factor, condition number and sigma_min, LU
 # including forming the dense matrix; median of 21, unit kernel on
-# (-0.5, 0.5), 2 vCPU) takes, Levinson against LU: 1.4-2.4 against 0.5-0.8
-# ms at n = 19, 2.1 against 1.1 at n = 149, 3.4 against 2.8-3.1 at n = 249,
-# 3.9-4.3 against 4.1-4.2 at n = 299, 4.5-4.7 against 5.4-5.5 at n = 349,
-# 4.8-4.9 against 7.0-7.3 at n = 399 and 4.7-4.9 against 11.0 at n = 499
+# (-0.5, 0.5), 2 vCPU) takes, Levinson against LU, on a certified M-matrix
+# (two solves): 0.22 against 0.13 ms at n = 19, 0.33 against 0.30 at
+# n = 149, 0.33 against 0.37 at n = 175, 0.36 against 0.46 at n = 199, 0.40
+# against 0.75 at n = 249, 0.50 against 1.12 at n = 299 and 0.79 against
+# 3.56 at n = 499.  With the sigma_min iteration (up to 80 solves of ~60 us
+# each on Levinson's factor; every matrix that is not certified): 1.6
+# against 1.4 at n = 149, 3.3 against 2.4 at n = 249, 4.0 against 3.1 at
+# n = 299, 3.9 against 4.2 at n = 349 and 4.0 against 7.7 at n = 499.  The
+# certified crossover near n = 175 would move a Toeplitz matrix of 175-299
+# rows (the n = 249 level of a 1-D convergence study) to Levinson, whose
+# solutions differ from LU's by rounding, for ~0.4 ms a solve; the threshold
+# stays where the iteration's crossover lies
 TOEPLITZ_MIN_N = 300
 _OPERATORS = ("generic", "loglap", "schrodinger")
 
@@ -168,6 +185,7 @@ class _LU:
     the copy never exist together."""
 
     name = "lu"
+    symmetric = False
 
     def __init__(self, A, shift):
         with warnings.catch_warnings():
@@ -203,6 +221,7 @@ class _Toeplitz:
 
     name = "toeplitz"
     singular = False
+    symmetric = True  # solve(b, trans=True) is solve(b)
 
     def __init__(self, column, matvec, shift=0.0):
         self.n = n = len(column)
@@ -270,15 +289,33 @@ def _inverse_norm1_estimate(solve, n):
     return max(est, 2.0 * float(np.sum(np.abs(solve(alternating)))) / (3 * n))
 
 
+def _m_matrix_bound(factor, n):
+    """Certified ||A^-1||_1 and sigma_min lower bound of a nonsingular
+    M-matrix A (A^-1 >= 0 entrywise), from two solves with its factor:
+    y = A^-1 1 and z = A^-T 1 (z = y for a symmetric factor) are the row and
+    column sums of A^-1, so ||A^-1||_inf = max y and ||A^-1||_1 = max z, and
+    sigma_min >= 1/sqrt(||A^-1||_1 ||A^-1||_inf).  Returns None unless both
+    are finite and positive."""
+    ones = np.ones(n)
+    with np.errstate(all="ignore"):
+        y = factor.solve(ones)
+        z = y if factor.symmetric else factor.solve(ones, trans=True)
+    if not all(np.min(v) > 0.0 and np.max(v) < math.inf for v in (y, z)):
+        return None
+    inverse_inf, inverse_1 = float(np.max(y)), float(np.max(z))
+    return inverse_1, 1.0 / math.sqrt(inverse_inf * inverse_1)
+
+
 @dataclass(frozen=True)
 class _Factors:
     """What a solve needs from its matrix besides the matrix itself."""
 
     factor: _LU | _Toeplitz
     anorm: float  # 1-norm of the matrix
-    condition: float  # 1-norm condition estimate
+    condition: float  # 1-norm condition number: exact or estimated, see sigma_path
     sigma_min: float
-    null_vec: np.ndarray  # approximate singular vector of sigma_min
+    sigma_path: str  # "m_matrix" | "iteration" | "svd"
+    null_vec: np.ndarray | None  # approximate singular vector of sigma_min
     factor_s: float
     sigma_s: float
 
@@ -329,47 +366,74 @@ class StiffnessMatrix:
         return self._lu(shift)
 
     def _z_stats(self):
+        # no n x n temporary: row r of flat[1:] reshaped to n - 1 rows of
+        # n + 1 holds n off-diagonal entries and then a diagonal one (a view
+        # when A is C- or F-contiguous), and max|A| is max(max A, -min A)
         A = self._matrix
-        off_max = np.max(A, where=~np.eye(self.n, dtype=bool), initial=-math.inf)
-        return off_max, np.max(np.abs(A)), A.sum(axis=1)
+        off = np.ravel(A, order="K")[1:].reshape(self.n - 1, self.n + 1)[:, :-1]
+        off_max = np.max(off, initial=-math.inf)
+        return off_max, max(np.max(A), -np.min(A)), A.sum(axis=1)
+
+    def _is_m_matrix(self):
+        """True when A is a Z-matrix (off-diagonal entries <= 0) whose row
+        sums exceed their rounding, n*eps*max|A|: then it is strictly
+        diagonally dominant, a nonsingular M-matrix with A^-1 >= 0."""
+        off_max, a_max, row_sums = self._z_stats()
+        return off_max <= 0.0 and np.min(row_sums) > self.n * np.finfo(float).eps * a_max
 
     @cached_property
     def _factors(self):
-        """Factorization, 1-norm, condition estimate and sigma_min, computed
-        once.  A factor other than LU (Levinson's) is replaced by `_lu` when
-        its sigma_min falls under TOEPLITZ_SIGMA_FLOOR times the 1-norm;
+        """Factorization, 1-norm, condition number and sigma_min, computed
+        once.  An M-matrix (`_is_m_matrix`) is certified by two solves
+        (`_m_matrix_bound`): its condition number is then exact up to the
+        solves' rounding and sigma_min is a lower bound (sigma_path
+        "m_matrix").  Any other matrix, or one whose bound falls under
+        TOEPLITZ_SIGMA_FLOOR times the 1-norm, takes the sigma_min inverse
+        iteration and the Hager-Higham condition estimate ("iteration").
+        A factor other than LU (Levinson's) is replaced by `_lu` when its
+        sigma_min falls under TOEPLITZ_SIGMA_FLOOR times the 1-norm;
         factor_s then includes the first factor and its sigma_min
         iteration.  Inverse iteration cannot run on an LU factor
         with a zero pivot, nor on one whose solves overflow (a tiny pivot),
         which _sigma_min_estimate reports as sigma_min 0 and the condition
         estimate as a non-finite norm: then sigma_min (0 for a zero pivot)
-        and the null vector come from the SVD, and the condition estimate
-        is infinite."""
+        and the null vector come from the SVD ("svd"), and the condition
+        estimate is infinite."""
         t0 = time.perf_counter()
         anorm = self._norm1()
+        floor = TOEPLITZ_SIGMA_FLOOR * anorm
+        certify = True  # only the first factor: an LU refactor follows a refusal
         for factor_once in (self._factor, self._lu):
             factor = factor_once()
             t1 = time.perf_counter()
-            sigma, null_vec = 0.0, None
+            sigma, null_vec, path = 0.0, None, "iteration"
             if not factor.singular:
+                if certify and self._is_m_matrix():
+                    bound = _m_matrix_bound(factor, self.n)
+                    if bound is not None and bound[1] >= floor:
+                        (inverse_norm, sigma), path = bound, "m_matrix"
+                        break
+                certify = False
                 sigma, null_vec = _sigma_min_estimate(factor, self.n)
-            if factor.name == "lu" or sigma >= TOEPLITZ_SIGMA_FLOOR * anorm:
+            if factor.name == "lu" or sigma >= floor:
                 break
         t2 = time.perf_counter()
-        inverse_norm = math.inf
-        if sigma > 0.0:
-            inverse_norm = _inverse_norm1_estimate(factor.solve, self.n)
+        if path == "iteration":
+            inverse_norm = math.inf
+            if sigma > 0.0:
+                inverse_norm = _inverse_norm1_estimate(factor.solve, self.n)
         if math.isfinite(inverse_norm):
             condition = anorm * inverse_norm
         else:
             _, singular_values, vt = np.linalg.svd(self.matrix)
             sigma = 0.0 if factor.singular else float(singular_values[-1])
-            null_vec, condition = vt[-1], math.inf
+            null_vec, condition, path = vt[-1], math.inf, "svd"
         return _Factors(
             factor=factor,
             anorm=anorm,
             condition=condition,
             sigma_min=sigma,
+            sigma_path=path,
             null_vec=null_vec,
             factor_s=t1 - t0 + time.perf_counter() - t2,
             sigma_s=t2 - t1,
@@ -442,6 +506,10 @@ class SolveReport:
     mp_audit: dict
     h: float
     sigma_min: float
+    # which computation gave sigma_min and condition_estimate: "m_matrix"
+    # (certified: sigma_min a lower bound, condition_estimate exact up to
+    # rounding), "iteration" (inverse iteration and Hager-Higham) or "svd"
+    sigma_path: str
     factorization: str  # "toeplitz" (Levinson) | "lu"
     # seconds per phase and the node count n:
     # {assemble_s, factor_s, sigma_s, solve_s, audit_s, n}; assemble_s is 0.0
@@ -594,9 +662,11 @@ def _sigma_min_estimate(factor, n):
     return sigma, v
 
 
-def _mp_audit(u, f, residual_inf):
+def _mp_audit(u, f, residual_inf, certified):
     """Maximum-principle audit: nonnegative data must give solutions above
-    -10*residual; also records the discrete sup bound ||u||/||f||."""
+    -10*residual; also records the discrete sup bound ||u||/||f||, and
+    whether the matrix is a certified M-matrix (A^-1 >= 0, so f >= 0 gives
+    u >= 0 by construction, up to the solve's rounding)."""
     tol = 10.0 * residual_inf
     sup_u = float(np.max(np.abs(u))) if len(u) else 0.0
     sup_f = float(np.max(np.abs(f))) if len(f) else 0.0
@@ -607,7 +677,12 @@ def _mp_audit(u, f, residual_inf):
     else:
         violation = 0.0
         passed = True
-    return {"pass": bool(passed), "max_violation": violation, "sup_ratio": ratio}
+    return {
+        "pass": bool(passed),
+        "max_violation": violation,
+        "sup_ratio": ratio,
+        "certified": certified,
+    }
 
 
 def solve_dirichlet(problem, grid, cfg, stiffness=None):
@@ -620,12 +695,13 @@ def solve_dirichlet(problem, grid, cfg, stiffness=None):
     prebuilt StiffnessMatrix skips assembly, and the
     matrix is factored only on its first solve (see StiffnessMatrix), so
     solving one matrix against many right-hand sides costs one
-    factorization.  The report names the factorization ("toeplitz" or "lu"),
-    and its timings split the wall time into assembly, factorization (with
-    the condition estimate), the sigma_min iteration, the solve with the
-    factorization, and the audit (the residual plus the maximum-principle
-    check).  Both residuals are products with sm.matvec, so a Toeplitz
-    matrix is never formed for them.
+    factorization.  The report names the factorization ("toeplitz" or "lu")
+    and which computation gave sigma_min (`sigma_path`), and its timings
+    split the wall time into assembly, factorization (with the condition
+    estimate), sigma_min (the M-matrix certificate's two solves, or the
+    inverse iteration), the solve with the factorization, and the audit
+    (the residual plus the maximum-principle check).  Both residuals are
+    products with sm.matvec, so a Toeplitz matrix is never formed for them.
     """
     f = problem.rhs.evaluate(grid.nodes)
     t0 = time.perf_counter()
@@ -639,7 +715,8 @@ def solve_dirichlet(problem, grid, cfg, stiffness=None):
         t3 = time.perf_counter()
         residual = float(np.max(np.abs(sm.matvec(u))))
         alternative = "near_singular"
-        mp_audit = {"pass": True, "max_violation": 0.0, "sup_ratio": 0.0}
+        mp_audit = {"pass": True, "max_violation": 0.0, "sup_ratio": 0.0,
+                    "certified": False}
     else:
         with np.errstate(all="ignore"):
             u = fac.factor.solve(f)
@@ -648,7 +725,7 @@ def solve_dirichlet(problem, grid, cfg, stiffness=None):
         t3 = time.perf_counter()
         residual = float(np.max(np.abs(sm.matvec(u) - f)))
         alternative = "unique_solution"
-        mp_audit = _mp_audit(u, f, residual)
+        mp_audit = _mp_audit(u, f, residual, fac.sigma_path == "m_matrix")
     timings = {
         "assemble_s": t1 - t0 if stiffness is None else 0.0,
         "factor_s": 0.0 if reused else fac.factor_s,
@@ -664,6 +741,7 @@ def solve_dirichlet(problem, grid, cfg, stiffness=None):
         mp_audit=mp_audit,
         h=grid.h,
         sigma_min=fac.sigma_min,
+        sigma_path=fac.sigma_path,
         factorization=fac.factor.name,
         timings=timings,
     )

@@ -226,6 +226,10 @@ def test_solve_writes_solution_and_report(capsys, tmp_path, levinson_at_any_n):
     assert report["h"] == 0.05
     assert report["residual_inf"] < 1e-9
     assert report["factorization"] == "toeplitz"
+    # a Z-matrix with positive row sums: sigma_min and the condition number
+    # come from the M-matrix certificate, which also certifies the audit
+    assert report["sigma_path"] == "m_matrix"
+    assert report["mp_audit"]["certified"] is True
     timings = report["timings"]
     assert timings["n"] == 19
     assert all(
@@ -283,6 +287,7 @@ def test_solve_near_singular_exits_nonzero(capsys, tmp_path, levinson_at_any_n):
     assert report["alternative"] == "near_singular"
     # sigma_min is near the singular threshold, so LU refactored the matrix
     assert report["factorization"] == "lu"
+    assert report["sigma_path"] == "iteration"
     # the CSV now holds a unit-norm approximate null vector
     rows = out_csv.read_text().strip().splitlines()[1:]
     v = np.array([float(r.split(",")[1]) for r in rows])
@@ -319,6 +324,7 @@ def test_solve_singular_matrix_exits_nonzero(capsys, tmp_path, monkeypatch, matr
     assert report["alternative"] == "near_singular"
     assert report["factorization"] == "lu"
     assert report["sigma_min"] == 0.0
+    assert report["sigma_path"] == "svd"
     v = np.loadtxt(out_csv, delimiter=",", skiprows=1)[:, 1]
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(matrix @ v)) <= 1e-12 * np.max(np.abs(matrix))
@@ -349,6 +355,7 @@ def test_solve_with_overflowing_solves_exits_nonzero(capsys, tmp_path, monkeypat
     report = json.loads(report_json.read_text())
     assert report["alternative"] == "near_singular"
     assert report["condition_estimate"] == math.inf
+    assert report["sigma_path"] == "svd"
     v = np.loadtxt(out_csv, delimiter=",", skiprows=1)[:, 1]
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(matrix @ v)) <= 1e-12 * np.max(np.abs(matrix))

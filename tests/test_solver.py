@@ -645,6 +645,9 @@ def test_levinson_is_kept_above_the_sigma_floor(levinson_at_any_n):
     _, ref = solve_dirichlet(shifted, grid, CFG, stiffness=oracle)
     assert (report.factorization, ref.factorization) == ("toeplitz", "lu")
     assert report.alternative == ref.alternative == "unique_solution"
+    # the shift makes the row sums negative, so both take the sigma_min
+    # iteration, not the M-matrix certificate
+    assert report.sigma_path == ref.sigma_path == "iteration"
     assert ref.sigma_min == pytest.approx(1e-8 * anorm, rel=1e-3)
     assert report.sigma_min == pytest.approx(ref.sigma_min, rel=1e-6)
 
@@ -685,6 +688,17 @@ def test_toeplitz_path_matches_lu(case, tmp_path, levinson_at_any_n):
     assert report.sigma_min == pytest.approx(ref.sigma_min, rel=1e-12)
     assert report.condition_estimate == pytest.approx(ref.condition_estimate, rel=1e-10)
     assert report.residual_inf <= 1e-12 * np.max(np.abs(problem.rhs.evaluate(grid.nodes)))
+    # both paths name the same sigma_min computation, and it agrees with the
+    # SVD: a certified M-matrix bound lies below sigma_min, the iteration
+    # (the log-Laplacian with far field, whose row sums go negative)
+    # converges to it
+    assert report.sigma_path == ref.sigma_path
+    sigma = np.linalg.svd(oracle.matrix, compute_uv=False)[-1]
+    if report.sigma_path == "m_matrix":
+        assert max(report.sigma_min, ref.sigma_min) <= sigma
+    else:
+        assert report.sigma_path == "iteration"
+        assert report.sigma_min == pytest.approx(sigma, rel=1e-10)
 
 
 @pytest.mark.parametrize("case", list(_ORACLE_CASES))
@@ -833,15 +847,97 @@ _BALL = Domain.ball([0.0, 0.0], 0.25)
 )
 def test_lu_condition_estimate_is_dgecon(operator, domain, kernel, h):
     # the estimator runs on the LU factor's solves, which apply the row
-    # permutation dgecon leaves out; on these matrices both take the same steps
+    # permutation dgecon leaves out; on these matrices both take the same
+    # steps.  The solve reports the M-matrix certificate's exact condition
+    # number, which the estimate reaches on these matrices.
     problem = ProblemSpec(operator, domain, const_field(1.0), kernel=kernel)
     grid = build_grid(domain, h)
     sm = assemble(problem, grid, CFG)
     _, report = solve_dirichlet(problem, grid, CFG, stiffness=sm)
-    assert report.factorization == "lu"
+    assert (report.factorization, report.sigma_path) == ("lu", "m_matrix")
     anorm = float(np.linalg.norm(sm.matrix, 1))
     rcond, _ = sla.lapack.dgecon(sla.lu_factor(sm.matrix)[0], anorm, norm="1")
+    estimate = anorm * solver._inverse_norm1_estimate(sm._factors.factor.solve, grid.n)
+    assert estimate == pytest.approx(1.0 / rcond, rel=1e-12, abs=0)
     assert report.condition_estimate == pytest.approx(1.0 / rcond, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize(
+    "operator, domain, kernel, h, factorization",
+    [
+        ("generic", _BALL, sinlog_kernel(), 0.02, "lu"),
+        ("loglap", Domain.box([-0.5, -0.5], [0.5, 0.5]), None, 0.05, "lu"),
+        ("schrodinger", Domain.ball([0.0, 0.0], 0.25), None, 0.04, "lu"),
+        ("generic", Domain.interval(-0.5, 0.5), unit_kernel(), 0.003, "toeplitz"),
+        # x-dependent: not symmetric, so A^-1 1 and A^-T 1 differ
+        ("generic", Domain.interval(-0.5, 0.5), _wobble_kernel(), 0.01, "lu"),
+    ],
+    ids=["ball-sinlog", "box-loglap", "ball-schrodinger", "interval-toeplitz",
+         "interval-wobble"],
+)
+def test_m_matrix_certificate_is_exact(operator, domain, kernel, h, factorization):
+    # a Z-matrix with positive row sums has A^-1 >= 0: two solves give its
+    # 1-norm condition number exactly and a lower bound on sigma_min
+    problem = ProblemSpec(operator, domain, const_field(1.0), kernel=kernel)
+    grid = build_grid(domain, h)
+    sm = assemble(problem, grid, CFG)
+    if factorization == "toeplitz":
+        assert type(sm) is solver._ToeplitzStiffness and grid.n >= solver.TOEPLITZ_MIN_N
+    _, report = solve_dirichlet(problem, grid, CFG, stiffness=sm)
+    assert (report.factorization, report.sigma_path) == (factorization, "m_matrix")
+    assert report.mp_audit["certified"]
+    A = sm.matrix
+    assert report.condition_estimate == pytest.approx(np.linalg.cond(A, 1), rel=1e-10)
+    sigma = np.linalg.svd(A, compute_uv=False)[-1]
+    assert 0.5 * sigma <= report.sigma_min <= sigma
+
+
+def test_wide_log_laplacian_takes_the_sigma_iteration():
+    # on (-3, 3) the far field outweighs the near part: the smallest row sum
+    # is negative and A^-1 1 is not positive, so nothing is certified
+    problem = ProblemSpec("loglap", Domain.interval(-3.0, 3.0), const_field(1.0))
+    grid = build_grid(problem.domain, 0.05)
+    sm = assemble(problem, grid, CFG)
+    assert np.min(sm._z_stats()[2]) < -3.0
+    A = sm.matrix
+    assert np.min(np.linalg.solve(A, np.ones(grid.n))) < 0
+    _, report = solve_dirichlet(problem, grid, CFG, stiffness=sm)
+    assert report.sigma_path == "iteration"
+    assert not report.mp_audit["certified"]
+    sigma = np.linalg.svd(A, compute_uv=False)[-1]
+    assert report.sigma_min == pytest.approx(sigma, rel=1e-10)
+
+
+def test_one_positive_off_diagonal_entry_takes_the_sigma_iteration():
+    problem = _interval_problem()
+    grid = build_grid(problem.domain, 0.05)
+    A = np.array(assemble(problem, grid, CFG).matrix)
+    _, report = solve_dirichlet(problem, grid, CFG, stiffness=solver.StiffnessMatrix(A, grid))
+    assert report.sigma_path == "m_matrix"
+    A[3, 7] = 1e-300
+    sm = solver.StiffnessMatrix(A, grid)
+    assert sm._z_stats()[0] > 0.0 and np.min(sm._z_stats()[2]) > 0.0
+    _, report = solve_dirichlet(problem, grid, CFG, stiffness=sm)
+    assert report.sigma_path == "iteration"
+    assert not report.mp_audit["certified"]
+    sigma = np.linalg.svd(A, compute_uv=False)[-1]
+    assert report.sigma_min == pytest.approx(sigma, rel=1e-10)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_certified_matrix_keeps_nonnegative_data_nonnegative(seed):
+    # A^-1 >= 0 entrywise: f >= 0, half of it zero, gives u >= 0 exactly
+    problem = ProblemSpec("generic", _BALL, const_field(1.0), kernel=sinlog_kernel())
+    grid = build_grid(_BALL, 0.03)
+    sm = assemble(problem, grid, CFG)
+    rng = np.random.default_rng(seed)
+    f = rng.random(grid.n) * (rng.random(grid.n) < 0.5)
+    data = replace(problem, rhs=grid_field(GridFunction(grid, f)))
+    assert np.array_equal(data.rhs.evaluate(grid.nodes), f)
+    u, report = solve_dirichlet(data, grid, CFG, stiffness=sm)
+    assert report.sigma_path == "m_matrix"
+    assert report.mp_audit["certified"] and report.mp_audit["pass"]
+    assert np.min(u.values) >= 0.0
 
 
 def test_lu_paths_hold_one_copy_of_the_matrix(monkeypatch):
