@@ -15,9 +15,13 @@ them (and any radii shared by every ray) into one break array over all rays,
 and panel_edges, ray_panels and polar_nodes build every ray's panels and
 nodes from it in a few numpy passes.  The panels that every ray around a
 point shares get one radial rule, shared_radial_nodes, cached by its edges.
-polar_sum, the one engine with per-ray breaks, integrates around a point
-block by block; the pointwise evaluators and the regularity integral run on
-it.  polar_rule, for assembly, is the cached radial rule on every ray.
+polar_sum, the one engine with per-ray breaks, integrates around P centres
+at once: it builds the breaks, edges and tail panels of all their rays in
+one pass and the shared rule's offsets once per distinct rule, then sums
+around each centre block by block, as a lone centre would be summed.  The
+pointwise evaluators (one centre, or a verifier's sample points) and the
+regularity integral run on it.  polar_rule, for assembly, is the cached
+radial rule on every ray.
 """
 
 from __future__ import annotations
@@ -107,16 +111,19 @@ def _kink_arrays(kinks, N):
     return out
 
 
-def ray_breaks(x, thetas, kinks=Kinks(), radii=()):
-    """Break array of the rays x + rho*theta, theta a row of thetas (M, N).
+def ray_breaks(X, thetas, kinks=Kinks(), radii=()):
+    """Break array of the rays x + rho*theta, x a row of X (P, N) or X a
+    single point (N,), theta a row of thetas (M, N).
 
-    Row k holds the given radii (shared by every ray) and the ray parameters
-    rho > 0 at which ray k crosses a declared sphere or plane or passes
-    closest to a sphere centre; the entries where a ray misses are inf.
-    Shape (M, K), K the same for every ray.
+    Row p*M + k holds the given radii (shared by every ray) and the ray
+    parameters rho > 0 at which ray k around X[p] crosses a declared sphere
+    or plane or passes closest to a sphere centre; the entries where a ray
+    misses are inf.  Shape (P*M, K), K the same for every ray; the rows of
+    centre p are those of ray_breaks(X[p], ...) to the bit.
     """
-    M, N = thetas.shape
-    cols = [np.broadcast_to(np.asarray(radii, dtype=float), (M, len(radii)))]
+    X = np.atleast_2d(X)
+    P, (M, N) = len(X), thetas.shape
+    cols = [np.broadcast_to(np.asarray(radii, dtype=float), (P, M, len(radii)))]
     centres, which, R, axes, offsets = _kink_arrays(kinks, N)
     with np.errstate(invalid="ignore", divide="ignore"):
         if len(centres):
@@ -124,16 +131,17 @@ def ray_breaks(x, thetas, kinks=Kinks(), radii=()):
             # included, as the per-ray formulas had it: a break one ulp off
             # moved boundary-barrier values sampled next to the kink by up to
             # 2e-8 relative
-            d = x - centres
-            b = np.vecdot(thetas[:, None, :], d)
-            c = np.vecdot(d, d)[which] - R * R
-            bs = b[:, which]
+            d = X[:, None, :] - centres
+            b = np.vecdot(thetas[:, None, :], d[:, None])
+            c = np.vecdot(d, d)[:, None, which] - R * R
+            bs = b[:, :, which]
             root = np.sqrt(bs * bs - c)  # nan where the ray misses the sphere
             cols += [-b, -bs - root, -bs + root]
         if len(axes):
-            cols.append((offsets - x[axes]) / thetas[:, axes])
-        out = np.concatenate(cols, axis=1)
-        return np.where(out > 0, out, np.inf)
+            cols.append((offsets - X[:, None, axes]) / thetas[:, axes])
+        out = np.concatenate(cols, axis=2)
+        out[~(out > 0)] = np.inf
+        return out.reshape(P * M, out.shape[2])
 
 
 def _decades(lo, hi):
@@ -161,10 +169,13 @@ def panel_edges(lo, hi, breaks=()):
         raise ValueError("empty radial range")
     breaks = np.atleast_2d(np.asarray(breaks, dtype=float))
     M = len(breaks)
-    inside = (breaks > lo * (1 + _MERGE)) & (breaks < hi * (1 - _MERGE))
     fixed = [lo, *_decades(lo, hi), hi]
-    fixed = np.broadcast_to(fixed, (M, len(fixed)))
-    E = np.sort(np.concatenate([fixed, np.where(inside, breaks, np.inf)], axis=1), axis=1)
+    # in place where it can be: the rows of all rays around a verifier's 32
+    # points take ~100 KB per array
+    E = np.concatenate([np.broadcast_to(fixed, (M, len(fixed))), breaks], axis=1)
+    own = E[:, len(fixed):]
+    own[~((own > lo * (1 + _MERGE)) & (own < hi * (1 - _MERGE)))] = np.inf
+    E.sort(axis=1)
     # An edge is kept when it lies beyond the last edge kept before it.  The
     # guess "beyond the edge before it" differs only in chains of edges each
     # within 1e-10 of the next; iterating settles one more edge of such a
@@ -172,18 +183,23 @@ def panel_edges(lo, hi, breaks=()):
     grow = 1 + _MERGE
     finite = E < np.inf
     keep = finite.copy()
-    keep[:, 1:] &= E[:, 1:] > E[:, :-1] * grow
+    last = E * grow
+    keep[:, 1:] &= E[:, 1:] > last[:, :-1]
     while True:
-        last = np.maximum.accumulate(np.where(keep, E, -np.inf), axis=1)
+        last.fill(-np.inf)
+        np.copyto(last, E, where=keep)
+        np.maximum.accumulate(last, axis=1, out=last)
+        last *= grow
         settled = finite.copy()
-        settled[:, 1:] &= E[:, 1:] > last[:, :-1] * grow
+        settled[:, 1:] &= E[:, 1:] > last[:, :-1]
         if np.array_equal(settled, keep):
             break
         keep = settled
-    edges = np.sort(np.where(keep, E, np.inf), axis=1)
+    E[~keep] = np.inf
+    E.sort(axis=1)
     count = keep.sum(axis=1)
-    edges[np.arange(M), np.maximum(count, 2) - 1] = hi
-    return edges[:, :max(2, int(count.max()))]
+    E[np.arange(M), np.maximum(count, 2) - 1] = hi
+    return E[:, :max(2, int(count.max()))]
 
 
 class Panels(NamedTuple):
@@ -235,16 +251,26 @@ def polar_nodes(thetas, ang_w, panels):
     size = m.astype(np.intp) + 1
     last = np.cumsum(size) - 1
     first = last - (size - 1)
-    j = np.arange(last[-1] + 1) - np.repeat(first, size)
-    rho = np.exp(j * np.repeat(ds, size) + np.repeat(sa, size))
+    # in place where it can be, so that a block of nodes holds few arrays of
+    # its length at once
+    j = np.arange(last[-1] + 1)
+    j -= np.repeat(first, size)
+    rho = np.repeat(ds, size)
+    rho *= j
+    rho += np.repeat(sa, size)
+    np.exp(rho, out=rho)
     rho[first] = a * (1 + _NUDGE)
     rho[last] = b * (1 - _NUDGE)
     w = np.where(j & 1, 4.0, 2.0)
+    del j
     w[first] = w[last] = 1.0
     w *= np.repeat(ds / 3.0, size)
     per_ray = np.add.reduceat(size, np.cumsum(count) - count)
-    Z = (rho * np.repeat(thetas.T, per_ray, axis=1)).T
-    return Z, rho, np.repeat(ang_w, per_ray) * w
+    Z = np.repeat(thetas.T, per_ray, axis=1)
+    Z *= rho
+    ang = np.repeat(ang_w, per_ray)
+    ang *= w
+    return Z.T, rho, ang
 
 
 @functools.lru_cache(maxsize=32)
@@ -305,50 +331,79 @@ def _ray_blocks(M, Q):
     return [slice(k * M // blocks, (k + 1) * M // blocks) for k in range(blocks)]
 
 
-def polar_sum(x, n_ang, n_rad, lo, hi, integrand, profile=None, kinks=Kinks(), radii=()):
-    """Polar quadrature around x over radii [lo, hi]: the sum of
-    w * profile(rho) * integrand(Z, Y) over polar nodes with offsets Z,
-    radii rho, weights w and points Y = x + Z, on the n_ang rays of
-    unit_directions(len(x), n_ang) with n_rad Simpson subintervals per
-    decade, every ray broken at the given radii and where it meets the
-    kinks.  The integrand returns the values of f(Y) whose integral against
-    |Y - x|^(-N) dY is wanted, times any weight not of rho alone; profile,
-    a weight of rho alone (None for 1), is evaluated once per radius.
+def _split(X, thetas, lo, hi, n_rad, kinks, radii):
+    """For every centre x of X, the leading panel edges that all rays around
+    x share (a tuple), and the Panels of every ray's tail, the panels beyond
+    its centre's last shared edge, ray by ray for all centres.  The edges
+    around x are those panel_edges gives its rays alone: their rows up to
+    the widest of them."""
+    P, M = len(X), len(thetas)
+    edges = panel_edges(lo, hi, ray_breaks(X, thetas, kinks, radii))
+    E = edges.reshape(P, M, -1)
+    width = np.count_nonzero(E < np.inf, axis=2).max(axis=1)
+    same = np.all(E == E[:, :1], axis=1)
+    shared = np.where(same.all(axis=1), width, np.argmin(same, axis=1))
+    keys = [tuple(E[p, 0, :s].tolist()) for p, s in enumerate(shared)]
+    # every ray's tail starts at the last shared edge; columns past the end
+    # of the array are inf
+    cols = np.repeat(shared - 1, M)[:, None] + np.arange(int(np.max(width - shared)) + 1)
+    tail = np.take_along_axis(edges, np.minimum(cols, edges.shape[1] - 1), axis=1)
+    tail[cols >= edges.shape[1]] = np.inf
+    return keys, ray_panels(tail, n_rad)
 
-    The breaks and panel edges of every ray are computed in one pass.  The
-    leading edges that every ray shares (lo, the decades, and radii shared
-    by all rays, up to the first break of one ray alone) carry one radial
-    rule (rho_p, w_p), cached by shared_radial_nodes, on every ray: those
-    nodes are the products theta_k rho_p, and their sum is
-    ang_w @ (values @ w_p) over the rays.  Each ray's panels beyond the
-    last shared edge, its tail, are built once for all rays (ray_panels),
-    which also sizes the blocks, and their nodes by polar_nodes a block at
-    a time.  Each part is integrated in blocks of whole rays (_ray_blocks),
-    with one integrand call per block."""
-    N = len(x)
+
+def polar_sum(X, n_ang, n_rad, lo, hi, integrand, profile=None, kinks=Kinks(), radii=()):
+    """Polar quadrature around each centre x = X[p] of the (P, N) array X
+    over radii [lo, hi]: the P sums of w * profile(rho) * integrand(p, Z, Y)
+    over polar nodes with offsets Z, radii rho, weights w and points
+    Y = x + Z, on the n_ang rays of unit_directions(N, n_ang) with n_rad
+    Simpson subintervals per decade, every ray broken at the given radii and
+    where it meets the kinks.  The integrand returns the values of f_p(Y)
+    whose integral against |Y - x|^(-N) dY is wanted, times any weight not
+    of rho alone; profile, a weight of rho alone (None for 1), is evaluated
+    once per radius.
+
+    The breaks and panel edges of all P*M rays are computed in one pass.
+    The leading edges that every ray around a centre shares (lo, the
+    decades, and radii shared by all rays, up to the first break of one ray
+    alone) carry one radial rule (rho_p, w_p), cached by
+    shared_radial_nodes, on every ray: those nodes are the products
+    theta_k rho_p, built once for all centres with the same shared edges,
+    and their sum is ang_w @ (values @ w_p) over the rays.  Each ray's
+    panels beyond the last shared edge, its tail, are built once for all
+    rays (ray_panels), which also sizes the blocks, and their nodes by
+    polar_nodes a block at a time.  Around each centre each part is
+    integrated in blocks of whole rays (_ray_blocks), with one integrand
+    call per block, the shared blocks and then the tail blocks added to one
+    running total, so a centre's sum is the same to the bit whatever the
+    other centres."""
+    P, N = X.shape
     thetas, ang_w = unit_directions(N, n_ang)
-    edges = panel_edges(lo, hi, ray_breaks(x, thetas, kinks, radii))
-    same = np.all(edges == edges[0], axis=0)
-    shared = len(same) if same.all() else int(np.argmin(same))
-    rho_p, w_p = shared_radial_nodes(tuple(edges[0, :shared].tolist()), n_rad)
-    if profile is not None:
-        w_p = w_p * profile(rho_p)
-    M, Qp = len(thetas), len(rho_p)
-    total = 0.0
-    for rays in _ray_blocks(M, M * Qp):
-        Z = (thetas[rays].T[:, :, None] * rho_p).reshape(N, -1).T  # column-major
-        vals = integrand(Z, x + Z)
-        total += float(ang_w[rays] @ (vals.reshape(-1, Qp) @ w_p))
-    if shared == len(same):
-        return total
-    # every ray's tail starts at the last shared edge
-    tails = ray_panels(edges[:, shared - 1:], n_rad)
-    for rays in _ray_blocks(M, tails.nodes()):
-        Z, rho, w = polar_nodes(thetas[rays], ang_w[rays], tails.rays(rays))
+    M = len(thetas)
+    keys, tails = _split(X, thetas, lo, hi, n_rad, kinks, radii)
+    groups = {}
+    for p, key in enumerate(keys):
+        groups.setdefault(key, []).append(p)
+    sums = np.zeros(P)
+    for key, centres in groups.items():
+        rho_p, w_p = shared_radial_nodes(key, n_rad)
         if profile is not None:
-            w = w * profile(rho)
-        total += float(np.dot(w, integrand(Z, x + Z)))
-    return total
+            w_p = w_p * profile(rho_p)
+        Qp = len(rho_p)
+        for rays in _ray_blocks(M, M * Qp):
+            Z = (thetas[rays].T[:, :, None] * rho_p).reshape(N, -1).T  # column-major
+            for p in centres:
+                vals = integrand(p, Z, X[p] + Z)
+                sums[p] += float(ang_w[rays] @ (vals.reshape(-1, Qp) @ w_p))
+    Z = vals = None  # not held through the tails
+    for p in range(P):
+        own = tails.rays(slice(p * M, (p + 1) * M))
+        for rays in _ray_blocks(M, own.nodes()):
+            Z, rho, w = polar_nodes(thetas[rays], ang_w[rays], own.rays(rays))
+            if profile is not None:
+                w = w * profile(rho)
+            sums[p] += float(np.dot(w, integrand(p, Z, X[p] + Z)))
+    return sums
 
 
 @functools.lru_cache(maxsize=16)

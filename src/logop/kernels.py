@@ -373,11 +373,11 @@ def _regularity_integral(K, z, w, n_radial, n_angular):
         with np.errstate(divide="ignore"):
             return np.where(r < 1, K.evaluate(z + shift, xi + shift) / r ** N, 0.0)
 
-    def integrand(xi, _):
+    def integrand(_, xi, __):
         return np.abs(quotient(half, xi) - quotient(-half, xi))
 
-    return _quadrules.polar_sum(np.zeros(N), n_angular, n_radial, lo, hi, integrand,
-                                lambda rho: ell(rho) * rho ** N, kinks, (RHO0,))
+    return float(_quadrules.polar_sum(np.zeros((1, N)), n_angular, n_radial, lo, hi, integrand,
+                                      lambda rho: ell(rho) * rho ** N, kinks, (RHO0,))[0])
 
 
 def check_one_regularity(K, pairs, quad):

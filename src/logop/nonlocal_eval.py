@@ -9,17 +9,23 @@ decade boundaries and with the integrand's kinks and jumps (see _quadrules).
 Each operator is defined once, as an _Operator record: _operator builds
 those of L_K, the logarithmic Laplacian and the logarithmic Schrodinger
 operator, which solver.assemble shares; J*u and the mollification remainder
-build theirs in place.  Every eval_* applies its record through _apply.
+build theirs in place.  Every eval_* applies its record through _apply, at
+one point; eval_LK also takes an (m, N) array of points, which _apply
+integrates with one polar_sum per range around all m of them.  The records
+whose ranges depend on |x| (the log-Laplacian, J*u, Schrodinger) are
+applied one point at a time.
 
 Evaluation is organized around FieldFunction objects: the evaluate callable
 must be total on R^N and vectorized over (m, N) batches, and fields that know
 where their kinks and jumps live declare them as spheres and planes
 (_quadrules.Kinks), which is what keeps indicator-type barriers integrable at
-full Simpson order.  _quadrules.polar_sum turns the declarations into every
-ray's breaks, integrates the panels every ray shares with one cached radial
-rule, and the rest of each ray a block of rays at a time.  A weight of |z|
-alone (a kernel's profile, the Schrodinger weight) is evaluated once per
-radius, not once per node.
+full Simpson order.  _quadrules.polar_sum turns the declarations into the
+breaks of every ray around every point in one pass, integrates the panels
+the rays around a point share with one cached radial rule, built once for
+all points that share it, and the rest of each ray a block of rays at a
+time; each point's value is the same to the bit as when it is evaluated
+alone.  A weight of |z| alone (a kernel's profile, the Schrodinger weight)
+is evaluated once per radius, not once per node.
 """
 
 from __future__ import annotations
@@ -327,47 +333,65 @@ def _operator(name, N, r_min, reach, K=None):
     raise ValueError(f"unknown operator {name!r}")
 
 
-def _apply(op, u, x, cfg, return_estimate):
-    """The operator op applied to u at x: one _quadrules.polar_sum per range.
-    With return_estimate, also |value - value at half the node counts|."""
-    ux = float(u.evaluate(x[None, :])[0])
+def _apply(op, u, X, cfg, return_estimate):
+    """The operator op applied to u at every row x of the (P, N) array X:
+    one _quadrules.polar_sum over all P points per range.  Returns the P
+    values, with return_estimate also |value - value at half the node
+    counts| at each."""
+    ux = u.evaluate(X)
 
     def integrand(carry):
-        def f(Z, Y):
-            diff = carry - u.evaluate(Y)
-            return diff if op.weight is None else diff * op.weight(x, Z)
+        def f(p, Z, Y):
+            diff = carry[p] - u.evaluate(Y)
+            return diff if op.weight is None else diff * op.weight(X[p], Z)
         return f
 
     def run(level):
         n_ang, n_rad = cfg.node_counts(level)
         total = 0.0
         for lo, hi, carries in op.ranges():
-            f = integrand(ux if carries else 0.0)
+            f = integrand(ux if carries else np.zeros(len(X)))
             total += _quadrules.polar_sum(
-                x, n_ang, n_rad, lo, hi, f, op.profile, u.kinks, op.breaks
+                X, n_ang, n_rad, lo, hi, f, op.profile, u.kinks, op.breaks
             )
         return op.scale * total + op.const * ux
 
     value = run(1.0)
-    if not np.isfinite(value):
+    if not np.all(np.isfinite(value)):
         raise ValueError("quadrature produced a non-finite value")
     if not return_estimate:
         return value
-    return value, abs(value - run(0.5))
+    return value, np.abs(value - run(0.5))
+
+
+def _apply_at(op, u, x, cfg, return_estimate):
+    """_apply at the one point x, as floats."""
+    out = _apply(op, u, x[None, :], cfg, return_estimate)
+    if not return_estimate:
+        return float(out[0])
+    return float(out[0][0]), float(out[1][0])
 
 
 def eval_LK(K, u, x, cfg, return_estimate=False):
     """The zero-order operator: integral over B_1(x) of
     (u(x) - u(y)) / |y-x|^N * K(x, y-x).
 
+    x is one point (a float, or a length-N array) or an (m, N) array of m
+    points.  For one point the value (and its estimate) is a float; for m
+    points they are arrays of m, evaluated by one polar_sum that builds the
+    quadrature once for all points, each equal to the bit to the value at
+    that point alone.
+
     The integrand must be Dini-continuous at x (put differently: u should be
     locally Lipschitz or a grid interpolant near x), which keeps the polar
     integrand bounded; no singularity subtraction is applied beyond the
     logarithmic grading.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    op = _operator("generic", len(x), cfg.r_min, None, K)
-    return _apply(op, u, x, cfg, return_estimate)
+    x = np.asarray(x, dtype=float)
+    many = x.ndim == 2
+    x = x if many else np.atleast_1d(x)
+    op = _operator("generic", x.shape[-1], cfg.r_min, None, K)
+    return (_apply if many else _apply_at)(op, u, x, cfg, return_estimate)
 
 
 def eval_J_conv(u, x, cfg, return_estimate=False):
@@ -380,7 +404,7 @@ def eval_J_conv(u, x, cfg, return_estimate=False):
     if r_out <= 1.0:
         return (0.0, 0.0) if return_estimate else 0.0
     # minus the far range, which integrates -u(y)
-    return _apply(_Operator(1.0, 1.0, r_out, scale=-1.0), u, x, cfg, return_estimate)
+    return _apply_at(_Operator(1.0, 1.0, r_out, scale=-1.0), u, x, cfg, return_estimate)
 
 
 def eval_loglap(u, x, cfg, N, path="decomposition", return_estimate=False):
@@ -404,7 +428,7 @@ def eval_loglap(u, x, cfg, N, path="decomposition", return_estimate=False):
     if path not in ("decomposition", "direct"):
         raise ValueError("path must be 'decomposition' or 'direct'")
     op = _operator("loglap", N, cfg.r_min, float(np.linalg.norm(x)) + u.support_radius)
-    return _apply(op, u, x, cfg, return_estimate)
+    return _apply_at(op, u, x, cfg, return_estimate)
 
 
 def eval_schrodinger(u, x, cfg, N, return_estimate=False):
@@ -418,7 +442,7 @@ def eval_schrodinger(u, x, cfg, N, return_estimate=False):
     if u.support_radius is not None:
         reach = float(np.linalg.norm(x)) + u.support_radius
     op = _operator("schrodinger", N, cfg.r_min, reach)
-    return _apply(op, u, x, cfg, return_estimate)
+    return _apply_at(op, u, x, cfg, return_estimate)
 
 
 def eval_remainder(Ki, u, x, cfg, return_estimate=False):
@@ -432,7 +456,7 @@ def eval_remainder(Ki, u, x, cfg, return_estimate=False):
         weight=lambda x, Z: Ki.evaluate(Z),
         breaks=Ki.radial_breakpoints,
     )
-    return _apply(op, u, x, cfg, return_estimate)
+    return _apply_at(op, u, x, cfg, return_estimate)
 
 
 def sector_integral(r, d, N, cfg):

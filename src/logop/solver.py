@@ -618,12 +618,16 @@ def assemble(problem, grid, cfg):
         _quadrules.polar_rule(N, n_ang, lo, hi, n_rad, op.breaks)
         for lo, hi, _ in ranges
     ]
-    offs, rho, w = (np.concatenate(part) for part in zip(*rules))
+    offs = np.concatenate([Z for Z, _, _ in rules])
+    w = op.scale * np.concatenate([wr for _, _, wr in rules])
     # only the range that carries u(x), which comes first, feeds the diagonal
     near = len(rules[0][2]) if ranges[0][2] else 0
-    w = op.scale * w
     if op.profile is not None:
-        weights = w * op.profile(rho)
+        # every ray of a rule carries the same radii: the profile once per radius
+        rays = len(_quadrules.unit_directions(N, n_ang)[0])
+        weights = w * np.concatenate(
+            [np.tile(op.profile(rho[:len(rho) // rays]), rays) for _, rho, _ in rules]
+        )
     elif op.weight is None:
         weights = w
     elif op.translation_invariant:

@@ -1,6 +1,7 @@
 import math
 import pathlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ import scipy.special as sps
 from conftest import spectral
 from logop import _quadrules, kernels, nonlocal_eval
 from logop.barriers import (
-    _scan,
     boundary_barrier_field,
     bump_field,
     composite_barrier_field,
@@ -520,21 +520,24 @@ def _per_ray_polar_rule(N, n_angular, lo, hi, n_per_decade, radii=(),
     return np.concatenate(Z), np.concatenate(rho), np.concatenate(w)
 
 
-def _per_ray_polar_sum(x, n_ang, n_rad, lo, hi, integrand, profile=None,
+def _per_ray_polar_sum(X, n_ang, n_rad, lo, hi, integrand, profile=None,
                        kinks=_quadrules.Kinks(), radii=()):
-    # one radial rule and one integrand call per ray, summed ray by ray, the
-    # profile evaluated at every node
-    thetas, ang_w = _quadrules.unit_directions(len(x), n_ang)
-    total = 0.0
-    for th, aw in zip(thetas, ang_w):
-        breaks = _per_ray_breaks(x, th, kinks, radii)
-        rho, w = _linspace_radial_rule(lo, hi, n_rad, breaks)
-        Z = rho[:, None] * th
-        vals = integrand(Z, x + Z)
-        if profile is not None:
-            vals = vals * profile(rho)
-        total += aw * float(np.sum(w * vals))
-    return total
+    # around each centre in turn, one radial rule and one integrand call per
+    # ray, summed ray by ray, the profile evaluated at every node
+    thetas, ang_w = _quadrules.unit_directions(X.shape[1], n_ang)
+    sums = []
+    for p, x in enumerate(X):
+        total = 0.0
+        for th, aw in zip(thetas, ang_w):
+            breaks = _per_ray_breaks(x, th, kinks, radii)
+            rho, w = _linspace_radial_rule(lo, hi, n_rad, breaks)
+            Z = rho[:, None] * th
+            vals = integrand(p, Z, x + Z)
+            if profile is not None:
+                vals = vals * profile(rho)
+            total += aw * float(np.sum(w * vals))
+        sums.append(total)
+    return np.array(sums)
 
 
 _UNIT_SPHERE = _quadrules.sphere_kinks([1.0])
@@ -704,12 +707,12 @@ def test_blocked_polar_sum_matches_one_block(N, cfg, level, blocks, monkeypatch)
     ux = float(u.evaluate(x[None, :])[0])
     sizes = []
 
-    def integrand(Z, Y):
+    def integrand(p, Z, Y):
         sizes.append(len(Z))
         return (ux - u.evaluate(Y)) * K.evaluate(x, Z)
 
     n_ang, n_rad = cfg.node_counts(level)
-    args = (x, n_ang, n_rad, cfg.r_min, 1.0, integrand, None, u.kinks, (0.3,))
+    args = (x[None, :], n_ang, n_rad, cfg.r_min, 1.0, integrand, None, u.kinks, (0.3,))
     value = _quadrules.polar_sum(*args)
     blocked, sizes[:] = sizes[:], []
     monkeypatch.setattr(_quadrules, "_BLOCK_NODES", 10 ** 12)
@@ -727,14 +730,34 @@ def test_blocked_polar_sum_matches_one_block(N, cfg, level, blocks, monkeypatch)
 @pytest.mark.parametrize("N", [1, 2])
 def test_scan_builds_each_shared_rule_once(N):
     # the rays around every sampled point share the decades up to the first
-    # crossing of the barrier's kink, so a few cached rules serve 32 points
+    # crossing of the barrier's kink, so a few shared rules serve 32 points,
+    # each rule looked up once for all the points that share it
     r = 0.05
     pts = sample_annulus(32, N, r, r + r * r)
     _quadrules.shared_radial_nodes.cache_clear()
-    _scan(sinlog_kernel(), boundary_barrier_field(r, 0.3), pts, FAST)
+    eval_LK(sinlog_kernel(), boundary_barrier_field(r, 0.3), pts, FAST)
     info = _quadrules.shared_radial_nodes.cache_info()
-    assert info.hits + info.misses == len(pts)
-    assert info.misses == info.currsize <= 3
+    assert info.hits == 0
+    assert 1 <= info.misses == info.currsize <= 3
+
+
+def test_scan_of_32_points_peaks_within_twice_one_point():
+    # the quadrature is built once for all points, but the nodes are not:
+    # they stay blocks of rays around one point at a time
+    u = boundary_barrier_field(0.05, 0.3)
+    pts = sample_annulus(32, 2, 0.05, 0.0525)
+    K = sinlog_kernel()
+    eval_LK(K, u, pts, FAST)  # fills the shared-rule cache
+
+    def peak(X):
+        tracemalloc.start()
+        try:
+            eval_LK(K, u, X, FAST)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(pts) <= 2 * peak(pts[:1])
 
 
 def test_blocked_estimate_matches_one_block(monkeypatch):
@@ -816,6 +839,67 @@ def test_polar_sum_with_no_shared_panel_matches_per_ray(N, monkeypatch):
     monkeypatch.setattr(_quadrules, "polar_sum", _per_ray_polar_sum)
     ref = [eval_LK(K, u, x, FAST) for K in (sinlog_kernel(), _ANISOTROPIC)]
     np.testing.assert_allclose(vals, ref, rtol=1e-12, atol=0)
+
+
+# x-dependent, so evaluated at every node with each point's own x
+_XDEP = KernelSpec(
+    evaluate=lambda x, Z: 1.0 + 0.25 * np.sin(3.0 * x[0]) * np.cos(_quadrules.radius(Z)),
+    lam=0.75,
+    Lam=1.25,
+    translation_invariant=False,
+    name="xdep",
+)
+
+# field, and a point within 5e-12 of a kink, so that one of its rays breaks
+# inside the innermost decade and its rays share no panel (None: no kinks)
+_BATCH_FIELDS = {
+    "boundary": (lambda N: boundary_barrier_field(0.05, 0.3), 0.05 + 5e-12),
+    "composite": (
+        lambda N: composite_barrier_field(0.05, 0.5, gain_shell(0.05, 1.0, N)[0]),
+        0.005 + 5e-12,
+    ),
+    "box": (lambda N: box_field([-0.3] * N, [0.2] * N), 0.2 - 5e-12),
+    "gaussian": (lambda N: gaussian_field(0.4), None),
+}
+
+
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("case", list(_BATCH_FIELDS))
+def test_eval_LK_at_many_points_is_each_point_alone(case, N):
+    make, near_kink = _BATCH_FIELDS[case]
+    u = make(N)
+    pts = [np.zeros(N)] + list(sample_annulus(6, N, 0.0, 0.3))
+    thetas, _ = _quadrules.unit_directions(N, FAST.n_angular)
+
+    def edges(x, K):
+        breaks = _quadrules.ray_breaks(x, thetas, u.kinks, K.radial_breakpoints)
+        return _quadrules.panel_edges(FAST.r_min, 1.0, breaks)
+
+    # around the origin, the centre of every sphere here, every ray breaks at
+    # the same radii and all panels are shared
+    e = edges(pts[0], sinlog_kernel())
+    assert case == "box" or np.all(e == e[0])
+    if near_kink is not None:
+        pts.append(np.array([near_kink, 0.0][:N]))
+        e = edges(pts[-1], sinlog_kernel())
+        assert not np.all(e[:, 1] == e[0, 1])
+    X = np.array(pts)
+    for K in (unit_kernel(), sinlog_kernel(), _XDEP):
+        values, estimates = eval_LK(K, u, X, FAST, return_estimate=True)
+        alone = [eval_LK(K, u, x, FAST, return_estimate=True) for x in X]
+        assert values.tolist() == [v for v, _ in alone]
+        assert estimates.tolist() == [e for _, e in alone]
+        assert eval_LK(K, u, X, FAST).tolist() == values.tolist()
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_ray_breaks_of_many_centres_are_each_centre_alone(N):
+    u = _KINK_FIELDS["shifted-sum"](N)
+    thetas, _ = _quadrules.unit_directions(N, 16)
+    X = np.random.default_rng(4).uniform(-0.5, 0.5, size=(5, N))
+    got = _quadrules.ray_breaks(X, thetas, u.kinks, (0.3,))
+    want = np.concatenate([_quadrules.ray_breaks(x, thetas, u.kinks, (0.3,)) for x in X])
+    assert got.shape == want.shape and np.array_equal(got, want)
 
 
 _ASSEMBLY_CASES = {
