@@ -21,7 +21,7 @@ one pass and the shared rule's offsets once per distinct rule, then sums
 around each centre block by block, as a lone centre would be summed.  The
 pointwise evaluators (one centre, or a verifier's sample points) and the
 regularity integral run on it.  polar_rule, for assembly, is the cached
-radial rule on every ray.
+radial rule on one ray of each mirror pair.
 """
 
 from __future__ import annotations
@@ -244,7 +244,8 @@ def polar_nodes(thetas, ang_w, panels):
     Each panel [a, b] gets its m subintervals of width ds in s = ln(rho),
     nodes s_a + j*ds with the two end nodes nudged into the panel, and
     weights (1, 4, 2, ..., 4, 1)*ds/3, times the ray's angular weight.
-    Returns (Z, rho, w) as polar_rule does.
+    Returns (Z, rho, w): the offsets (Q, N), ray by ray, the radius of
+    each and its weight.
     """
     a, b, sa, sb, m, count = panels
     ds = (sb - sa) / m
@@ -304,20 +305,31 @@ def radial_rule(lo, hi, n_per_decade, breakpoints=()):
 
 
 def polar_rule(N, n_angular, lo, hi, n_per_decade, radii=()):
-    """Polar rule for integral over lo <= |z| <= hi of f(z) |z|^(-N) dz.
+    """Polar rule for integral over lo <= |z| <= hi of f(z) |z|^(-N) dz,
+    built on one ray of each mirror pair.
 
     Every ray theta of unit_directions(N, n_angular) carries the one radial
     rule of shared_radial_nodes, its panels broken at the decades and at the
-    given radii.  Returns (Z, rho, w): the offsets Z = rho*theta of shape
-    (Q, N), ray by ray, their radii rho, and the combined weights (Simpson
-    weight times angular weight), so that dot(w, f(Z)) approximates the
-    integral.  Z is column-major: integrands work column by column over the
-    Q nodes.
+    given radii, so ray -theta carries the nodes -z of ray theta with the
+    same weights.  When every ray has its mirror (1-D, or an even number of
+    rays in 2-D) only the half rule is built: the +1 ray, or the first M/2
+    rays, theta in [0, pi).  Returns (Z, rho, w, mirrored): the offsets
+    Z = rho*theta of shape (Q, N), ray by ray; the radii rho of one ray,
+    which every ray carries (Z[k*len(rho) + j] = rho[j]*theta_k; the cached
+    read-only array); the
+    combined weights (Simpson weight times angular weight); and whether the
+    rule is the half one, so that the integral is approximated by
+    dot(w, f(Z)) + dot(w, f(-Z)) when mirrored and by dot(w, f(Z)) when not
+    (an odd number of rays in 2-D, every one of them built).  Z is
+    column-major: integrands work column by column over the Q nodes.
     """
     thetas, ang_w = unit_directions(N, n_angular)
+    mirrored = len(thetas) % 2 == 0
+    if mirrored:
+        thetas, ang_w = thetas[:len(thetas) // 2], ang_w[:len(thetas) // 2]
     rho, w = shared_radial_nodes(tuple(panel_edges(lo, hi, radii)[0].tolist()), n_per_decade)
     Z = (thetas.T[:, :, None] * rho).reshape(N, -1).T
-    return Z, np.tile(rho, len(thetas)), (ang_w[:, None] * w).ravel()
+    return Z, rho, (ang_w[:, None] * w).ravel(), mirrored
 
 
 def _ray_blocks(M, Q):

@@ -302,7 +302,10 @@ def difference_projection(grid, offsets):
     itertools.product((0, 1), repeat=N), so every column has exactly 2^N
     entries.  A corner beyond +-(dims - 1) on some axis cannot fall on a
     node of this grid: its index on that axis is clipped into the padding,
-    which no node reads.
+    which no node reads.  The table of the mirror images -offsets is this
+    one reversed on every axis (the flat table reversed), up to the rounding
+    of the cell fractions f and 1 - f: assembly projects one offset of each
+    mirror pair and reverses the table for the other.
 
     P is filled _BLOCK_OFFSETS offsets at a time into arrays allocated once
     at their final size, with one 1-D array per axis, so no temporary

@@ -11,11 +11,13 @@ center + h*Z^N, so every node sees the offsets fall into the same lattice
 cells: the rule is projected once onto the lattice differences
 (geometry.difference_projection: a sparse matrix with 2^N entries per
 offset onto a difference table padded by one cell on each side of every
-axis, built in small blocks), and for a translation-invariant operator
-(every catalog kernel, the log-Laplacian and the Schrodinger operator) the
-matrix is gathered from one stencil (a block-Toeplitz matrix).  Kernels
-that depend on x project their own kernel-weighted weights at each node
-through the same projection, one sparse matrix-vector product per row.
+axis, built in small blocks) for one offset z of each mirror pair (z, -z):
+reversed on every axis, the table is that of the mirror images, so an even
+weight gives a stencil symmetric bit for bit.  A translation-invariant
+operator (every catalog kernel, the log-Laplacian and the Schrodinger
+operator) has one stencil, gathered a block of rows at a time into a
+block-Toeplitz matrix; a kernel that depends on x weights the offsets and
+their mirror images at each node, one half-size product of two columns.
 
 Because the radial quadrature weights are positive and the interpolation
 weights are a convex partition, the assembled matrix of the difference
@@ -32,11 +34,11 @@ mp_audit["certified"] is true exactly when a solve's matrix passed that test.
 
 A StiffnessMatrix is factored once: its factorization, condition number
 and smallest singular value are computed on the first solve and kept (for
-an M-matrix from two solves, A^-1 1 and A^-T 1; otherwise by inverse
-iteration and the Hager-Higham estimate), so
-every later right-hand side costs one solve with the factorization, the
+an M-matrix from two solves, A^-1 1 and A^-T 1, one for a symmetric matrix;
+otherwise by inverse iteration and the Hager-Higham estimate), so every
+later right-hand side costs one solve with the factorization, the
 residual and the maximum-principle audit.  On a 1-D grid (a run of
-consecutive lattice points) a translation-invariant operator gives a
+consecutive lattice points) an even translation-invariant operator gives a
 symmetric Toeplitz matrix A = T(S) + d*I, and assemble keeps only its first
 column (a _ToeplitzStiffness): its products are direct convolutions, it is
 factored in O(n^2) by Levinson's recursion and solved in O(n log n) by the
@@ -93,6 +95,10 @@ SWEEP_MAX_SOLVES = 500
 SWEEP_RTOL = 1e-12  # relative width of the lambda_1 enclosure that ends the sweep
 SIGMA_MIN_RTOL = 1e-13  # relative change of sigma that ends the inverse iteration
 DENSE_BYTES_PER_ENTRY = 16  # float64 matrix plus the LU factorization's copy
+# entries per block of _lattice_matrix's row gather: its int32 index array
+# (no dense table nears 2^31 entries) and numpy's intp copy of it stay under
+# glibc's 128 KiB mmap threshold; mode "clip" writes without numpy's buffer
+_GATHER_ENTRIES = 16384
 # a Levinson factor is kept when a probe solve's normwise backward error is
 # at most TOEPLITZ_BACKWARD_TOL (measured up to 2e-14 on the 1-D catalog
 # operators at n <= 2000, LU up to 8e-15) and sigma_min is at least
@@ -105,21 +111,13 @@ DENSE_BYTES_PER_ENTRY = 16  # float64 matrix plus the LU factorization's copy
 TOEPLITZ_BACKWARD_TOL = 1e-11
 TOEPLITZ_SIGMA_FLOOR = 10 * NEAR_SINGULAR_FACTOR
 # a 1-D Toeplitz matrix with fewer rows is factored by LU.
-# StiffnessMatrix._factors (factor, condition number and sigma_min, LU
-# including forming the dense matrix; median of 21, unit kernel on
-# (-0.5, 0.5), 2 vCPU) takes, Levinson against LU, on a certified M-matrix
-# (two solves): 0.22 against 0.13 ms at n = 19, 0.33 against 0.30 at
-# n = 149, 0.33 against 0.37 at n = 175, 0.36 against 0.46 at n = 199, 0.40
-# against 0.75 at n = 249, 0.50 against 1.12 at n = 299 and 0.79 against
-# 3.56 at n = 499.  With the sigma_min iteration (up to 80 solves of ~60 us
-# each on Levinson's factor; every matrix that is not certified): 1.6
-# against 1.4 at n = 149, 3.3 against 2.4 at n = 249, 4.0 against 3.1 at
-# n = 299, 3.9 against 4.2 at n = 349 and 4.0 against 7.7 at n = 499.  The
-# certified crossover near n = 175 would move a Toeplitz matrix of 175-299
-# rows (the n = 249 level of a 1-D convergence study) to Levinson, whose
-# solutions differ from LU's by rounding, for ~0.4 ms a solve; the threshold
-# stays where the iteration's crossover lies
-TOEPLITZ_MIN_N = 300
+# StiffnessMatrix._factors of a certified M-matrix (median of 21, one BLAS
+# thread, unit, sinlog and log-Laplacian kernels on (-0.5, 0.5)), Levinson
+# against LU with forming the dense matrix: 0.35-0.37 against 0.33-0.35 ms
+# at n = 149, 0.37-0.41 against 0.38-0.45 at n = 175, 0.45-0.58 against
+# 0.73-1.09 at n = 249.  With the sigma_min iteration (unit kernel shifted
+# by -0.9 lambda_1) 1.82 against 1.25 at n = 175, 2.40 against 2.49 at 249
+TOEPLITZ_MIN_N = 175
 _OPERATORS = ("generic", "loglap", "schrodinger")
 
 
@@ -182,19 +180,20 @@ class _LU:
     """Dense LU factorization with partial pivoting (LAPACK getrf) of
     A - shift*I, made in place on one Fortran-ordered copy.  A is checked
     for finiteness before the copy is made, so the check's n x n mask and
-    the copy never exist together."""
+    the copy never exist together.  A symmetric A is copied from A.T, a
+    plain memcpy for a C-ordered A."""
 
     name = "lu"
-    symmetric = False
 
-    def __init__(self, A, shift):
+    def __init__(self, A, shift, symmetric=False):
+        self.symmetric = symmetric
         with warnings.catch_warnings():
             # sla is touched before the copy is made: loading scipy.linalg
             # while the copy exists leaves module objects above it on the
             # heap, which keeps its pages resident once it is freed (copying
             # first raised xdep-2d's peak RSS from 81.5 to 88.1 MB)
             warnings.simplefilter("ignore", sla.LinAlgWarning)
-            M = np.array(np.asarray_chkfinite(A), order="F")
+            M = np.array(np.asarray_chkfinite(A.T if symmetric else A), order="F")
             M[np.diag_indices(len(M))] -= shift
             self.lu_piv = sla.lu_factor(M, overwrite_a=True, check_finite=False)
         self.singular = not np.all(np.diagonal(self.lu_piv[0]))
@@ -331,13 +330,18 @@ class StiffnessMatrix:
     `_z_stats()` (the largest off-diagonal entry, max|A| and the row sums)
     and `_factors` (factorization, 1-norm, condition estimate and smallest
     singular value, computed by the first solve and reused by every later
-    one).  A matrix built by `assemble` on a 1-D grid for a
+    one).  A matrix built by `assemble` on a 1-D grid for an even
     translation-invariant operator is a _ToeplitzStiffness, which keeps only
     its first column and is factored by Levinson's recursion.  `matrix` is
     read-only, so writing into it raises instead of solving against a stale
     factorization; do not write into the array the matrix was built from
-    either.  Matrices compare and hash by identity, as objects that own
+    either.  `symmetric` is true only where the construction guarantees
+    A == A.T bit for bit (assemble sets it for an even stencil, see
+    _lattice_matrix); its LU factor then certifies an M-matrix with one
+    solve.  Matrices compare and hash by identity, as objects that own
     their factorization."""
+
+    symmetric = False
 
     def __init__(self, matrix, grid):
         view = np.asarray(matrix).view()
@@ -360,7 +364,7 @@ class StiffnessMatrix:
         return float(np.linalg.norm(self._matrix, 1))
 
     def _lu(self, shift=0.0):
-        return _LU(self._matrix, shift)
+        return _LU(self._matrix, shift, self.symmetric)
 
     def _factor(self, shift=0.0):
         return self._lu(shift)
@@ -442,12 +446,14 @@ class StiffnessMatrix:
 
 class _ToeplitzStiffness(StiffnessMatrix):
     """A symmetric Toeplitz StiffnessMatrix, kept as its first column
-    c = A[:, 0] (n numbers; assemble builds one for a translation-invariant
-    operator on a hole-free 1-D grid).  Each entry of matvec is one dot
-    product with a window of (c[n-1], ..., c[1], c[0], ..., c[n-1]), so it
-    rounds like A @ v, in O(n) memory.  The dense matrix is formed only when
-    `matrix` is read (built on each read, not kept) or LU needs it, and
-    each time the memory guard runs first."""
+    c = A[:, 0] (n numbers; assemble builds one for an even
+    translation-invariant operator on a hole-free 1-D grid).  Each entry of
+    matvec is one dot product with a window of (c[n-1], ..., c[1], c[0],
+    ..., c[n-1]), so it rounds like A @ v, in O(n) memory.  The dense
+    matrix is formed only when `matrix` is read (built on each read, not
+    kept) or LU needs it, and each time the memory guard runs first."""
+
+    symmetric = True
 
     def __init__(self, column, grid):
         view = np.asarray(column).view()
@@ -471,7 +477,7 @@ class _ToeplitzStiffness(StiffnessMatrix):
         return _toeplitz_norm1(self.column)
 
     def _lu(self, shift=0.0):
-        return _LU(self._dense("the LU fallback from Levinson"), shift)
+        return _LU(self._dense("the LU fallback from Levinson"), shift, self.symmetric)
 
     def _factor(self, shift=0.0):
         """Levinson's factor when n >= TOEPLITZ_MIN_N and _Toeplitz keeps
@@ -518,53 +524,55 @@ class SolveReport:
 
 
 def _lattice_matrix(grid, offs, weights, diag, toeplitz=False):
-    """Dense matrix of u -> diag(w) u(x_i) - sum_k w[k] interp u(x_i + offs[k])
-    collocated at every node x_i, where w holds the offset weights at x_i,
-    or only its first column when `toeplitz` is true.
+    """Dense matrix of u -> d u(x_i) - sum_k (W[k, 0] interp u(x_i + offs[k])
+    + W[k, -1] interp u(x_i - offs[k])) collocated at every node x_i, or
+    only its first column when `toeplitz` is true.  W holds the weights at
+    x_i of the offsets (column 0) and of their mirror images (the last; one
+    column for an even weight), and d = diag(W).
 
-    weights is that array itself when it is the same at every node (a
-    translation-invariant operator) or a function of the node giving it (an
-    x-dependent kernel); diag maps a node's weights to its diagonal entry.
-    The offsets are projected onto the lattice differences once
-    (geometry.difference_projection), and row i is gathered from the stencil
-    S = -(P @ w): entry j is S[q[j] + origin - q[i]], with q the flat index
-    of each node and origin that of the zero difference (lattice offset
-    dims) in the padded difference table of shape 2*dims + 1.  Rows read
-    only its interior: the padding holds the corners of offsets beyond every
-    lattice difference, and only the interior must be finite.  The stencil
-    is computed once, or once per node (one sparse matrix-vector product)
-    for an x-dependent kernel.  `toeplitz` asks for one stencil on a
-    hole-free 1-D lattice, where A is symmetric Toeplitz: its first column
-    S[q[0] + origin - q] (plus the diagonal at the top) is returned, and no
+    weights is W when it is the same at every node (a translation-invariant
+    operator) or a function of the node giving it (an x-dependent kernel).
+    The offsets are projected once (geometry.difference_projection),
+    T = P @ W, and the stencil is S = -(T[:, 0] + flip(T[:, -1])), plus d
+    at the zero difference: flip reverses the padded difference table
+    (shape 2*dims + 1) on every axis, mapping difference d to -d, so S is
+    symmetric bit for bit when W has one column.  Entry (i, j) is
+    S[q[j] + origin - q[i]], q the flat index of each node and origin that
+    of the zero difference; rows read only the table's interior (the
+    padding holds the corners of offsets beyond every lattice difference),
+    so only it must be finite.  One stencil is gathered _GATHER_ENTRIES
+    entries at a time, an x-dependent kernel's a row at a time.  `toeplitz`
+    asks for one stencil on a hole-free 1-D lattice, where A is symmetric
+    Toeplitz: its first column S[q[0] + origin - q] is returned, and no
     n x n array is allocated."""
     P = geometry.difference_projection(grid, offs)
+    np.negative(P.data, out=P.data)  # in place, once, not per stencil
     span = tuple(2 * d + 1 for d in grid.dims)
-    q = np.ravel_multi_index((grid.lattice - grid.kmin).T, span)
-    origin = np.ravel_multi_index(grid.dims, span)
+    q = np.ravel_multi_index((grid.lattice - grid.kmin).T, span).astype(np.int32)
+    origin = int(np.ravel_multi_index(grid.dims, span))
     inner = (slice(1, -1),) * len(span)
 
-    def stencil(i, w):
-        S, d = -(P @ w), diag(w)
-        if not (np.all(np.isfinite(S.reshape(span)[inner])) and math.isfinite(d)):
+    def stencil(i, W):
+        T = P @ W
+        S = T[:, 0] + T[::-1, -1]
+        S[origin] += diag(W)  # the zero difference: only the diagonal reads it
+        if not np.all(np.isfinite(S.reshape(span)[inner])):
             raise ArithmeticError(
                 f"quadrature failure assembling node {i} at {grid.nodes[i]}"
             )
-        return S, d
+        return S
 
     if callable(weights):
-        rows = (stencil(i, weights(x)) for i, x in enumerate(grid.nodes))
+        blocks = ((i, i + 1, stencil(i, weights(x))) for i, x in enumerate(grid.nodes))
     else:
-        S, d = stencil(0, weights)
+        S = stencil(0, weights)
         if toeplitz:
-            column = S[q[0] + origin - q]
-            column[0] += d
-            return column
-        rows = [(S, d)] * grid.n
+            return S[q[0] + origin - q]
+        rows = max(1, _GATHER_ENTRIES // grid.n)
+        blocks = ((i, i + rows, S) for i in range(0, grid.n, rows))
     A = np.empty((grid.n, grid.n))
-    for i, (S, d) in enumerate(rows):
-        row = A[i]
-        np.take(S, q + (origin - q[i]), out=row)
-        row[i] += d
+    for i0, i1, S in blocks:
+        np.take(S, q + (origin - q[i0:i1, None]), out=A[i0:i1], mode="clip")
     return A
 
 
@@ -592,25 +600,24 @@ def assemble(problem, grid, cfg):
     rule, weights and diagonal of its nonlocal_eval._operator record,
     gathered through _lattice_matrix.
 
-    A translation-invariant operator on a hole-free 1-D grid gives a
-    _ToeplitzStiffness, which stores the first column only; every other
-    matrix is dense, and for it assemble raises ValueError before
-    allocating anything when the dense system would not fit in physical
-    memory."""
+    An even translation-invariant operator (a weight of |z| alone, or none)
+    on a hole-free 1-D grid gives a _ToeplitzStiffness, which stores the
+    first column only; every other matrix is dense, and for it assemble
+    raises ValueError before allocating anything when the dense system
+    would not fit in physical memory."""
     if grid.n == 0:
         raise ValueError("grid has no nodes")
     N = grid.domain.N
-    # one stencil on a hole-free 1-D lattice: A[i, j] depends on j - i only,
-    # and the 1-D polar rule pairs every offset with its mirror image.  Any
-    # other grid is dense whatever the operator, and is refused before
-    # anything is allocated (the reach alone takes O(n) memory).
+    # one even stencil on a hole-free 1-D lattice: A[i, j] depends on |j - i|
+    # only.  Any other grid is dense whatever the operator, and is refused
+    # before anything is allocated (the reach alone takes O(n) memory).
     lattice_1d = N == 1 and grid.n == grid.dims[0]
     if not lattice_1d:
         _check_dense_size(grid)
     n_ang, n_rad = cfg.node_counts()
     reach = float(np.max(grid.domain.max_reach(grid.nodes)))
     op = nonlocal_eval._operator(problem.operator, N, cfg.r_min, reach, problem.kernel)
-    toeplitz = lattice_1d and op.translation_invariant
+    toeplitz = lattice_1d and op.weight is None
     if lattice_1d and not toeplitz:
         _check_dense_size(grid)
     ranges = op.ranges()
@@ -618,29 +625,40 @@ def assemble(problem, grid, cfg):
         _quadrules.polar_rule(N, n_ang, lo, hi, n_rad, op.breaks)
         for lo, hi, _ in ranges
     ]
-    offs = np.concatenate([Z for Z, _, _ in rules])
-    w = op.scale * np.concatenate([wr for _, _, wr in rules])
+    offs = np.concatenate([Z for Z, _, _, _ in rules])
+    w = op.scale * np.concatenate([wr for _, _, wr, _ in rules])
+    mirrored = rules[0][3]
     # only the range that carries u(x), which comes first, feeds the diagonal
     near = len(rules[0][2]) if ranges[0][2] else 0
     if op.profile is not None:
         # every ray of a rule carries the same radii: the profile once per radius
-        rays = len(_quadrules.unit_directions(N, n_ang)[0])
-        weights = w * np.concatenate(
-            [np.tile(op.profile(rho[:len(rho) // rays]), rays) for _, rho, _ in rules]
+        w = w * np.concatenate(
+            [np.tile(op.profile(rho), len(wr) // len(rho)) for _, rho, wr, _ in rules]
         )
-    elif op.weight is None:
-        weights = w
-    elif op.translation_invariant:
-        weights = w * op.weight(np.zeros(N), offs)
-    else:
-        def weights(x):
-            return w * op.weight(x, offs)
+    even = mirrored and op.weight is None  # one weight column serves both halves
+    if not even:
+        # each offset next to its mirror image, for one kernel call per node;
+        # a rule without mirrors weights the mirror images by zero
+        pairs = np.asfortranarray(np.stack((offs, -offs), axis=1).reshape(-1, N))
+        w_pairs = (w[:, None] * [1.0, float(mirrored)]).ravel()
 
-    def diag(wk):
-        return wk[:near].sum() + op.const + problem.shift
+    def at(x):
+        # _lattice_matrix's weights W at node x
+        if even:
+            return w[:, None]
+        k = 1.0 if op.weight is None else op.weight(x, pairs)
+        return (w_pairs * k).reshape(-1, 2)
 
+    def diag(W):
+        # the near weights of both halves, one column standing for both
+        return W[:near].sum() * (2 / W.shape[1]) + op.const + problem.shift
+
+    weights = at(np.zeros(N)) if op.translation_invariant else at
     A = _lattice_matrix(grid, offs, weights, diag, toeplitz)
-    return (_ToeplitzStiffness if toeplitz else StiffnessMatrix)(A, grid)
+    sm = (_ToeplitzStiffness if toeplitz else StiffnessMatrix)(A, grid)
+    if even:
+        sm.symmetric = True  # one even stencil, symmetric bit for bit
+    return sm
 
 
 def _sigma_min_estimate(factor, n):

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from logop import geometry
+from logop._quadrules import polar_rule
 from logop.geometry import (
     Domain,
     GridFunction,
@@ -258,6 +259,34 @@ def test_difference_projection_matches_scatter_weights(domain, h):
         row = np.zeros(grid.n)
         np.add.at(row, idx[valid], (w[:, None] * sw)[valid])
         assert np.max(np.abs(S[q + (origin - q[i])] - row)) <= 1e-14 * np.max(row)
+
+
+@pytest.mark.parametrize(
+    "domain, h",
+    [
+        (Domain.interval(-0.5, 0.5), 0.05),
+        (Domain.ball([0.3, -0.2], 0.1), 0.02),
+        (Domain.box([-0.6, -0.4], [0.4, 0.5]), 0.1),
+    ],
+    ids=["1d", "2d-ball", "2d-box"],
+)
+def test_flipped_projection_is_the_projection_of_the_mirror_images(domain, h):
+    # reversing the padded table on every axis maps difference d to -d, so
+    # the table of the offsets -z is that of z reversed, up to the rounding
+    # of the cell fractions f and 1 - f; assembly projects one offset of
+    # each mirror pair on this
+    grid = build_grid(domain, h)
+    rng = np.random.default_rng(17)
+    N = domain.N
+    rule, _, w_rule, _ = polar_rule(N, 16, 1e-12, 3.0, 128)
+    offs = np.concatenate([
+        rng.uniform(-1.5 * domain.diameter, 1.5 * domain.diameter, size=(400, N)),
+        h * rng.integers(-5, 6, size=(40, N)),
+    ])
+    for Z, w in ((rule, w_rule), (offs, rng.uniform(0.1, 1.0, size=len(offs)))):
+        T = difference_projection(grid, Z) @ w
+        M = difference_projection(grid, -Z) @ w
+        assert np.max(np.abs(T[::-1] - M)) <= 1e-15 * np.max(np.abs(M))
 
 
 def _masked_projection(grid, offsets):

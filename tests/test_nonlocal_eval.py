@@ -613,20 +613,37 @@ def test_composed_kinks_are_those_of_the_parts():
 _RADII = (1e-2, 1e-2 * (1 + 1e-11), 0.1 * (1 - 1e-11), 0.3, 0.3 * (1 + 5e-11), 1e-6)
 
 
-@pytest.mark.parametrize("N", [1, 2])
-def test_polar_rule_matches_per_ray_radial_rules(N):
+@pytest.mark.parametrize(
+    "N, n_ang", [(1, 16), (2, 16), (2, 9)], ids=["1", "2", "2-odd"]
+)
+def test_polar_rule_matches_per_ray_radial_rules(N, n_ang):
     # radii shared by every ray: each ray carries the same cached radial rule,
-    # to the bit the rule built ray by ray
-    lo, hi, n_ang, n_rad = 1e-12, 1.0, 16, 128
+    # to the bit the rule built ray by ray.  With mirrors (1-D, an even
+    # number of rays) polar_rule is the first half of the rays, and the
+    # second half is its mirror image: the same radii and weights on the
+    # rays -theta (cos and sin of phi + pi round apart from those of phi).
+    # With an odd number of rays it is the whole rule.
+    lo, hi, n_rad = 1e-12, 1.0, 128
     ang_w = _quadrules.unit_directions(N, n_ang)[1]
     for radii in ((), _RADII):
-        Z, rho, w = _quadrules.polar_rule(N, n_ang, lo, hi, n_rad, radii)
-        ref = _per_ray_polar_rule(N, n_ang, lo, hi, n_rad, radii)
-        for got, want in zip((Z, rho, w), ref):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        Z, rho, w, mirrored = _quadrules.polar_rule(N, n_ang, lo, hi, n_rad, radii)
+        ref_Z, ref_rho, ref_w = _per_ray_polar_rule(N, n_ang, lo, hi, n_rad, radii)
+        assert mirrored == (len(ang_w) % 2 == 0)
+        Q = len(Z)
+        assert len(ref_Z) == (2 if mirrored else 1) * Q
+        every_rho = np.tile(rho, Q // len(rho))
+        for got, want in zip((Z, every_rho, w), (ref_Z, ref_rho, ref_w)):
+            assert got.dtype == want.dtype and np.array_equal(got, want[:Q])
+        if mirrored:
+            assert np.array_equal(ref_rho[Q:], ref_rho[:Q])
+            assert np.array_equal(ref_w[Q:], w)
+            eps = np.finfo(float).eps
+            assert np.all(np.abs(-Z - ref_Z[Q:]) <= 4 * eps * ref_rho[Q:, None])
         assert Z.flags.f_contiguous
         # Simpson in ln(rho) integrates d(rho)/rho exactly
-        assert np.sum(w) == pytest.approx(np.sum(ang_w) * math.log(hi / lo), rel=1e-13)
+        total = np.sum(ref_w) if mirrored else np.sum(w)
+        assert total == pytest.approx(np.sum(ang_w) * math.log(hi / lo), rel=1e-13)
+        assert (2 if mirrored else 1) * np.sum(w) == pytest.approx(total, rel=1e-13)
 
 
 @pytest.mark.parametrize("N", [1, 2])
@@ -913,8 +930,15 @@ _ASSEMBLY_CASES = {
 }
 
 
+def _per_ray_full_rule(*args):
+    # every ray built ray by ray, none mirrored: polar_rule's 4-tuple with
+    # the radius of every node, at which assembly evaluates the profile
+    return *_per_ray_polar_rule(*args), False
+
+
 @pytest.mark.parametrize("case", list(_ASSEMBLY_CASES))
 def test_assembly_matches_per_ray_offsets(case, monkeypatch):
+    # the half rule, mirrored, against the whole rule built ray by ray
     operator, domain, h, make_kernel = _ASSEMBLY_CASES[case]
     grid = build_grid(domain, h)
     problem = ProblemSpec(
@@ -924,7 +948,7 @@ def test_assembly_matches_per_ray_offsets(case, monkeypatch):
         kernel=make_kernel() if make_kernel else None,
     )
     A = assemble(problem, grid, FAST).matrix
-    monkeypatch.setattr(_quadrules, "polar_rule", _per_ray_polar_rule)
+    monkeypatch.setattr(_quadrules, "polar_rule", _per_ray_full_rule)
     ref = assemble(problem, grid, FAST).matrix
     assert np.max(np.abs(A - ref)) <= 1e-12 * np.max(np.abs(ref))
 

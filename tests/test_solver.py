@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from logop import geometry, solver
-from logop._quadrules import polar_rule
+from logop import _quadrules, geometry, solver
 from logop.geometry import (
     Domain,
     GridFunction,
@@ -73,6 +72,16 @@ def _wobble_kernel():
     )
 
 
+def _skew_kernel():
+    # translation-invariant but not even: K(z) differs from K(-z)
+    return KernelSpec(
+        evaluate=lambda x, Y: 1.0 + 0.4 * np.tanh(5.0 * np.atleast_2d(Y)[:, 0]),
+        lam=0.6,
+        Lam=1.4,
+        name="skew",
+    )
+
+
 def test_problem_spec_validation():
     dom = Domain.interval(-1.0, 1.0)
     with pytest.raises(ValueError):
@@ -89,6 +98,8 @@ _COLLOCATION_CASES = {
     "unit": ("generic", Domain.interval(-0.5, 0.5), 0.05, unit_kernel()),
     "sinlog": ("generic", Domain.interval(-0.5, 0.5), 0.05, sinlog_kernel()),
     "wobble": ("generic", Domain.interval(-0.5, 0.5), 0.05, _wobble_kernel()),
+    "skew-1d": ("generic", Domain.interval(-0.5, 0.5), 0.05, _skew_kernel()),
+    "skew-2d": ("generic", Domain.ball([0.1, 0.0], 0.2), 0.05, _skew_kernel()),
     "loglap-1d": ("loglap", Domain.interval(-0.3, 0.3), 0.03, None),
     "loglap-2d": ("loglap", Domain.ball([0.1, 0.0], 0.2), 0.05, None),
     "schrodinger-1d": ("schrodinger", Domain.interval(-0.3, 0.3), 0.03, None),
@@ -170,23 +181,38 @@ def test_assembly_rejects_nonfinite_xdependent_kernel():
 def test_stencil_check_reads_only_the_differences_nodes_read():
     # a non-finite weight on an offset beyond every lattice difference lands
     # in the padding of the difference table, which no row reads; one that
-    # reaches a node fails assembly
+    # reaches a node fails assembly, on either side of the mirror
     grid = build_grid(Domain.interval(-0.5, 0.5), 0.1)
     offs = np.array([[0.05], [5.0]])
+    finite, far_nan = np.ones(2), np.array([1.0, np.nan])
+    near_nan = far_nan[::-1]
 
-    def diag(w):
+    def diag(W):
         return 1.0
 
-    A = solver._lattice_matrix(grid, offs, np.array([1.0, np.nan]), diag)
-    assert np.all(np.isfinite(A))
-    with pytest.raises(ArithmeticError, match="node 0"):
-        solver._lattice_matrix(grid, offs, np.array([np.nan, 1.0]), diag)
+    for columns in ((far_nan,), (finite, far_nan)):
+        A = solver._lattice_matrix(grid, offs, np.column_stack(columns), diag)
+        assert np.all(np.isfinite(A))
+    for columns in ((near_nan,), (finite, near_nan), (near_nan, finite)):
+        with pytest.raises(ArithmeticError, match="node 0"):
+            solver._lattice_matrix(grid, offs, np.column_stack(columns), diag)
+
+
+def _full_polar_rule(N, n_angular, lo, hi, n_per_decade, radii=()):
+    # polar_rule with every ray of unit_directions built and none mirrored
+    thetas, ang_w = _quadrules.unit_directions(N, n_angular)
+    rho, w = _quadrules.radial_rule(lo, hi, n_per_decade, radii)
+    Z = (thetas.T[:, :, None] * rho).reshape(N, -1).T
+    return Z, rho, (ang_w[:, None] * w).ravel(), False
 
 
 def _difference_per_node(K, grid, cfg, hi):
-    # the per-node scatter loop that the lattice projection replaced
+    # the per-node scatter loop that the lattice projection replaced, on the
+    # full rule
     n_ang, n_rad = cfg.node_counts()
-    offs, _, w = polar_rule(grid.domain.N, n_ang, cfg.r_min, hi, n_rad, K.radial_breakpoints)
+    offs, _, w, _ = _full_polar_rule(
+        grid.domain.N, n_ang, cfg.r_min, hi, n_rad, K.radial_breakpoints
+    )
     A = np.zeros((grid.n, grid.n))
     for i, x in enumerate(grid.nodes):
         wk = w * K.evaluate(x, offs)
@@ -201,7 +227,7 @@ def _farfield_per_node(grid, cfg):
     # the per-node scatter loop that the far-field projection replaced
     r_out = max(grid.domain.max_reach(x) for x in grid.nodes)
     n_ang, n_rad = cfg.node_counts()
-    offs, _, w = polar_rule(grid.domain.N, n_ang, 1.0, r_out, n_rad)
+    offs, _, w, _ = _full_polar_rule(grid.domain.N, n_ang, 1.0, r_out, n_rad)
     A = np.zeros((grid.n, grid.n))
     for i, x in enumerate(grid.nodes):
         idx, sw = scatter_weights(grid, x + offs)
@@ -217,6 +243,7 @@ def _table_kernel_file(tmp_path):
     return table_kernel(str(path))
 
 
+_NINE_RAYS = QuadratureConfig(n_angular=9)
 _STENCIL_CASES = {
     "1d-unit": ("generic", Domain.interval(-0.5, 0.5), 0.05, lambda tmp: unit_kernel()),
     "1d-sinlog": (
@@ -240,29 +267,35 @@ _STENCIL_CASES = {
     "2d-offcentre-wobble": (
         "generic", Domain.ball([0.3, -0.2], 0.1), 0.02, lambda tmp: _wobble_kernel()
     ),
+    # an odd number of rays: no ray has a mirror, so the whole rule is built
+    "2d-offcentre-sinlog-9-rays": (
+        "generic", Domain.ball([0.3, -0.2], 0.1), 0.02, lambda tmp: sinlog_kernel(),
+        _NINE_RAYS,
+    ),
 }
 
 
-def _per_node_reference(problem, grid):
+def _per_node_reference(problem, grid, cfg=CFG):
     # the matrix built node by node through scatter_weights, with the
     # log-Laplacian split into its difference part and its far field
     if problem.operator == "generic":
-        return _difference_per_node(problem.kernel, grid, CFG, 1.0)
+        return _difference_per_node(problem.kernel, grid, cfg, 1.0)
     N = grid.domain.N
     if problem.operator == "schrodinger":
         r_out = max(40.0, max(grid.domain.max_reach(x) for x in grid.nodes))
-        return _difference_per_node(schrodinger_kernel(N), grid, CFG, r_out)
+        return _difference_per_node(schrodinger_kernel(N), grid, cfg, r_out)
     consts = loglap_constants(N)
-    far = _farfield_per_node(grid, CFG)
+    far = _farfield_per_node(grid, cfg)
     assert np.max(np.abs(far)) > 0
-    ref = consts.c_N * (_difference_per_node(unit_kernel(), grid, CFG, 1.0) - far)
+    ref = consts.c_N * (_difference_per_node(unit_kernel(), grid, cfg, 1.0) - far)
     ref[np.diag_indices(grid.n)] += consts.rho_N
     return ref
 
 
 @pytest.mark.parametrize("case", list(_STENCIL_CASES))
 def test_stencil_assembly_matches_per_row_path(case, tmp_path):
-    operator, domain, h, make_kernel = _STENCIL_CASES[case]
+    operator, domain, h, make_kernel, *cfg = _STENCIL_CASES[case]
+    cfg = cfg[0] if cfg else CFG
     grid = build_grid(domain, h)
     problem = ProblemSpec(
         operator=operator,
@@ -270,14 +303,63 @@ def test_stencil_assembly_matches_per_row_path(case, tmp_path):
         rhs=const_field(1.0),
         kernel=make_kernel(tmp_path) if make_kernel else None,
     )
-    A = assemble(problem, grid, CFG).matrix
-    ref = _per_node_reference(problem, grid)
+    A = assemble(problem, grid, cfg).matrix
+    ref = _per_node_reference(problem, grid, cfg)
 
     assert np.max(np.abs(A - ref)) <= 1e-12 * np.max(np.abs(ref))
     off = A - np.diag(np.diag(A))
     assert np.all(off <= 0)
     assert np.all(np.diag(A) > 0)
     assert np.all(A.sum(axis=1) >= -1e-12 * np.max(np.abs(A)))
+
+
+# operator, domain, h, kernel, config, and whether the matrix is symmetric
+_FULL_RULE_CASES = {
+    "2d-unit-ball": (
+        "generic", Domain.ball([0.013, -0.007], 0.25), 0.02, unit_kernel(), CFG, True
+    ),
+    "2d-sinlog-ball": (
+        "generic", Domain.ball([0.0, 0.0], 0.25), 0.03, sinlog_kernel(), CFG, True
+    ),
+    "2d-loglap-box-farfield": (
+        "loglap", Domain.box([-0.6, -0.4], [0.4, 0.5]), 0.1, None, CFG, True
+    ),
+    "2d-schrodinger-ball": (
+        "schrodinger", Domain.ball([0.0, 0.0], 0.1), 0.025, None, CFG, True
+    ),
+    "1d-loglap-farfield": ("loglap", Domain.interval(-0.8, 0.8), 0.01, None, CFG, True),
+    "2d-wobble-ball": (
+        "generic", Domain.ball([0.3, -0.2], 0.1), 0.02, _wobble_kernel(), CFG, False
+    ),
+    "2d-skew-ball": (
+        "generic", Domain.ball([0.3, -0.2], 0.1), 0.02, _skew_kernel(), CFG, False
+    ),
+    "2d-sinlog-9-rays": (
+        "generic", Domain.ball([0.3, -0.2], 0.1), 0.02, sinlog_kernel(), _NINE_RAYS,
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_FULL_RULE_CASES))
+def test_half_rule_assembly_is_the_full_rule_assembly(case, monkeypatch):
+    # assembly projects one offset of each mirror pair and mirrors the
+    # table; the same assembly on every ray (the full rule, one product per
+    # stencil) agrees to rounding.  An even weight on a paired rule gives a
+    # matrix symmetric bit for bit, which says so; a weight that is not
+    # even (x-dependent or not) or an odd number of rays gives neither
+    operator, domain, h, kernel, cfg, symmetric = _FULL_RULE_CASES[case]
+    problem = ProblemSpec(operator, domain, const_field(1.0), kernel=kernel)
+    grid = build_grid(domain, h)
+    sm = assemble(problem, grid, cfg)
+    A = sm.matrix
+    monkeypatch.setattr(_quadrules, "polar_rule", _full_polar_rule)
+    full = assemble(problem, grid, cfg)
+    ref = full.matrix
+    assert np.max(np.abs(A - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert sm.symmetric == symmetric == np.array_equal(A, A.T)
+    if domain.N == 2:
+        assert not full.symmetric
 
 
 def test_loglap_assembly_projects_once(monkeypatch):
@@ -703,11 +785,9 @@ def test_toeplitz_path_matches_lu(case, tmp_path, levinson_at_any_n):
 
 @pytest.mark.parametrize("case", list(_ORACLE_CASES))
 def test_toeplitz_column_is_the_gathered_matrix(case, tmp_path, monkeypatch):
-    # assemble keeps the first column c of the matrix the per-row path of
-    # _lattice_matrix gathers.  toeplitz(c) is that matrix bit for bit on and
-    # below the diagonal; above it the gathered matrix may miss symmetry by
-    # an ulp, where a mirrored offset's interpolation weights f and 1 - f
-    # round apart (sinlog here).  The products match componentwise.
+    # assemble keeps the first column c of the matrix the row gather of
+    # _lattice_matrix fills: toeplitz(c) is that matrix bit for bit, on both
+    # sides of the diagonal.  The products match componentwise.
     operator, domain, h, make_kernel, shift = _ORACLE_CASES[case]
     problem = ProblemSpec(
         operator=operator,
@@ -730,8 +810,7 @@ def test_toeplitz_column_is_the_gathered_matrix(case, tmp_path, monkeypatch):
     (A,) = gathered
     T = sm.matrix
     assert np.array_equal(T, sla.toeplitz(sm.column))
-    assert np.array_equal(np.tril(T), np.tril(A))
-    assert np.max(np.abs(T - A)) <= np.finfo(float).eps * np.max(np.abs(A))
+    assert np.array_equal(T, A)
     for v in (np.random.default_rng(0).standard_normal(grid.n), np.ones(grid.n)):
         err = np.abs(sm.matvec(v) - T @ v)
         assert np.all(err <= 1e-15 * (np.abs(T) @ np.abs(v)))
