@@ -27,8 +27,8 @@ def pytest_terminal_summary(terminalreporter):
 
 
 @pytest.fixture
-def levinson_at_any_n(monkeypatch):
-    """Levinson's recursion for 1-D Toeplitz matrices of every size, so that
+def toeplitz_at_any_n(monkeypatch):
+    """The Toeplitz factor for 1-D Toeplitz matrices of every size, so that
     tests on small grids exercise it (solver.TOEPLITZ_MIN_N gives those to
     LU)."""
     from logop import solver

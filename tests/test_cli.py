@@ -207,7 +207,7 @@ def test_one_parser_serves_every_call(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_solve_writes_solution_and_report(capsys, tmp_path, levinson_at_any_n):
+def test_solve_writes_solution_and_report(capsys, tmp_path, toeplitz_at_any_n):
     out_csv = tmp_path / "u.csv"
     report_json = tmp_path / "report.json"
     code, _, _ = _run(
@@ -226,6 +226,7 @@ def test_solve_writes_solution_and_report(capsys, tmp_path, levinson_at_any_n):
     assert report["h"] == 0.05
     assert report["residual_inf"] < 1e-9
     assert report["factorization"] == "toeplitz"
+    assert 0 < report["iterations"] <= solver.TOEPLITZ_MAX_ITERATIONS
     # a Z-matrix with positive row sums: sigma_min and the condition number
     # come from the M-matrix certificate, which also certifies the audit
     assert report["sigma_path"] == "m_matrix"
@@ -257,7 +258,7 @@ def test_solve_deterministic_output(capsys, tmp_path):
     assert files[0] == files[1]
 
 
-def test_solve_near_singular_exits_nonzero(capsys, tmp_path, levinson_at_any_n):
+def test_solve_near_singular_exits_nonzero(capsys, tmp_path, toeplitz_at_any_n):
     # find the bottom eigenvalue first, then shift the identity onto it
     domain = Domain.interval(-0.25, 0.25)
     problem = ProblemSpec(
@@ -286,7 +287,7 @@ def test_solve_near_singular_exits_nonzero(capsys, tmp_path, levinson_at_any_n):
     report = json.loads(report_json.read_text())
     assert report["alternative"] == "near_singular"
     # sigma_min is near the singular threshold, so LU refactored the matrix
-    assert report["factorization"] == "lu"
+    assert (report["factorization"], report["iterations"]) == ("lu", 0)
     assert report["sigma_path"] == "iteration"
     # the CSV now holds a unit-norm approximate null vector
     rows = out_csv.read_text().strip().splitlines()[1:]
@@ -765,7 +766,7 @@ def test_interval_solve_never_loads_scipy_fft(tmp_path):
     script = f"""
 import json, sys
 from logop import cli, solver
-solver.TOEPLITZ_MIN_N = 0  # n = 19: Levinson only when asked for
+solver.TOEPLITZ_MIN_N = 0  # n = 19: the Toeplitz factor only when asked for
 code = cli.main(["solve", "--config", {str(CONFIGS / "solve_interval.json")!r},
                  "--out", {str(tmp_path / "u.csv")!r}, "--report", {str(report)!r}])
 with open({str(report)!r}) as f:
@@ -775,6 +776,38 @@ print(json.dumps([code, factorization, "scipy.fft" in sys.modules]))
     proc = _python(script)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [0, "toeplitz", False]
+
+
+def test_interval_solve_and_sweep_never_load_lapack(tmp_path):
+    # a 1-D Toeplitz matrix of TOEPLITZ_MIN_N rows or more is factored,
+    # certified and swept with numpy.fft alone: scipy.linalg's solvers
+    # (LAPACK, ~8 MB resident) are never imported
+    config, report = tmp_path / "solve.json", tmp_path / "r.json"
+    config.write_text(json.dumps({
+        "domain": {"type": "interval", "a": -0.5, "b": 0.5},
+        "operator": {"name": "loglap"},
+        "rhs": {"name": "const", "value": 1.0},
+        "h": 0.002,
+    }))
+    script = f"""
+import json, sys
+from logop import cli, solver
+from logop.geometry import Domain, build_grid
+from logop.kernels import unit_kernel
+from logop.nonlocal_eval import QuadratureConfig, const_field
+code = cli.main(["solve", "--config", {str(config)!r},
+                 "--out", {str(tmp_path / "u.csv")!r}, "--report", {str(report)!r}])
+with open({str(report)!r}) as f:
+    r = json.load(f)
+domain = Domain.interval(-0.5, 0.5)
+problem = solver.ProblemSpec("generic", domain, const_field(1.0), kernel=unit_kernel())
+solver.fredholm_sweep(problem, build_grid(domain, 0.002), QuadratureConfig(), 1.0, 2.5)
+print(json.dumps([code, r["factorization"], r["timings"]["n"] >= solver.TOEPLITZ_MIN_N,
+                  r["iterations"] > 0, "scipy.linalg._basic" in sys.modules]))
+"""
+    proc = _python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, "toeplitz", True, True, False]
 
 
 def test_import_without_scipy_fails_at_import():

@@ -463,7 +463,8 @@ def test_dense_size_guard_runs_when_a_toeplitz_matrix_is_formed(monkeypatch, fal
     tracemalloc.start()
     try:
         with pytest.raises(
-            ValueError, match=rf"LU fallback from Levinson: .*n={grid.n}.*coarser grid"
+            ValueError,
+            match=rf"LU fallback from the Toeplitz factor: .*n={grid.n}.*coarser grid",
         ):
             solve_dirichlet(problem, grid, CFG, stiffness=sm)
         _, peak = tracemalloc.get_traced_memory()
@@ -518,7 +519,7 @@ def test_sigma_min_estimate_stops_once_converged(domain, h, kernel, step_bound):
     )
     sm = assemble(problem, grid, CFG)
     A = sm.matrix
-    # counted on the factorization the matrix takes: Levinson in 1-D, LU in 2-D
+    # counted on the factorization the matrix takes: Toeplitz in 1-D, LU in 2-D
     factor = sm._factors.factor
     assert factor.name == ("toeplitz" if domain.N == 1 else "lu")
     counter = _CountingFactor(factor)
@@ -638,21 +639,21 @@ def test_solve_report_times_each_phase():
 
 
 def _count_factorizations(monkeypatch):
-    """Calls of lu_factor and of solve_toeplitz (one per Levinson
+    """Calls of lu_factor and of the Toeplitz generator (one per Toeplitz
     factorization), by name."""
-    calls = {"lu_factor": 0, "solve_toeplitz": 0}
+    calls = {"lu_factor": 0, "generator": 0}
 
-    def counting(name):
-        original = getattr(sla, name)
+    def count(module, name, key):
+        original = getattr(module, name)
 
         def counted(*args, **kwargs):
-            calls[name] += 1
+            calls[key] += 1
             return original(*args, **kwargs)
 
-        return counted
+        monkeypatch.setattr(module, name, counted)
 
-    for name in calls:
-        monkeypatch.setattr(solver.sla, name, counting(name))
+    count(solver.sla, "lu_factor", "lu_factor")
+    count(solver, "_toeplitz_generator", "generator")
     return calls
 
 
@@ -667,7 +668,7 @@ def _same_report(report, ref):
 
 
 @pytest.mark.parametrize("shift", [0.0, 2.5], ids=["unshifted", "shifted"])
-def test_shared_matrix_is_factored_once(monkeypatch, levinson_at_any_n, shift):
+def test_shared_matrix_is_factored_once(monkeypatch, toeplitz_at_any_n, shift):
     base = _interval_problem()
     grid = build_grid(base.domain, 0.02)
     rhs = [const_field(1.0), quadratic_field(), field_sum([(2.0, const_field(1.0)),
@@ -679,17 +680,17 @@ def test_shared_matrix_is_factored_once(monkeypatch, levinson_at_any_n, shift):
     sm = assemble(problems[0], grid, CFG)
     calls = _count_factorizations(monkeypatch)
     shared = [solve_dirichlet(p, grid, CFG, stiffness=sm) for p in problems]
-    assert calls == {"lu_factor": 0, "solve_toeplitz": 1}
+    assert calls == {"lu_factor": 0, "generator": 1}
     for p, (u, report) in zip(problems, shared):
         u_ref, ref = solve_dirichlet(p, grid, CFG, stiffness=assemble(p, grid, CFG))
         assert report.alternative == "unique_solution"
         assert report.factorization == "toeplitz"
         assert np.array_equal(u.values, u_ref.values)
         _same_report(report, ref)
-    assert calls == {"lu_factor": 0, "solve_toeplitz": 1 + len(problems)}
+    assert calls == {"lu_factor": 0, "generator": 1 + len(problems)}
 
 
-def test_shared_near_singular_matrix_keeps_its_verdict(monkeypatch, levinson_at_any_n):
+def test_shared_near_singular_matrix_keeps_its_verdict(monkeypatch, toeplitz_at_any_n):
     problem = _interval_problem(half=0.25)
     grid = build_grid(problem.domain, 0.025)
     lam1 = float(np.min(np.linalg.eigvals(assemble(problem, grid, CFG).matrix).real))
@@ -703,18 +704,18 @@ def test_shared_near_singular_matrix_keeps_its_verdict(monkeypatch, levinson_at_
     v1.values[:] = 0.0
     v2, second = solve_dirichlet(shifted, grid, CFG, stiffness=sm)
     # sigma_min is near the singular threshold, so LU refactors the matrix
-    # after the one Levinson attempt
-    assert calls == {"lu_factor": 1, "solve_toeplitz": 1}
+    # after the one Toeplitz attempt
+    assert calls == {"lu_factor": 1, "generator": 1}
     assert first.alternative == second.alternative == "near_singular"
     assert first.factorization == "lu"
     assert np.array_equal(v2.values, kept)
     _same_report(second, first)
 
 
-def test_levinson_is_kept_above_the_sigma_floor(levinson_at_any_n):
+def test_levinson_is_kept_above_the_sigma_floor(toeplitz_at_any_n):
     # sigma_min = 1e-8 times the 1-norm, 10^2 above TOEPLITZ_SIGMA_FLOOR:
-    # Levinson stays, and its estimate agrees with LU's to far better than
-    # the margin to the near-singular threshold
+    # the Toeplitz factor stays, and its estimate agrees with LU's to far
+    # better than the margin to the near-singular threshold
     problem = _interval_problem(half=0.25)
     grid = build_grid(problem.domain, 0.025)
     A = assemble(problem, grid, CFG).matrix
@@ -745,9 +746,9 @@ _ORACLE_CASES = {
 
 
 @pytest.mark.parametrize("case", list(_ORACLE_CASES))
-def test_toeplitz_path_matches_lu(case, tmp_path, levinson_at_any_n):
-    # the same matrix solved through Levinson (as assembled) and through LU
-    # (as a raw array)
+def test_toeplitz_path_matches_lu(case, tmp_path, toeplitz_at_any_n):
+    # the same matrix solved through the Toeplitz factor (as assembled) and
+    # through LU (as a raw array)
     operator, domain, h, make_kernel, shift = _ORACLE_CASES[case]
     problem = ProblemSpec(
         operator=operator,
@@ -783,6 +784,49 @@ def test_toeplitz_path_matches_lu(case, tmp_path, levinson_at_any_n):
         assert report.sigma_min == pytest.approx(sigma, rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "operator, half, h, kernel, shift, negative",
+    [
+        ("generic", 0.5, 0.005, unit_kernel, 0.0, 0),
+        ("generic", 0.5, 0.005, sinlog_kernel, 0.0, 0),
+        ("schrodinger", 0.5, 0.005, None, 0.0, 0),
+        ("loglap", 0.5, 0.005, None, 0.0, 0),
+        # shifted past lambda_1 (1.85 for the unit kernel): T - shift*I, the
+        # factor's own shift
+        ("generic", 0.5, 0.005, unit_kernel, 2.5, 1),
+        ("generic", 0.5, 0.005, sinlog_kernel, 4.0, 4),
+        # the wide log-Laplacian, indefinite without a shift
+        ("loglap", 0.8, 0.005, None, 0.0, 1),
+        ("loglap", 3.0, 0.02, None, 0.0, 2),
+    ],
+)
+def test_toeplitz_generator_matches_dense_solve(monkeypatch, operator, half, h, kernel,
+                                                shift, negative):
+    # x = (T - shift*I)^-1 e_1 from preconditioned MINRES agrees with a dense
+    # solve on definite and indefinite matrices, in a few iterations
+    domain = Domain.interval(-half, half)
+    problem = ProblemSpec(operator, domain, const_field(1.0),
+                          kernel=kernel() if kernel else None)
+    sm = assemble(problem, build_grid(domain, h), CFG)
+    T = sla.toeplitz(sm.column) - shift * np.eye(sm.n)
+    assert np.count_nonzero(np.linalg.eigvalsh(T) < 0) == negative
+    generated = []
+    generator = solver._toeplitz_generator
+
+    def recorded(*args):
+        generated.append(generator(*args))
+        return generated[-1]
+
+    monkeypatch.setattr(solver, "_toeplitz_generator", recorded)
+    factor = solver._Toeplitz(sm.column, shift)
+    ((x, iterations, residual),) = generated
+    x_ref = np.linalg.solve(T, np.eye(1, sm.n)[0])
+    assert np.max(np.abs(x - x_ref)) <= 1e-13 * np.max(np.abs(x_ref))
+    assert (factor.iterations, factor.residual) == (iterations, residual)
+    assert iterations <= 20
+    assert residual <= np.finfo(float).eps
+
+
 @pytest.mark.parametrize("case", list(_ORACLE_CASES))
 def test_toeplitz_column_is_the_gathered_matrix(case, tmp_path, monkeypatch):
     # assemble keeps the first column c of the matrix the row gather of
@@ -816,7 +860,7 @@ def test_toeplitz_column_is_the_gathered_matrix(case, tmp_path, monkeypatch):
         assert np.all(err <= 1e-15 * (np.abs(T) @ np.abs(v)))
 
 
-def test_only_1d_translation_invariant_matrices_take_levinson(levinson_at_any_n):
+def test_only_1d_translation_invariant_matrices_take_levinson(toeplitz_at_any_n):
     interval = Domain.interval(-0.5, 0.5)
     ball = Domain.ball([0.0, 0.0], 0.25)
     cases = [
@@ -852,28 +896,41 @@ def test_sigma_min_estimate_survives_an_overflowing_solve():
     assert sigma == 0.0
 
 
-def test_levinson_failures_fall_back_to_lu(monkeypatch, levinson_at_any_n):
+def test_levinson_failures_fall_back_to_lu(monkeypatch, toeplitz_at_any_n):
     problem = _interval_problem(half=0.1)
     grid = build_grid(problem.domain, 0.04)
     assert grid.n == 5
-    # symmetric Toeplitz with eigenvalues 4, -1, -1, -1, -1, but its first
-    # leading minor is 0
+    # symmetric Toeplitz with eigenvalues 4, -1, -1, -1, -1 and a zero first
+    # leading minor, which stopped Levinson's recursion: MINRES does not
+    # need nonsingular leading minors, so it stays on the Toeplitz path
     A = np.ones((5, 5)) - np.eye(5)
     sm = solver._ToeplitzStiffness(A[:, 0], grid)
     u, report = solve_dirichlet(problem, grid, CFG, stiffness=sm)
-    assert report.factorization == "lu"
-    assert report.alternative == "unique_solution"
+    oracle = solver.StiffnessMatrix(A, grid)
+    u_lu, ref = solve_dirichlet(problem, grid, CFG, stiffness=oracle)
+    assert (report.factorization, ref.factorization) == ("toeplitz", "lu")
+    assert report.alternative == ref.alternative == "unique_solution"
+    assert np.max(np.abs(u.values - u_lu.values)) <= 1e-12 * np.max(np.abs(u_lu.values))
     assert np.allclose(u.values, 0.25, rtol=0, atol=1e-15)
-    # a Levinson factor that fails the backward-error check is not kept
+    # singular matrices the generator refuses: all ones, where MINRES stalls
+    # at the iteration cap, and zero row sums, whose circulant preconditioner
+    # is singular.  LU finds the zero pivot.
+    for A in (np.ones((5, 5)), 5.0 * np.eye(5) - np.ones((5, 5))):
+        with pytest.raises(np.linalg.LinAlgError):
+            solver._Toeplitz(A[:, 0])
+        sm = solver._ToeplitzStiffness(A[:, 0], grid)
+        _, report = solve_dirichlet(problem, grid, CFG, stiffness=sm)
+        assert (report.factorization, report.alternative) == ("lu", "near_singular")
+    # a Toeplitz factor that fails the backward-error check is not kept
     sm = assemble(problem, grid, CFG)
     monkeypatch.setattr(solver, "TOEPLITZ_BACKWARD_TOL", 0.0)
     _, report = solve_dirichlet(problem, grid, CFG, stiffness=sm)
     assert report.factorization == "lu"
 
 
-def test_fredholm_sweep_falls_back_from_levinson(monkeypatch, levinson_at_any_n):
-    # equal row sums equal lambda_1 = 0: Levinson meets the singular A - 0*I,
-    # LU confirms it, and the lowered shift is factored by Levinson
+def test_fredholm_sweep_falls_back_from_levinson(monkeypatch, toeplitz_at_any_n):
+    # equal row sums equal lambda_1 = 0: the generator refuses the singular
+    # A - 0*I, LU confirms it, and the lowered shift takes the Toeplitz factor
     problem = _interval_problem(half=0.1)
     grid = build_grid(problem.domain, 0.04)
     A = 5.0 * np.eye(5) - np.ones((5, 5))
@@ -886,7 +943,7 @@ def test_fredholm_sweep_falls_back_from_levinson(monkeypatch, levinson_at_any_n)
     # the FFT solves round where LU on these integers is exact, so the
     # enclosure from y = (A - sigma*I)^-1 x alone missed lambda_1 = 0 by an ulp
     assert out["bounds"][0] <= 0.0 <= out["bounds"][1]
-    assert calls == {"lu_factor": 1, "solve_toeplitz": 2}
+    assert calls == {"lu_factor": 1, "generator": 2}
 
 
 def test_inverse_norm_estimate_is_dgecon():
@@ -1075,7 +1132,7 @@ def test_fredholm_probe_unshifted_is_unique():
     assert report.sigma_min > 0
 
 
-def test_fredholm_sweep_locates_first_eigenvalue(monkeypatch, levinson_at_any_n):
+def test_fredholm_sweep_locates_first_eigenvalue(monkeypatch, toeplitz_at_any_n):
     problem = _interval_problem(half=0.25)
     grid = build_grid(problem.domain, 0.025)
     A = assemble(problem, grid, CFG).matrix
@@ -1083,8 +1140,8 @@ def test_fredholm_sweep_locates_first_eigenvalue(monkeypatch, levinson_at_any_n)
     lam1, lam2 = float(real_eigs[0]), float(real_eigs[1])
     calls = _count_factorizations(monkeypatch)
     out = fredholm_sweep(problem, grid, CFG, 0.5 * lam1, 0.5 * (lam1 + lam2))
-    # A - sigma*I is symmetric Toeplitz: Levinson factors it, with no LU copy
-    assert calls == {"lu_factor": 0, "solve_toeplitz": 1}
+    # A - sigma*I is symmetric Toeplitz: its Toeplitz factor makes no LU copy
+    assert calls == {"lu_factor": 0, "generator": 1}
     assert out["mu_star"] == pytest.approx(lam1, rel=1e-8)
     assert out["evaluations"] >= 3
     with pytest.raises(ValueError):
