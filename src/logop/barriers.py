@@ -148,15 +148,18 @@ def gain_shell(rho, fraction, N):
     if not 0 < fraction <= 1:
         raise ValueError("fraction must lie in (0, 1]")
     total = log_modulus_measure(a, rho, N)
-    target = fraction * total
-    lo, hi = a, rho
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if log_modulus_measure(a, mid, N) < target:
-            lo = mid
-        else:
-            hi = mid
-    b = 0.5 * (lo + hi) if fraction < 1 else rho
+    if fraction == 1:
+        return shell_field(a, rho), total, total
+    # mu([a, b]) = omega * m in closed form (log_modulus_measure), inverted:
+    # below RHO0, ell(b) = ell(a) e^m, i.e. b = a^(e^-m); above it m grows
+    # by ell(RHO0) ln(b / RHO0)
+    m = fraction * total / _OMEGA[N]
+    below = math.log(ell(min(rho, RHO0)) / ell(a)) if a < RHO0 else 0.0
+    if m <= below:
+        b = a ** math.exp(-m)
+    else:
+        b = max(a, RHO0) * math.exp((m - below) / ell(RHO0))
+    b = min(b, rho)  # a fraction just below 1 may round past the annulus
     return shell_field(a, b), log_modulus_measure(a, b, N), total
 
 

@@ -288,42 +288,38 @@ def scatter_weights(grid, Y):
 
 
 def difference_projection(grid, offsets):
-    """Sparse projection of quadrature offsets onto the lattice differences
-    of a grid.
+    """Projection of quadrature offsets onto the lattice differences of a
+    grid, as (rows, vals): two (Q, 2^N) arrays.
 
     Every node sees the same offsets fall into the same lattice cells with
     the same multilinear weights (nodes are domain.center + h*Z^N); only the
-    values weighting the offsets change from node to node.  So for one
-    weight per offset, `P @ w` is the flattened difference table, padded by
-    one cell on each side of every axis (shape 2*dims + 1), whose entry
-    d + dims is what scatter_weights would deposit from `node_i + offsets`
-    onto node j whenever lattice[j] - lattice[i] = d.  Column k of P holds the
-    weights of offset k at its 2^N cell corners, in the order of
-    itertools.product((0, 1), repeat=N), so every column has exactly 2^N
-    entries.  A corner beyond +-(dims - 1) on some axis cannot fall on a
-    node of this grid: its index on that axis is clipped into the padding,
-    which no node reads.  The table of the mirror images -offsets is this
-    one reversed on every axis (the flat table reversed), up to the rounding
-    of the cell fractions f and 1 - f: assembly projects one offset of each
-    mirror pair and reverses the table for the other.
+    values weighting the offsets change from node to node.  rows[k] holds
+    the flat indices, in the difference table padded by one cell on each
+    side of every axis (shape 2*dims + 1), of the 2^N corners of the cell of
+    offset k, in the order of itertools.product((0, 1), repeat=N), and
+    vals[k] their multilinear weights.  So for one weight per offset,
+    np.bincount(rows.ravel(), (vals * w[:, None]).ravel(), prod(2*dims + 1))
+    is the flattened difference table, whose entry d + dims is what
+    scatter_weights would deposit from `node_i + offsets` onto node j
+    whenever lattice[j] - lattice[i] = d.  A corner beyond +-(dims - 1) on
+    some axis cannot fall on a node of this grid: its index on that axis is
+    clipped into the padding, which no node reads.  The table of the mirror
+    images -offsets is this one reversed on every axis (the flat table
+    reversed), up to the rounding of the cell fractions f and 1 - f:
+    assembly projects one offset of each mirror pair and reverses the table
+    for the other.
 
-    P is filled _BLOCK_OFFSETS offsets at a time into arrays allocated once
+    Both arrays are filled _BLOCK_OFFSETS offsets at a time, allocated once
     at their final size, with one 1-D array per axis, so no temporary
     outgrows the heap (see _BLOCK_OFFSETS).
     """
-    # imported here: only assembly projects, and the pointwise evaluators
-    # should not pay for loading scipy.sparse
-    from scipy import sparse
-
     offsets = np.asarray(offsets, dtype=float)
     Q, N = offsets.shape
     span = [2 * d + 1 for d in grid.dims]
     stride = [math.prod(span[ax + 1:]) for ax in range(N)]
     corners = list(itertools.product((0, 1), repeat=N))
-    # int32 indices unless they overflow, so scipy keeps them as they are
-    big = max(math.prod(span), len(corners) * Q) >= 2 ** 31
-    index = np.int64 if big else np.int32
-    rows = np.empty((Q, len(corners)), dtype=index)
+    # np.intp, what np.bincount reads without a converted copy
+    rows = np.empty((Q, len(corners)), dtype=np.intp)
     vals = np.empty((Q, len(corners)))
     for start in range(0, Q, _BLOCK_OFFSETS):
         block = slice(start, start + _BLOCK_OFFSETS)
@@ -339,7 +335,7 @@ def difference_projection(grid, offsets):
             low += grid.dims[ax]
             high = np.clip(low + 1, 0, span[ax] - 1)
             np.clip(low, 0, span[ax] - 1, out=low)
-            at.append([k.astype(index) * stride[ax] for k in (low, high)])
+            at.append([k.astype(np.intp) * stride[ax] for k in (low, high)])
             weight.append([1 - frac, frac])
         for c, shift in enumerate(corners):
             r, v = rows[block, c], vals[block, c]
@@ -348,7 +344,4 @@ def difference_projection(grid, offsets):
             for ax in range(1, N):
                 r += at[ax][shift[ax]]
                 v *= weight[ax][shift[ax]]
-    indptr = np.arange(0, len(corners) * Q + 1, len(corners), dtype=index)
-    return sparse.csc_array(
-        (vals.reshape(-1), rows.reshape(-1), indptr), shape=(math.prod(span), Q)
-    )
+    return rows, vals

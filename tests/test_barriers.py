@@ -130,6 +130,39 @@ def test_gain_shell_fractions():
     assert half_field.evaluate(np.array([[2.0 * rho * rho]]))[0] == 0.0
 
 
+def _bisected_shell_radius(rho, fraction, N):
+    # the outer radius b with mu([3 rho^2, b]) = fraction * mu(annulus), by
+    # 200 bisection steps on the closed-form measure
+    a = 3.0 * rho * rho
+    target = fraction * log_modulus_measure(a, rho, N)
+    lo, hi = a, rho
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if log_modulus_measure(a, mid, N) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_gain_shell_inverts_the_measure_in_closed_form(N):
+    # the inverted measure agrees with bisection to rounding on both
+    # branches (outer radius below and above RHO0 = 0.1); against a
+    # 40-digit root it is the closer of the two (8.8 against 18.6 ulps in 1-D)
+    for rho in np.linspace(0.01, 0.33, 33):
+        total = log_modulus_measure(3.0 * rho * rho, rho, N)
+        for fraction in (0.1, 0.25, 0.5, 0.75, 0.9, 0.99):
+            field, mu_A, mu_total = gain_shell(rho, fraction, N)
+            ref = _bisected_shell_radius(rho, fraction, N)
+            assert field.support_radius == pytest.approx(ref, rel=1e-14, abs=0)
+            assert mu_total == total
+            assert mu_A == pytest.approx(fraction * total, rel=1e-13)
+        field, mu_A, mu_total = gain_shell(rho, 1.0, N)
+        assert field.support_radius == rho
+        assert mu_A == mu_total == total
+
+
 def test_gain_shell_validation():
     with pytest.raises(ValueError):
         gain_shell(0.4, 1.0, 1)  # annulus empty once 3 rho^2 >= rho

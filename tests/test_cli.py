@@ -810,6 +810,46 @@ print(json.dumps([code, r["factorization"], r["timings"]["n"] >= solver.TOEPLITZ
     assert json.loads(proc.stdout.splitlines()[-1]) == [0, "toeplitz", True, True, False]
 
 
+def test_only_x_dependent_assembly_loads_scipy_sparse(tmp_path):
+    # a stencil's table is np.bincount of the projection; only the per-node
+    # products of an x-dependent kernel use scipy.sparse (~13 MB resident)
+    ball = tmp_path / "ball.json"
+    ball.write_text(json.dumps({
+        "domain": {"type": "ball", "center": [0.0, 0.0], "radius": 0.25},
+        "operator": {"name": "generic", "kernel": "sinlog"},
+        "rhs": {"name": "const", "value": 1.0},
+        "h": 0.05,
+    }))
+    out, report = str(tmp_path / "u.csv"), str(tmp_path / "r.json")
+    script = f"""
+import json, sys
+import numpy as np
+from logop import cli, solver
+from logop.geometry import Domain, build_grid
+from logop.kernels import KernelSpec, unit_kernel
+from logop.nonlocal_eval import QuadratureConfig, const_field
+argv = [["solve", "--config", {str(CONFIGS / "solve_interval.json")!r},
+         "--out", {out!r}, "--report", {report!r}],
+        ["converge", "--config", {str(CONFIGS / "converge_interval.json")!r}, "--out", {out!r}],
+        ["solve", "--config", {str(ball)!r}, "--out", {out!r}, "--report", {report!r}],
+        ["eval", "--op", "loglap", "--field", "gaussian(0.5)", "--x", "0.1"],
+        ["verify", "--lemma", "bump", "--config", {str(CONFIGS / "verify_bump.json")!r}]]
+codes = [cli.main(a) for a in argv]
+domain = Domain.interval(-0.5, 0.5)
+problem = solver.ProblemSpec("generic", domain, const_field(1.0), kernel=unit_kernel())
+solver.fredholm_sweep(problem, build_grid(domain, 0.05), QuadratureConfig(), 1.0, 2.5)
+before = "scipy.sparse" in sys.modules
+flat = KernelSpec(evaluate=lambda x, Y: np.ones(len(Y)), lam=1.0, Lam=1.0,
+                  translation_invariant=False, name="flat")
+problem = solver.ProblemSpec("generic", domain, const_field(1.0), kernel=flat)
+solver.assemble(problem, build_grid(domain, 0.05), QuadratureConfig())
+print(json.dumps([codes, before, "scipy.sparse" in sys.modules]))
+"""
+    proc = _python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0] * 5, False, True]
+
+
 def test_import_without_scipy_fails_at_import():
     script = (
         "import sys\n"

@@ -233,6 +233,13 @@ def _padded_indices(grid):
     return span, q, np.ravel_multi_index(grid.dims, span)
 
 
+def _table(grid, projection, w):
+    # the flattened padded difference table of one weight per offset
+    rows, vals = projection
+    size = math.prod(2 * d + 1 for d in grid.dims)
+    return np.bincount(rows.reshape(-1), (vals * w[:, None]).reshape(-1), size)
+
+
 @pytest.mark.parametrize(
     "domain, h",
     [(Domain.interval(-0.5, 0.5), 0.05), (Domain.ball([0.3, -0.2], 0.1), 0.02)],
@@ -248,11 +255,11 @@ def test_difference_projection_matches_scatter_weights(domain, h):
         h * rng.integers(-5, 6, size=(40, N)),
     ])
     w = rng.uniform(0.1, 1.0, size=len(offs))
-    P = difference_projection(grid, offs)
+    rows, vals = projection = difference_projection(grid, offs)
     span, q, origin = _padded_indices(grid)
-    assert P.shape == (math.prod(span), len(offs))
-    assert np.array_equal(P.indptr, np.arange(0, 2 ** N * len(offs) + 1, 2 ** N))
-    S = P @ w
+    assert rows.shape == vals.shape == (len(offs), 2 ** N)
+    assert np.all((rows >= 0) & (rows < math.prod(span)))
+    S = _table(grid, projection, w)
     for i, x in enumerate(grid.nodes):
         idx, sw = scatter_weights(grid, x + offs)
         valid = idx >= 0
@@ -284,8 +291,8 @@ def test_flipped_projection_is_the_projection_of_the_mirror_images(domain, h):
         h * rng.integers(-5, 6, size=(40, N)),
     ])
     for Z, w in ((rule, w_rule), (offs, rng.uniform(0.1, 1.0, size=len(offs)))):
-        T = difference_projection(grid, Z) @ w
-        M = difference_projection(grid, -Z) @ w
+        T = _table(grid, difference_projection(grid, Z), w)
+        M = _table(grid, difference_projection(grid, -Z), w)
         assert np.max(np.abs(T[::-1] - M)) <= 1e-15 * np.max(np.abs(M))
 
 
@@ -328,8 +335,8 @@ def _masked_projection(grid, offsets):
 )
 def test_difference_projection_is_the_masked_one_padded(domain, h, Q):
     # bit for bit on the interior of the padded table: the same entries in
-    # the same order in every column, the same products S = P @ w, and the
-    # padding holds only the corners the mask dropped
+    # the same order for every offset, the same table S of one weight per
+    # offset, and the padding holds only the corners the mask dropped
     grid = build_grid(domain, h)
     rng = np.random.default_rng(Q)
     N = domain.N
@@ -342,20 +349,50 @@ def test_difference_projection_is_the_masked_one_padded(domain, h, Q):
     ])
     offs = np.concatenate([offs, rng.uniform(-1.0, 1.0, size=(Q - len(offs), N))])
     assert len(offs) == Q
-    P, ref = difference_projection(grid, offs), _masked_projection(grid, offs)
+    rows, vals = projection = difference_projection(grid, offs)
+    ref = _masked_projection(grid, offs)
     span, _, _ = _padded_indices(grid)
-    at = np.unravel_index(P.indices, span)
+    at = np.unravel_index(rows.reshape(-1), span)
     inner = np.all([(k >= 1) & (k <= 2 * d - 1) for k, d in zip(at, grid.dims)], axis=0)
     unpadded = np.ravel_multi_index([k[inner] - 1 for k in at], [2 * d - 1 for d in grid.dims])
     assert np.array_equal(unpadded, ref.indices)
-    assert np.array_equal(P.data[inner].view(np.uint64), ref.data.view(np.uint64))
-    per_column = np.add.reduceat(inner, P.indptr[:-1])
-    assert np.array_equal(per_column, np.diff(ref.indptr))
+    assert np.array_equal(vals.reshape(-1)[inner].view(np.uint64), ref.data.view(np.uint64))
+    per_offset = np.count_nonzero(inner.reshape(rows.shape), axis=1)
+    assert np.array_equal(per_offset, np.diff(ref.indptr))
     assert np.count_nonzero(~inner) > 0
 
     w = rng.uniform(0.1, 1.0, size=Q)
-    S = (P @ w).reshape(span)[(slice(1, -1),) * N].ravel()
+    S = _table(grid, projection, w).reshape(span)[(slice(1, -1),) * N].ravel()
     assert np.array_equal(S.view(np.uint64), (ref @ w).view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "domain, h, Q",
+    [
+        (Domain.interval(-0.5, 0.5), 0.05, 2 * geometry._BLOCK_OFFSETS + 123),
+        (Domain.ball([0.3, -0.2], 0.1), 0.02, 2 * geometry._BLOCK_OFFSETS + 123),
+    ],
+    ids=["1d", "2d"],
+)
+def test_projected_tables_are_the_sparse_products(domain, h, Q):
+    # np.bincount per weight column adds offset by offset and corner by
+    # corner, as scipy's csc_matvec does, so assembly's table is the sparse
+    # product bit for bit, with the weights negated as assembly negates them
+    from scipy import sparse
+
+    grid = build_grid(domain, h)
+    rng = np.random.default_rng(Q + 1)
+    offs = rng.uniform(-domain.diameter, domain.diameter, size=(Q, domain.N))
+    rows, vals = difference_projection(grid, offs)
+    np.negative(vals, out=vals)
+    span, _, _ = _padded_indices(grid)
+    indptr = np.arange(0, rows.size + 1, rows.shape[1])
+    P = sparse.csc_array((vals.ravel(), rows.ravel(), indptr), shape=(math.prod(span), Q))
+    W = rng.uniform(0.1, 1.0, size=(Q, 2))
+    ref = P @ W
+    for c, w in enumerate(W.T):
+        T = _table(grid, (rows, vals), w)
+        assert np.array_equal(T.view(np.uint64), ref[:, c].view(np.uint64))
 
 
 def test_difference_projection_refuses_nonfinite_offsets():
@@ -367,19 +404,18 @@ def test_difference_projection_refuses_nonfinite_offsets():
 
 
 def test_difference_projection_peak_memory_is_its_output():
-    # built in blocks: beyond P itself the temporaries take about 8 doubles
+    # built in blocks: beyond its two arrays the temporaries take about 8 doubles
     # per offset of one block in 2-D, not per offset of the whole rule
     grid = build_grid(Domain.ball([0.0, 0.0], 0.25), 0.02)
     Q = 12 * geometry._BLOCK_OFFSETS
     offs = np.random.default_rng(3).uniform(-1.0, 1.0, size=(2, Q)).T  # column-major
-    difference_projection(grid, offs[:10])  # loads scipy.sparse untraced
     tracemalloc.start()
     try:
-        P = difference_projection(grid, offs)
+        rows, vals = difference_projection(grid, offs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    output = P.data.nbytes + P.indices.nbytes + P.indptr.nbytes
+    output = rows.nbytes + vals.nbytes
     assert peak <= output + 16 * 8 * geometry._BLOCK_OFFSETS
 
 

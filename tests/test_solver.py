@@ -394,7 +394,9 @@ def test_assembly_peak_memory_is_the_matrix(operator, domain, h, kernel):
     # assembly allocates, so the documented 16*n^2 bytes (matrix plus LU
     # copy) hold for every operator
     problem = ProblemSpec(operator, domain, const_field(1.0), kernel=kernel)
-    assemble(problem, build_grid(domain, 0.1), CFG)  # loads scipy.sparse untraced
+    # untraced: fills the quadrature caches, and loads scipy.sparse for the
+    # x-dependent kernel (the only assembly that uses it)
+    assemble(problem, build_grid(domain, 0.1), CFG)
     grid = build_grid(domain, h)
     tracemalloc.start()
     try:
@@ -420,7 +422,7 @@ def test_toeplitz_path_holds_no_dense_matrix():
         fredholm_sweep(problem, grid, CFG, 1.0, 2.5)
         return report
 
-    run()  # loads scipy.linalg and scipy.sparse untraced
+    run()  # fills the quadrature caches untraced
     tracemalloc.start()
     try:
         report = run()
@@ -712,7 +714,7 @@ def test_shared_near_singular_matrix_keeps_its_verdict(monkeypatch, toeplitz_at_
     _same_report(second, first)
 
 
-def test_levinson_is_kept_above_the_sigma_floor(toeplitz_at_any_n):
+def test_toeplitz_factor_is_kept_above_the_sigma_floor(toeplitz_at_any_n):
     # sigma_min = 1e-8 times the 1-norm, 10^2 above TOEPLITZ_SIGMA_FLOOR:
     # the Toeplitz factor stays, and its estimate agrees with LU's to far
     # better than the margin to the near-singular threshold
@@ -860,7 +862,7 @@ def test_toeplitz_column_is_the_gathered_matrix(case, tmp_path, monkeypatch):
         assert np.all(err <= 1e-15 * (np.abs(T) @ np.abs(v)))
 
 
-def test_only_1d_translation_invariant_matrices_take_levinson(toeplitz_at_any_n):
+def test_only_1d_translation_invariant_matrices_take_the_toeplitz_factor(toeplitz_at_any_n):
     interval = Domain.interval(-0.5, 0.5)
     ball = Domain.ball([0.0, 0.0], 0.25)
     cases = [
@@ -896,7 +898,7 @@ def test_sigma_min_estimate_survives_an_overflowing_solve():
     assert sigma == 0.0
 
 
-def test_levinson_failures_fall_back_to_lu(monkeypatch, toeplitz_at_any_n):
+def test_toeplitz_factor_failures_fall_back_to_lu(monkeypatch, toeplitz_at_any_n):
     problem = _interval_problem(half=0.1)
     grid = build_grid(problem.domain, 0.04)
     assert grid.n == 5
@@ -928,7 +930,7 @@ def test_levinson_failures_fall_back_to_lu(monkeypatch, toeplitz_at_any_n):
     assert report.factorization == "lu"
 
 
-def test_fredholm_sweep_falls_back_from_levinson(monkeypatch, toeplitz_at_any_n):
+def test_fredholm_sweep_falls_back_from_the_toeplitz_factor(monkeypatch, toeplitz_at_any_n):
     # equal row sums equal lambda_1 = 0: the generator refuses the singular
     # A - 0*I, LU confirms it, and the lowered shift takes the Toeplitz factor
     problem = _interval_problem(half=0.1)
