@@ -14,10 +14,12 @@ spheres and axis planes where a field has kinks or jumps, ray_breaks turns
 them (and any radii shared by every ray) into one break array over all rays,
 and panel_edges, ray_panels and polar_nodes build every ray's panels and
 nodes from it in a few numpy passes.  The panels that every ray around a
-point shares get one radial rule, shared_radial_nodes, cached by its edges.
+point shares, from the inner radius out to the first break of one ray alone
+(the prefix) and from the last such break out to the outer radius (the
+suffix), get one radial rule each, shared_radial_nodes, cached by its edges.
 polar_sum, the one engine with per-ray breaks, integrates around P centres
 at once: it builds the breaks, edges and tail panels of all their rays in
-one pass and the shared rule's offsets once per distinct rule, then sums
+one pass and each shared rule's offsets once per distinct rule, then sums
 around each centre block by block, as a lone centre would be summed.  The
 pointwise evaluators (one centre, or a verifier's sample points) and the
 regularity integral run on it.  polar_rule, for assembly, is the cached
@@ -279,8 +281,9 @@ def shared_radial_nodes(edges, n_per_decade):
     """(rho, w) of polar_nodes on the panels between the given edges (a
     tuple; fewer than two give no nodes) for one ray of angular weight 1.
     These are the panels every ray around a point shares, from the inner
-    radius out to the first break of one ray alone, so a few edge lists
-    serve every evaluation; the arrays are cached read-only."""
+    radius out to the first break of one ray alone and from the last one out
+    to the outer radius, so a few edge lists serve every evaluation; the
+    arrays are cached read-only."""
     if len(edges) < 2:
         rho, w = np.empty(0), np.empty(0)
     else:
@@ -344,24 +347,42 @@ def _ray_blocks(M, Q):
 
 
 def _split(X, thetas, lo, hi, n_rad, kinks, radii):
-    """For every centre x of X, the leading panel edges that all rays around
-    x share (a tuple), and the Panels of every ray's tail, the panels beyond
-    its centre's last shared edge, ray by ray for all centres.  The edges
-    around x are those panel_edges gives its rays alone: their rows up to
-    the widest of them."""
+    """Split the rays around every centre x of X in three: the leading panel
+    edges that all rays around x share (a tuple, the prefix), the trailing
+    edges that they all share (a tuple, the suffix, () when there is none),
+    and the Panels of every ray's tail, the panels between the two, ray by
+    ray for all centres.  The edges around x are those panel_edges gives its
+    rays alone: their rows up to the widest of them.  The suffix is found by
+    aligning each ray's edges at its last one; it has at least two edges,
+    and at most as many as leave every ray's tail from the last prefix edge
+    to the first suffix edge, so the two never share a panel.  A centre
+    whose rays are all alike is all prefix."""
     P, M = len(X), len(thetas)
     edges = panel_edges(lo, hi, ray_breaks(X, thetas, kinks, radii))
     E = edges.reshape(P, M, -1)
-    width = np.count_nonzero(E < np.inf, axis=2).max(axis=1)
+    count = np.count_nonzero(E < np.inf, axis=2)
+    width = count.max(axis=1)
     same = np.all(E == E[:, :1], axis=1)
-    shared = np.where(same.all(axis=1), width, np.argmin(same, axis=1))
-    keys = [tuple(E[p, 0, :s].tolist()) for p, s in enumerate(shared)]
-    # every ray's tail starts at the last shared edge; columns past the end
-    # of the array are inf
-    cols = np.repeat(shared - 1, M)[:, None] + np.arange(int(np.max(width - shared)) + 1)
+    prefix = np.where(same.all(axis=1), width, np.argmin(same, axis=1))
+    # R[p, k, j]: the j-th edge from the end of ray k; the places before a
+    # ray's first edge repeat it, and the clip below never reaches them
+    back = np.maximum(count[:, :, None] - 1 - np.arange(E.shape[2]), 0)
+    R = np.take_along_axis(E, back, axis=2)
+    same = np.all(R == R[:, :1], axis=1)
+    suffix = np.where(same.all(axis=1), E.shape[2], np.argmin(same, axis=1))
+    suffix = np.minimum(suffix, count.min(axis=1) - prefix + 1)
+    suffix[suffix < 2] = 0
+    prefixes = [tuple(E[p, 0, :s].tolist()) for p, s in enumerate(prefix)]
+    suffixes = [tuple(E[p, 0, count[p, 0] - s:count[p, 0]].tolist()) if s else ()
+                for p, s in enumerate(suffix)]
+    # every ray's tail runs from the last prefix edge to the first suffix
+    # edge, or to its last edge; columns past that are inf
+    first = np.repeat(prefix - 1, M)
+    last = count.reshape(-1) - np.repeat(np.maximum(suffix, 1), M)
+    cols = first[:, None] + np.arange(int(np.max(last - first)) + 1)
     tail = np.take_along_axis(edges, np.minimum(cols, edges.shape[1] - 1), axis=1)
-    tail[cols >= edges.shape[1]] = np.inf
-    return keys, ray_panels(tail, n_rad)
+    tail[cols > last[:, None]] = np.inf
+    return prefixes, suffixes, ray_panels(tail, n_rad)
 
 
 def polar_sum(X, n_ang, n_rad, lo, hi, integrand, profile=None, kinks=Kinks(), radii=()):
@@ -373,40 +394,45 @@ def polar_sum(X, n_ang, n_rad, lo, hi, integrand, profile=None, kinks=Kinks(), r
     where it meets the kinks.  The integrand returns the values of f_p(Y)
     whose integral against |Y - x|^(-N) dY is wanted, times any weight not
     of rho alone; profile, a weight of rho alone (None for 1), is evaluated
-    once per radius.
+    once per radius of a shared rule.
 
-    The breaks and panel edges of all P*M rays are computed in one pass.
-    The leading edges that every ray around a centre shares (lo, the
-    decades, and radii shared by all rays, up to the first break of one ray
-    alone) carry one radial rule (rho_p, w_p), cached by
+    The breaks and panel edges of all P*M rays are computed in one pass
+    (_split).  The leading edges that every ray around a centre shares (lo,
+    the decades, and radii shared by all rays, up to the first break of one
+    ray alone), its prefix, and the trailing edges that they all share (out
+    from the last break of one ray alone to hi, usually the decade [0.1, 1]),
+    its suffix, each carry one radial rule (rho_p, w_p), cached by
     shared_radial_nodes, on every ray: those nodes are the products
-    theta_k rho_p, built once for all centres with the same shared edges,
-    and their sum is ang_w @ (values @ w_p) over the rays.  Each ray's
-    panels beyond the last shared edge, its tail, are built once for all
-    rays (ray_panels), which also sizes the blocks, and their nodes by
-    polar_nodes a block at a time.  Around each centre each part is
-    integrated in blocks of whole rays (_ray_blocks), with one integrand
-    call per block, the shared blocks and then the tail blocks added to one
-    running total, so a centre's sum is the same to the bit whatever the
-    other centres."""
+    theta_k rho_p, built once for all centres with the same edges, and their
+    sum is ang_w @ (values @ w_p) over the rays.  Each ray's panels between
+    the two, its tail, are built once for all rays (ray_panels), which also
+    sizes the blocks, and their nodes by polar_nodes a block at a time.
+    Around each centre each part is integrated in blocks of whole rays
+    (_ray_blocks), with one integrand call per block, the prefix, the
+    suffix and then the tail blocks added to one running total, so a
+    centre's sum is the same to the bit whatever the other centres."""
     P, N = X.shape
     thetas, ang_w = unit_directions(N, n_ang)
     M = len(thetas)
-    keys, tails = _split(X, thetas, lo, hi, n_rad, kinks, radii)
-    groups = {}
-    for p, key in enumerate(keys):
-        groups.setdefault(key, []).append(p)
+    prefixes, suffixes, tails = _split(X, thetas, lo, hi, n_rad, kinks, radii)
     sums = np.zeros(P)
-    for key, centres in groups.items():
-        rho_p, w_p = shared_radial_nodes(key, n_rad)
-        if profile is not None:
-            w_p = w_p * profile(rho_p)
-        Qp = len(rho_p)
-        for rays in _ray_blocks(M, M * Qp):
-            Z = (thetas[rays].T[:, :, None] * rho_p).reshape(N, -1).T  # column-major
-            for p in centres:
-                vals = integrand(p, Z, X[p] + Z)
-                sums[p] += float(ang_w[rays] @ (vals.reshape(-1, Qp) @ w_p))
+    # prefixes and suffixes grouped apart, so that every centre adds its
+    # prefix before its suffix whatever the keys of the other centres
+    for keys in (prefixes, suffixes):
+        groups = {}
+        for p, key in enumerate(keys):
+            if len(key) > 1:  # at least one panel
+                groups.setdefault(key, []).append(p)
+        for key, centres in groups.items():
+            rho_p, w_p = shared_radial_nodes(key, n_rad)
+            if profile is not None:
+                w_p = w_p * profile(rho_p)
+            Qp = len(rho_p)
+            for rays in _ray_blocks(M, M * Qp):
+                Z = (thetas[rays].T[:, :, None] * rho_p).reshape(N, -1).T  # column-major
+                for p in centres:
+                    vals = integrand(p, Z, X[p] + Z)
+                    sums[p] += float(ang_w[rays] @ (vals.reshape(-1, Qp) @ w_p))
     Z = vals = None  # not held through the tails
     for p in range(P):
         own = tails.rays(slice(p * M, (p + 1) * M))

@@ -14,12 +14,13 @@ import math
 
 import numpy as np
 
-from ._quadrules import radius, sphere_kinks
+from ._quadrules import sphere_kinks
 from .logmod import RHO0, ell
 from .nonlocal_eval import (
     FieldFunction,
     eval_LK,
     field_sum,
+    radial_field,
     sector_integral,
     shell_field,
 )
@@ -54,11 +55,14 @@ def boundary_barrier_field(r, alpha):
     with the log modulus of the distance to it."""
     r, alpha = float(r), float(alpha)
 
-    def evaluate(Y):
-        t = radius(np.atleast_2d(Y)) - r
-        return np.where(t > 0, ell(np.maximum(t, 1e-300), alpha), 0.0)
+    def profile(rho):
+        t = rho - r
+        out = np.zeros(len(t))
+        outside = t > 0
+        out[outside] = ell(t[outside], alpha)
+        return out
 
-    return FieldFunction(evaluate=evaluate, kinks=sphere_kinks([r, r + RHO0]))
+    return radial_field(profile, kinks=sphere_kinks([r, r + RHO0]))
 
 
 def bump_field(r):
@@ -66,20 +70,15 @@ def bump_field(r):
     in the clamped variable t = (2|x|/r - 1)_+."""
     r = float(r)
 
-    def evaluate(Y):
-        rho = radius(np.atleast_2d(Y))
-        t = np.clip(2.0 * rho / r - 1.0, 0.0, 1.0)
-        inside = t < 1.0
-        tt = np.where(inside, t, 0.0)
-        with np.errstate(divide="ignore"):
-            vals = np.exp(1.0 - 1.0 / np.maximum(1.0 - tt * tt, 1e-300))
-        return np.where(inside, vals, 0.0)
+    def profile(rho):
+        t = 2.0 * rho / r - 1.0
+        out = np.where(t <= 0.0, 1.0, 0.0)  # exp(1 - 1/1) on B_{r/2}
+        ramp = (t > 0.0) & (t < 1.0)
+        t = t[ramp]
+        out[ramp] = np.exp(1.0 - 1.0 / (1.0 - t * t))
+        return out
 
-    return FieldFunction(
-        evaluate=evaluate,
-        support_radius=r,
-        kinks=sphere_kinks([r / 2, r]),
-    )
+    return radial_field(profile, support_radius=r, kinks=sphere_kinks([r / 2, r]))
 
 
 def tail_field(rho, alpha):
@@ -88,11 +87,13 @@ def tail_field(rho, alpha):
     rho, alpha = float(rho), float(alpha)
     offset = float(ell(rho, alpha))
 
-    def evaluate(Y):
-        rr = radius(np.atleast_2d(Y))
-        return np.maximum(ell(np.maximum(rr, 1e-300), alpha) - offset, 0.0)
+    def profile(rr):
+        out = np.zeros(len(rr))
+        outside = rr > rho
+        out[outside] = np.maximum(ell(rr[outside], alpha) - offset, 0.0)
+        return out
 
-    return FieldFunction(evaluate=evaluate, kinks=sphere_kinks([rho, RHO0]))
+    return radial_field(profile, kinks=sphere_kinks([rho, RHO0]))
 
 
 def exponential_field(alpha):

@@ -20,12 +20,14 @@ must be total on R^N and vectorized over (m, N) batches, and fields that know
 where their kinks and jumps live declare them as spheres and planes
 (_quadrules.Kinks), which is what keeps indicator-type barriers integrable at
 full Simpson order.  _quadrules.polar_sum turns the declarations into the
-breaks of every ray around every point in one pass, integrates the panels
-the rays around a point share with one cached radial rule, built once for
-all points that share it, and the rest of each ray a block of rays at a
-time; each point's value is the same to the bit as when it is evaluated
-alone.  A weight of |z| alone (a kernel's profile, the Schrodinger weight)
-is evaluated once per radius, not once per node.
+breaks of every ray around every point in one pass, integrates the leading
+and the trailing panels that the rays around a point share with one cached
+radial rule each, built once for all points that share it, and the rest of
+each ray a block of rays at a time; each point's value is the same to the
+bit as when it is evaluated alone.  A weight of |z| alone (a kernel's
+profile, the Schrodinger weight) is evaluated once per radius of a shared
+rule, not once per node.  A radial field (radial_field) carries its profile
+of |y|, so that a sum of radial fields computes |y| once.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ __all__ = [
     "ell_profile_field",
     "shell_field",
     "box_field",
+    "radial_field",
     "field_sum",
     "shift_field",
     "grid_field",
@@ -106,11 +109,26 @@ class FieldFunction:
     axis planes; every quadrature ray around a base point gets a panel edge
     where it crosses one of them or passes closest to a sphere's centre.
     A field that declares none is integrated on decade panels alone.
+    profile is set on a radial field, u(y) = profile(|y|), named like
+    KernelSpec.profile: radial_field builds evaluate from it, and field_sum
+    of radial terms is radial, so that |y| is computed once per sum.
     """
 
     evaluate: callable
     support_radius: float | None = None
     kinks: Kinks = Kinks()
+    profile: callable | None = None
+
+
+def radial_field(profile, support_radius=None, kinks=Kinks()):
+    """The radial field u(y) = profile(|y|), profile vectorized over an
+    array of radii."""
+    return FieldFunction(
+        evaluate=lambda Y: profile(radius(np.atleast_2d(Y))),
+        support_radius=support_radius,
+        kinks=kinks,
+        profile=profile,
+    )
 
 
 def const_field(value=1.0):
@@ -147,12 +165,9 @@ def gaussian_field(sigma=math.sqrt(0.5)):
 def ell_profile_field(alpha):
     """u(y) = ell^alpha(|y|); the profile saturating the seminorm quotients."""
     a = float(alpha)
-
-    def evaluate(Y):
-        rho = radius(np.atleast_2d(Y))
-        return ell(np.maximum(rho, 1e-300), a)
-
-    return FieldFunction(evaluate=evaluate, kinks=sphere_kinks([RHO0]))
+    # clamped, not masked: the field is evaluated at its base point too,
+    # which may be the origin
+    return radial_field(lambda rho: ell(np.maximum(rho, 1e-300), a), kinks=sphere_kinks([RHO0]))
 
 
 def shell_field(a, b):
@@ -160,13 +175,8 @@ def shell_field(a, b):
     a, b = float(a), float(b)
     if not 0 <= a < b:
         raise ValueError("need 0 <= a < b")
-
-    def evaluate(Y):
-        rho = radius(np.atleast_2d(Y))
-        return np.where((rho >= a) & (rho <= b), 1.0, 0.0)
-
-    return FieldFunction(
-        evaluate=evaluate,
+    return radial_field(
+        lambda rho: np.where((rho >= a) & (rho <= b), 1.0, 0.0),
         support_radius=b,
         kinks=sphere_kinks([a, b] if a > 0 else [b]),
     )
@@ -195,8 +205,21 @@ def box_field(lo, hi):
 
 
 def field_sum(terms):
-    """Linear combination sum(c * f) of (coefficient, field) pairs."""
+    """Linear combination sum(c * f) of (coefficient, field) pairs; radial
+    when every term is."""
     terms = [(float(c), f) for c, f in terms]
+    supports = [f.support_radius for _, f in terms]
+    support = None if any(s is None for s in supports) else max(supports)
+    kinks = sum((f.kinks for _, f in terms), Kinks())
+    if all(f.profile is not None for _, f in terms):
+
+        def profile(rho):
+            out = np.zeros(len(rho))
+            for c, f in terms:
+                out += c * f.profile(rho)
+            return out
+
+        return radial_field(profile, support, kinks)
 
     def evaluate(Y):
         Y = np.atleast_2d(Y)
@@ -205,9 +228,6 @@ def field_sum(terms):
             out += c * f.evaluate(Y)
         return out
 
-    supports = [f.support_radius for _, f in terms]
-    support = None if any(s is None for s in supports) else max(supports)
-    kinks = sum((f.kinks for _, f in terms), Kinks())
     return FieldFunction(evaluate=evaluate, support_radius=support, kinks=kinks)
 
 

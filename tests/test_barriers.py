@@ -22,9 +22,17 @@ from logop.barriers import (
     verify_sector,
     verify_tail,
 )
-from logop.logmod import ell
-from logop.nonlocal_eval import QuadratureConfig
-from logop.kernels import unit_kernel
+from logop._quadrules import radius
+from logop.logmod import RHO0, ell
+from logop.nonlocal_eval import (
+    FieldFunction,
+    QuadratureConfig,
+    box_field,
+    eval_LK,
+    field_sum,
+    shell_field,
+)
+from logop.kernels import sinlog_kernel, unit_kernel
 
 CFG = QuadratureConfig()
 K1 = unit_kernel()
@@ -70,6 +78,154 @@ def test_tail_field_shape():
     cap = ell(0.1, alpha) - ell(rho, alpha)  # the modulus plateaus at 0.1
     assert np.all(far <= cap + 1e-15)
     assert t.evaluate(np.array([[5.0]]))[0] == pytest.approx(cap)
+
+
+# ---------------------------------------------------------------------------
+# radial fields: one profile of |y|, evaluated only where it varies
+# ---------------------------------------------------------------------------
+
+# The unmasked formulas that the radial profiles replaced, as references.
+
+
+def _unmasked_boundary(r, alpha):
+    def evaluate(Y):
+        t = radius(np.atleast_2d(Y)) - r
+        return np.where(t > 0, ell(np.maximum(t, 1e-300), alpha), 0.0)
+    return evaluate
+
+
+def _unmasked_bump(r):
+    def evaluate(Y):
+        rho = radius(np.atleast_2d(Y))
+        t = np.clip(2.0 * rho / r - 1.0, 0.0, 1.0)
+        inside = t < 1.0
+        tt = np.where(inside, t, 0.0)
+        with np.errstate(divide="ignore"):
+            vals = np.exp(1.0 - 1.0 / np.maximum(1.0 - tt * tt, 1e-300))
+        return np.where(inside, vals, 0.0)
+    return evaluate
+
+
+def _unmasked_tail(rho, alpha):
+    offset = float(ell(rho, alpha))
+
+    def evaluate(Y):
+        rr = radius(np.atleast_2d(Y))
+        return np.maximum(ell(np.maximum(rr, 1e-300), alpha) - offset, 0.0)
+    return evaluate
+
+
+def _unmasked_shell(a, b):
+    def evaluate(Y):
+        rho = radius(np.atleast_2d(Y))
+        return np.where((rho >= a) & (rho <= b), 1.0, 0.0)
+    return evaluate
+
+
+_R, _RHO, _ALPHA = 0.05, 0.01, 0.3
+_GAIN = gain_shell(_R, 0.5, 2)[0]  # the shell [3 r^2, b]
+_GAIN_B = max(_GAIN.kinks.spheres)[1]
+
+# name: (the field, its field without a profile from the unmasked formulas)
+_RADIAL = {
+    "boundary": (boundary_barrier_field(_R, _ALPHA), _unmasked_boundary(_R, _ALPHA)),
+    "bump": (bump_field(_R), _unmasked_bump(_R)),
+    "tail": (tail_field(_RHO, _ALPHA), _unmasked_tail(_RHO, _ALPHA)),
+    "shell": (_GAIN, _unmasked_shell(3 * _R * _R, _GAIN_B)),
+}
+
+
+def _unmasked(name):
+    return _without_profile(*_RADIAL[name])
+
+
+def _without_profile(f, evaluate):
+    return FieldFunction(evaluate=evaluate, support_radius=f.support_radius, kinks=f.kinks)
+
+
+def _radial_sum(terms):
+    # the composite barrier's sum, of the fields above
+    c_bump = float(ell(_R, _ALPHA) - ell(_R * _R, _ALPHA))
+    return field_sum([(c_bump, terms["bump"]), (float(ell(_R, _ALPHA)) / 2, terms["shell"]),
+                      (-1.0, terms["tail"])])
+
+
+def _radii_at_the_kinks():
+    # r/2, r, r + RHO0, rho and RHO0 exactly and one ulp either side, among
+    # radii from 0 to past every kink
+    kinks = np.array([_R / 2, _R, _R + RHO0, _RHO, RHO0, 3 * _R * _R, _GAIN_B])
+    near = np.concatenate([np.nextafter(kinks, 0.0), kinks, np.nextafter(kinks, 1.0)])
+    return np.concatenate([[0.0], near, np.logspace(-13, 1, 2001)])
+
+
+@pytest.mark.parametrize("name", list(_RADIAL))
+def test_masked_profile_is_the_unmasked_formula(name):
+    f, unmasked = _RADIAL[name]
+    rho = _radii_at_the_kinks()
+    Y = rho[:, None]
+    assert np.array_equal(radius(Y), rho)  # |y| is each radius exactly
+    assert np.array_equal(f.profile(rho), unmasked(Y))
+    # and off the axis, where |y| rounds
+    Y2 = rho[:, None] * np.array([0.6, 0.8])
+    assert np.array_equal(f.evaluate(Y2), unmasked(Y2))
+    assert np.array_equal(f.evaluate(Y2), f.profile(radius(Y2)))
+
+
+def test_tail_vanishes_at_its_radius_to_the_bit():
+    # the tail's mask |y| > rho against the formula's max(., 0) at and next
+    # to |y| = rho: both read exactly 0 up to rho, and agree past it
+    f, unmasked = _RADIAL["tail"]
+    rho = [_RHO]
+    for _ in range(64):
+        rho = [np.nextafter(rho[0], 0.0)] + rho + [np.nextafter(rho[-1], 1.0)]
+    Y = np.array(rho)[:, None]
+    below = Y[:, 0] <= _RHO
+    assert np.all(unmasked(Y)[below] == 0.0) and np.all(f.evaluate(Y)[below] == 0.0)
+    assert np.array_equal(f.evaluate(Y), unmasked(Y))
+
+
+def test_sum_of_radial_fields_is_radial_and_the_sum_of_its_terms():
+    Y = _radii_at_the_kinks()[:, None] * np.array([0.28, -0.96])
+    phi = composite_barrier_field(_R, _ALPHA, _GAIN)
+    assert phi.profile is not None
+    coefs = (float(ell(_R, _ALPHA) - ell(_R * _R, _ALPHA)), float(ell(_R, _ALPHA)) / 2, -1.0)
+    terms = list(zip(coefs, (bump_field(2 * _R * _R), _GAIN, tail_field(_R, _ALPHA))))
+    by_term = np.zeros(len(Y))
+    for c, f in terms:
+        by_term += c * f.evaluate(Y)
+    assert np.array_equal(phi.evaluate(Y), by_term)
+    unmasked = (_unmasked_bump(2 * _R * _R), _RADIAL["shell"][1], _unmasked_tail(_R, _ALPHA))
+    assert np.array_equal(sum(c * f(Y) for c, f in zip(coefs, unmasked)), by_term)
+    # one term that is not radial makes the sum not radial, with the same values
+    box = box_field([-0.1, -0.1], [0.1, 0.1])
+    mixed = field_sum(terms + [(2.0, box)])
+    assert mixed.profile is None
+    assert np.array_equal(mixed.evaluate(Y), by_term + 2.0 * box.evaluate(Y))
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_eval_LK_of_radial_fields_is_that_of_the_unmasked_fields(N):
+    # the fields without profile: the unmasked formulas, and their sum
+    # term by term
+    fields = {n: _RADIAL[n][0] for n in _RADIAL}
+    unmasked = {n: _unmasked(n) for n in _RADIAL}
+    fields["sum"] = _radial_sum(fields)
+    unmasked["sum"] = _radial_sum(unmasked)
+    assert fields["sum"].profile is not None and unmasked["sum"].profile is None
+    fields["composite"] = composite_barrier_field(_R, _ALPHA, _GAIN)
+    bump, tail = bump_field(2 * _R * _R), tail_field(_R, _ALPHA)
+    unmasked["composite"] = field_sum([
+        (float(ell(_R, _ALPHA) - ell(_R * _R, _ALPHA)),
+         _without_profile(bump, _unmasked_bump(2 * _R * _R))),
+        (float(ell(_R, _ALPHA)) / 2, unmasked["shell"]),
+        (-1.0, _without_profile(tail, _unmasked_tail(_R, _ALPHA))),
+    ])
+    pts = np.concatenate([sample_annulus(SAMPLES_PER_SCALE, N, 0.0, 2 * _R),
+                          np.array([[_RHO, 0.0][:N], [_R, 0.0][:N]])])
+    for K in (unit_kernel(), sinlog_kernel()):
+        for name, f in fields.items():
+            got = eval_LK(K, f, pts, CFG)
+            assert got.tolist() == eval_LK(K, unmasked[name], pts, CFG).tolist(), name
 
 
 def test_composite_barrier_sign_structure():

@@ -13,8 +13,10 @@ from logop.barriers import (
     boundary_barrier_field,
     bump_field,
     composite_barrier_field,
+    exponential_field,
     gain_shell,
     sample_annulus,
+    tail_field,
 )
 from logop.geometry import Domain, GridFunction, build_grid
 from logop.kernels import KernelSpec, mollify_kernel, sinlog_kernel, unit_kernel
@@ -705,15 +707,15 @@ def test_radius_is_the_row_norm(N):
 @pytest.mark.parametrize(
     "N, cfg, level, blocks",
     [
-        # (blocks of the shared nodes, blocks of the tails)
-        (1, FAST, 1.0, (1, 1)),
-        (2, FAST, 1.0, (2, 2)),
-        (2, FAST, 0.5, (1, 1)),  # the half level of return_estimate
-        # 64 rays of ~3600 shared nodes and ~2600 tail nodes
-        (2, ORACLE, 1.0, (32, 22)),
-        # every ray has more shared nodes than a block: one ray per block
-        (1, QuadratureConfig(n_radial=1024), 1.0, (2, 2)),
-        (2, QuadratureConfig(n_radial=1024), 1.0, (16, 16)),
+        # blocks of the prefix, of the suffix and of the tails
+        (1, FAST, 1.0, (1, 1, 1)),
+        (2, FAST, 1.0, (2, 1, 2)),
+        (2, FAST, 0.5, (1, 1, 1)),  # the half level of return_estimate
+        # 64 rays of ~3600 prefix, ~270 suffix and ~2300 tail nodes
+        (2, ORACLE, 1.0, (32, 3, 22)),
+        # every ray has more prefix nodes than a block: one ray per block
+        (1, QuadratureConfig(n_radial=1024), 1.0, (2, 1, 1)),
+        (2, QuadratureConfig(n_radial=1024), 1.0, (16, 2, 16)),
     ],
     ids=["1d", "2d", "2d-half", "2d-oracle", "1d-long-rays", "2d-long-rays"],
 )
@@ -730,18 +732,22 @@ def test_blocked_polar_sum_matches_one_block(N, cfg, level, blocks, monkeypatch)
 
     n_ang, n_rad = cfg.node_counts(level)
     args = (x[None, :], n_ang, n_rad, cfg.r_min, 1.0, integrand, None, u.kinks, (0.3,))
+    # every ray breaks at the shared radius 0.3, and at none beyond it: the
+    # suffix is the panel [0.3, 1]
+    thetas = _quadrules.unit_directions(N, n_ang)[0]
+    _, suffixes, _ = _quadrules._split(x[None, :], thetas, cfg.r_min, 1.0, n_rad, u.kinks, (0.3,))
+    assert suffixes == [(0.3, 1.0)]
     value = _quadrules.polar_sum(*args)
     blocked, sizes[:] = sizes[:], []
     monkeypatch.setattr(_quadrules, "_BLOCK_NODES", 10 ** 12)
     assert _quadrules.polar_sum(*args) == pytest.approx(value, rel=1e-13)
-    # one block per part: the shared nodes of every ray, then every tail
-    shared, tails = blocked[:blocks[0]], blocked[blocks[0]:]
-    assert len(sizes) == 2 and [sum(shared), sum(tails)] == sizes
-    assert (len(shared), len(tails)) == blocks
+    # one block per part: the prefix of every ray, its suffix, then every tail
+    parts = np.split(blocked, np.cumsum(blocks)[:-1])
+    assert len(sizes) == 3 and [sum(part) for part in parts] == sizes
+    assert tuple(len(part) for part in parts) == blocks
     # blocks of whole rays, each within the budget unless one ray exceeds it
-    rays = len(_quadrules.unit_directions(N, n_ang)[0])
-    for part in (shared, tails):
-        assert max(part) <= 8192 or len(part) == rays
+    for part in parts:
+        assert max(part) <= 8192 or len(part) == len(thetas)
 
 
 @pytest.mark.parametrize("N", [1, 2])
@@ -907,6 +913,160 @@ def test_eval_LK_at_many_points_is_each_point_alone(case, N):
         assert values.tolist() == [v for v, _ in alone]
         assert estimates.tolist() == [e for _, e in alone]
         assert eval_LK(K, u, X, FAST).tolist() == values.tolist()
+
+
+# ---------------------------------------------------------------------------
+# the shared suffix: the trailing panels every ray around a centre shares
+# ---------------------------------------------------------------------------
+
+
+def _split_rows(X, thetas, u, radii, n_rad=128, lo=FAST.r_min, hi=1.0):
+    """_split of the centres X, and every ray's finite panel edges, centre by
+    centre and ray by ray."""
+    parts = _quadrules._split(X, thetas, lo, hi, n_rad, u.kinks, radii)
+    breaks = [_quadrules.ray_breaks(x, thetas, u.kinks, radii) for x in X]
+    rows = [[_row(r) for r in _quadrules.panel_edges(lo, hi, b)] for b in breaks]
+    return parts, rows
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_centre_whose_rays_are_alike_has_no_suffix(N):
+    # no kinks, or kinks on spheres about the centre itself: every ray has
+    # the same edges, all of them prefix
+    thetas, _ = _quadrules.unit_directions(N, FAST.n_angular)
+    X = np.concatenate([np.zeros((1, N)), sample_annulus(5, N, 0.0, 0.3)])
+    for u, centres in ((gaussian_field(0.4), X), (bump_field(0.05), X[:1])):
+        (prefixes, suffixes, tails), rows = _split_rows(centres, thetas, u, (0.3,))
+        assert suffixes == [()] * len(centres)
+        assert [list(key) for key in prefixes] == [r[0] for r in rows]
+        assert tails.nodes() == 0
+
+
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("case", list(_KINK_FIELDS) + ["bump", "gain"])
+def test_prefix_tails_and_suffix_partition_every_ray(case, N):
+    # each ray's panels are its prefix, its tail and its suffix, in order,
+    # none of them shared by two parts; the suffix has at least one panel
+    make = {"bump": lambda N: bump_field(0.05),
+            "gain": lambda N: gain_shell(0.05, 1.0, N)[0]}.get(case, _KINK_FIELDS.get(case))
+    u = make(N)
+    thetas, _ = _quadrules.unit_directions(N, FAST.n_angular)
+    near = np.array([0.1 + 5e-12, 0.0][:N])  # a ray breaks within the first decade
+    supported = case in ("bump", "gain")  # on B_0.05
+    X = np.concatenate([sample_annulus(24, N, 0.0, 0.05 if supported else 0.5), near[None, :]])
+    (prefixes, suffixes, tails), rows = _split_rows(X, thetas, u, (0.3,))
+    M = len(thetas)
+    for p, (prefix, suffix) in enumerate(zip(prefixes, suffixes)):
+        assert len(suffix) != 1
+        own = tails.rays(slice(p * M, (p + 1) * M))
+        start = np.cumsum(own.count) - own.count
+        for k, row in enumerate(rows[p]):
+            panels = slice(start[k], start[k] + own.count[k])
+            tail = sorted({*own.a[panels], *own.b[panels]})
+            if len(prefix) == len(row):  # every ray alike
+                assert tail == [] and suffix == ()
+                continue
+            assert tail[0] == prefix[-1] and (not suffix or tail[-1] == suffix[0])
+            assert list(prefix[:-1]) + tail + list(suffix[1:]) == row
+    if supported:
+        # around points of the support no ray breaks past 0.1
+        assert set(suffixes[:24]) == {(0.1, 0.3, 1.0)}
+
+
+def test_many_centres_with_suffixes_are_each_centre_alone():
+    # the bump's 32 sample points all have a suffix, and fewer distinct
+    # suffixes than prefixes, so suffix groups span several prefix groups
+    u, K = bump_field(0.05), sinlog_kernel()
+    X = sample_annulus(32, 2, 0.0, 0.05)
+    thetas, _ = _quadrules.unit_directions(2, FAST.n_angular)
+    prefixes, suffixes, _ = _quadrules._split(X, thetas, FAST.r_min, 1.0, 128, u.kinks, ())
+    assert all(suffixes) and len(set(suffixes)) < len(set(prefixes))
+    values = eval_LK(K, u, X, FAST)
+    assert values.tolist() == [eval_LK(K, u, x, FAST) for x in X]
+
+
+def test_suffix_key_equal_to_another_prefix_key_keeps_each_sum_alone(monkeypatch):
+    # A real split never gives one centre's suffix the key of another's
+    # prefix: a prefix starts at lo, a suffix never does.  Force it on
+    # kink-free centres, whose rays are all prefix: centres with y > 0 split
+    # at 1e-6 into a prefix and a suffix, the others keep only the part past
+    # 1e-6, as prefix.  Each centre must still add its prefix, then its
+    # suffix, as when it is alone.
+    real = _quadrules._split
+
+    def split(X, *args):
+        prefixes, suffixes, tails = real(X, *args)
+        for p, (x, key) in enumerate(zip(X, prefixes)):
+            cut = key.index(1e-6)
+            if x[1] > 0:
+                prefixes[p], suffixes[p] = key[:cut + 1], key[cut:]
+            else:
+                prefixes[p] = key[cut:]
+        return prefixes, suffixes, tails
+
+    monkeypatch.setattr(_quadrules, "_split", split)
+    # blocks of one ray, so that each part adds several terms and their order
+    # shows in the last bits
+    monkeypatch.setattr(_quadrules, "_BLOCK_NODES", 1)
+    u = gaussian_field(0.4)
+    X = np.array([[0.1, -0.2], [0.1, 0.2], [-0.3, 0.05], [0.2, -0.1]])
+
+    def polar_sum(X):
+        ux = u.evaluate(X)
+        return _quadrules.polar_sum(X, 6, 64, FAST.r_min, 1.0,
+                                    lambda p, Z, Y: ux[p] - u.evaluate(Y))
+
+    assert polar_sum(X).tolist() == [polar_sum(x[None, :])[0] for x in X]
+
+
+# the fields of the seven verify-2d lemmas (the bump at its two radii, no
+# sector), each at its verifier's 32 sample points
+def _lemma_cases(N):
+    pts = sample_annulus(32, 1, 0.0, 1.0)[:, 0]
+    strip = np.zeros((32, N))
+    strip[:, -1] = pts
+    small = sample_annulus(32, N, 0.0, 0.005)
+    return {
+        "boundary": (boundary_barrier_field(0.06, 0.2), sample_annulus(32, N, 0.06, 0.0636)),
+        "bump": (bump_field(0.05), sample_annulus(32, N, 0.0, 0.05)),
+        "small-bump": (bump_field(0.005), small),
+        "gain": (gain_shell(0.05, 1.0, N)[0], small),
+        "tail": (tail_field(1e-3, 0.25), sample_annulus(32, N, 0.0, 5e-4)),
+        "exponential": (exponential_field(1.0), strip),
+        "composite": (composite_barrier_field(0.05, 0.06, gain_shell(0.05, 1.0, N)[0]), small),
+    }
+
+
+def _exact_per_ray_polar_sum(X, n_ang, n_rad, lo, hi, integrand, profile=None,
+                             kinks=_quadrules.Kinks(), radii=()):
+    # each centre's rays, every panel of each on its own ray: one rule by
+    # panel_edges, ray_panels and polar_nodes, summed exactly (math.fsum)
+    thetas, ang_w = _quadrules.unit_directions(X.shape[1], n_ang)
+    sums = []
+    for p, x in enumerate(X):
+        edges = _quadrules.panel_edges(lo, hi, _quadrules.ray_breaks(x, thetas, kinks, radii))
+        Z, rho, w = _quadrules.polar_nodes(thetas, ang_w, _quadrules.ray_panels(edges, n_rad))
+        if profile is not None:
+            w = w * profile(rho)
+        sums.append(math.fsum(w * integrand(p, Z, x + Z)))
+    return np.array(sums)
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_lemma_fields_match_the_exact_per_ray_sum(N, monkeypatch):
+    # The prefix and suffix rules and the blocks only regroup the sum of the
+    # same products.  Against the exact sum of the per-ray rule, the
+    # unchanged boundary barrier already reads 1.6e-15 and the bump 2-3e-15
+    # before the suffix was shared (1.3-2.0e-15 after), so the bound is a
+    # few rounding errors of a sum, not 1e-15.
+    cases = _lemma_cases(N)
+    got = {(name, K.name): eval_LK(K, u, X, FAST)
+           for name, (u, X) in cases.items() for K in (unit_kernel(), sinlog_kernel())}
+    monkeypatch.setattr(_quadrules, "polar_sum", _exact_per_ray_polar_sum)
+    for (name, kname), values in got.items():
+        u, X = cases[name]
+        ref = eval_LK(unit_kernel() if kname == "unit" else sinlog_kernel(), u, X, FAST)
+        np.testing.assert_allclose(values, ref, rtol=4e-15, atol=0, err_msg=f"{name} {kname}")
 
 
 @pytest.mark.parametrize("N", [1, 2])
