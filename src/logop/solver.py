@@ -40,28 +40,24 @@ otherwise by inverse iteration and the Hager-Higham estimate), so every
 later right-hand side costs one solve with the factorization, the
 residual and the maximum-principle audit.  On a 1-D grid (a run of
 consecutive lattice points) an even translation-invariant operator gives a
-symmetric Toeplitz matrix A = T(S) + d*I, and assemble keeps only its first
-column (a _ToeplitzStiffness): its products are direct convolutions, the
-first column of its inverse is generated by circulant-preconditioned MINRES
-in O(n log n) per iteration, it is solved in O(n log n) by the
-Gohberg-Semencul formula, and its n x n matrix is formed only when read or
-for LU.  Every other matrix, a Toeplitz one of fewer than TOEPLITZ_MIN_N
-rows, and a Toeplitz one whose generator does not converge or whose factor
-fails its backward-error check or lies near the singular threshold, is
-factored by dense LU of one Fortran-ordered copy.  Each matrix type makes
-this choice (`_factor`, falling back to `_lu`) and computes the sweep's
-Z-matrix statistics (`_z_stats`) itself, so no caller asks which type a
-matrix is, and a factor is only its solves: the M-matrix certificate, the
-sigma_min iteration and the Hager-Higham estimate are the same on either
-factor.
+symmetric Toeplitz matrix, and assemble keeps only its first column (a
+_ToeplitzStiffness): its products are direct convolutions, its n x n matrix
+is formed only when read or for LU, and from TOEPLITZ_MIN_N rows on it is
+factored in O(n log n) by _toeplitz.Factor (see _toeplitz).  Every other
+matrix, and a Toeplitz one that _toeplitz refuses or whose sigma_min lies
+near the singular threshold, is factored by dense LU of one Fortran-ordered
+copy.  Each matrix type makes this choice (`_factor`, falling back to
+`_lu`) and computes the sweep's Z-matrix statistics (`_z_stats`) itself,
+so no caller asks which type a matrix is, and a factor is only its solves:
+the M-matrix certificate, the sigma_min iteration and the Hager-Higham
+estimate are the same on either factor.
 
 scipy.linalg (LAPACK) is loaded on the first LU factorization or when a
 Toeplitz matrix is formed, not when this module is imported: the pointwise
 evaluators and the barrier verifiers (`eval`, `verify`, `constants`) never
 load it, nor do solves and sweeps on 1-D Toeplitz matrices of
 TOEPLITZ_MIN_N rows or more, and the first LU solve in a process pays the
-~0.2 s load (its `factor_s` includes it).  The Toeplitz factor uses
-numpy.fft, which numpy has already loaded; scipy.fft is never imported.
+~0.2 s load (its `factor_s` includes it).  scipy.fft is never imported.
 scipy.sparse is loaded only to assemble an x-dependent kernel.
 """
 
@@ -78,7 +74,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _quadrules, geometry, kernels, nonlocal_eval
+from . import _quadrules, _toeplitz, geometry, kernels, nonlocal_eval
 from .geometry import GridFunction
 from .logmod import ell, fit_exponent, fit_second_order_exponent
 
@@ -104,21 +100,14 @@ DENSE_BYTES_PER_ENTRY = 16  # float64 matrix plus the LU factorization's copy
 # (no dense table nears 2^31 entries) and numpy's intp copy of it stay under
 # glibc's 128 KiB mmap threshold; mode "clip" writes without numpy's buffer
 _GATHER_ENTRIES = 16384
-# a Toeplitz factor is kept when a probe solve's normwise backward error is
-# at most TOEPLITZ_BACKWARD_TOL (measured up to 4.7e-16 on the 1-D catalog
-# operators, the wide log-Laplacian and shifts past lambda_1 at n <= 2000,
-# LU up to 2e-14) and sigma_min is at least TOEPLITZ_SIGMA_FLOOR times the
-# matrix 1-norm (a certified M-matrix bound under it falls back to the
+# a Toeplitz factor is kept when sigma_min is at least TOEPLITZ_SIGMA_FLOOR
+# times the 1-norm (a certified M-matrix bound under it falls back to the
 # sigma_min iteration).  The Toeplitz and LU estimates of sigma_min agree to
 # 1e-7 relative at sigma_min = 1e-9 times the 1-norm and to 9e-7 at 1e-10
 # (unit and sinlog kernels, n = 99 and 499, shifted towards -lambda_1), so
 # a margin of 10 over the near-singular threshold leaves every
 # near_singular verdict and null vector to LU
-TOEPLITZ_BACKWARD_TOL = 1e-11
 TOEPLITZ_SIGMA_FLOOR = 10 * NEAR_SINGULAR_FACTOR
-# the generator's MINRES takes 9-15 iterations on those matrices and 17-26
-# at sigma_min = 1e-8 to 1e-10 times the 1-norm; a singular matrix stalls
-TOEPLITZ_MAX_ITERATIONS = 40
 # a 1-D Toeplitz matrix with fewer rows is factored by LU.
 # StiffnessMatrix._factors of a certified M-matrix (median of 21, the two
 # paths alternating, one BLAS thread, unit, sinlog and log-Laplacian kernels
@@ -217,140 +206,11 @@ class _LU:
         return sla.lu_solve(self.lu_piv, b, trans=int(trans), check_finite=False)
 
 
-class _Toeplitz:
-    """Inverse of T - shift*I, where T is the symmetric Toeplitz matrix with
-    this first column, by the Gohberg-Semencul formula
-    T^-1 = (L(x) L(x)^T - L(ZJx) L(ZJx)^T) / x[0] in O(n log n), where
-    x = T^-1 e_1 comes from _toeplitz_generator: L(v) is the lower-triangular
-    Toeplitz matrix with first column v, J the reversal and Z the down-shift,
-    so ZJx = [0, x[n-1], ..., x[1]].  L(v) b is the first n entries of the
-    convolution v * b, and L(v)^T b = J L(v) J b; the convolutions are real
-    FFTs of length m >= 2n - 1, the circulant embedding of T - shift*I that
-    the generator and the probe multiply by.  Raises np.linalg.LinAlgError
-    when the generator does, when x[0] is 0, or when a probe solve's
-    normwise backward error exceeds TOEPLITZ_BACKWARD_TOL.  `iterations`
-    and `residual` are the generator's.  No n x n array is formed."""
-
-    name = "toeplitz"
-    singular = False
-    symmetric = True  # solve(b, trans=True) is solve(b)
-
-    def __init__(self, column, shift=0.0):
-        self.n = n = len(column)
-        self.m = m = 1 << (2 * n - 1).bit_length()
-        # the even circulant embeddings of T - shift*I and of its taper
-        # (1 - k/n) c_k, whose spectra are real
-        embedded = np.zeros((2, m))
-        embedded[0, :n] = column
-        embedded[0, 0] -= shift
-        column = embedded[0, :n]
-        embedded[1, :n] = column * (1.0 - np.arange(n) / n)
-        embedded[:, m - n + 1:] = embedded[:, n - 1:0:-1]
-        F, taper = np.fft.rfft(embedded).real
-        x, self.iterations, self.residual = _toeplitz_generator(F, taper, n)
-        if not x[0] != 0.0:
-            raise np.linalg.LinAlgError("first entry of the generator is 0")
-        # the spectra of x and ZJx, once as they are and once as the last
-        # stage of solve combines them
-        XY = np.fft.rfft(np.stack((x, np.concatenate(([0.0], x[:0:-1])))), m)
-        self.XY, self.XY_last = XY, XY * [[1.0 / x[0]], [-1.0 / x[0]]]
-        b = np.random.default_rng(7).standard_normal(n)
-        with np.errstate(all="ignore"):
-            y = self.solve(b)
-            r = np.fft.irfft(F * np.fft.rfft(y, m), m)[:n] - b
-            scale = _toeplitz_norm1(column) * np.max(np.abs(y)) + np.max(np.abs(b))
-            backward = np.max(np.abs(r)) / scale
-        if not backward <= TOEPLITZ_BACKWARD_TOL:
-            raise np.linalg.LinAlgError(f"Toeplitz probe backward error {backward:.3g}")
-
-    def solve(self, b, trans=False):
-        """T^-1 b; T is symmetric, so trans changes nothing."""
-        n, m, fft = self.n, self.m, np.fft
-        B = fft.rfft(b[::-1], m)
-        st = fft.rfft(fft.irfft(self.XY * B, m)[:, n - 1::-1], m)
-        return fft.irfft(np.sum(self.XY_last * st, axis=0), m)[:n]
-
-
-def _toeplitz_generator(F, G, n):
-    """x = T^-1 e_1, the iteration count and the final relative residual
-    estimate, by MINRES (Paige and Saunders, SIAM J. Numer. Anal. 12, 1975)
-    with a circulant preconditioner (Chan and Jin, An Introduction to
-    Iterative Toeplitz Solvers, SIAM 2007).  T v = irfft(F rfft(v, m))[:n]:
-    T is the leading n x n block of the circulant with eigenvalues F.  G are
-    the eigenvalues of the circulant of the tapered column (1 - k/n) c_k,
-    Fejer means of T's symbol and Rayleigh quotients of T at the Fourier
-    vectors, so they lie in [lambda_min(T), lambda_max(T)]; the
-    preconditioner, the leading n x n block of the inverse of the circulant
-    with eigenvalues |G|, is positive definite for indefinite T as well.
-    MINRES stops when its estimate of the residual in the preconditioner's
-    norm has fallen to eps times its start; x is formed once, from the
-    Lanczos vectors kept a row each.  Raises np.linalg.LinAlgError when
-    some |G| is not above NEAR_SINGULAR_FACTOR times the largest, on a
-    breakdown, or after TOEPLITZ_MAX_ITERATIONS steps (the residual of a
-    singular T stalls)."""
-    G = np.abs(G)
-    if not np.min(G) > NEAR_SINGULAR_FACTOR * np.max(G):
-        raise np.linalg.LinAlgError("circulant preconditioner is near singular")
-    m, cap = 2 * (len(F) - 1), TOEPLITZ_MAX_ITERATIONS
-    rfft, irfft = np.fft.rfft, np.fft.irfft
-    # complex copies: a complex-by-complex product is faster than numpy's
-    # mixed real-by-complex loop
-    F, P = F.astype(complex), (1.0 / G).astype(complex)
-    spectrum = np.empty(len(F), complex)
-    V = np.empty((cap, n))  # Lanczos vectors, a row per step; later rows untouched
-    R = np.zeros((3, cap + 2))  # the rotated tridiagonal: diagonal and two above it
-    phi = np.empty(cap)
-    r_old, r = np.zeros(n), np.eye(1, n)[0]
-    z = irfft(P, m)[:n]  # the preconditioned e_1
-    beta = beta1 = math.sqrt(z[0])
-    beta_old, cs, sn, dbar, eps_next, phibar = 1.0, -1.0, 0.0, 0.0, 0.0, beta1
-    tol = np.finfo(float).eps * beta1
-    for k in range(cap):
-        v = np.multiply(z, 1.0 / beta, out=V[k])
-        z = irfft(np.multiply(rfft(v, m, out=spectrum), F, out=spectrum), m)[:n]
-        z -= (beta / beta_old) * r_old
-        alpha = float(np.dot(v, z))
-        z -= (alpha / beta) * r
-        r_old, r = r, z
-        z = irfft(np.multiply(rfft(r, m, out=spectrum), P, out=spectrum), m)[:n]
-        beta_old, beta = beta, math.sqrt(max(float(np.dot(r, z)), 0.0))
-        # the next Givens rotation of the Lanczos tridiagonal
-        R[1, k] = cs * dbar + sn * alpha
-        gbar = sn * dbar - cs * alpha
-        R[2, k], eps_next = eps_next, sn * beta
-        dbar = -cs * beta
-        gamma = math.hypot(gbar, beta)
-        if not gamma > 0.0:
-            raise np.linalg.LinAlgError("MINRES broke down")
-        R[0, k], cs, sn = gamma, gbar / gamma, beta / gamma
-        phi[k], phibar = cs * phibar, sn * phibar
-        if phibar <= tol:
-            break
-    else:
-        raise np.linalg.LinAlgError(f"MINRES did not converge in {cap} iterations "
-                                    f"(residual {phibar / beta1:.3g})")
-    k += 1
-    y = np.zeros(k + 2)  # x = V^T y, R y = phi by back substitution
-    for i in range(k - 1, -1, -1):
-        y[i] = (phi[i] - R[1, i + 1] * y[i + 1] - R[2, i + 2] * y[i + 2]) / R[0, i]
-    return y[:k] @ V[:k], k, phibar / beta1
-
-
-def _toeplitz_norm1(column):
-    """1-norm of the symmetric Toeplitz matrix with this first column:
-    column j of the matrix holds column[j::-1] and column[1:n-j], so its
-    sum of magnitudes comes from one cumulative sum, in O(n) and without
-    the n x n temporary np.linalg.norm makes."""
-    p = np.cumsum(np.abs(column))
-    return float(np.max(p + p[::-1]) - abs(column[0]))
-
-
 def _inverse_norm1_estimate(solve, n):
     """Estimate of ||A^-1||_1 from solves with A and A^T: Hager's method with
     Higham's refinements, step for step as LAPACK's dlacn2, which LAPACK's
     LU condition estimate runs on the solves with U^-1 L^-1 of A = PLU.
-    solve(b, trans) returns A^-1 b, or A^-T b when trans is true.  Every
-    factor's condition estimate is the 1-norm times this estimate."""
+    solve(b, trans) returns A^-1 b, or A^-T b when trans is true."""
     y = solve(np.full(n, 1.0 / n))
     if n == 1:
         return abs(float(y[0]))
@@ -395,7 +255,7 @@ def _m_matrix_bound(factor, n):
 class _Factors:
     """What a solve needs from its matrix besides the matrix itself."""
 
-    factor: _LU | _Toeplitz
+    factor: _LU | _toeplitz.Factor
     anorm: float  # 1-norm of the matrix
     condition: float  # 1-norm condition number: exact or estimated, see sigma_path
     sigma_min: float
@@ -479,7 +339,7 @@ class StiffnessMatrix:
         solves' rounding and sigma_min is a lower bound (sigma_path
         "m_matrix").  Any other matrix, or one whose bound falls under
         TOEPLITZ_SIGMA_FLOOR times the 1-norm, takes the sigma_min inverse
-        iteration and the Hager-Higham condition estimate ("iteration").
+        iteration and Hager-Higham, floored at 1/(sigma sqrt(n)) ("iteration").
         A factor other than LU (a Toeplitz one) is replaced by `_lu` when its
         sigma_min falls under TOEPLITZ_SIGMA_FLOOR times the 1-norm;
         factor_s then includes the first factor and its sigma_min
@@ -511,7 +371,10 @@ class StiffnessMatrix:
         if path == "iteration":
             inverse_norm = math.inf
             if sigma > 0.0:
-                inverse_norm = _inverse_norm1_estimate(factor.solve, self.n)
+                # ||A^-1||_1 >= 1/(sigma_min sqrt(n)) >= 1/(sigma sqrt(n)),
+                # a floor under Hager-Higham, which can fall far short
+                inverse_norm = max(_inverse_norm1_estimate(factor.solve, self.n),
+                                   1.0 / (sigma * math.sqrt(self.n)))
         if math.isfinite(inverse_norm):
             condition = anorm * inverse_norm
         else:
@@ -560,28 +423,25 @@ class _ToeplitzStiffness(StiffnessMatrix):
         return np.convolve(np.concatenate((c[:0:-1], c)), v, "valid")
 
     def _norm1(self):
-        return _toeplitz_norm1(self.column)
+        return _toeplitz.norm1(self.column)
 
     def _lu(self, shift=0.0):
         return _LU(self._dense("the LU fallback from the Toeplitz factor"), shift,
                    self.symmetric)
 
     def _factor(self, shift=0.0):
-        """The Toeplitz factor when n >= TOEPLITZ_MIN_N and _Toeplitz keeps
+        """The Toeplitz factor when n >= TOEPLITZ_MIN_N and _toeplitz keeps
         it, else LU, which forms the dense matrix behind the memory guard."""
         if self.n >= TOEPLITZ_MIN_N:
             try:
-                return _Toeplitz(self.column, shift)
+                return _toeplitz.Factor(self.column, shift)
             except np.linalg.LinAlgError:
                 pass
         return self._lu(shift)
 
     def _z_stats(self):
-        # from c in O(n): the off-diagonal is c[1:], and row i sums c[0..i]
-        # and c[1..n-1-i]
-        c = self.column
-        p = np.cumsum(c)
-        return np.max(c[1:], initial=-math.inf), np.max(np.abs(c)), p + p[::-1] - c[0]
+        c = self.column  # in O(n): the off-diagonal is c[1:]
+        return np.max(c[1:], initial=-math.inf), np.max(np.abs(c)), _toeplitz.row_sums(c)
 
     def _dense(self, cause):
         """toeplitz(c), read-only, once the guard has found room for it."""

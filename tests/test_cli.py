@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import logop
-from logop import barriers, cli, nonlocal_eval, solver
+from logop import _toeplitz, barriers, cli, nonlocal_eval, solver
 from logop.cli import main
 from logop.geometry import Domain, GridFunction, build_grid
 from logop.kernels import unit_kernel
@@ -226,7 +226,7 @@ def test_solve_writes_solution_and_report(capsys, tmp_path, toeplitz_at_any_n):
     assert report["h"] == 0.05
     assert report["residual_inf"] < 1e-9
     assert report["factorization"] == "toeplitz"
-    assert 0 < report["iterations"] <= solver.TOEPLITZ_MAX_ITERATIONS
+    assert 0 < report["iterations"] <= _toeplitz.MAX_ITERATIONS
     # a Z-matrix with positive row sums: sigma_min and the condition number
     # come from the M-matrix certificate, which also certifies the audit
     assert report["sigma_path"] == "m_matrix"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from logop import _quadrules, geometry, solver
+from logop import _quadrules, _toeplitz, geometry, solver
 from logop.geometry import (
     Domain,
     GridFunction,
@@ -458,7 +458,7 @@ def test_dense_size_guard_runs_when_a_toeplitz_matrix_is_formed(monkeypatch, fal
     with pytest.raises(ValueError, match=rf"reading the dense matrix: .*n={grid.n}"):
         sm.matrix
     if fallback == "backward-error":
-        monkeypatch.setattr(solver, "TOEPLITZ_BACKWARD_TOL", 0.0)
+        monkeypatch.setattr(_toeplitz, "BACKWARD_TOL", 0.0)
     else:
         problem = replace(problem, shift=-lam1)
     sm = assemble(problem, grid, CFG)
@@ -655,7 +655,7 @@ def _count_factorizations(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(solver.sla, "lu_factor", "lu_factor")
-    count(solver, "_toeplitz_generator", "generator")
+    count(_toeplitz, "generator", "generator")
     return calls
 
 
@@ -813,20 +813,19 @@ def test_toeplitz_generator_matches_dense_solve(monkeypatch, operator, half, h, 
     T = sla.toeplitz(sm.column) - shift * np.eye(sm.n)
     assert np.count_nonzero(np.linalg.eigvalsh(T) < 0) == negative
     generated = []
-    generator = solver._toeplitz_generator
+    generator = _toeplitz.generator
 
     def recorded(*args):
         generated.append(generator(*args))
         return generated[-1]
 
-    monkeypatch.setattr(solver, "_toeplitz_generator", recorded)
-    factor = solver._Toeplitz(sm.column, shift)
-    ((x, iterations, residual),) = generated
+    monkeypatch.setattr(_toeplitz, "generator", recorded)
+    factor = _toeplitz.Factor(sm.column, shift)
+    ((x, iterations),) = generated
     x_ref = np.linalg.solve(T, np.eye(1, sm.n)[0])
     assert np.max(np.abs(x - x_ref)) <= 1e-13 * np.max(np.abs(x_ref))
-    assert (factor.iterations, factor.residual) == (iterations, residual)
+    assert factor.iterations == iterations
     assert iterations <= 20
-    assert residual <= np.finfo(float).eps
 
 
 @pytest.mark.parametrize("case", list(_ORACLE_CASES))
@@ -898,6 +897,24 @@ def test_sigma_min_estimate_survives_an_overflowing_solve():
     assert sigma == 0.0
 
 
+def test_condition_estimate_keeps_its_sigma_min_floor():
+    # ||A^-1||_1 >= 1/(sigma_min sqrt(n)): here Hager-Higham alone reads
+    # ||A||_1 ||A^-1||_1 ~ 49, under that floor (~2376; the true value is
+    # ~16600), so the iteration path reports the floor
+    problem = replace(_interval_problem(half=3.0), shift=-0.5)
+    grid = build_grid(problem.domain, 0.1875)
+    assert grid.n == 31
+    sm = assemble(problem, grid, CFG)
+    _, report = solve_dirichlet(problem, grid, CFG, stiffness=sm)
+    assert (report.factorization, report.sigma_path) == ("lu", "iteration")
+    anorm = float(np.linalg.norm(sm.matrix, 1))
+    floor = anorm / (report.sigma_min * math.sqrt(grid.n))
+    hager = anorm * solver._inverse_norm1_estimate(sm._factors.factor.solve, grid.n)
+    assert hager < 0.1 * floor
+    assert floor <= report.condition_estimate * (1 + 1e-15)
+    assert report.condition_estimate <= np.linalg.cond(sm.matrix, 1)
+
+
 def test_toeplitz_factor_failures_fall_back_to_lu(monkeypatch, toeplitz_at_any_n):
     problem = _interval_problem(half=0.1)
     grid = build_grid(problem.domain, 0.04)
@@ -919,13 +936,13 @@ def test_toeplitz_factor_failures_fall_back_to_lu(monkeypatch, toeplitz_at_any_n
     # is singular.  LU finds the zero pivot.
     for A in (np.ones((5, 5)), 5.0 * np.eye(5) - np.ones((5, 5))):
         with pytest.raises(np.linalg.LinAlgError):
-            solver._Toeplitz(A[:, 0])
+            _toeplitz.Factor(A[:, 0])
         sm = solver._ToeplitzStiffness(A[:, 0], grid)
         _, report = solve_dirichlet(problem, grid, CFG, stiffness=sm)
         assert (report.factorization, report.alternative) == ("lu", "near_singular")
     # a Toeplitz factor that fails the backward-error check is not kept
     sm = assemble(problem, grid, CFG)
-    monkeypatch.setattr(solver, "TOEPLITZ_BACKWARD_TOL", 0.0)
+    monkeypatch.setattr(_toeplitz, "BACKWARD_TOL", 0.0)
     _, report = solve_dirichlet(problem, grid, CFG, stiffness=sm)
     assert report.factorization == "lu"
 
