@@ -5,12 +5,12 @@ The package evaluates singular integral operators whose kernels scale like
 associated Dirichlet problems by collocation, and numerically verifies the
 barrier constructions that drive their log-Hoelder regularity theory.
 
-Layout: `logmod` (the truncated log modulus and exponent fits),
-`kernels` (special functions, kernel catalog, mollification), `geometry`
-(domains and grids), `nonlocal_eval` (pointwise quadrature of the operators),
-`solver` (dense collocation solves, their Fredholm verdicts and the
-first-eigenvalue sweep), `barriers` (barrier fields and verifiers), `cli`
-(batch front end, installed as `logop`).
+Layout: `logmod` (the truncated log modulus), `kernels` (special functions,
+kernel catalog, mollification), `geometry` (domains and grids), `nonlocal_eval`
+(pointwise quadrature of the operators), `solver` (dense collocation solves,
+Fredholm verdicts, the first-eigenvalue sweep, torsion scans), `regularity`
+(every exponent fit against the log modulus), `barriers` (barrier fields and
+verifiers), `cli` (batch front end, installed as `logop`).
 
 LOGOP_THREADS, when set, caps the BLAS thread pools: it is copied into the
 OpenBLAS/OpenMP/MKL thread variables (unless those are set already) before
@@ -38,7 +38,7 @@ from .kernels import (
     mollify_kernel,
     schrodinger_weight,
 )
-from .logmod import RHO0, ell, fit_exponent
+from .logmod import RHO0, ell
 from .nonlocal_eval import (
     FieldFunction,
     QuadratureConfig,
@@ -54,11 +54,11 @@ from .solver import (
     SolveReport,
     StiffnessMatrix,
     assemble,
-    estimate_regularity,
     fredholm_sweep,
     solve_dirichlet,
     torsion_scan,
 )
+from .regularity import estimate_regularity, fit_exponent
 from .barriers import (
     verify_boundary_barrier,
     verify_bump,

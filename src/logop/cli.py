@@ -22,7 +22,7 @@ import tempfile
 
 import numpy as np
 
-from . import barriers, geometry, kernels, nonlocal_eval, solver
+from . import barriers, geometry, kernels, nonlocal_eval, regularity, solver
 from .logmod import ell
 
 __all__ = ["main"]
@@ -368,7 +368,7 @@ def _cmd_fit(args):
         d = geometry.dist_to_boundary(domain, grid.nodes)
         u = geometry.GridFunction(grid, ell(np.maximum(d, 1e-300), alpha))
         desc = f"synthetic ell^{alpha}(d)"
-    result = solver.estimate_regularity(u, desc)
+    result = regularity.estimate_regularity(u, desc)
     # keep the document strict JSON: infinite exponents (flat samples) as strings
     result = {
         k: (v if math.isfinite(v) else ("inf" if v > 0 else "-inf"))

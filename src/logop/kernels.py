@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _quadrules
+from . import _quadrules, regularity
 from .logmod import RHO0, ell
 
 EULER_GAMMA = 0.5772156649015328606065
@@ -412,9 +412,7 @@ def check_one_regularity(K, pairs, quad):
     scales = np.array(wns)
     ratios = np.array(per_pair)
     if len(np.unique(scales)) >= 3 and np.all(ratios > 0):
-        growth_slope = float(
-            np.polyfit(np.log(1.0 / ell(scales)), np.log(ratios), 1)[0]
-        )
+        growth_slope = regularity.slope(np.log(1.0 / ell(scales)), np.log(ratios))
     grows = math.isfinite(growth_slope) and growth_slope > 0.5
     return {
         "Lambda_hat": lam_hat,

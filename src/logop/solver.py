@@ -76,7 +76,7 @@ import numpy as np
 
 from . import _quadrules, _toeplitz, geometry, kernels, nonlocal_eval
 from .geometry import GridFunction
-from .logmod import ell, fit_exponent, fit_second_order_exponent
+from .logmod import ell
 
 __all__ = [
     "ProblemSpec",
@@ -87,7 +87,6 @@ __all__ = [
     "fredholm_sweep",
     "torsion_radii",
     "torsion_scan",
-    "estimate_regularity",
 ]
 
 NEAR_SINGULAR_FACTOR = 1e-10
@@ -838,72 +837,3 @@ def torsion_scan(R_list, template, cfg, nodes_across=80):
         )
     return rows
 
-
-def estimate_regularity(u, f_desc):
-    """Fit the three regularity exponents of a solved grid function.
-
-    alpha_global fits the oscillation of the zero-extension over balls centered
-    at a boundary point; alpha_interior fits second differences at the domain
-    center (reported as the fitted exponent minus one); alpha_boundary fits
-    |u| against the log modulus of the boundary distance along the inward
-    normal ray, discarding the two nodes nearest the boundary.
-    """
-    grid = u.grid
-    domain = grid.domain
-    h = grid.h
-    x0 = domain.boundary_point()
-
-    radii, oscs = [], []
-    r = 0.08
-    while r >= 3 * h:
-        mask = np.linalg.norm(grid.nodes - x0, axis=1) < r
-        if np.count_nonzero(mask) >= 2:
-            vals = u.values[mask]
-            # the ball crosses the boundary, so the exterior zero extension
-            # always contributes to the oscillation
-            oscs.append(max(float(vals.max()), 0.0) - min(float(vals.min()), 0.0))
-            radii.append(r)
-        r /= 2
-    if len(radii) < 3:
-        raise ValueError(
-            f"insufficient scales for the global oscillation fit (rhs {f_desc!r});"
-            " refine the grid"
-        )
-    alpha_global = fit_exponent(radii, oscs)
-
-    center = domain.center
-    d_center = float(geometry.dist_to_boundary(domain, center))
-    int_radii = []
-    r = min(0.08, 0.45 * d_center)
-    while r >= 2 * h and len(int_radii) < 6:
-        int_radii.append(r)
-        r /= 2
-    if len(int_radii) < 3:
-        raise ValueError(
-            f"insufficient scales for the interior fit (rhs {f_desc!r}); refine the grid"
-        )
-    gamma = fit_second_order_exponent(u, grid, center, int_radii)
-    alpha_interior = gamma - 1.0 if math.isfinite(gamma) else math.inf
-
-    nu = center - x0
-    nu_norm = float(np.linalg.norm(nu))
-    if nu_norm == 0.0:
-        raise ValueError("degenerate domain: boundary point equals center")
-    nu = nu / nu_norm
-    j_max = int(min(0.1, nu_norm) / h)
-    ts = h * np.arange(3, max(4, j_max))
-    pts = x0 + ts[:, None] * nu
-    d = geometry.dist_to_boundary(domain, pts)
-    vals = np.abs(geometry.interpolate_many(u, pts))
-    keep = (d > 0) & (d < 0.1) & (vals > 0)
-    if np.count_nonzero(keep) < 3:
-        raise ValueError(
-            f"insufficient scales for the boundary fit (rhs {f_desc!r}); refine the grid"
-        )
-    alpha_boundary = fit_exponent(d[keep], vals[keep])
-
-    return {
-        "alpha_global": float(alpha_global),
-        "alpha_interior": float(alpha_interior),
-        "alpha_boundary": float(alpha_boundary),
-    }

@@ -37,11 +37,11 @@ from logop.nonlocal_eval import (
 from logop.solver import (
     ProblemSpec,
     assemble,
-    estimate_regularity,
     fredholm_sweep,
     solve_dirichlet,
     torsion_scan,
 )
+from logop.regularity import estimate_regularity
 
 FAST = QuadratureConfig()
 ORACLE = QuadratureConfig(mode="oracle")

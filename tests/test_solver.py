@@ -39,7 +39,6 @@ from logop.nonlocal_eval import (
 from logop.solver import (
     ProblemSpec,
     assemble,
-    estimate_regularity,
     fredholm_sweep,
     solve_dirichlet,
     torsion_scan,
@@ -1361,27 +1360,3 @@ def test_torsion_scan_zero_rhs_and_radius_guard(monkeypatch):
             torsion_scan(radii, template, CFG)
     assert solves == []
     assert solver.torsion_radii([0.1, "0.05"]) == [0.1, 0.05]
-
-
-def test_estimate_regularity_recovers_synthetic_exponent():
-    dom = Domain.interval(-1.0, 1.0)
-    grid = build_grid(dom, 0.005)
-    x0 = dom.boundary_point()
-    d = np.linalg.norm(grid.nodes - x0, axis=1)
-    u = GridFunction(grid, ell(np.maximum(d, 1e-300), 0.5))
-    out = estimate_regularity(u, "synthetic ell^0.5")
-    assert set(out) == {"alpha_global", "alpha_interior", "alpha_boundary"}
-    assert out["alpha_boundary"] == pytest.approx(0.5, abs=0.02)
-    # the ball-oscillation fit sees only whole grid cells, biasing it high
-    assert 0.45 <= out["alpha_global"] <= 0.65
-    # the profile is constant near the center, so the interior fit saturates
-    assert out["alpha_interior"] == math.inf
-
-
-def test_estimate_regularity_needs_enough_scales():
-    dom = Domain.interval(-1.0, 1.0)
-    grid = build_grid(dom, 0.05)
-    u = GridFunction(grid, np.ones(grid.n))
-    with pytest.raises(ValueError) as err:
-        estimate_regularity(u, "coarse-probe")
-    assert "coarse-probe" in str(err.value)
