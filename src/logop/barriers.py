@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from ._quadrules import sphere_kinks
-from .logmod import RHO0, ell
+from .logmod import RHO0, _ell, ell
 from .nonlocal_eval import (
     FieldFunction,
     eval_LK,
@@ -59,7 +59,7 @@ def boundary_barrier_field(r, alpha):
         t = rho - r
         out = np.zeros(len(t))
         outside = t > 0
-        out[outside] = ell(t[outside], alpha)
+        out[outside] = _ell(t[outside], alpha)
         return out
 
     return radial_field(profile, kinks=sphere_kinks([r, r + RHO0]))
@@ -90,7 +90,7 @@ def tail_field(rho, alpha):
     def profile(rr):
         out = np.zeros(len(rr))
         outside = rr > rho
-        out[outside] = np.maximum(ell(rr[outside], alpha) - offset, 0.0)
+        out[outside] = np.maximum(_ell(rr[outside], alpha) - offset, 0.0)
         return out
 
     return radial_field(profile, kinks=sphere_kinks([rho, RHO0]))

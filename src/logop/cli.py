@@ -356,7 +356,10 @@ def _cmd_fit(args):
         u, report = solver.solve_dirichlet(problem, grid, quad)
         if report.alternative != "unique_solution":
             raise VerificationFailure("fit: solve hit the near-singular alternative")
-        desc = doc["solve"]["rhs"]["name"]
+        # the rhs with its parameters, so that const(0) and const(1) differ
+        rhs = doc["solve"]["rhs"]
+        desc = "{}({})".format(rhs["name"], ", ".join(
+            f"{key}={value!r}" for key, value in rhs.items() if key != "name"))
     else:
         syn = doc["synthetic"]
         _check_keys(doc["synthetic"], "synthetic", {"domain", "h", "alpha"},

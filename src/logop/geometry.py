@@ -307,7 +307,9 @@ def difference_projection(grid, offsets):
     images -offsets is this one reversed on every axis (the flat table
     reversed), up to the rounding of the cell fractions f and 1 - f:
     assembly projects one offset of each mirror pair and reverses the table
-    for the other.
+    for the other.  It projects only the offsets with |z| >= h: those inside
+    the 2^N cells around the origin, most of a rule graded from r_min, enter
+    through their radial moments (solver._origin_cells).
 
     Both arrays are filled _BLOCK_OFFSETS offsets at a time, allocated once
     at their final size, with one 1-D array per axis, so no temporary

@@ -25,8 +25,15 @@ def ell(rho, alpha=1.0):
     arr = np.asarray(rho, dtype=float)
     if np.any(arr <= 0):
         raise ValueError("ell requires rho > 0")
-    out = np.abs(np.log(np.minimum(arr, RHO0))) ** (-alpha)
+    out = _ell(arr, alpha)
     if np.isscalar(rho) or arr.ndim == 0:
         return float(out)
     return out
 
+
+
+def _ell(rho, alpha=1.0):
+    """ell of a float array of positive radii, unchecked: the core of ell,
+    for callers whose radii are positive by construction (the masked
+    barrier profiles), which would otherwise pay ell's check on every call."""
+    return np.abs(np.log(np.minimum(rho, RHO0))) ** (-alpha)

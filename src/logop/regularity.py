@@ -48,14 +48,10 @@ _DIRECTIONS = {
 }
 
 
-def fit_second_order_exponent(u, center, radii):
-    """Fit gamma with sup_e |u(x+eps e) - 2u(x) + u(x-eps e)| ~ C ell^gamma(eps).
-
-    Returns inf when all second differences vanish (a flat sample); a very
-    large fitted gamma means the function is smoother than any tested
-    ell^gamma scale (e.g. a parabola, whose second differences are O(eps^2)).
-    u is interpolated once, at every center +- eps*e and at the center.
-    """
+def _second_differences(u, center, radii):
+    """sup_e |u(x+eps e) - 2u(x) + u(x-eps e)| at each eps of radii, or None
+    when all of them vanish (a flat sample).  u is interpolated once, at
+    every center +- eps*e and at the center."""
     center = np.asarray(center, dtype=float)
     radii = np.asarray(radii, dtype=float)
     if np.any(radii > geometry.dist_to_boundary(u.grid.domain, center)):
@@ -66,9 +62,18 @@ def fit_second_order_exponent(u, center, radii):
     vp, vm = vals[:-1].reshape(2, len(radii), -1)
     second = np.max(np.abs(vp + vm - 2 * vals[-1]), axis=1)
     scale = max(1.0, float(np.max(np.abs(u.values))))
-    if np.all(second <= 1e-14 * scale):
-        return math.inf
-    return fit_exponent(radii, second)
+    return None if np.all(second <= 1e-14 * scale) else second
+
+
+def fit_second_order_exponent(u, center, radii):
+    """Fit gamma with sup_e |u(x+eps e) - 2u(x) + u(x-eps e)| ~ C ell^gamma(eps).
+
+    Returns inf when all second differences vanish (a flat sample); a very
+    large fitted gamma means the function is smoother than any tested
+    ell^gamma scale (e.g. a parabola, whose second differences are O(eps^2)).
+    """
+    second = _second_differences(u, center, radii)
+    return math.inf if second is None else fit_exponent(radii, second)
 
 
 def _halvings(top, floor):
@@ -114,8 +119,14 @@ def estimate_regularity(u, f_desc):
     d_center = float(geometry.dist_to_boundary(domain, center))
     int_radii = _halvings(min(0.08, 0.45 * d_center), 2 * h)[:6]
     require(len(int_radii), "interior")
-    # inf (a flat sample) stays inf
-    alpha_interior = fit_second_order_exponent(u, center, int_radii) - 1.0
+    second = _second_differences(u, center, int_radii)
+    if second is None:
+        alpha_interior = math.inf  # a flat sample
+    else:
+        # some second differences may vanish where others do not (a kink
+        # that only the wider scales reach)
+        require(len(_usable(int_radii, second)[0]), "interior")
+        alpha_interior = fit_exponent(int_radii, second) - 1.0
 
     nu = center - x0
     nu_norm = float(np.linalg.norm(nu))

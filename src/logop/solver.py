@@ -8,17 +8,24 @@ offsets z with weights w (scale and kernel folded in), and the range that
 carries u(x) plus the record's constant give the diagonal.  Every operator
 is thus one stencil plus one diagonal.  Nodes lie on the lattice
 center + h*Z^N, so every node sees the offsets fall into the same lattice
-cells: the rule is projected once onto the lattice differences
-(geometry.difference_projection: the flat indices and weights of 2^N
-corners per offset in a difference table padded by one cell on each side
-of every axis, built in small blocks) for one offset z of each mirror pair
-(z, -z): reversed on every axis, the table is that of the mirror images,
-so an even weight gives a stencil symmetric bit for bit.  A
+cells.  The rule grades radially from r_min, so most of its offsets have
+|z| < h and lie in the 2^N cells around the origin (1 339 of the 1 558
+radii of each ray at h = 0.02): there the multilinear weight of each corner
+is a polynomial of degree N in |z| along a ray, so those offsets enter
+through N radial moments per ray, mapped onto the 3^N differences around
+the origin by one small matrix, and their weights leave the diagonal and
+the stencil alike.  The other offsets are projected once onto the lattice
+differences (geometry.difference_projection: the flat indices and weights
+of 2^N corners per offset in a difference table padded by one cell on each
+side of every axis, built in small blocks) for one offset z of each mirror
+pair (z, -z): reversed on every axis, the table is that of the mirror
+images, so an even weight gives a stencil symmetric bit for bit.  A
 translation-invariant operator (every catalog kernel, the log-Laplacian
 and the Schrodinger operator) has one stencil, its table summed by
 np.bincount and gathered a block of rows at a time into a block-Toeplitz
 matrix; a kernel that depends on x weights the offsets and their mirror
-images at each node, one half-size scipy.sparse product of two columns.
+images at each node, one scipy.sparse product of the projection and its
+reversal, plus one product for the moments.
 
 Because the radial quadrature weights are positive and the interpolation
 weights are a convex partition, the assembled matrix of the difference
@@ -63,7 +70,9 @@ scipy.sparse is loaded only to assemble an x-dependent kernel.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
+import itertools
 import math
 import os
 import sys
@@ -470,75 +479,139 @@ class SolveReport:
     timings: dict
 
 
-def _lattice_matrix(grid, offs, weights, diag, toeplitz=False):
-    """Dense matrix of u -> d u(x_i) - sum_k (W[k, 0] interp u(x_i + offs[k])
-    + W[k, -1] interp u(x_i - offs[k])) collocated at every node x_i, or
-    only its first column when `toeplitz` is true.  W holds the weights at
-    x_i of the offsets (column 0) and of their mirror images (the last; one
-    column for an even weight), and d = diag(W).
+@functools.cache
+def _corner_tables(N):
+    """The corners e of a lattice cell, (2^N, N) in itertools.product
+    order, with 1 - e and 2e - 1; the powers of 3 that index {-1, 0, 1}^N
+    (first axis slowest) by d + 1; and that set, (3^N, N)."""
+    e = np.array(list(itertools.product((0, 1), repeat=N)))
+    cells = np.array(list(itertools.product((-1, 0, 1), repeat=N)))
+    tables = e, 1.0 - e, 2.0 * e - 1.0, 3 ** np.arange(N - 1, -1, -1), cells
+    for table in tables:
+        table.flags.writeable = False  # cached: shared by every caller
+    return tables
 
-    weights is W when it is the same at every node (a translation-invariant
-    operator) or a function of the node giving it (an x-dependent kernel).
-    The offsets are projected once (geometry.difference_projection: rows
-    and vals of 2^N corners per offset), the table of each weight column is
-    T = np.bincount(rows, vals * W), and the stencil is
-    S = -(T[:, 0] + flip(T[:, -1])), plus d at the zero difference: flip
-    reverses the padded difference table (shape 2*dims + 1) on every axis,
-    mapping difference d to -d, so S is symmetric bit for bit when W has
-    one column.  Entry (i, j) is S[q[j] + origin - q[i]], q the flat index
-    of each node and origin that of the zero difference; rows read only the
-    table's interior (the padding holds the corners of offsets beyond every
-    lattice difference), so only it must be finite.  One stencil is
-    gathered _GATHER_ENTRIES entries at a time, an x-dependent kernel's a
-    row at a time, from a sparse product of the same arrays (the one use
-    of scipy.sparse, imported there).  `toeplitz` asks for one stencil on a
-    hole-free 1-D lattice, where A is symmetric Toeplitz: its first column
+
+def _origin_cells(rays, h, span):
+    """Where the offsets rho*theta with rho < h land in the padded difference
+    table (shape span), and how: the flat indices of the 3^N differences in
+    {-1, 0, 1}^N around the zero difference, and the matrix C that takes the
+    radial moments M[r, p - 1] = sum_j W_rj rho_j^p (p = 1..N) of the
+    weights W_rj of the offsets rho_j*rays[r] to minus their table there.
+
+    Such an offset lies in the lattice cell spanned by 0 and sign(theta), and
+    its multilinear weight at the corner e in {0, 1}^N of that cell (the
+    difference e*sign(theta)) is prod_a (e_a ? rho*a_a : 1 - rho*a_a) with
+    a = |theta|/h, a polynomial of degree N in rho.  C holds its coefficients
+    of rho^1..rho^N; the constant term, 1 at e = 0, is left out, since it
+    cancels the same weights' share of the diagonal, which drops them too."""
+    R, N = rays.shape
+    e, at0, slope_sign, radix, cells = _corner_tables(N)
+    # each factor is e_a ? 0 + rho*a_a : 1 - rho*a_a: its value at rho = 0
+    # and its slope; multiply them out one axis at a time
+    slope = slope_sign * (np.abs(rays) / h)[:, None, :]
+    coef = [at0[:, 0], slope[..., 0]]  # in rho^0, rho^1, ...
+    for ax in range(1, N):
+        c0, c1 = at0[:, ax], slope[..., ax]
+        coef = ([coef[0] * c0] + [coef[p] * c0 + coef[p - 1] * c1 for p in range(1, ax + 1)]
+                + [coef[-1] * c1])
+    # the corner's difference e*sign(theta), as an index into cells
+    cell = (e * np.where(rays < 0, -1, 1)[:, None, :] + 1) @ radix
+    C = np.zeros((3 ** N, R, N))
+    C[cell, np.arange(R)[:, None]] = -np.stack(coef[1:], axis=-1)
+    stride = [math.prod(span[ax + 1:]) for ax in range(N)]
+    at = math.prod(span) // 2 + cells @ stride
+    return at, C.reshape(3 ** N, R * N)
+
+
+def _lattice_matrix(grid, offs, rays, weights, diag, mirror, toeplitz=False):
+    """Dense matrix of u -> d u(x_i) - sum_k W_k interp u(x_i + z_k)
+    collocated at every node x_i, or only its first column when `toeplitz`
+    is true.  The z_k are the offsets offs, their mirror images -offs where
+    the rule has them, and the inner offsets rho_j*theta_r with rho_j < h
+    along each ray theta_r of `rays`.
+
+    At node x_i the weights are (W, M).  W weights offs (column 0) and, for
+    mirror "pairs", their mirror images (column 1); for "flip" its one
+    column stands for both, and for None the rule has no mirror images.
+    M[r, p - 1] is the radial moment sum_j W_rj rho_j^p (p = 1..N) of the
+    inner offsets along ray r, each ray followed by its mirror for "pairs"
+    (see _origin_cells).  d = diag(W) leaves the inner offsets out, as
+    their moments leave out the constant term.  weights is (W, M) when it
+    is the same at every node (a translation-invariant operator) or a
+    function of the node giving it (an x-dependent kernel).
+
+    offs are projected once (geometry.difference_projection: rows and vals
+    of 2^N corners per offset), and the table T of minus the weights is
+    np.bincount(rows, -vals * W); for "pairs" each offset's rows are
+    followed by those of its mirror image, size - 1 - rows: flip, which
+    reverses the flat padded difference table (shape 2*dims + 1), maps
+    difference d to -d.  C @ M adds the inner offsets at the 3^N
+    differences around the origin.  The stencil S is T, or T + flip(T) for
+    "flip", symmetric bit for bit, plus d at the zero difference.  Entry
+    (i, j) is S[q[j] + origin - q[i]], q the flat index of each node and
+    origin that of the zero difference; rows read only the table's
+    interior (the padding holds the corners of offsets beyond every lattice
+    difference), so only it must be finite.  One stencil is gathered
+    _GATHER_ENTRIES entries at a time, an x-dependent kernel's a row at a
+    time, from a scipy.sparse product of the same arrays (its one use,
+    imported there).  `toeplitz` asks for one stencil on a hole-free 1-D
+    lattice, where A is symmetric Toeplitz: its first column
     S[q[0] + origin - q] is returned, and no n x n array is allocated."""
     corner, vals = geometry.difference_projection(grid, offs)
     np.negative(vals, out=vals)  # in place, once, not per stencil
     span = tuple(2 * d + 1 for d in grid.dims)
+    size = math.prod(span)
     q = np.ravel_multi_index((grid.lattice - grid.kmin).T, span).astype(np.int32)
-    origin = int(np.ravel_multi_index(grid.dims, span))
-    inner = (slice(1, -1),) * len(span)
+    origin = size // 2
+    interior = (slice(1, -1),) * len(span)
+    if mirror == "pairs":
+        corner = np.stack((corner, size - 1 - corner), axis=1)
+        vals = np.stack((vals, vals), axis=1)
+        rays = np.stack((rays, -rays), axis=1).reshape(-1, grid.domain.N)
+    at, C = _origin_cells(rays, grid.h, span)
+    rows, vals = corner.reshape(-1), vals.reshape(-1, corner.shape[-1])
 
     if callable(weights):
-        # per node, scipy's csc_matvec is ~3 times faster than one np.bincount
-        # per column: 74 against 250 us for the two columns of a 2-D ball
-        # rule of 12 464 offsets (2 vCPU)
+        # per node, scipy's csc_matvec is faster than np.bincount: 25-26
+        # against 36-38 ms per assembly of the n = 489 ball at h = 0.02
+        # (1 752 offsets and their mirror images; a kernel that costs
+        # nothing, 2 vCPU)
         from scipy import sparse
 
         P = sparse.csc_array(
-            (vals.reshape(-1), corner.reshape(-1), np.arange(0, corner.size + 1, 2 ** len(span))),
-            shape=(math.prod(span), len(offs)),
+            (vals.reshape(-1), rows, np.arange(0, rows.size + 1, vals.shape[1])),
+            shape=(size, len(vals)),
         )
 
-        def tables(W):
-            return (P @ W).T
+        def table(W):
+            return P @ W.reshape(-1)
     else:
-        def tables(W):
+        def table(W):
             # np.bincount adds the products offset by offset and corner by
             # corner, as scipy's csc_matvec does: the same table bit for bit
-            flat, size = corner.reshape(-1), math.prod(span)
-            return [np.bincount(flat, (vals * w[:, None]).reshape(-1), size) for w in W.T]
+            return np.bincount(rows, (vals * W.reshape(-1, 1)).reshape(-1), size)
 
-    def stencil(i, W):
-        T = tables(W)
-        S = T[0] + T[-1][::-1]
+    def stencil(i, W, M):
+        S = table(W)
+        S[at] += C @ M.reshape(-1)
+        if mirror == "flip":
+            S = S + S[::-1]
         S[origin] += diag(W)  # the zero difference: only the diagonal reads it
-        if not np.all(np.isfinite(S.reshape(span)[inner])):
+        if not np.all(np.isfinite(S.reshape(span)[interior])):
             raise ArithmeticError(
                 f"quadrature failure assembling node {i} at {grid.nodes[i]}"
             )
         return S
 
     if callable(weights):
-        blocks = ((i, i + 1, stencil(i, weights(x))) for i, x in enumerate(grid.nodes))
+        blocks = ((i, i + 1, stencil(i, *weights(x))) for i, x in enumerate(grid.nodes))
     else:
-        S = stencil(0, weights)
+        S = stencil(0, *weights)
         if toeplitz:
             return S[q[0] + origin - q]
-        rows = max(1, _GATHER_ENTRIES // grid.n)
-        blocks = ((i, i + rows, S) for i in range(0, grid.n, rows))
+        step = max(1, _GATHER_ENTRIES // grid.n)
+        blocks = ((i, i + step, S) for i in range(0, grid.n, step))
     A = np.empty((grid.n, grid.n))
     for i0, i1, S in blocks:
         np.take(S, q + (origin - q[i0:i1, None]), out=A[i0:i1], mode="clip")
@@ -594,38 +667,64 @@ def assemble(problem, grid, cfg):
         _quadrules.polar_rule(N, n_ang, lo, hi, n_rad, op.breaks)
         for lo, hi, _ in ranges
     ]
-    offs = np.concatenate([Z for Z, _, _, _ in rules])
     w = op.scale * np.concatenate([wr for _, _, wr, _ in rules])
-    mirrored = rules[0][3]
-    # only the range that carries u(x), which comes first, feeds the diagonal
-    near = len(rules[0][2]) if ranges[0][2] else 0
     if op.profile is not None:
         # every ray of a rule carries the same radii: the profile once per radius
         w = w * np.concatenate(
             [np.tile(op.profile(rho), len(wr) // len(rho)) for _, rho, wr, _ in rules]
         )
-    even = mirrored and op.weight is None  # one weight column serves both halves
-    if not even:
-        # each offset next to its mirror image, for one kernel call per node;
-        # a rule without mirrors weights the mirror images by zero
-        pairs = np.asfortranarray(np.stack((offs, -offs), axis=1).reshape(-1, N))
-        w_pairs = (w[:, None] * [1.0, float(mirrored)]).ravel()
+    # the first range, from r_min, carries u(x): its offsets with rho < h lie
+    # in the lattice cells around the origin and enter by their radial
+    # moments (_origin_cells), all others are projected.  polar_rule builds
+    # the first rays of unit_directions, all with the same radii and weights
+    Z, rho, _, mirrored = rules[0]
+    rays = _quadrules.unit_directions(N, n_ang)[0][:len(Z) // len(rho)]
+    split = int(np.searchsorted(rho, grid.h)) if ranges[0][2] else 0
+    Z, w0 = Z.reshape(len(rays), -1, N), w[:len(Z)].reshape(len(rays), -1)
+    offs = np.concatenate([Z[:, split:].reshape(-1, N)] + [Zr for Zr, _, _, _ in rules[1:]])
+    w = np.concatenate([w0[:, split:].ravel(), w[w0.size:]])
+    inner, powers = Z[:, :split], rho[:split, None] ** np.arange(1, N + 1)
+    # only the range that carries u(x) feeds the diagonal, without the
+    # inner offsets: their moments leave out the constant term
+    near = w0[:, split:].size if ranges[0][2] else 0
+    # how the mirror images -z enter _lattice_matrix: not at all for a rule
+    # without them, through the one weight column of an even weight, or
+    # weighted at every node next to the offsets
+    mirror = None if not mirrored else "flip" if op.weight is None else "pairs"
+    if op.weight is None:
+        # _lattice_matrix's weights (W, M)
+        weights = w[:, None], w0[:, :split] @ powers
+    else:
+        # w_rad * rho^p: the moments are the kernel values at the inner
+        # offsets times this, as every ray carries the same weights
+        radial = w0[0, :split, None] * powers
+        columns = 2 if mirror == "pairs" else 1
+        points = offs
+        if mirror == "pairs":
+            # each offset next to its mirror image, for one kernel call per node
+            points = np.stack((offs, -offs), axis=1).reshape(-1, N)
+            inner = np.stack((inner, -inner), axis=1)
+        points = np.asfortranarray(np.concatenate((points, inner.reshape(-1, N))))
+        w_c = np.repeat(w, columns)
 
-    def at(x):
-        # _lattice_matrix's weights W at node x
-        if even:
-            return w[:, None]
-        k = 1.0 if op.weight is None else op.weight(x, pairs)
-        return (w_pairs * k).reshape(-1, 2)
+        def weights(x):
+            # _lattice_matrix's weights (W, M) at node x
+            k = op.weight(x, points)
+            inner_k = k[len(w_c):].reshape(columns * len(rays), split)
+            return (w_c * k[:len(w_c)]).reshape(-1, columns), inner_k @ radial
+
+        if op.translation_invariant:
+            weights = weights(np.zeros(N))
+
+    halves = 2.0 if mirror == "flip" else 1.0
 
     def diag(W):
         # the near weights of both halves, one column standing for both
-        return W[:near].sum() * (2 / W.shape[1]) + op.const + problem.shift
+        return W[:near].sum() * halves + op.const + problem.shift
 
-    weights = at(np.zeros(N)) if op.translation_invariant else at
-    A = _lattice_matrix(grid, offs, weights, diag, toeplitz)
+    A = _lattice_matrix(grid, offs, rays, weights, diag, mirror, toeplitz=toeplitz)
     sm = (_ToeplitzStiffness if toeplitz else StiffnessMatrix)(A, grid)
-    if even:
+    if mirror == "flip":
         sm.symmetric = True  # one even stencil, symmetric bit for bit
     return sm
 

@@ -655,6 +655,22 @@ def test_fit_requires_exactly_one_source(capsys):
     assert "exactly one" in err
 
 
+def test_fit_error_names_the_rhs_with_its_parameters(capsys, tmp_path):
+    # the solution of const(0) vanishes, so no oscillation scale survives
+    # the global fit; the error tells that rhs from const(1)
+    cfg_path = tmp_path / "fit.json"
+    cfg_path.write_text(json.dumps({"solve": {
+        "domain": {"type": "interval", "a": -0.5, "b": 0.5},
+        "operator": {"name": "generic", "kernel": "unit"},
+        "rhs": {"name": "const", "value": 0.0},
+        "h": 0.002,
+    }}))
+    code, _, err = _run(capsys, "fit", "--config", str(cfg_path),
+                        "--out", str(tmp_path / "fit_out.json"))
+    assert code == 1
+    assert "insufficient scales for the global oscillation fit (rhs 'const(value=0.0)')" in err
+
+
 def test_converge_refinement_table(capsys, tmp_path):
     out = tmp_path / "converge.csv"
     code, _, _ = _run(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logop.logmod import RHO0, ell
+from logop.logmod import RHO0, _ell, ell
 
 PLATEAU = 1.0 / math.log(10.0)
 
@@ -35,6 +35,14 @@ def test_ell_vectorized_matches_scalar():
     vec = ell(rho, 1.3)
     for r, v in zip(rho, vec):
         assert v == ell(float(r), 1.3)
+
+
+def test_unchecked_core_is_ell_bit_for_bit():
+    # the masked barrier profiles call the core on radii positive by
+    # construction; their values stay those of ell
+    rho = np.geomspace(1e-300, 10.0, 997)
+    for alpha in (0.0, 0.5, 1.0, 1.3):
+        assert np.array_equal(_ell(rho, alpha), ell(rho, alpha))
 
 
 @given(st.floats(min_value=1e-12, max_value=10.0), st.floats(min_value=1e-12, max_value=10.0))

@@ -1090,10 +1090,13 @@ _ASSEMBLY_CASES = {
 }
 
 
-def _per_ray_full_rule(*args):
-    # every ray built ray by ray, none mirrored: polar_rule's 4-tuple with
-    # the radius of every node, at which assembly evaluates the profile
-    return *_per_ray_polar_rule(*args), False
+def _per_ray_full_rule(N, n_angular, *args):
+    # every ray built ray by ray, none mirrored: polar_rule's 4-tuple, whose
+    # radii are those of one ray, which every ray carries
+    Z, rho, w = _per_ray_polar_rule(N, n_angular, *args)
+    rho = rho.reshape(len(_quadrules.unit_directions(N, n_angular)[0]), -1)
+    assert np.all(rho == rho[0])
+    return Z, rho[0], w, False
 
 
 @pytest.mark.parametrize("case", list(_ASSEMBLY_CASES))

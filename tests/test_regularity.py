@@ -166,6 +166,18 @@ def test_estimate_regularity_names_the_fit_when_every_oscillation_vanishes():
         estimate_regularity(u, "const(0)")
 
 
+def test_estimate_regularity_names_the_interior_fit_when_some_scales_vanish():
+    # |x - 0.03| is linear within 0.03 of the centre: the second differences
+    # at the four scales below 0.03 vanish, those at 0.04 and 0.08 do not,
+    # so only two scales survive the interior fit's filter
+    grid = build_grid(Domain.interval(-1.0, 1.0), 0.001)
+    u = GridFunction(grid, np.abs(grid.nodes[:, 0] - 0.03))
+    with pytest.raises(
+        ValueError, match=r"insufficient scales for the interior fit \(rhs 'kink'\)"
+    ):
+        estimate_regularity(u, "kink")
+
+
 # ---------------------------------------------------------------------------
 # module boundaries
 # ---------------------------------------------------------------------------

@@ -163,38 +163,53 @@ def test_assembly_rejects_nonfinite_kernel():
 
 
 def test_assembly_rejects_nonfinite_xdependent_kernel():
-    def evaluate(x, Y):
-        return np.full(len(Y), np.nan if x[0] > 0.3 else 1.0)
-
-    bad = KernelSpec(
-        evaluate=evaluate, lam=1.0, Lam=1.0, translation_invariant=False, name="nan-right"
-    )
-    problem = _interval_problem(kernel=bad)
-    grid = build_grid(problem.domain, 0.1)
+    # the first node right of 0.3 is named, whether the kernel fails at every
+    # offset or only at those inside the origin cells (|z| < h), which enter
+    # by their radial moments
+    grid = build_grid(Domain.interval(-0.5, 0.5), 0.1)
     i = int(np.argmax(grid.nodes[:, 0] > 0.3))
     assert i > 0
-    with pytest.raises(ArithmeticError, match=re.escape(f"node {i} at {grid.nodes[i]}")):
-        assemble(problem, grid, CFG)
+    for reach in (math.inf, 0.5 * grid.h):
+        def evaluate(x, Y, reach=reach):
+            bad = (x[0] > 0.3) & (np.linalg.norm(Y, axis=1) < reach)
+            return np.where(bad, np.nan, 1.0)
+
+        kernel = KernelSpec(
+            evaluate=evaluate, lam=1.0, Lam=1.0, translation_invariant=False, name="nan-right"
+        )
+        problem = _interval_problem(kernel=kernel)
+        with pytest.raises(ArithmeticError, match=re.escape(f"node {i} at {grid.nodes[i]}")):
+            assemble(problem, grid, CFG)
 
 
 def test_stencil_check_reads_only_the_differences_nodes_read():
     # a non-finite weight on an offset beyond every lattice difference lands
     # in the padding of the difference table, which no row reads; one that
-    # reaches a node fails assembly, on either side of the mirror
+    # reaches a node fails assembly, on either side of the mirror, and so
+    # does a non-finite moment of the offsets inside the origin cells
     grid = build_grid(Domain.interval(-0.5, 0.5), 0.1)
-    offs = np.array([[0.05], [5.0]])
+    offs, rays = np.array([[0.15], [5.0]]), np.array([[1.0]])
     finite, far_nan = np.ones(2), np.array([1.0, np.nan])
     near_nan = far_nan[::-1]
 
     def diag(W):
         return 1.0
 
+    def lattice_matrix(columns, moments=(0.0,)):
+        W = np.column_stack(columns)
+        mirror = "flip" if W.shape[1] == 1 else "pairs"
+        M = np.tile(moments, (W.shape[1], 1))
+        return solver._lattice_matrix(grid, offs, rays, (W, M), diag, mirror)
+
     for columns in ((far_nan,), (finite, far_nan)):
-        A = solver._lattice_matrix(grid, offs, np.column_stack(columns), diag)
-        assert np.all(np.isfinite(A))
+        assert np.all(np.isfinite(lattice_matrix(columns)))
     for columns in ((near_nan,), (finite, near_nan), (near_nan, finite)):
         with pytest.raises(ArithmeticError, match="node 0"):
-            solver._lattice_matrix(grid, offs, np.column_stack(columns), diag)
+            lattice_matrix(columns)
+    for columns in ((finite,), (finite, finite)):
+        assert np.all(np.isfinite(lattice_matrix(columns, (0.01,))))
+        with pytest.raises(ArithmeticError, match="node 0"):
+            lattice_matrix(columns, (np.nan,))
 
 
 def _full_polar_rule(N, n_angular, lo, hi, n_per_decade, radii=()):
@@ -362,20 +377,51 @@ def test_half_rule_assembly_is_the_full_rule_assembly(case, monkeypatch):
 
 
 def test_loglap_assembly_projects_once(monkeypatch):
-    # the difference part and the far field share one projection
-    domain = Domain.box([-0.6, -0.4], [0.4, 0.5])
-    grid = build_grid(domain, 0.1)
-    assert np.max(domain.max_reach(grid.nodes)) > 1.0
+    # the difference part and the far field share one projection, and the
+    # offsets inside the origin cells (|z| < h) enter by their radial
+    # moments, not through it: the x-dependent h = 0.02 ball projects 219 of
+    # the 1558 radii on each of its 8 rays
     calls = []
 
     def counting(grid, offsets):
-        calls.append(len(offsets))
+        calls.append(np.linalg.norm(offsets, axis=1))
         return difference_projection(grid, offsets)
 
     monkeypatch.setattr(geometry, "difference_projection", counting)
-    problem = ProblemSpec(operator="loglap", domain=domain, rhs=const_field(1.0))
-    assemble(problem, grid, CFG)
-    assert len(calls) == 1
+    cases = (
+        ("loglap", Domain.box([-0.6, -0.4], [0.4, 0.5]), 0.1, None),
+        ("generic", Domain.ball([0.013, -0.007], 0.25), 0.02, _wobble_kernel()),
+        ("generic", Domain.interval(-0.5, 0.5), 0.001, _wobble_kernel()),
+        ("schrodinger", Domain.interval(-0.5, 0.5), 0.05, None),
+    )
+    for operator, domain, h, kernel in cases:
+        grid = build_grid(domain, h)
+        problem = ProblemSpec(operator, domain, const_field(1.0), kernel=kernel)
+        calls.clear()
+        assemble(problem, grid, CFG)
+        (radii,) = calls
+        assert np.min(radii) >= h * (1 - 1e-15)
+        if operator == "loglap":
+            assert np.max(domain.max_reach(grid.nodes)) > 1.0
+            assert np.max(radii) > 1.0
+        if domain.N == 2 and kernel is not None:
+            assert len(radii) == 1752
+
+
+def test_rows_inside_the_kernels_reach_sum_to_zero():
+    # the unit kernel on B_1.5: a row whose unit ball, widened by a cell
+    # diagonal, stays inside the domain sees every corner of every offset's
+    # cell on a node, so it sums to 0 in exact arithmetic.  The weights of the
+    # offsets inside the origin cells leave the diagonal and the stencil
+    # alike: those rows read at most 3.3e-16 of max|A| (the projection of
+    # every offset read 2.6e-14, the diagonal cancelling the origin weight)
+    domain = Domain.ball([0.0, 0.0], 1.5)
+    grid = build_grid(domain, 0.125)
+    problem = ProblemSpec("generic", domain, const_field(1.0), kernel=unit_kernel())
+    A = assemble(problem, grid, CFG).matrix
+    inside = np.linalg.norm(grid.nodes, axis=1) + 1.0 + grid.h * math.sqrt(2) < 1.5
+    assert (grid.n, np.count_nonzero(inside)) == (437, 21)
+    assert np.max(np.abs(A[inside].sum(axis=1))) <= 2e-15 * np.max(np.abs(A))
 
 
 @pytest.mark.parametrize(
@@ -844,9 +890,9 @@ def test_toeplitz_column_is_the_gathered_matrix(case, tmp_path, monkeypatch):
     gathered = []
     lattice_matrix = solver._lattice_matrix
 
-    def both_paths(grid, offs, weights, diag, toeplitz=False):
-        gathered.append(lattice_matrix(grid, offs, weights, diag))
-        return lattice_matrix(grid, offs, weights, diag, toeplitz)
+    def both_paths(*args, toeplitz=False):
+        gathered.append(lattice_matrix(*args))
+        return lattice_matrix(*args, toeplitz=toeplitz)
 
     monkeypatch.setattr(solver, "_lattice_matrix", both_paths)
     sm = assemble(problem, grid, CFG)
