@@ -15,10 +15,11 @@ verifiers), `cli` (batch front end, installed as `logop`).
 LOGOP_THREADS, when set, caps the BLAS thread pools: it is copied into the
 OpenBLAS/OpenMP/MKL thread variables (unless those are set already) before
 numpy is imported, because a pool is sized when its library loads.  numpy's
-pool is not capped if numpy was imported before logop.  The LU
-factorizations use scipy's bundled OpenBLAS, which loads at the first LU
-factorization (see `solver`), so its pool is capped unless scipy.linalg was
-imported before logop.
+pool is not capped if numpy was imported before logop.  A single-use solve
+(a symmetric certified matrix assembled by `solve_dirichlet`) runs numpy's
+gesv on numpy's OpenBLAS pool.  The kept LU factorizations use scipy's
+bundled OpenBLAS, which loads at the first of them (see `solver`), so its
+pool is capped unless scipy.linalg was imported before logop.
 """
 
 import os as _os

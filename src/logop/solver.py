@@ -40,32 +40,45 @@ nonnegative solutions (the discrete comparison principle holds up to the
 solve's rounding); SolveReport.sigma_path reads "m_matrix" and
 mp_audit["certified"] is true exactly when a solve's matrix passed that test.
 
-A StiffnessMatrix is factored once: its factorization, condition number
-and smallest singular value are computed on the first solve and kept (for
-an M-matrix from two solves, A^-1 1 and A^-T 1, one for a symmetric matrix;
-otherwise by inverse iteration and the Hager-Higham estimate), so every
-later right-hand side costs one solve with the factorization, the
-residual and the maximum-principle audit.  On a 1-D grid (a run of
-consecutive lattice points) an even translation-invariant operator gives a
-symmetric Toeplitz matrix, and assemble keeps only its first column (a
-_ToeplitzStiffness): its products are direct convolutions, its n x n matrix
-is formed only when read or for LU, and from TOEPLITZ_MIN_N rows on it is
-factored in O(n log n) by _toeplitz.Factor (see _toeplitz).  Every other
-matrix, and a Toeplitz one that _toeplitz refuses or whose sigma_min lies
-near the singular threshold, is factored by dense LU of one Fortran-ordered
-copy.  Each matrix type makes this choice (`_factor`, falling back to
-`_lu`) and computes the sweep's Z-matrix statistics (`_z_stats`) itself,
-so no caller asks which type a matrix is, and a factor is only its solves:
-the M-matrix certificate, the sigma_min iteration and the Hager-Higham
-estimate are the same on either factor.
+A StiffnessMatrix is factored at most once: its factorization, condition
+number and smallest singular value are computed on the first solve and
+kept (for an M-matrix from two solves, A^-1 1 and A^-T 1, one for a
+symmetric matrix; otherwise by inverse iteration and the Hager-Higham
+estimate), so every later right-hand side costs one solve with the
+factorization, the residual and the maximum-principle audit.  A matrix
+that solve_dirichlet assembles itself is never solved again, so nothing is
+kept for it: when it is symmetric, certified as an M-matrix and would be
+factored by LU, one numpy.linalg.solve of A [u, y] = [f, 1] gives the
+solution and the certificate together (StiffnessMatrix._solve_once), and
+any other matrix takes the kept factorization as above.
 
-scipy.linalg (LAPACK) is loaded on the first LU factorization or when a
-Toeplitz matrix is formed, not when this module is imported: the pointwise
-evaluators and the barrier verifiers (`eval`, `verify`, `constants`) never
-load it, nor do solves and sweeps on 1-D Toeplitz matrices of
-TOEPLITZ_MIN_N rows or more, and the first LU solve in a process pays the
-~0.2 s load (its `factor_s` includes it).  scipy.fft is never imported.
-scipy.sparse is loaded only to assemble an x-dependent kernel.
+On a 1-D grid (a run of consecutive lattice points) an even
+translation-invariant operator gives a symmetric Toeplitz matrix, and
+assemble keeps only its first column (a _ToeplitzStiffness): its products
+are direct convolutions, its n x n matrix is formed only when read or for
+LU, and from TOEPLITZ_MIN_N rows on it is factored in O(n log n) by
+_toeplitz.Factor (see _toeplitz).  Every other matrix, and a Toeplitz one
+that _toeplitz refuses or whose sigma_min lies near the singular
+threshold, is factored by dense LU of one Fortran-ordered copy.  Each
+matrix type makes this choice (`_factor`, falling back to `_lu`) and
+computes the sweep's Z-matrix statistics (`_z_stats`) itself, so no caller
+asks which type a matrix is, and a factor is only its solves: the M-matrix
+certificate, the sigma_min iteration and the Hager-Higham estimate are the
+same on either factor.
+
+scipy.linalg (LAPACK through scipy's own OpenBLAS) is loaded on the first
+kept LU factorization, not when this module is imported.  A single-use
+solve runs LAPACK gesv from numpy's OpenBLAS, already loaded with numpy,
+and the dense Toeplitz matrix is formed with numpy alone.  So the
+pointwise evaluators and the barrier verifiers (`eval`, `verify`,
+`constants`) never load scipy.linalg, nor do the CLI's `solve`, `torsion`
+and `converge` where the matrix is symmetric and certified (an even
+kernel or operator, unshifted, with positive row sums), nor solves and
+sweeps on 1-D Toeplitz matrices of TOEPLITZ_MIN_N rows or more.  A
+prebuilt matrix, a nonsymmetric or uncertified one and every 2-D or small
+1-D sweep do load it, and the first of them in a process pays the ~0.15 s
+load (its `factor_s` includes it).  scipy.fft is never imported.  scipy.sparse is
+loaded only to assemble an x-dependent kernel.
 """
 
 from __future__ import annotations
@@ -126,6 +139,7 @@ TOEPLITZ_SIGMA_FLOOR = 10 * NEAR_SINGULAR_FACTOR
 # 1.43 against 1.08 at 225, 1.72 against 1.43 at 249, 1.66 against 1.60 at
 # 299.  Where the medians meet, the Toeplitz factor wins the tie: it needs
 # no LAPACK, whose load costs LU's first use in a process ~0.13 s and ~8 MB
+# (a single-use solve below TOEPLITZ_MIN_N is numpy's gesv and loads none)
 TOEPLITZ_MIN_N = 240
 _OPERATORS = ("generic", "loglap", "schrodinger")
 
@@ -214,6 +228,15 @@ class _LU:
         return sla.lu_solve(self.lu_piv, b, trans=int(trans), check_finite=False)
 
 
+class _Gesv:
+    """The factorization behind a matrix solved once (see
+    StiffnessMatrix._solve_once): LU with partial pivoting, made and dropped
+    by numpy.linalg.solve (LAPACK gesv), so there is nothing to solve with."""
+
+    name = "lu"
+    iterations = 0
+
+
 def _inverse_norm1_estimate(solve, n):
     """Estimate of ||A^-1||_1 from solves with A and A^T: Hager's method with
     Higham's refinements, step for step as LAPACK's dlacn2, which LAPACK's
@@ -263,7 +286,7 @@ def _m_matrix_bound(factor, n):
 class _Factors:
     """What a solve needs from its matrix besides the matrix itself."""
 
-    factor: _LU | _toeplitz.Factor
+    factor: _LU | _toeplitz.Factor | _Gesv
     anorm: float  # 1-norm of the matrix
     condition: float  # 1-norm condition number: exact or estimated, see sigma_path
     sigma_min: float
@@ -315,22 +338,43 @@ class StiffnessMatrix:
         return self._matrix @ v
 
     def _norm1(self):
-        return float(np.linalg.norm(self._matrix, 1))
+        # a Z-matrix with a nonnegative diagonal: column j of |A| sums to
+        # 2 a_jj less column sum j, with no n x n |A| temporary; the column
+        # sums are the row sums of a symmetric A
+        A = self._matrix
+        off_max, _, row_sums = self._z_stats()
+        diagonal = np.diagonal(A)
+        if off_max <= 0.0 and np.min(diagonal) >= 0.0:
+            col_sums = row_sums if self.symmetric else np.ones(self.n) @ A
+            return float(np.max(2.0 * diagonal - col_sums))
+        return float(np.linalg.norm(A, 1))
+
+    def _dense(self, cause):
+        """The n x n matrix LU factors; `cause` names, in the memory guard's
+        error, what formed it (only a _ToeplitzStiffness forms it here)."""
+        return self._matrix
+
+    # LU is this matrix's first factorization (_factor), not a fallback
+    _lu_first = True
 
     def _lu(self, shift=0.0):
-        return _LU(self._matrix, shift, self.symmetric)
+        return _LU(self._dense("the LU fallback from the Toeplitz factor"), shift,
+                   self.symmetric)
 
     def _factor(self, shift=0.0):
         return self._lu(shift)
 
     def _z_stats(self):
-        # no n x n temporary: row r of flat[1:] reshaped to n - 1 rows of
-        # n + 1 holds n off-diagonal entries and then a diagonal one (a view
-        # when A is C- or F-contiguous), and max|A| is max(max A, -min A)
-        A = self._matrix
-        off = np.ravel(A, order="K")[1:].reshape(self.n - 1, self.n + 1)[:, :-1]
-        off_max = np.max(off, initial=-math.inf)
-        return off_max, max(np.max(A), -np.min(A)), A.sum(axis=1)
+        # computed once, as the matrix is read-only.  No n x n temporary:
+        # row r of flat[1:] reshaped to n - 1 rows of n + 1 holds n
+        # off-diagonal entries and then a diagonal one (a view when A is C-
+        # or F-contiguous), and max|A| is max(max A, -min A)
+        if "_stats" not in vars(self):
+            A = self._matrix
+            off = np.ravel(A, order="K")[1:].reshape(self.n - 1, self.n + 1)[:, :-1]
+            off_max = np.max(off, initial=-math.inf)
+            self._stats = off_max, max(np.max(A), -np.min(A)), A.sum(axis=1)
+        return self._stats
 
     def _is_m_matrix(self):
         """True when A is a Z-matrix (off-diagonal entries <= 0) whose row
@@ -338,6 +382,44 @@ class StiffnessMatrix:
         diagonally dominant, a nonsingular M-matrix with A^-1 >= 0."""
         off_max, a_max, row_sums = self._z_stats()
         return off_max <= 0.0 and np.min(row_sums) > self.n * np.finfo(float).eps * a_max
+
+    def _solve_once(self, f):
+        """(u, _Factors) with u = A^-1 f for a matrix that is solved once and
+        then dropped, or None where `_factors` must factor it.  A symmetric
+        matrix that passes `_is_m_matrix` and whose first factorization is
+        LU (`_lu_first`) is solved for [f, 1] by one numpy.linalg.solve:
+        LAPACK gesv from numpy's own OpenBLAS, on the F-contiguous A.T = A,
+        so scipy.linalg is not loaded.  y = A^-1 1 certifies A as
+        _m_matrix_bound does (sigma_min >= 1/max y, ||A^-1||_1 = max y,
+        sigma_path "m_matrix"); factor_s holds the whole of it, sigma_s is
+        0.0.  None, and so `_factors`, when A does not qualify, gesv meets
+        an exactly zero pivot, y is not finite and positive, or sigma_min
+        falls under TOEPLITZ_SIGMA_FLOOR times the 1-norm."""
+        t0 = time.perf_counter()
+        if not (self.symmetric and self._lu_first and self._is_m_matrix()):
+            return None
+        anorm = self._norm1()
+        A = self._dense("the single-use LU solve")
+        try:
+            with np.errstate(all="ignore"):
+                uy = np.linalg.solve(A.T, np.stack((f, np.ones(self.n)), axis=1))
+        except np.linalg.LinAlgError:
+            return None
+        y = uy[:, 1]
+        inverse_norm = float(np.max(y))
+        # an infinite max y reads sigma_min 0, under the floor
+        if not (np.min(y) > 0.0 and 1.0 / inverse_norm >= TOEPLITZ_SIGMA_FLOOR * anorm):
+            return None
+        return uy[:, 0].copy(), _Factors(
+            factor=_Gesv(),
+            anorm=anorm,
+            condition=anorm * inverse_norm,
+            sigma_min=1.0 / inverse_norm,
+            sigma_path="m_matrix",
+            null_vec=None,
+            factor_s=time.perf_counter() - t0,
+            sigma_s=0.0,
+        )
 
     @cached_property
     def _factors(self):
@@ -426,21 +508,26 @@ class _ToeplitzStiffness(StiffnessMatrix):
     def n(self):
         return len(self.column)
 
-    def matvec(self, v):
+    def _mirrored(self):
+        """(c[n-1], ..., c[1], c[0], ..., c[n-1]): row i of the matrix is
+        its window of n entries from n - 1 - i."""
         c = self.column
-        return np.convolve(np.concatenate((c[:0:-1], c)), v, "valid")
+        return np.concatenate((c[:0:-1], c))
+
+    def matvec(self, v):
+        return np.convolve(self._mirrored(), v, "valid")
 
     def _norm1(self):
         return _toeplitz.norm1(self.column)
 
-    def _lu(self, shift=0.0):
-        return _LU(self._dense("the LU fallback from the Toeplitz factor"), shift,
-                   self.symmetric)
+    @property
+    def _lu_first(self):
+        return self.n < TOEPLITZ_MIN_N
 
     def _factor(self, shift=0.0):
         """The Toeplitz factor when n >= TOEPLITZ_MIN_N and _toeplitz keeps
         it, else LU, which forms the dense matrix behind the memory guard."""
-        if self.n >= TOEPLITZ_MIN_N:
+        if not self._lu_first:
             try:
                 return _toeplitz.Factor(self.column, shift)
             except np.linalg.LinAlgError:
@@ -452,9 +539,11 @@ class _ToeplitzStiffness(StiffnessMatrix):
         return np.max(c[1:], initial=-math.inf), np.max(np.abs(c)), _toeplitz.row_sums(c)
 
     def _dense(self, cause):
-        """toeplitz(c), read-only, once the guard has found room for it."""
+        """toeplitz(c), read-only, once the guard has found room for it: the
+        windows of `_mirrored` in reverse order, copied."""
         _check_dense_size(self.grid, cause)
-        A = sla.toeplitz(self.column)
+        windows = np.lib.stride_tricks.sliding_window_view(self._mirrored(), self.n)
+        A = np.array(windows[::-1])
         A.flags.writeable = False
         return A
 
@@ -475,7 +564,10 @@ class SolveReport:
     iterations: int  # MINRES iterations of the Toeplitz generator, 0 for LU
     # seconds per phase and the node count n:
     # {assemble_s, factor_s, sigma_s, solve_s, audit_s, n}; assemble_s is 0.0
-    # for a prebuilt matrix, factor_s and sigma_s are 0.0 for a factored one
+    # for a prebuilt matrix, factor_s and sigma_s are 0.0 for a factored one.
+    # A single-use solve (StiffnessMatrix._solve_once) is one numpy gesv for
+    # the solution and the certificate together: factor_s holds it, and
+    # sigma_s and solve_s are 0.0
     timings: dict
 
 
@@ -620,11 +712,14 @@ def _lattice_matrix(grid, offs, rays, weights, diag, mirror, toeplitz=False):
 
 def _check_dense_size(grid, cause="assembly"):
     """Refuse a dense system that cannot fit in physical memory: the matrix
-    and the copy LU factorization makes take 16*n^2 bytes.  assemble checks
+    and the copy LU factorization makes take 16*n^2 bytes (scipy's getrf
+    factors one Fortran-ordered copy, numpy's gesv copies A into its own
+    buffer, so either way 16 bytes per entry).  assemble checks
     before it allocates anything for every matrix but a symmetric Toeplitz
     one, which is stored as one column of n numbers and checks here only
-    when its dense matrix is formed: for the LU fallback from the Toeplitz
-    factor or when its `matrix` is read.  `cause` names which in the error."""
+    when its dense matrix is formed: for LU (a fallback from the Toeplitz
+    factor, or the single-use solve under TOEPLITZ_MIN_N rows) or when its
+    `matrix` is read.  `cause` names which in the error."""
     need = DENSE_BYTES_PER_ENTRY * grid.n ** 2
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
@@ -785,12 +880,15 @@ def solve_dirichlet(problem, grid, cfg, stiffness=None):
     prebuilt StiffnessMatrix skips assembly, and the
     matrix is factored only on its first solve (see StiffnessMatrix), so
     solving one matrix against many right-hand sides costs one
-    factorization.  The report names the factorization ("toeplitz" or "lu")
-    and which computation gave sigma_min (`sigma_path`), and its timings
-    split the wall time into assembly, factorization (with the condition
-    estimate), sigma_min (the M-matrix certificate's two solves, or the
-    inverse iteration), the solve with the factorization, and the audit
-    (the residual plus the maximum-principle check).  Both residuals are
+    factorization.  A matrix assembled here is solved once, by
+    sm._solve_once where it qualifies (one numpy gesv, no factorization
+    kept), else through sm._factors.  The report names the factorization
+    ("toeplitz" or "lu") and which computation gave sigma_min
+    (`sigma_path`), and its timings split the wall time into assembly,
+    factorization (with the condition estimate), sigma_min (the M-matrix
+    certificate's two solves, or the inverse iteration), the solve with the
+    factorization, and the audit (the residual plus the maximum-principle
+    check).  Both residuals are
     products with sm.matvec, so a Toeplitz matrix is never formed for them.
     """
     f = problem.rhs.evaluate(grid.nodes)
@@ -798,7 +896,9 @@ def solve_dirichlet(problem, grid, cfg, stiffness=None):
     sm = stiffness if stiffness is not None else assemble(problem, grid, cfg)
     t1 = time.perf_counter()
     reused = "_factors" in vars(sm)
-    fac = sm._factors
+    # an assembled matrix is never solved again: no factorization is kept
+    once = sm._solve_once(f) if stiffness is None else None
+    u, fac = once if once is not None else (None, sm._factors)
     t2 = time.perf_counter()
     if fac.sigma_min <= NEAR_SINGULAR_FACTOR * fac.anorm:
         u = fac.null_vec.copy()
@@ -808,8 +908,9 @@ def solve_dirichlet(problem, grid, cfg, stiffness=None):
         mp_audit = {"pass": True, "max_violation": 0.0, "sup_ratio": 0.0,
                     "certified": False}
     else:
-        with np.errstate(all="ignore"):
-            u = fac.factor.solve(f)
+        if u is None:
+            with np.errstate(all="ignore"):
+                u = fac.factor.solve(f)
         if not np.all(np.isfinite(u)):
             raise ArithmeticError("linear solve produced non-finite values")
         t3 = time.perf_counter()
@@ -820,7 +921,7 @@ def solve_dirichlet(problem, grid, cfg, stiffness=None):
         "assemble_s": t1 - t0 if stiffness is None else 0.0,
         "factor_s": 0.0 if reused else fac.factor_s,
         "sigma_s": 0.0 if reused else fac.sigma_s,
-        "solve_s": t3 - t2,
+        "solve_s": t3 - t2 if once is None else 0.0,
         "audit_s": time.perf_counter() - t3,
         "n": grid.n,
     }

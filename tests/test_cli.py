@@ -756,6 +756,16 @@ def test_logop_threads_caps_blas_pool():
     assert int(proc.stdout) == 1
 
 
+def _shifted_interval_config(tmp_path):
+    """solve_interval.json shifted past lambda_1 (~1.85): its row sums are
+    negative, so the matrix is not certified and LU factors it."""
+    config = json.loads((CONFIGS / "solve_interval.json").read_text())
+    config["perturbation"] = {"name": "identity", "c": -2.5}
+    path = tmp_path / "shifted.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
 def test_eval_and_verify_never_load_lapack(tmp_path):
     script = f"""
 import json, sys
@@ -764,7 +774,7 @@ argv = [["eval", "--op", "LK", "--field", "gaussian(0.5)", "--x", "0.1"],
         ["verify", "--lemma", "sector", "--config", {str(CONFIGS / "verify_sector.json")!r}]]
 codes = [cli.main(a) for a in argv]
 before = "scipy.linalg._flapack" in sys.modules
-codes.append(cli.main(["solve", "--config", {str(CONFIGS / "solve_interval.json")!r},
+codes.append(cli.main(["solve", "--config", {str(_shifted_interval_config(tmp_path))!r},
                        "--out", {str(tmp_path / "u.csv")!r},
                        "--report", {str(tmp_path / "r.json")!r}]))
 print(json.dumps([codes, before, "scipy.linalg._flapack" in sys.modules,
@@ -773,6 +783,94 @@ print(json.dumps([codes, before, "scipy.linalg._flapack" in sys.modules,
     proc = _python(script)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0], False, True, True]
+
+
+def test_single_use_symmetric_solves_never_load_lapack(tmp_path):
+    # an assembled symmetric matrix certified as an M-matrix is solved once
+    # by numpy.linalg.solve (numpy's own LAPACK): a 2-D solve, torsion, a
+    # 2-D converge and the small interval solve leave scipy.linalg's LAPACK
+    # wrappers unloaded, and report the certified LU path.  Reading the
+    # dense matrix of a Toeplitz stiffness loads none either.
+    ball = tmp_path / "ball.json"
+    ball.write_text(json.dumps({
+        "domain": {"type": "ball", "center": [0.0, 0.0], "radius": 0.25},
+        "operator": {"name": "generic", "kernel": "sinlog"},
+        "rhs": {"name": "const", "value": 1.0},
+        "h": 0.05,
+    }))
+    converge = tmp_path / "converge.json"
+    converge.write_text(json.dumps({
+        "domain": {"type": "ball", "center": [0.0, 0.0], "radius": 0.25},
+        "operator": {"name": "generic", "kernel": "unit"},
+        "rhs": {"name": "const", "value": 1.0},
+        "h_list": [0.1, 0.07, 0.05],
+    }))
+    torsion = tmp_path / "torsion.json"
+    torsion.write_text(json.dumps({"R_list": [0.05], "N": 2, "kernel": "sinlog",
+                                   "nodes_across": 10}))
+    out, report = str(tmp_path / "u.csv"), str(tmp_path / "r.json")
+    script = f"""
+import json, sys
+from logop import cli, solver
+from logop.geometry import Domain, build_grid
+from logop.kernels import unit_kernel
+from logop.nonlocal_eval import QuadratureConfig, const_field
+domain = Domain.interval(-0.5, 0.5)
+problem = solver.ProblemSpec("generic", domain, const_field(1.0), kernel=unit_kernel())
+dense = solver.assemble(problem, build_grid(domain, 0.002), QuadratureConfig()).matrix
+reports = []
+for config in ({str(ball)!r}, {str(CONFIGS / "solve_interval.json")!r}):
+    code = cli.main(["solve", "--config", config, "--out", {out!r}, "--report", {report!r}])
+    with open({report!r}) as f:
+        r = json.load(f)
+    reports.append([code, r["factorization"], r["sigma_path"], r["timings"]["sigma_s"]])
+codes = [cli.main(["torsion", "--config", {str(torsion)!r}, "--out", {out!r}]),
+         cli.main(["converge", "--config", {str(converge)!r}, "--out", {out!r}])]
+print(json.dumps([dense.shape, reports, codes, "scipy.linalg._flapack" in sys.modules]))
+"""
+    proc = _python(script)
+    assert proc.returncode == 0, proc.stderr
+    single_use = [0, "lu", "m_matrix", 0.0]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [
+        [499, 499], [single_use] * 2, [0, 0], False]
+
+
+# each solve with the sigma_path it reports
+_KEPT_FACTOR_SOLVES = {
+    # a prebuilt matrix may be solved again: its LU factor is kept
+    "reused": ("solver.solve_dirichlet(problem, grid, cfg, stiffness=solver.assemble("
+               "problem, grid, cfg))", "m_matrix"),
+    # K(z) != K(-z): not symmetric, so its certificate needs A^-T 1 too
+    "nonsymmetric": ("solver.solve_dirichlet(replace(problem, kernel=KernelSpec("
+                     "evaluate=lambda x, Y: 1.0 + 0.4 * np.tanh(5.0 * Y[:, 0]), lam=0.6, "
+                     "Lam=1.4, name='skew')), grid, cfg)", "m_matrix"),
+    # shifted past lambda_1: negative row sums, not certified
+    "uncertified": ("solver.solve_dirichlet(replace(problem, shift=-100.0), grid, cfg)",
+                    "iteration"),
+}
+
+
+@pytest.mark.parametrize("case", list(_KEPT_FACTOR_SOLVES))
+def test_solves_that_keep_a_factor_load_lapack(case):
+    script = f"""
+import json, sys
+from dataclasses import replace
+import numpy as np
+from logop import solver
+from logop.geometry import Domain, build_grid
+from logop.kernels import KernelSpec, unit_kernel
+from logop.nonlocal_eval import QuadratureConfig, const_field
+domain = Domain.ball([0.0, 0.0], 0.25)
+problem = solver.ProblemSpec("generic", domain, const_field(1.0), kernel=unit_kernel())
+grid, cfg = build_grid(domain, 0.05), QuadratureConfig()
+_, report = {_KEPT_FACTOR_SOLVES[case][0]}
+print(json.dumps([report.factorization, report.alternative, report.sigma_path,
+                  "scipy.linalg._flapack" in sys.modules]))
+"""
+    proc = _python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [
+        "lu", "unique_solution", _KEPT_FACTOR_SOLVES[case][1], True]
 
 
 def test_interval_solve_never_loads_scipy_fft(tmp_path):

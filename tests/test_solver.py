@@ -327,6 +327,26 @@ def test_stencil_assembly_matches_per_row_path(case, tmp_path):
     assert np.all(A.sum(axis=1) >= -1e-12 * np.max(np.abs(A)))
 
 
+@pytest.mark.parametrize("case", list(_STENCIL_CASES))
+def test_norm1_of_a_z_matrix_is_read_from_its_column_sums(case, tmp_path):
+    # a Z-matrix with a nonnegative diagonal: ||A||_1 = max(2 diag(A) - column
+    # sums), from the row sums of a symmetric A or one product otherwise;
+    # any other matrix keeps np.linalg.norm
+    operator, domain, h, make_kernel, *cfg = _STENCIL_CASES[case]
+    problem = ProblemSpec(operator, domain, const_field(1.0),
+                          kernel=make_kernel(tmp_path) if make_kernel else None)
+    sm = assemble(problem, build_grid(domain, h), cfg[0] if cfg else CFG)
+    A = np.array(sm.matrix)
+    for symmetric in {sm.symmetric, False}:
+        dense = solver.StiffnessMatrix(A, sm.grid)
+        dense.symmetric = symmetric
+        assert dense._norm1() == pytest.approx(np.linalg.norm(A, 1), rel=1e-14, abs=0)
+    A[0, -1] = 1.0  # no longer a Z-matrix
+    assert solver.StiffnessMatrix(A, sm.grid)._norm1() == np.linalg.norm(A, 1)
+    A[0, -1], A[-1, -1] = 0.0, -A[-1, -1]  # a negative diagonal entry
+    assert solver.StiffnessMatrix(A, sm.grid)._norm1() == np.linalg.norm(A, 1)
+
+
 # operator, domain, h, kernel, config, and whether the matrix is symmetric
 _FULL_RULE_CASES = {
     "2d-unit-ball": (
@@ -683,6 +703,130 @@ def test_solve_report_times_each_phase():
     _, again = solve_dirichlet(problem, grid, CFG, stiffness=sm)
     assert again.timings["factor_s"] == again.timings["sigma_s"] == 0.0
     assert again.timings["solve_s"] > 0 and again.timings["audit_s"] > 0
+
+
+class _NoScipyLinalg:
+    """Stands in for solver.sla: any use of scipy.linalg fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"scipy.linalg.{name} was used")
+
+
+def _single_use_results(monkeypatch):
+    """What each StiffnessMatrix._solve_once returned: True when it solved,
+    False when it left the matrix to its kept factorization."""
+    results = []
+    solve_once = solver.StiffnessMatrix._solve_once
+
+    def recorded(sm, f):
+        once = solve_once(sm, f)
+        results.append(once is not None)
+        return once
+
+    monkeypatch.setattr(solver.StiffnessMatrix, "_solve_once", recorded)
+    return results
+
+
+# domain, h, problem: single-use solves the certificate holds for
+_SINGLE_USE_CASES = {
+    "2d-unit": (Domain.ball([0.0, 0.0], 0.25), 0.05, "generic", unit_kernel),
+    "2d-sinlog": (Domain.ball([0.1, -0.2], 0.25), 0.04, "generic", sinlog_kernel),
+    "2d-loglap-box": (Domain.box([-0.75, -0.75], [0.75, 0.75]), 0.14, "loglap", None),
+    "2d-schrodinger": (Domain.ball([0.0, 0.0], 0.1), 0.025, "schrodinger", None),
+    "1d-unit-small-toeplitz": (Domain.interval(-0.5, 0.5), 0.01, "generic", unit_kernel),
+}
+
+
+@pytest.mark.parametrize("case", list(_SINGLE_USE_CASES))
+def test_single_use_solve_matches_the_kept_factor(case, monkeypatch):
+    # solved once by numpy.linalg.solve (no scipy.linalg) against the kept
+    # LU factor of the same matrix passed as a prebuilt stiffness
+    domain, h, operator, kernel = _SINGLE_USE_CASES[case]
+    problem = ProblemSpec(operator, domain, quadratic_field(),
+                          kernel=kernel() if kernel else None)
+    grid = build_grid(domain, h)
+    u_ref, ref = solve_dirichlet(problem, grid, CFG, stiffness=assemble(problem, grid, CFG))
+    results = _single_use_results(monkeypatch)
+    monkeypatch.setattr(solver, "sla", _NoScipyLinalg())
+    u, report = solve_dirichlet(problem, grid, CFG)
+    assert results == [True]
+    assert np.max(np.abs(u.values - u_ref.values)) <= 1e-13 * np.max(np.abs(u_ref.values))
+    assert report.sigma_min == pytest.approx(ref.sigma_min, rel=1e-12, abs=0)
+    assert report.condition_estimate == pytest.approx(ref.condition_estimate, rel=1e-12,
+                                                      abs=0)
+    assert report.residual_inf <= 1e-13 * np.max(np.abs(problem.rhs.evaluate(grid.nodes)))
+    for key in ("alternative", "sigma_path", "factorization", "iterations"):
+        assert getattr(report, key) == getattr(ref, key)
+    audit, ref_audit = dict(report.mp_audit), dict(ref.mp_audit)
+    assert audit.pop("sup_ratio") == pytest.approx(ref_audit.pop("sup_ratio"), rel=1e-13)
+    assert audit == ref_audit
+    assert (report.factorization, report.sigma_path) == ("lu", "m_matrix")
+    # the one gesv is factor_s; there is no separate certificate or solve
+    assert report.timings["factor_s"] > 0.0
+    assert report.timings["sigma_s"] == report.timings["solve_s"] == 0.0
+
+
+# what numpy.linalg.solve returns as the first entry of y = A^-1 1
+_EDITED_Y = {"negative-y": -1.0, "nan-y": math.nan, "inf-y": math.inf}
+
+
+@pytest.mark.parametrize("fallback", [
+    "not-a-z-matrix", "zero-pivot", *_EDITED_Y, "below-sigma-floor",
+])
+def test_single_use_fallbacks_keep_the_kept_factor_verdict(fallback, monkeypatch):
+    # each matrix the single-use solve refuses gets the verdict and the
+    # sigma_path of its kept factorization, as a prebuilt stiffness
+    problem = _interval_problem(half=0.1)
+    grid = build_grid(problem.domain, 0.04)
+    A = assemble(problem, grid, CFG).matrix
+    gesv = np.linalg.solve
+
+    def faulty_gesv(A, B):
+        if fallback == "zero-pivot":
+            raise np.linalg.LinAlgError("Singular matrix")
+        uy = gesv(A, B)
+        uy[0, 1] = _EDITED_Y[fallback]
+        return uy
+
+    if fallback == "not-a-z-matrix":
+        # one positive pair off the diagonal: A^-1 1 stays positive, but A
+        # is not certified, so the iteration gives sigma_min
+        A = np.array(A)
+        A[0, 1] = A[1, 0] = 0.1 * A[0, 0]
+    elif fallback == "below-sigma-floor":
+        # (5 + d) I - ones: row sums d, so certified, but sigma_min = d lies
+        # under both TOEPLITZ_SIGMA_FLOOR and the near-singular threshold
+        A = (5.0 + 1e-12) * np.eye(5) - np.ones((5, 5))
+    else:
+        monkeypatch.setattr(np.linalg, "solve", faulty_gesv)
+
+    def stiffness():
+        sm = solver.StiffnessMatrix(A, grid)
+        sm.symmetric = True
+        return sm
+
+    u_ref, ref = solve_dirichlet(problem, grid, CFG, stiffness=stiffness())
+    monkeypatch.setattr(solver, "assemble", lambda *args: stiffness())
+    results = _single_use_results(monkeypatch)
+    u, report = solve_dirichlet(problem, grid, CFG)
+    assert results == [False]
+    assert np.array_equal(u.values, u_ref.values)
+    _same_report(report, ref)
+    expected = {"not-a-z-matrix": ("unique_solution", "iteration"),
+                "below-sigma-floor": ("near_singular", "iteration")}
+    assert (report.alternative, report.sigma_path) == expected.get(
+        fallback, ("unique_solution", "m_matrix"))
+
+
+def test_single_use_solve_with_non_finite_data_raises(monkeypatch):
+    problem = ProblemSpec("generic", Domain.ball([0.0, 0.0], 0.25), const_field(math.nan),
+                          kernel=unit_kernel())
+    grid = build_grid(problem.domain, 0.05)
+    results = _single_use_results(monkeypatch)
+    for stiffness in (assemble(problem, grid, CFG), None):
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            solve_dirichlet(problem, grid, CFG, stiffness=stiffness)
+    assert results == [True]
 
 
 def _count_factorizations(monkeypatch):
