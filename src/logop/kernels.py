@@ -224,6 +224,15 @@ class KernelSpec:
     array of radii: then evaluate(x, Y) = profile(|Y|) for every x, and the
     quadratures evaluate it once per radius of their rule instead of once
     per node.  The catalog kernels are all radial (_radial_kernel).
+
+    solver.assemble calls the evaluate of an x-dependent kernel
+    (translation_invariant false) at base points x anywhere in the
+    bounding box of the grid's nodes, not only at the nodes: it samples the
+    kernel at Chebyshev points of that box and interpolates in x.  For a
+    ball some of those points lie outside Omega, so evaluate must accept
+    them.  A non-finite value at such a point does not fail assembly; it
+    only makes assembly evaluate the kernel at every node instead, which
+    is slower.
     """
 
     evaluate: callable

@@ -23,9 +23,13 @@ images, so an even weight gives a stencil symmetric bit for bit.  A
 translation-invariant operator (every catalog kernel, the log-Laplacian
 and the Schrodinger operator) has one stencil, its table summed by
 np.bincount and gathered a block of rows at a time into a block-Toeplitz
-matrix; a kernel that depends on x weights the offsets and their mirror
-images at each node, one scipy.sparse product of the projection and its
-reversal, plus one product for the moments.
+matrix.  A kernel that depends on x has a stencil at each base point x, the
+same sums of its weights at the offsets and their mirror images plus one
+product for the moments.  Collocation is linear in the kernel, so each row
+is gathered from the Lagrange combination of the stencils at a few
+Chebyshev points spanning the nodes (_chebyshev), or, where that
+interpolant is not shown to 1e-13 of the largest entry within a quarter of
+the nodes' kernel calls, from its node's own stencil.
 
 Because the radial quadrature weights are positive and the interpolation
 weights are a convex partition, the assembled matrix of the difference
@@ -77,8 +81,8 @@ kernel or operator, unshifted, with positive row sums), nor solves and
 sweeps on 1-D Toeplitz matrices of TOEPLITZ_MIN_N rows or more.  A
 prebuilt matrix, a nonsymmetric or uncertified one and every 2-D or small
 1-D sweep do load it, and the first of them in a process pays the ~0.15 s
-load (its `factor_s` includes it).  scipy.fft is never imported.  scipy.sparse is
-loaded only to assemble an x-dependent kernel.
+load (its `factor_s` includes it).  scipy.fft and scipy.sparse are never
+imported.
 """
 
 from __future__ import annotations
@@ -121,14 +125,19 @@ DENSE_BYTES_PER_ENTRY = 16  # float64 matrix plus the LU factorization's copy
 # (no dense table nears 2^31 entries) and numpy's intp copy of it stay under
 # glibc's 128 KiB mmap threshold; mode "clip" writes without numpy's buffer
 _GATHER_ENTRIES = 16384
-# a Toeplitz factor is kept when sigma_min is at least TOEPLITZ_SIGMA_FLOOR
-# times the 1-norm (a certified M-matrix bound under it falls back to the
-# sigma_min iteration).  The Toeplitz and LU estimates of sigma_min agree to
-# 1e-7 relative at sigma_min = 1e-9 times the 1-norm and to 9e-7 at 1e-10
-# (unit and sinlog kernels, n = 99 and 499, shifted towards -lambda_1), so
-# a margin of 10 over the near-singular threshold leaves every
-# near_singular verdict and null vector to LU
-TOEPLITZ_SIGMA_FLOOR = 10 * NEAR_SINGULAR_FACTOR
+# rows of an x-dependent kernel combined and gathered per block: 64 rows of
+# n = 999 raised assembly's traced peak past 1.25 times the matrix
+_XDEP_ROWS = 16
+# the floor under sigma_min, relative to the 1-norm, of every shortcut: a
+# Toeplitz factor is kept, a single-use gesv's solution and an M-matrix
+# certificate's bound are taken, only where sigma_min is at least
+# SIGMA_MIN_REL_FLOOR times the 1-norm (else LU, the kept factor and the
+# sigma_min iteration decide).  The Toeplitz and LU estimates of sigma_min
+# agree to 1e-7 relative at sigma_min = 1e-9 times the 1-norm and to 9e-7 at
+# 1e-10 (unit and sinlog kernels, n = 99 and 499, shifted towards
+# -lambda_1), so a margin of 10 over the near-singular threshold leaves
+# every near_singular verdict and null vector to LU
+SIGMA_MIN_REL_FLOOR = 10 * NEAR_SINGULAR_FACTOR
 # a 1-D Toeplitz matrix with fewer rows is factored by LU.
 # StiffnessMatrix._factors of a certified M-matrix (median of 21, the two
 # paths alternating, one BLAS thread, unit, sinlog and log-Laplacian kernels
@@ -319,6 +328,7 @@ class StiffnessMatrix:
     their factorization."""
 
     symmetric = False
+    stencils = 0  # how many stencils assemble built for it (SolveReport.timings)
 
     def __init__(self, matrix, grid):
         view = np.asarray(matrix).view()
@@ -394,7 +404,7 @@ class StiffnessMatrix:
         sigma_path "m_matrix"); factor_s holds the whole of it, sigma_s is
         0.0.  None, and so `_factors`, when A does not qualify, gesv meets
         an exactly zero pivot, y is not finite and positive, or sigma_min
-        falls under TOEPLITZ_SIGMA_FLOOR times the 1-norm."""
+        falls under SIGMA_MIN_REL_FLOOR times the 1-norm."""
         t0 = time.perf_counter()
         if not (self.symmetric and self._lu_first and self._is_m_matrix()):
             return None
@@ -408,7 +418,7 @@ class StiffnessMatrix:
         y = uy[:, 1]
         inverse_norm = float(np.max(y))
         # an infinite max y reads sigma_min 0, under the floor
-        if not (np.min(y) > 0.0 and 1.0 / inverse_norm >= TOEPLITZ_SIGMA_FLOOR * anorm):
+        if not (np.min(y) > 0.0 and 1.0 / inverse_norm >= SIGMA_MIN_REL_FLOOR * anorm):
             return None
         return uy[:, 0].copy(), _Factors(
             factor=_Gesv(),
@@ -428,10 +438,10 @@ class StiffnessMatrix:
         (`_m_matrix_bound`): its condition number is then exact up to the
         solves' rounding and sigma_min is a lower bound (sigma_path
         "m_matrix").  Any other matrix, or one whose bound falls under
-        TOEPLITZ_SIGMA_FLOOR times the 1-norm, takes the sigma_min inverse
+        SIGMA_MIN_REL_FLOOR times the 1-norm, takes the sigma_min inverse
         iteration and Hager-Higham, floored at 1/(sigma sqrt(n)) ("iteration").
         A factor other than LU (a Toeplitz one) is replaced by `_lu` when its
-        sigma_min falls under TOEPLITZ_SIGMA_FLOOR times the 1-norm;
+        sigma_min falls under SIGMA_MIN_REL_FLOOR times the 1-norm;
         factor_s then includes the first factor and its sigma_min
         iteration.  Inverse iteration cannot run on an LU factor
         with a zero pivot, nor on one whose solves overflow (a tiny pivot),
@@ -441,7 +451,7 @@ class StiffnessMatrix:
         estimate is infinite."""
         t0 = time.perf_counter()
         anorm = self._norm1()
-        floor = TOEPLITZ_SIGMA_FLOOR * anorm
+        floor = SIGMA_MIN_REL_FLOOR * anorm
         certify = True  # only the first factor: an LU refactor follows a refusal
         for factor_once in (self._factor, self._lu):
             factor = factor_once()
@@ -562,9 +572,14 @@ class SolveReport:
     sigma_path: str
     factorization: str  # "toeplitz" (MINRES generator, Gohberg-Semencul) | "lu"
     iterations: int  # MINRES iterations of the Toeplitz generator, 0 for LU
-    # seconds per phase and the node count n:
-    # {assemble_s, factor_s, sigma_s, solve_s, audit_s, n}; assemble_s is 0.0
-    # for a prebuilt matrix, factor_s and sigma_s are 0.0 for a factored one.
+    # seconds per phase, the node count n and the stencils assembly built:
+    # {assemble_s, factor_s, sigma_s, solve_s, audit_s, n, stencils}.
+    # stencils counts the base points x at which assembly evaluated the
+    # kernel, one stencil each: 1 for a translation-invariant operator, the
+    # Chebyshev samples and checks of an x-dependent kernel's interpolant, or
+    # n where it was evaluated at every node (plus the samples tried before
+    # that interpolant was refused).  assemble_s and stencils are 0 for a
+    # prebuilt matrix, factor_s and sigma_s are 0.0 for a factored one.
     # A single-use solve (StiffnessMatrix._solve_once) is one numpy gesv for
     # the solution and the certificate together: factor_s holds it, and
     # sigma_s and solve_s are 0.0
@@ -631,7 +646,7 @@ def _lattice_matrix(grid, offs, rays, weights, diag, mirror, toeplitz=False):
     (see _origin_cells).  d = diag(W) leaves the inner offsets out, as
     their moments leave out the constant term.  weights is (W, M) when it
     is the same at every node (a translation-invariant operator) or a
-    function of the node giving it (an x-dependent kernel).
+    function of the base point giving it (an x-dependent kernel).
 
     offs are projected once (geometry.difference_projection: rows and vals
     of 2^N corners per offset), and the table T of minus the weights is
@@ -645,18 +660,23 @@ def _lattice_matrix(grid, offs, rays, weights, diag, mirror, toeplitz=False):
     origin that of the zero difference; rows read only the table's
     interior (the padding holds the corners of offsets beyond every lattice
     difference), so only it must be finite.  One stencil is gathered
-    _GATHER_ENTRIES entries at a time, an x-dependent kernel's a row at a
-    time, from a scipy.sparse product of the same arrays (its one use,
-    imported there).  `toeplitz` asks for one stencil on a hole-free 1-D
-    lattice, where A is symmetric Toeplitz: its first column
-    S[q[0] + origin - q] is returned, and no n x n array is allocated."""
+    _GATHER_ENTRIES entries at a time.  `toeplitz` asks for one stencil on
+    a hole-free 1-D lattice, where A is symmetric Toeplitz: its first
+    column S[q[0] + origin - q] is returned, and no n x n array is
+    allocated.
+
+    An x-dependent kernel's stencils are built at the few base points of
+    _chebyshev.sampled_stencils and each row's is their Lagrange
+    combination, or, where that interpolant is refused, built at the node
+    itself: either way _XDEP_ROWS rows at a time, combined and gathered
+    from a block of stencils one after another in the flat index."""
     corner, vals = geometry.difference_projection(grid, offs)
     np.negative(vals, out=vals)  # in place, once, not per stencil
     span = tuple(2 * d + 1 for d in grid.dims)
     size = math.prod(span)
     q = np.ravel_multi_index((grid.lattice - grid.kmin).T, span).astype(np.int32)
     origin = size // 2
-    interior = (slice(1, -1),) * len(span)
+    interior = (slice(None),) + (slice(1, -1),) * len(span)
     if mirror == "pairs":
         corner = np.stack((corner, size - 1 - corner), axis=1)
         vals = np.stack((vals, vals), axis=1)
@@ -664,49 +684,66 @@ def _lattice_matrix(grid, offs, rays, weights, diag, mirror, toeplitz=False):
     at, C = _origin_cells(rays, grid.h, span)
     rows, vals = corner.reshape(-1), vals.reshape(-1, corner.shape[-1])
 
-    if callable(weights):
-        # per node, scipy's csc_matvec is faster than np.bincount: 25-26
-        # against 36-38 ms per assembly of the n = 489 ball at h = 0.02
-        # (1 752 offsets and their mirror images; a kernel that costs
-        # nothing, 2 vCPU)
-        from scipy import sparse
-
-        P = sparse.csc_array(
-            (vals.reshape(-1), rows, np.arange(0, rows.size + 1, vals.shape[1])),
-            shape=(size, len(vals)),
-        )
-
-        def table(W):
-            return P @ W.reshape(-1)
-    else:
-        def table(W):
-            # np.bincount adds the products offset by offset and corner by
-            # corner, as scipy's csc_matvec does: the same table bit for bit
-            return np.bincount(rows, (vals * W.reshape(-1, 1)).reshape(-1), size)
-
-    def stencil(i, W, M):
-        S = table(W)
+    def stencil(W, M):
+        # np.bincount adds the products offset by offset and corner by
+        # corner, as scipy's csc_matvec does: the same table bit for bit
+        S = np.bincount(rows, (vals * W.reshape(-1, 1)).reshape(-1), size)
         S[at] += C @ M.reshape(-1)
         if mirror == "flip":
             S = S + S[::-1]
         S[origin] += diag(W)  # the zero difference: only the diagonal reads it
-        if not np.all(np.isfinite(S.reshape(span)[interior])):
+        return S
+
+    def stencils(X):
+        S = np.empty((len(X), size))
+        for r, x in enumerate(X):
+            S[r] = stencil(*weights(x))
+        return S
+
+    def finite(S, i0):
+        # the stencils S of nodes i0, i0 + 1, ...; each must be finite where
+        # rows read it
+        ok = np.all(np.isfinite(S.reshape((-1,) + span)[interior]).reshape(len(S), -1), axis=1)
+        if not np.all(ok):
+            i = i0 + int(np.argmin(ok))
             raise ArithmeticError(
                 f"quadrature failure assembling node {i} at {grid.nodes[i]}"
             )
         return S
 
-    if callable(weights):
-        blocks = ((i, i + 1, stencil(i, *weights(x))) for i, x in enumerate(grid.nodes))
-    else:
-        S = stencil(0, *weights)
+    if not callable(weights):
+        S = finite(stencil(*weights)[None], 0)[0]
         if toeplitz:
             return S[q[0] + origin - q]
-        step = max(1, _GATHER_ENTRIES // grid.n)
-        blocks = ((i, i + step, S) for i in range(0, grid.n, step))
+    # the matrix first: the sampled stencils, freed on return, then lie
+    # above it on the heap, not in a hole under it that the next matrix
+    # cannot reuse (xdep-2d peak RSS 80.8 -> 79.8 MB)
     A = np.empty((grid.n, grid.n))
-    for i0, i1, S in blocks:
-        np.take(S, q + (origin - q[i0:i1, None]), out=A[i0:i1], mode="clip")
+    if callable(weights):
+        step, stride = max(1, min(_XDEP_ROWS, _GATHER_ENTRIES // grid.n)), size
+        # imported here, so that no other process compiles it
+        from . import _chebyshev
+
+        sampled = _chebyshev.sampled_stencils(grid.nodes, grid.h, stencils)
+        if sampled is None:
+            def block(i0, i1):
+                return finite(stencils(grid.nodes[i0:i1]), i0)
+        else:
+            S, L = sampled
+
+            def block(i0, i1):
+                return L[i0:i1] @ S
+    else:
+        step, stride = max(1, _GATHER_ENTRIES // grid.n), 0
+
+        def block(i0, i1):
+            return S
+    # row i0 + r of a block reads its stencil from r * stride on
+    starts = stride * np.arange(step, dtype=np.int32)[:, None]
+    for i0 in range(0, grid.n, step):
+        i1 = min(i0 + step, grid.n)
+        shift = origin + starts[:i1 - i0] - q[i0:i1, None]
+        np.take(block(i0, i1), q + shift, out=A[i0:i1], mode="clip")
     return A
 
 
@@ -801,9 +838,11 @@ def assemble(problem, grid, cfg):
             inner = np.stack((inner, -inner), axis=1)
         points = np.asfortranarray(np.concatenate((points, inner.reshape(-1, N))))
         w_c = np.repeat(w, columns)
+        base_points = []
 
         def weights(x):
-            # _lattice_matrix's weights (W, M) at node x
+            # _lattice_matrix's weights (W, M) at base point x
+            base_points.append(x)
             k = op.weight(x, points)
             inner_k = k[len(w_c):].reshape(columns * len(rays), split)
             return (w_c * k[:len(w_c)]).reshape(-1, columns), inner_k @ radial
@@ -819,6 +858,7 @@ def assemble(problem, grid, cfg):
 
     A = _lattice_matrix(grid, offs, rays, weights, diag, mirror, toeplitz=toeplitz)
     sm = (_ToeplitzStiffness if toeplitz else StiffnessMatrix)(A, grid)
+    sm.stencils = len(base_points) if callable(weights) else 1
     if mirror == "flip":
         sm.symmetric = True  # one even stencil, symmetric bit for bit
     return sm
@@ -924,6 +964,7 @@ def solve_dirichlet(problem, grid, cfg, stiffness=None):
         "solve_s": t3 - t2 if once is None else 0.0,
         "audit_s": time.perf_counter() - t3,
         "n": grid.n,
+        "stencils": sm.stencils if stiffness is None else 0,
     }
     report = SolveReport(
         residual_inf=residual,

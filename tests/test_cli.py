@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import math
@@ -233,6 +234,7 @@ def test_solve_writes_solution_and_report(capsys, tmp_path, toeplitz_at_any_n):
     assert report["mp_audit"]["certified"] is True
     timings = report["timings"]
     assert timings["n"] == 19
+    assert timings["stencils"] == 1
     assert all(
         timings[k] >= 0 for k in ("assemble_s", "factor_s", "sigma_s", "solve_s", "audit_s")
     )
@@ -252,7 +254,7 @@ def test_solve_deterministic_output(capsys, tmp_path):
         # wall-clock phase timings are the one part that may differ
         timings = report.pop("timings")
         assert set(timings) == {
-            "assemble_s", "factor_s", "sigma_s", "solve_s", "audit_s", "n"
+            "assemble_s", "factor_s", "sigma_s", "solve_s", "audit_s", "n", "stencils"
         }
         files.append((out_csv.read_bytes(), report))
     assert files[0] == files[1]
@@ -924,9 +926,11 @@ print(json.dumps([code, r["factorization"], r["timings"]["n"] >= solver.TOEPLITZ
     assert json.loads(proc.stdout.splitlines()[-1]) == [0, "toeplitz", True, True, False]
 
 
-def test_only_x_dependent_assembly_loads_scipy_sparse(tmp_path):
-    # a stencil's table is np.bincount of the projection; only the per-node
-    # products of an x-dependent kernel use scipy.sparse (~13 MB resident)
+def test_no_cli_or_library_path_loads_scipy_sparse(tmp_path):
+    # a stencil's table is np.bincount of the projection, and an
+    # x-dependent kernel's rows combine such tables, whether from Chebyshev
+    # samples or node by node: nothing loads scipy.sparse (~13 MB resident).
+    # Only an x-dependent assembly loads the Chebyshev module
     ball = tmp_path / "ball.json"
     ball.write_text(json.dumps({
         "domain": {"type": "ball", "center": [0.0, 0.0], "radius": 0.25},
@@ -952,16 +956,39 @@ codes = [cli.main(a) for a in argv]
 domain = Domain.interval(-0.5, 0.5)
 problem = solver.ProblemSpec("generic", domain, const_field(1.0), kernel=unit_kernel())
 solver.fredholm_sweep(problem, build_grid(domain, 0.05), QuadratureConfig(), 1.0, 2.5)
-before = "scipy.sparse" in sys.modules
+before = ["scipy.sparse" in sys.modules, "logop._chebyshev" in sys.modules]
 flat = KernelSpec(evaluate=lambda x, Y: np.ones(len(Y)), lam=1.0, Lam=1.0,
                   translation_invariant=False, name="flat")
 problem = solver.ProblemSpec("generic", domain, const_field(1.0), kernel=flat)
-solver.assemble(problem, build_grid(domain, 0.05), QuadratureConfig())
-print(json.dumps([codes, before, "scipy.sparse" in sys.modules]))
+# n = 19 evaluates every node, n = 399 3 Chebyshev samples and 4 checks
+stencils = [solver.assemble(problem, build_grid(domain, h), QuadratureConfig()).stencils
+            for h in (0.05, 0.0025)]
+print(json.dumps([codes, before, stencils, "scipy.sparse" in sys.modules]))
 """
     proc = _python(script)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[0] * 5, False, True]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0] * 5, [False, False], [19, 7], False]
+
+
+def test_no_module_imports_scipy_sparse():
+    # read from the syntax tree, so docstrings may name it: no import of
+    # scipy.sparse, and no string naming it passed to a call (a lazy import)
+    package = Path(logop.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Call):
+                names = [arg.value for arg in node.args
+                         if isinstance(arg, ast.Constant) and isinstance(arg.value, str)]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names if "sparse" in name.split(".")]
+    assert len(list(package.glob("*.py"))) >= 10
+    assert found == []
 
 
 def test_import_without_scipy_fails_at_import():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import re
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from logop import _quadrules, _toeplitz, geometry, solver
+from logop import _chebyshev, _quadrules, _toeplitz, geometry, solver
 from logop.geometry import (
     Domain,
     GridFunction,
@@ -69,6 +70,20 @@ def _wobble_kernel():
         translation_invariant=False,
         name="wobble",
     )
+
+
+def _phase_wobble_kernel(phase=1.0, calls=None):
+    # the x-dependent benchmark kernel: smooth in x, neither odd nor even,
+    # so assembly interpolates it from a few Chebyshev samples.  calls, when
+    # given, collects each evaluation's base point
+    def evaluate(x, Y):
+        if calls is not None:
+            calls.append(x)
+        rho = np.linalg.norm(np.atleast_2d(Y), axis=1)
+        return 1.0 + 0.3 * math.sin(3.0 * float(x[0]) + phase) * np.cos(rho)
+
+    return KernelSpec(evaluate=evaluate, lam=0.7, Lam=1.3, translation_invariant=False,
+                      name="phase-wobble")
 
 
 def _skew_kernel():
@@ -165,11 +180,15 @@ def test_assembly_rejects_nonfinite_kernel():
 def test_assembly_rejects_nonfinite_xdependent_kernel():
     # the first node right of 0.3 is named, whether the kernel fails at every
     # offset or only at those inside the origin cells (|z| < h), which enter
-    # by their radial moments
-    grid = build_grid(Domain.interval(-0.5, 0.5), 0.1)
-    i = int(np.argmax(grid.nodes[:, 0] > 0.3))
-    assert i > 0
-    for reach in (math.inf, 0.5 * grid.h):
+    # by their radial moments.  At h = 0.0025 the kernel is first sampled at
+    # Chebyshev points; a non-finite sample sends every node to its own
+    # stencil, which names the node
+    for h, cells in itertools.product((0.1, 0.0025), (math.inf, 0.5)):
+        grid = build_grid(Domain.interval(-0.5, 0.5), h)
+        i = int(np.argmax(grid.nodes[:, 0] > 0.3))
+        assert i > 0
+        reach = cells * h
+
         def evaluate(x, Y, reach=reach):
             bad = (x[0] > 0.3) & (np.linalg.norm(Y, axis=1) < reach)
             return np.where(bad, np.nan, 1.0)
@@ -451,16 +470,17 @@ def test_rows_inside_the_kernels_reach_sum_to_zero():
         ("loglap", Domain.ball([0.0, 0.0], 0.25), 0.01, None),
         ("schrodinger", Domain.ball([0.0, 0.0], 0.25), 0.01, None),
         ("generic", Domain.interval(-0.5, 0.5), 0.001, _wobble_kernel()),
+        ("generic", Domain.interval(-0.5, 0.5), 0.001, _phase_wobble_kernel()),
     ],
-    ids=["generic", "loglap", "schrodinger", "xdep-1d"],
+    ids=["generic", "loglap", "schrodinger", "xdep-1d", "xdep-1d-sampled"],
 )
 def test_assembly_peak_memory_is_the_matrix(operator, domain, h, kernel):
     # a dense matrix (2-D grid or x-dependent kernel) is the only n x n array
     # assembly allocates, so the documented 16*n^2 bytes (matrix plus LU
-    # copy) hold for every operator
+    # copy) hold for every operator.  The odd wobble kernel takes every
+    # node's own stencil here, the phase-shifted one 33 Chebyshev samples
     problem = ProblemSpec(operator, domain, const_field(1.0), kernel=kernel)
-    # untraced: fills the quadrature caches, and loads scipy.sparse for the
-    # x-dependent kernel (the only assembly that uses it)
+    # untraced: fills the quadrature caches
     assemble(problem, build_grid(domain, 0.1), CFG)
     grid = build_grid(domain, h)
     tracemalloc.start()
@@ -472,6 +492,118 @@ def test_assembly_peak_memory_is_the_matrix(operator, domain, h, kernel):
     assert type(sm) is solver.StiffnessMatrix
     assert sm.matrix.shape == (grid.n, grid.n)
     assert peak <= 1.25 * sm.matrix.nbytes
+
+
+def _xdep_kernel(name, weight, lam=0.5, Lam=1.5):
+    return KernelSpec(evaluate=lambda x, Y: weight(x, np.atleast_2d(Y)), lam=lam, Lam=Lam,
+                      translation_invariant=False, name=name)
+
+
+_XDEP_KERNELS = {
+    # odd in x_0: on the interval, centred on 0, degree 2 passes the p/2 test
+    # by symmetry and the node check refuses it, so every node is evaluated
+    "wobble": _wobble_kernel(),
+    "phase-wobble": _phase_wobble_kernel(),
+    "flat": _xdep_kernel("flat", lambda x, Y: np.ones(len(Y)), 1.0, 1.0),
+    # not even in z, so the stencils are not symmetric
+    "skew": _xdep_kernel(
+        "skew", lambda x, Y: 1.0 + 0.3 * math.sin(2.0 * x[0] + 0.5) * np.tanh(5.0 * Y[:, 0])
+    ),
+    # x and z mixed, and on both axes: beyond the budget on the ball
+    "mixed": _xdep_kernel(
+        "mixed", lambda x, Y: 1.0 + 0.3 * np.tanh(2.0 * x[-1] + Y[:, 0]) * math.exp(-x[0] ** 2)
+    ),
+    # a jump in x: the misfit does not fall, and sampling stops at degree 8
+    "x-jump": _xdep_kernel(
+        "x-jump",
+        lambda x, Y: 1.0 + 0.3 * math.copysign(1.0, x[0] - 0.05) * np.cos(np.linalg.norm(Y, axis=1)),
+    ),
+}
+_XDEP_GRIDS = {
+    "ball": (Domain.ball([0.013, -0.007], 0.25), 0.02),
+    "interval": (Domain.interval(-0.5, 0.5), 0.001),
+    "interval-coarse": (Domain.interval(-0.5, 0.5), 0.0025),
+}
+# the cases that take the interpolant, with fewer than n/4 stencils
+_XDEP_SAMPLED = {
+    ("wobble", "ball"),
+    *((kernel, grid) for kernel in ("phase-wobble", "flat", "skew") for grid in _XDEP_GRIDS),
+    ("mixed", "interval"),
+    ("mixed", "interval-coarse"),
+}
+
+
+@pytest.mark.parametrize("grid_case", list(_XDEP_GRIDS))
+@pytest.mark.parametrize("kernel_case", list(_XDEP_KERNELS))
+def test_sampled_xdependent_assembly_matches_every_node(kernel_case, grid_case, monkeypatch):
+    # the Lagrange combination of a few Chebyshev samples against every
+    # node's own stencil: within 1e-12 of max|A|, with the same signs
+    # entry by entry (a Z-matrix stays one) and the same certificate and
+    # maximum-principle verdicts
+    domain, h = _XDEP_GRIDS[grid_case]
+    problem = ProblemSpec("generic", domain, const_field(1.0), kernel=_XDEP_KERNELS[kernel_case])
+    grid = build_grid(domain, h)
+    sm = assemble(problem, grid, CFG)
+    monkeypatch.setattr(_chebyshev, "SAMPLE_SHARE", 0.0)
+    ref = assemble(problem, grid, CFG)
+    assert ref.stencils == grid.n
+    A, R = sm.matrix, ref.matrix
+    assert np.max(np.abs(A - R)) <= 1e-12 * np.max(np.abs(R))
+    assert np.array_equal(np.sign(A), np.sign(R))
+    assert np.max(R[~np.eye(grid.n, dtype=bool)]) <= 0.0
+    assert sm._is_m_matrix() == ref._is_m_matrix()
+    (_, got), (_, want) = (solve_dirichlet(problem, grid, CFG, stiffness=m) for m in (sm, ref))
+    assert (got.sigma_path, got.alternative, got.mp_audit["certified"], got.mp_audit["pass"]) == (
+        want.sigma_path, want.alternative, want.mp_audit["certified"], want.mp_audit["pass"])
+    assert (sm.stencils < grid.n / 4) == ((kernel_case, grid_case) in _XDEP_SAMPLED)
+    if sm.stencils >= grid.n:
+        assert np.array_equal(A, R)
+    if kernel_case == "x-jump":  # stopped at degree 8 in x_0, 2 on the other axis
+        assert sm.stencils == grid.n + 9 * 3 ** (domain.N - 1)
+
+
+@pytest.mark.parametrize("phase", [0.4, 2.0, 5.1])
+def test_xdependent_solves_evaluate_the_kernel_at_few_base_points(phase):
+    # the x-dependent benchmark shapes, the ball at h = 0.02 (n = 489) and
+    # the interval at h = 0.001 (n = 999): the kernel is called at fewer
+    # than n/4 base points, and the report counts each
+    shapes = (
+        (Domain.ball([0.013, -0.007], 0.25), 0.02),
+        (Domain.ball([-0.21, 0.17], 0.25), 0.02),
+        (Domain.interval(-0.5, 0.5), 0.001),
+    )
+    for domain, h in shapes:
+        calls = []
+        problem = ProblemSpec("generic", domain, const_field(1.0),
+                              kernel=_phase_wobble_kernel(phase, calls))
+        grid = build_grid(domain, h)
+        _, report = solve_dirichlet(problem, grid, CFG)
+        assert len(calls) == report.timings["stencils"] < grid.n / 4
+        assert report.sigma_path == "m_matrix"
+
+
+def test_kernel_undefined_outside_the_domain_takes_every_node(monkeypatch):
+    # the Chebyshev samples span the nodes' bounding box, whose corners lie
+    # outside a ball: a kernel that is NaN there sends every node to its
+    # own stencil, and the matrix is the per-node one bit for bit
+    centre, radius = np.array([0.013, -0.007]), 0.25
+    wobble = _phase_wobble_kernel()
+
+    def evaluate(x, Y):
+        inside = np.linalg.norm(x - centre) <= radius
+        return wobble.evaluate(x, Y) if inside else np.full(len(Y), np.nan)
+
+    kernel = KernelSpec(evaluate=evaluate, lam=0.7, Lam=1.3, translation_invariant=False,
+                        name="nan-outside")
+    domain = Domain.ball(centre, radius)
+    grid = build_grid(domain, 0.02)
+    problem = ProblemSpec("generic", domain, const_field(1.0), kernel=kernel)
+    sm = assemble(problem, grid, CFG)
+    # the 3 x 3 first samples, whose corners lie outside: refused at once,
+    # without the node checks, then every node
+    assert sm.stencils == 9 + grid.n
+    monkeypatch.setattr(_chebyshev, "SAMPLE_SHARE", 0.0)
+    assert np.array_equal(sm.matrix, assemble(problem, grid, CFG).matrix)
 
 
 def test_toeplitz_path_holds_no_dense_matrix():
@@ -690,13 +822,15 @@ def test_solve_report_times_each_phase():
     grid = build_grid(problem.domain, 0.05)
     phases = ("assemble_s", "factor_s", "sigma_s", "solve_s", "audit_s")
     _, report = solve_dirichlet(problem, grid, CFG)
-    assert set(report.timings) == {*phases, "n"}
+    assert set(report.timings) == {*phases, "n", "stencils"}
     assert report.timings["n"] == grid.n
+    assert report.timings["stencils"] == 1  # one stencil, translation invariant
     assert all(report.timings[k] >= 0 for k in phases)
     assert report.timings["assemble_s"] > 0
     sm = assemble(problem, grid, CFG)
     _, first = solve_dirichlet(problem, grid, CFG, stiffness=sm)
     assert first.timings["assemble_s"] == 0.0
+    assert first.timings["stencils"] == 0
     assert first.timings["factor_s"] > 0 and first.timings["sigma_s"] > 0
     assert first.timings["n"] == grid.n
     # a factored matrix is not factored again
@@ -795,7 +929,7 @@ def test_single_use_fallbacks_keep_the_kept_factor_verdict(fallback, monkeypatch
         A[0, 1] = A[1, 0] = 0.1 * A[0, 0]
     elif fallback == "below-sigma-floor":
         # (5 + d) I - ones: row sums d, so certified, but sigma_min = d lies
-        # under both TOEPLITZ_SIGMA_FLOOR and the near-singular threshold
+        # under both SIGMA_MIN_REL_FLOOR and the near-singular threshold
         A = (5.0 + 1e-12) * np.eye(5) - np.ones((5, 5))
     else:
         monkeypatch.setattr(np.linalg, "solve", faulty_gesv)
@@ -904,7 +1038,7 @@ def test_shared_near_singular_matrix_keeps_its_verdict(monkeypatch, toeplitz_at_
 
 
 def test_toeplitz_factor_is_kept_above_the_sigma_floor(toeplitz_at_any_n):
-    # sigma_min = 1e-8 times the 1-norm, 10^2 above TOEPLITZ_SIGMA_FLOOR:
+    # sigma_min = 1e-8 times the 1-norm, 10^2 above SIGMA_MIN_REL_FLOOR:
     # the Toeplitz factor stays, and its estimate agrees with LU's to far
     # better than the margin to the near-singular threshold
     problem = _interval_problem(half=0.25)
