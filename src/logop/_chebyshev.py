@@ -6,8 +6,8 @@ linear combination of stencils that reproduces the kernel at x_i: here the
 Lagrange combination of the stencils at a tensor grid of Chebyshev-Lobatto
 points spanning the nodes' bounding box, by the barycentric formula
 (Trefethen, Approximation Theory and Approximation Practice, SIAM 2013,
-ch. 5).  solver._lattice_matrix imports it only to assemble an x-dependent
-kernel.  Only numpy is imported.
+ch. 5).  solver._lattice_matrix uses it to assemble an x-dependent kernel.
+Only numpy is imported.
 """
 
 from __future__ import annotations
@@ -15,10 +15,12 @@ from __future__ import annotations
 import numpy as np
 
 # the kernel is interpolated only where its samples and checks take at most
-# this many kernel calls per node
+# this many full stencils per node
 SAMPLE_SHARE = 0.25
 # relative to max|S|: how closely the interpolant of degree p/2 must give the
-# odd-indexed samples, and the interpolant the exact stencils at the checks
+# odd-indexed samples, and the interpolant the exact stencils at the checks;
+# relative to the largest probed kernel value: how closely it must give the
+# kernel at the probed offsets at every node
 SAMPLE_RTOL = 1e-13
 # where the checks sit among the nodes off the sample grid: no fraction is
 # another's mirror image 1 - f, so an odd kernel cannot pass by symmetry
@@ -28,7 +30,9 @@ CHECK_AT = (0.1, 0.35, 0.6, 0.85)
 def lobatto(p):
     """The p + 1 Chebyshev-Lobatto points cos(pi k / p), k = 0..p, in
     [-1, 1]: exact at -1, 0 and 1, and those of degree p/2 are the
-    even-indexed ones of degree p bit for bit."""
+    even-indexed ones of degree p bit for bit.  Degree 0 is the midpoint."""
+    if p == 0:
+        return np.zeros(1)
     return np.sin(np.pi * np.arange(p, -p - 1, -2) / (2 * p))
 
 
@@ -36,6 +40,8 @@ def lagrange(p, t):
     """(len(t), p + 1): the Lagrange basis of the degree-p Lobatto points at
     each t in [-1, 1], by the barycentric formula (weights (-1)^k, halved at
     both ends).  A t on a point gets that point's unit row."""
+    if p == 0:
+        return np.ones((len(t), 1))
     w = (-1.0) ** np.arange(p + 1)
     w[[0, -1]] *= 0.5
     d = t[:, None] - lobatto(p)
@@ -57,69 +63,94 @@ def _misfit(S, axis):
     return np.max(np.abs(np.tensordot(E, S[::2], axes=1) - S[1::2]))
 
 
-def sampled_stencils(nodes, h, stencils):
+def sampled_stencils(nodes, h, size, stencils, probe):
     """(S, L): the stencils S (s, size) of an x-dependent kernel at a tensor
     grid of s Chebyshev-Lobatto points spanning the nodes' bounding box, and
     the Lagrange weights L (n, s) of those points at the nodes, so that
     L[i] @ S is node i's stencil.  stencils(X) gives the stencils at the
-    base points X, one row each.
+    base points X, one row each; probe(X) the kernel at a few fixed offsets
+    at each base point.
 
-    The degree p on each axis starts at 2 and doubles, on the nested grids,
-    while the samples of degree p/2 along that axis miss the odd-indexed
-    ones by more than SAMPLE_RTOL max|S| (_misfit).  Then the interpolant
-    must match the exact stencils at len(CHECK_AT) nodes off every sample
-    coordinate by h/8 and placed asymmetrically (an odd kernel on a
-    symmetric grid passes the first test at degree 2), to the same
-    tolerance.  None, and so every node's own stencil, when the samples and
-    the checks would take more than SAMPLE_SHARE kernel calls per node,
-    also where the misfit, falling at the geometric rate it fell from degree
-    p/4 to p/2, would reach the tolerance only past that (a kernel with a
-    jump or a kink in x stops at degree 8, not at the budget); and when the
-    box is flat on an axis, a sample is not finite or a check fails."""
+    The degree p on each axis starts at 2.  An axis along which those three
+    samples agree to SAMPLE_RTOL max|S| is taken at degree 0 (the middle
+    sample alone).  Every other degree doubles, on the nested grids, while
+    the samples of degree p/2 along that axis miss the odd-indexed ones by
+    more than SAMPLE_RTOL max|S| (_misfit).  The interpolant is accepted
+    only when it then gives the exact stencils at len(CHECK_AT) nodes, off
+    every sample coordinate by h/8 and placed asymmetrically (an odd kernel
+    on a symmetric grid passes the first test at degree 2), to the same
+    tolerance, and the kernel at probe's offsets at every node to
+    SAMPLE_RTOL of its largest value there.  The probe is what sees a
+    feature in x narrower than the samples' spacing (a small inclusion);
+    one that shows at none of those offsets, or lies between the nodes,
+    goes unseen.
+
+    None, and so every node's own stencil, when the samples and the checks
+    would take more than SAMPLE_SHARE stencils per node, or twice the
+    samples (a doubling takes the new ones beside them) and L more than
+    n^2 entries, the matrix's own size, so that assembly stays within the
+    16 n^2 bytes solver._check_dense_size reserves for the matrix and its
+    LU copy; when the box is flat on an axis, a sample fails with an
+    ArithmeticError or ValueError or is not finite, or a check fails."""
     n, N = nodes.shape
-    budget = SAMPLE_SHARE * n - len(CHECK_AT)
     lo, hi = np.min(nodes, axis=0), np.max(nodes, axis=0)
     mid, half = (lo + hi) / 2, (hi - lo) / 2
-    degrees = np.full(N, 2)
-    if not np.all(half > 0.0) or 3 ** N > budget:
-        return None
+
+    def affordable(degrees):
+        # s stencils, the new ones of a doubling beside them, and L
+        s = np.prod(degrees + 1)
+        return s <= SAMPLE_SHARE * n - len(CHECK_AT) and s * (2 * size + n) <= n * n
+
+    def points(index, degrees):
+        # the base points at tensor indices (m, N) of the Lobatto grid
+        return mid + half * np.stack(
+            [lobatto(degrees[a])[index[:, a]] for a in range(N)], axis=1)
 
     def sample(index, degrees):
-        # the stencils at tensor indices (m, N) of the Lobatto grid of degrees
-        V = stencils(mid + half * np.sin(np.pi * (degrees - 2 * index) / (2 * degrees)))
+        # the stencils there; None where evaluate fails (it may, at a point
+        # outside the domain: a math domain error, a division by zero) or
+        # gives a non-finite value.  The per-node path raises any such
+        # failure at a node
+        try:
+            V = stencils(points(index, degrees))
+        except (ArithmeticError, ValueError):
+            return None
         return V if np.all(np.isfinite(V)) else None
 
-    S = sample(np.indices(tuple(degrees + 1)).reshape(N, -1).T, degrees)
+    def grid(degrees):
+        return np.indices(tuple(degrees + 1)).reshape(N, -1).T
+
+    degrees = np.full(N, 2)
+    if not (np.all(half > 0.0) and affordable(degrees)):
+        return None
+    S = sample(grid(degrees), degrees)
     if S is None:
         return None
-    S = S.reshape(tuple(degrees + 1) + (-1,))
-    halved = np.full(N, np.nan)  # each axis's misfit at half its degree
+    S = S.reshape(tuple(degrees + 1) + (size,))
+    tol = SAMPLE_RTOL * np.max(np.abs(S))
+    for a in range(N):
+        if np.max(np.abs(S - np.take(S, [1], axis=a))) <= tol:
+            S, degrees[a] = np.take(S, [1], axis=a), 0
     while True:
         tol = SAMPLE_RTOL * np.max(np.abs(S))
-        misfit = np.array([_misfit(S, a) for a in range(N)])
-        coarse = misfit > tol
+        coarse = np.array([degrees[a] > 0 and _misfit(S, a) > tol for a in range(N)])
         if not np.any(coarse):
             break
         fine = np.where(coarse, 2 * degrees, degrees)
-        # the degree at which the misfit would reach tol, falling at its rate
-        # from p/4 to p/2; read from p = 8 on, as below that it can rise
-        # before it falls (sin(3x) on an interval centred near 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rate = np.log(misfit / halved) / (degrees / 4)
-            reach = np.where(rate < 0.0, degrees + 2 * np.log(tol / misfit) / rate, np.inf)
-        if np.prod(np.where(coarse & (degrees >= 8), np.maximum(fine, reach), fine) + 1) > budget:
+        if not affordable(fine):
             return None
-        halved = np.where(coarse, misfit, halved)
         kept = tuple(slice(None, None, 2) if c else slice(None) for c in coarse)
         fresh = np.ones(tuple(fine + 1), dtype=bool)
         fresh[kept] = False
+        T = np.empty(tuple(fine + 1) + (size,))
+        T[kept] = S
+        S, degrees = T, fine  # the old samples freed before the new are taken
         V = sample(np.argwhere(fresh), fine)
         if V is None:
             return None
-        T = np.empty(tuple(fine + 1) + S.shape[-1:])
-        T[kept], T[fresh] = S, V
-        S, degrees = T, fine
-    S = S.reshape(-1, S.shape[-1])
+        S[fresh] = V
+        del V  # freed before the next doubling's T
+    S = S.reshape(-1, size)
     t = np.clip((nodes - mid) / half, -1.0, 1.0)
     L = lagrange(degrees[0], t[:, 0])
     for a in range(1, N):  # the tensor product, first axis slowest as in S
@@ -134,5 +165,9 @@ def sampled_stencils(nodes, h, stencils):
         return None
     check = eligible[(np.array(CHECK_AT) * len(eligible)).astype(int)]
     if not np.max(np.abs(L[check] @ S - stencils(nodes[check]))) <= tol:
+        return None
+    exact = probe(nodes)
+    if not np.max(np.abs(L @ probe(points(grid(degrees), degrees)) - exact)) <= (
+            SAMPLE_RTOL * np.max(np.abs(exact))):
         return None
     return S, L

@@ -229,10 +229,14 @@ class KernelSpec:
     (translation_invariant false) at base points x anywhere in the
     bounding box of the grid's nodes, not only at the nodes: it samples the
     kernel at Chebyshev points of that box and interpolates in x.  For a
-    ball some of those points lie outside Omega, so evaluate must accept
-    them.  A non-finite value at such a point does not fail assembly; it
-    only makes assembly evaluate the kernel at every node instead, which
-    is slower.
+    ball some of those points lie outside Omega.  A non-finite value, an
+    ArithmeticError or a ValueError (a math domain error) at such a point
+    does not fail assembly; it only makes assembly evaluate the kernel at
+    every node instead, which is slower.
+    The interpolant must give the kernel at every node at a few offsets
+    and the full stencil at a few nodes, so a feature in x narrower than
+    the samples' spacing (a small inclusion) also sends assembly to every
+    node; only a dependence on x that shows at neither goes unseen.
     """
 
     evaluate: callable

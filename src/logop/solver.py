@@ -27,9 +27,10 @@ matrix.  A kernel that depends on x has a stencil at each base point x, the
 same sums of its weights at the offsets and their mirror images plus one
 product for the moments.  Collocation is linear in the kernel, so each row
 is gathered from the Lagrange combination of the stencils at a few
-Chebyshev points spanning the nodes (_chebyshev), or, where that
-interpolant is not shown to 1e-13 of the largest entry within a quarter of
-the nodes' kernel calls, from its node's own stencil.
+Chebyshev points spanning the nodes (_chebyshev), or from its node's own
+stencil where that interpolant fails its checks (its samples against
+each other, exact stencils at four nodes, the kernel at 8 offsets at
+every node) or would take more than a quarter of the nodes' stencils.
 
 Because the radial quadrature weights are positive and the interpolation
 weights are a convex partition, the assembled matrix of the difference
@@ -100,7 +101,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _quadrules, _toeplitz, geometry, kernels, nonlocal_eval
+from . import _chebyshev, _quadrules, _toeplitz, geometry, kernels, nonlocal_eval
 from .geometry import GridFunction
 from .logmod import ell
 
@@ -128,6 +129,9 @@ _GATHER_ENTRIES = 16384
 # rows of an x-dependent kernel combined and gathered per block: 64 rows of
 # n = 999 raised assembly's traced peak past 1.25 times the matrix
 _XDEP_ROWS = 16
+# offsets at which an x-dependent kernel's interpolant is checked at every
+# node (_chebyshev.sampled_stencils)
+_PROBES = 8
 # the floor under sigma_min, relative to the 1-norm, of every shortcut: a
 # Toeplitz factor is kept, a single-use gesv's solution and an M-matrix
 # certificate's bound are taken, only where sigma_min is at least
@@ -575,11 +579,13 @@ class SolveReport:
     # seconds per phase, the node count n and the stencils assembly built:
     # {assemble_s, factor_s, sigma_s, solve_s, audit_s, n, stencils}.
     # stencils counts the base points x at which assembly evaluated the
-    # kernel, one stencil each: 1 for a translation-invariant operator, the
-    # Chebyshev samples and checks of an x-dependent kernel's interpolant, or
-    # n where it was evaluated at every node (plus the samples tried before
-    # that interpolant was refused).  assemble_s and stencils are 0 for a
-    # prebuilt matrix, factor_s and sigma_s are 0.0 for a factored one.
+    # kernel at every offset, one stencil each: 1 for a translation-invariant
+    # operator, the Chebyshev samples and checks of an x-dependent kernel's
+    # interpolant, or n where it was evaluated at every node (plus the
+    # samples tried before that interpolant was refused).  The interpolant's
+    # check of a few offsets at every node is not counted.  assemble_s and
+    # stencils are 0 for a prebuilt matrix, factor_s and sigma_s are 0.0
+    # for a factored one.
     # A single-use solve (StiffnessMatrix._solve_once) is one numpy gesv for
     # the solution and the certificate together: factor_s holds it, and
     # sigma_s and solve_s are 0.0
@@ -631,7 +637,7 @@ def _origin_cells(rays, h, span):
     return at, C.reshape(3 ** N, R * N)
 
 
-def _lattice_matrix(grid, offs, rays, weights, diag, mirror, toeplitz=False):
+def _lattice_matrix(grid, offs, rays, weights, diag, mirror, probe=None, toeplitz=False):
     """Dense matrix of u -> d u(x_i) - sum_k W_k interp u(x_i + z_k)
     collocated at every node x_i, or only its first column when `toeplitz`
     is true.  The z_k are the offsets offs, their mirror images -offs where
@@ -669,7 +675,9 @@ def _lattice_matrix(grid, offs, rays, weights, diag, mirror, toeplitz=False):
     _chebyshev.sampled_stencils and each row's is their Lagrange
     combination, or, where that interpolant is refused, built at the node
     itself: either way _XDEP_ROWS rows at a time, combined and gathered
-    from a block of stencils one after another in the flat index."""
+    from a block of stencils one after another in the flat index.  probe(X)
+    gives such a kernel at a few offsets at each base point of X, for the
+    interpolant's check at every node."""
     corner, vals = geometry.difference_projection(grid, offs)
     np.negative(vals, out=vals)  # in place, once, not per stencil
     span = tuple(2 * d + 1 for d in grid.dims)
@@ -721,10 +729,7 @@ def _lattice_matrix(grid, offs, rays, weights, diag, mirror, toeplitz=False):
     A = np.empty((grid.n, grid.n))
     if callable(weights):
         step, stride = max(1, min(_XDEP_ROWS, _GATHER_ENTRIES // grid.n)), size
-        # imported here, so that no other process compiles it
-        from . import _chebyshev
-
-        sampled = _chebyshev.sampled_stencils(grid.nodes, grid.h, stencils)
+        sampled = _chebyshev.sampled_stencils(grid.nodes, grid.h, size, stencils, probe)
         if sampled is None:
             def block(i0, i1):
                 return finite(stencils(grid.nodes[i0:i1]), i0)
@@ -751,7 +756,10 @@ def _check_dense_size(grid, cause="assembly"):
     """Refuse a dense system that cannot fit in physical memory: the matrix
     and the copy LU factorization makes take 16*n^2 bytes (scipy's getrf
     factors one Fortran-ordered copy, numpy's gesv copies A into its own
-    buffer, so either way 16 bytes per entry).  assemble checks
+    buffer, so either way 16 bytes per entry).  The Chebyshev samples of
+    an x-dependent kernel live only during assembly, before any LU copy,
+    and _chebyshev.sampled_stencils holds them and their weights to n^2
+    entries, so they fit in the copy's share.  assemble checks
     before it allocates anything for every matrix but a symmetric Toeplitz
     one, which is stored as one column of n numbers and checks here only
     when its dense matrix is formed: for LU (a fallback from the Toeplitz
@@ -825,7 +833,7 @@ def assemble(problem, grid, cfg):
     mirror = None if not mirrored else "flip" if op.weight is None else "pairs"
     if op.weight is None:
         # _lattice_matrix's weights (W, M)
-        weights = w[:, None], w0[:, :split] @ powers
+        weights, probe = (w[:, None], w0[:, :split] @ powers), None
     else:
         # w_rad * rho^p: the moments are the kernel values at the inner
         # offsets times this, as every ray carries the same weights
@@ -848,7 +856,18 @@ def assemble(problem, grid, cfg):
             return (w_c * k[:len(w_c)]).reshape(-1, columns), inner_k @ radial
 
         if op.translation_invariant:
-            weights = weights(np.zeros(N))
+            weights, probe = weights(np.zeros(N)), None
+        else:
+            # offsets at radii spread geometrically from h to the rule's
+            # largest, at which the interpolant must give the kernel at
+            # every node
+            rho = np.linalg.norm(points, axis=1)
+            order = np.argsort(rho)
+            at = np.searchsorted(rho[order], np.geomspace(grid.h, rho[order[-1]], _PROBES))
+            probed = points[order[np.minimum(at, len(rho) - 1)]]
+
+            def probe(X):
+                return np.array([op.weight(x, probed) for x in X])
 
     halves = 2.0 if mirror == "flip" else 1.0
 
@@ -856,7 +875,7 @@ def assemble(problem, grid, cfg):
         # the near weights of both halves, one column standing for both
         return W[:near].sum() * halves + op.const + problem.shift
 
-    A = _lattice_matrix(grid, offs, rays, weights, diag, mirror, toeplitz=toeplitz)
+    A = _lattice_matrix(grid, offs, rays, weights, diag, mirror, probe, toeplitz=toeplitz)
     sm = (_ToeplitzStiffness if toeplitz else StiffnessMatrix)(A, grid)
     sm.stencils = len(base_points) if callable(weights) else 1
     if mirror == "flip":

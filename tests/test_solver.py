@@ -75,10 +75,10 @@ def _wobble_kernel():
 def _phase_wobble_kernel(phase=1.0, calls=None):
     # the x-dependent benchmark kernel: smooth in x, neither odd nor even,
     # so assembly interpolates it from a few Chebyshev samples.  calls, when
-    # given, collects each evaluation's base point
+    # given, collects each evaluation's number of offsets
     def evaluate(x, Y):
         if calls is not None:
-            calls.append(x)
+            calls.append(len(np.atleast_2d(Y)))
         rho = np.linalg.norm(np.atleast_2d(Y), axis=1)
         return 1.0 + 0.3 * math.sin(3.0 * float(x[0]) + phase) * np.cos(rho)
 
@@ -471,14 +471,18 @@ def test_rows_inside_the_kernels_reach_sum_to_zero():
         ("schrodinger", Domain.ball([0.0, 0.0], 0.25), 0.01, None),
         ("generic", Domain.interval(-0.5, 0.5), 0.001, _wobble_kernel()),
         ("generic", Domain.interval(-0.5, 0.5), 0.001, _phase_wobble_kernel()),
+        ("generic", Domain.ball([0.013, -0.007], 0.25), 0.01, _phase_wobble_kernel()),
     ],
-    ids=["generic", "loglap", "schrodinger", "xdep-1d", "xdep-1d-sampled"],
+    ids=["generic", "loglap", "schrodinger", "xdep-1d", "xdep-1d-sampled", "xdep-2d-sampled"],
 )
 def test_assembly_peak_memory_is_the_matrix(operator, domain, h, kernel):
     # a dense matrix (2-D grid or x-dependent kernel) is the only n x n array
     # assembly allocates, so the documented 16*n^2 bytes (matrix plus LU
     # copy) hold for every operator.  The odd wobble kernel takes every
-    # node's own stencil here, the phase-shifted one 33 Chebyshev samples
+    # node's own stencil here, the phase-shifted one 33 Chebyshev samples:
+    # on the ball (n = 1941) 33 stencils of 10 201 entries and their
+    # weights at the nodes, a tenth of the matrix beside it (the traced
+    # peak reads 1.24 matrices; sampled_stencils holds them to n^2 entries)
     problem = ProblemSpec(operator, domain, const_field(1.0), kernel=kernel)
     # untraced: fills the quadrature caches
     assemble(problem, build_grid(domain, 0.1), CFG)
@@ -491,6 +495,7 @@ def test_assembly_peak_memory_is_the_matrix(operator, domain, h, kernel):
         tracemalloc.stop()
     assert type(sm) is solver.StiffnessMatrix
     assert sm.matrix.shape == (grid.n, grid.n)
+    assert (1 < sm.stencils < grid.n / 4) == (kernel is not None and kernel.name == "phase-wobble")
     assert peak <= 1.25 * sm.matrix.nbytes
 
 
@@ -501,7 +506,7 @@ def _xdep_kernel(name, weight, lam=0.5, Lam=1.5):
 
 _XDEP_KERNELS = {
     # odd in x_0: on the interval, centred on 0, degree 2 passes the p/2 test
-    # by symmetry and the node check refuses it, so every node is evaluated
+    # by symmetry and the checks refuse it, so every node is evaluated
     "wobble": _wobble_kernel(),
     "phase-wobble": _phase_wobble_kernel(),
     "flat": _xdep_kernel("flat", lambda x, Y: np.ones(len(Y)), 1.0, 1.0),
@@ -513,10 +518,28 @@ _XDEP_KERNELS = {
     "mixed": _xdep_kernel(
         "mixed", lambda x, Y: 1.0 + 0.3 * np.tanh(2.0 * x[-1] + Y[:, 0]) * math.exp(-x[0] ** 2)
     ),
-    # a jump in x: the misfit does not fall, and sampling stops at degree 8
+    # a jump in x: the misfit does not fall, and sampling stops at the budget
     "x-jump": _xdep_kernel(
         "x-jump",
         lambda x, Y: 1.0 + 0.3 * math.copysign(1.0, x[0] - 0.05) * np.cos(np.linalg.norm(Y, axis=1)),
+    ),
+    # a small inclusion: a bump in x narrower than the samples' spacing, so
+    # the samples and the node checks all miss it.  The kernel at the
+    # probed offsets at every node sees it (on the ball too, where it falls
+    # between the nodes)
+    "bump": _xdep_kernel(
+        "bump",
+        lambda x, Y: 1.0 + 0.3 * math.exp(-(((x[0] - 0.123) / 0.002) ** 2)) * np.ones(len(Y)),
+        1.0, 1.3,
+    ),
+    # the odd wobble on offsets with 0.07 < |z| < 0.1 only: between the
+    # probed radii on the fine interval (0.001 * 1000^(k/7)), so
+    # only the exact stencils at the node checks refuse degree 2 there
+    "band-wobble": _xdep_kernel(
+        "band-wobble",
+        lambda x, Y: 1.0 + 0.4 * math.sin(3.0 * x[0])
+        * ((np.abs(np.linalg.norm(Y, axis=1) - 0.085) < 0.015)),
+        0.6, 1.4,
     ),
 }
 _XDEP_GRIDS = {
@@ -527,6 +550,7 @@ _XDEP_GRIDS = {
 # the cases that take the interpolant, with fewer than n/4 stencils
 _XDEP_SAMPLED = {
     ("wobble", "ball"),
+    ("band-wobble", "ball"),
     *((kernel, grid) for kernel in ("phase-wobble", "flat", "skew") for grid in _XDEP_GRIDS),
     ("mixed", "interval"),
     ("mixed", "interval-coarse"),
@@ -558,15 +582,22 @@ def test_sampled_xdependent_assembly_matches_every_node(kernel_case, grid_case, 
     assert (sm.stencils < grid.n / 4) == ((kernel_case, grid_case) in _XDEP_SAMPLED)
     if sm.stencils >= grid.n:
         assert np.array_equal(A, R)
-    if kernel_case == "x-jump":  # stopped at degree 8 in x_0, 2 on the other axis
-        assert sm.stencils == grid.n + 9 * 3 ** (domain.N - 1)
+    if kernel_case == "x-jump":
+        # doubled in x_0 up to the largest degree the budget takes, 32, 128
+        # or 64, then every node; the ball's x_1 axis was taken at degree 0
+        # after its first 3 samples
+        tried = {"ball": 9 - 3 + 33, "interval": 129, "interval-coarse": 65}[grid_case]
+        assert sm.stencils == grid.n + tried
 
 
 @pytest.mark.parametrize("phase", [0.4, 2.0, 5.1])
 def test_xdependent_solves_evaluate_the_kernel_at_few_base_points(phase):
     # the x-dependent benchmark shapes, the ball at h = 0.02 (n = 489) and
-    # the interval at h = 0.001 (n = 999): the kernel is called at fewer
-    # than n/4 base points, and the report counts each
+    # the interval at h = 0.001 (n = 999): the kernel is evaluated at all of
+    # its offsets at fewer than n/4 base points, and the report counts each.
+    # The check at every node adds one call there, and at each sample, for
+    # a few offsets: counted in kernel values, assembly evaluates under a
+    # quarter of what the per-node path does
     shapes = (
         (Domain.ball([0.013, -0.007], 0.25), 0.02),
         (Domain.ball([-0.21, 0.17], 0.25), 0.02),
@@ -578,32 +609,59 @@ def test_xdependent_solves_evaluate_the_kernel_at_few_base_points(phase):
                               kernel=_phase_wobble_kernel(phase, calls))
         grid = build_grid(domain, h)
         _, report = solve_dirichlet(problem, grid, CFG)
-        assert len(calls) == report.timings["stencils"] < grid.n / 4
+        stencil = max(calls)
+        full = calls.count(stencil)
+        assert full == report.timings["stencils"] < grid.n / 4
+        probes = [m for m in calls if m != stencil]
+        assert max(probes) == solver._PROBES and grid.n < len(probes) < grid.n + full
+        assert sum(calls) < grid.n * stencil / 4
         assert report.sigma_path == "m_matrix"
 
 
-def test_kernel_undefined_outside_the_domain_takes_every_node(monkeypatch):
+@pytest.mark.parametrize("outside", ["nan", "raise"])
+def test_kernel_undefined_outside_the_domain_takes_every_node(outside, monkeypatch):
     # the Chebyshev samples span the nodes' bounding box, whose corners lie
-    # outside a ball: a kernel that is NaN there sends every node to its
-    # own stencil, and the matrix is the per-node one bit for bit
+    # outside a ball: a kernel that is NaN there, or raises there (a math
+    # domain error), sends every node to its own stencil, and the matrix is
+    # the per-node one bit for bit
     centre, radius = np.array([0.013, -0.007]), 0.25
     wobble = _phase_wobble_kernel()
 
     def evaluate(x, Y):
-        inside = np.linalg.norm(x - centre) <= radius
-        return wobble.evaluate(x, Y) if inside else np.full(len(Y), np.nan)
+        if np.linalg.norm(x - centre) <= radius:
+            return wobble.evaluate(x, Y)
+        if outside == "raise":
+            return np.full(len(Y), math.sqrt(-1.0))
+        return np.full(len(Y), np.nan)
 
     kernel = KernelSpec(evaluate=evaluate, lam=0.7, Lam=1.3, translation_invariant=False,
-                        name="nan-outside")
+                        name=f"{outside}-outside")
     domain = Domain.ball(centre, radius)
     grid = build_grid(domain, 0.02)
     problem = ProblemSpec("generic", domain, const_field(1.0), kernel=kernel)
     sm = assemble(problem, grid, CFG)
     # the 3 x 3 first samples, whose corners lie outside: refused at once,
-    # without the node checks, then every node
-    assert sm.stencils == 9 + grid.n
+    # without the node checks (at the first, a corner, for a kernel that
+    # raises), then every node
+    assert sm.stencils == (1 if outside == "raise" else 9) + grid.n
     monkeypatch.setattr(_chebyshev, "SAMPLE_SHARE", 0.0)
     assert np.array_equal(sm.matrix, assemble(problem, grid, CFG).matrix)
+
+
+def test_kernel_that_raises_at_a_node_raises_from_assembly():
+    # a failure at a node is not hidden by the fallback: the per-node path
+    # evaluates the kernel there and raises it
+    def evaluate(x, Y):
+        if x[0] > 0.3:
+            raise ValueError("math domain error")
+        return np.ones(len(Y))
+
+    kernel = KernelSpec(evaluate=evaluate, lam=1.0, Lam=1.0, translation_invariant=False,
+                        name="raises")
+    domain = Domain.interval(-0.5, 0.5)
+    problem = ProblemSpec("generic", domain, const_field(1.0), kernel=kernel)
+    with pytest.raises(ValueError, match="math domain error"):
+        assemble(problem, build_grid(domain, 0.0025), CFG)
 
 
 def test_toeplitz_path_holds_no_dense_matrix():
